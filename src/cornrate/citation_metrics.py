@@ -61,26 +61,11 @@ def cite3_counts(patents: Iterable[PatentRecord],
     return counts
 
 
-def compute_cite3(patents: Iterable[PatentRecord],
-                  citation_edges: Iterable[tuple[str, str]],
-                  pub_years: Optional[Mapping[str, int]] = None) -> float:
-    counts = cite3_counts(patents, citation_edges, pub_years)
-    if not counts:
-        raise CitationError("empty patent collection")
-    return math.fsum(counts[k] for k in sorted(counts)) / len(counts)
-
-
 def compute_ave_pub_year(patents: Iterable[PatentRecord]) -> float:
     years = [p.granted_year for p in patents]
     if not years:
         raise CitationError("empty patent collection")
     return math.fsum(years) / len(years)
-
-
-def cite3_rank_percentile(per_patent_cite3: Mapping[str, float],
-                          pub_years: Mapping[str, int]) -> dict[str, float]:
-    """Mid-rank percentile of Cite3 within each publication-year cohort."""
-    return midrank_percentiles(per_patent_cite3, pub_years)
 
 
 def predict_k1(ave_pub_year: float, cite3: float) -> float:
@@ -127,5 +112,5 @@ def domain_citation_stats(patents: Iterable[PatentRecord],
         cite_forward_mean=cite_forward_mean,
         k1=predict_k1(ave_pub_year, cite3),
         per_patent_cite3=counts,
-        per_patent_rank_percentile=cite3_rank_percentile(counts, grant_years),
+        per_patent_rank_percentile=midrank_percentiles(counts, grant_years),
     )

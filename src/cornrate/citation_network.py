@@ -13,7 +13,9 @@ network size, so a log-space approximation is available behind a flag.
 
 Downstream: per-application-year mid-rank percentiles of SPNP, the
 domain centrality (mean over domain patents of the mean percentile of
-their cited patents), the highly-cited growth rate Z, and
+their cited patents), the growth rate Z of the domain's highly cited
+patents (those whose application-year cohort percentile of forward
+citations is >= constants.DEFAULT_HIGHLY_CITED_THRESHOLD), and
 
     K2 = exp(5.0575 * Centrality + 10.1261 * Z - 5.8486).
 """
@@ -23,12 +25,15 @@ from __future__ import annotations
 import csv
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 from . import constants
+from .core_data import EDGE_COLUMNS, NODE_COLUMNS
 from .ranking import midrank_percentiles
+from .trend import TrendSeries, fit_exponential
 
 
 class NetworkError(Exception):
@@ -60,10 +65,6 @@ class CitationNetwork:
             self.in_edges[cited].append(citing)
         self._topo_order = self._topological_order()
 
-    @property
-    def nodes(self) -> list[str]:
-        return list(self.application_years)
-
     def _topological_order(self) -> list[str]:
         # Kahn's algorithm over citing -> cited; detects same-year cycles.
         indegree = {n: len(self.in_edges[n]) for n in self.application_years}
@@ -86,14 +87,16 @@ class CitationNetwork:
         for p in (node_csv, edge_csv):
             if not p.is_file():
                 raise NetworkError(f"missing file: {p}")
+        number, year = NODE_COLUMNS
         years = {}
         with node_csv.open(newline="", encoding="utf-8") as f:
             for row in csv.DictReader(f):
-                years[row["patent_number"].strip()] = int(row["application_year"])
+                years[row[number].strip()] = int(row[year])
+        citing, cited = EDGE_COLUMNS
         edges = []
         with edge_csv.open(newline="", encoding="utf-8") as f:
             for row in csv.DictReader(f):
-                edges.append((row["citing_patent"].strip(), row["cited_patent"].strip()))
+                edges.append((row[citing].strip(), row[cited].strip()))
         return cls(years, edges)
 
 
@@ -133,12 +136,6 @@ def compute_spnp(net: CitationNetwork, approximate: bool = False) -> dict:
 def _logaddexp(a: float, b: float) -> float:
     hi, lo = (a, b) if a >= b else (b, a)
     return hi + math.log1p(math.exp(lo - hi))
-
-
-def spnp_rank_percentile(spnp: Mapping[str, int],
-                         application_years: Mapping[str, int]) -> dict[str, float]:
-    """Mid-rank percentile of SPNP within each application-year cohort."""
-    return midrank_percentiles(spnp, application_years)
 
 
 @dataclass
@@ -189,10 +186,11 @@ def classify_highly_cited(citation_percentiles: Mapping[str, float],
 
 def compute_z(domain_patents: Iterable[str], highly_cited: Mapping[str, bool],
               application_years: Mapping[str, int]) -> float:
-    """OLS slope of log cumulative highly-cited count on application year.
+    """Exponential rate of the cumulative highly-cited count by application year.
 
     Years before the first highly cited patent are excluded (log of zero);
-    with no highly cited patents at all, Z = 0 by convention.
+    with no highly cited patents at all, or only in the last domain year,
+    Z = 0 by convention.
     """
     domain = sorted(set(domain_patents))
     counts: dict[int, int] = {}
@@ -202,23 +200,11 @@ def compute_z(domain_patents: Iterable[str], highly_cited: Mapping[str, bool],
             counts[year] = counts.get(year, 0) + 1
     if not counts:
         return 0.0
-    first = min(counts)
-    last = max(application_years[p] for p in domain)
-    years = list(range(first, last + 1))
-    cumulative = []
-    total = 0
-    for year in years:
-        total += counts.get(year, 0)
-        cumulative.append(total)
+    years = range(min(counts), max(application_years[p] for p in domain) + 1)
     if len(years) < 2:
         return 0.0
-    logs = [math.log(c) for c in cumulative]
-    n = len(years)
-    x_mean = math.fsum(years) / n
-    y_mean = math.fsum(logs) / n
-    sxx = math.fsum((x - x_mean) ** 2 for x in years)
-    sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(years, logs))
-    return sxy / sxx
+    cumulative = accumulate(counts.get(year, 0) for year in years)
+    return fit_exponential(TrendSeries(tuple(zip(years, cumulative)))).k
 
 
 def predict_k2(centrality: float, z: float) -> float:
@@ -238,20 +224,21 @@ class CentralityResult:
 
 
 def evaluate_domain(net: CitationNetwork, domain_patents: Iterable[str],
-                    citation_percentiles: Optional[Mapping[str, float]] = None,
+                    citation_percentiles: Mapping[str, float],
                     threshold: float = constants.DEFAULT_HIGHLY_CITED_THRESHOLD
                     ) -> CentralityResult:
     """Full second-model evaluation for one domain within a network.
 
-    citation_percentiles drive the highly-cited classification; when not
-    given, the SPNP rank percentiles stand in for them.
+    Centrality comes from the cohort SPNP percentiles of the network.
+    citation_percentiles are the cohort (application-year) mid-rank
+    percentiles of forward-citation counts; a domain patent is highly
+    cited when its percentile is >= threshold, and those flags drive Z.
     """
     domain = sorted(set(domain_patents))
     spnp = compute_spnp(net)
-    percentile = spnp_rank_percentile(spnp, net.application_years)
+    percentile = midrank_percentiles(spnp, net.application_years)
     centrality = domain_centrality(domain, net, percentile)
-    flags_source = citation_percentiles if citation_percentiles is not None else percentile
-    flags = classify_highly_cited(flags_source, threshold)
+    flags = classify_highly_cited(citation_percentiles, threshold)
     z = compute_z(domain, flags, net.application_years)
     return CentralityResult(
         spnp=spnp,

@@ -9,7 +9,6 @@ emitted as data only; plotting is left to external tools. Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import json
 import math
@@ -23,12 +22,10 @@ from numpy.linalg import LinAlgError
 from . import constants, yield_metrics
 from .citation_metrics import (CitationError, build_internal_edges,
                                domain_citation_stats)
-from .citation_network import (CitationNetwork, NetworkError, classify_highly_cited,
-                               compute_spnp, compute_z, domain_centrality,
-                               predict_k2, spnp_rank_percentile)
+from .citation_network import CitationNetwork, NetworkError, evaluate_domain
 from .core_data import (Dataset, DatasetError, FieldTestSchema, IngestError, PatentKind,
                         load_dataset, load_field_tests, load_patents, load_trial_sets,
-                        save_dataset)
+                        save_dataset, write_csv)
 from .ranking import midrank_percentiles
 from .regression import (Family, MODEL_SPECS, RegressionError, build_analysis_table,
                          run_model)
@@ -210,33 +207,26 @@ def cmd_predict(args) -> int:
                             and p.patent_number not in exclusions)
     if not domain_numbers:
         raise CliDataError("no domain patents present in the network")
-    spnp = compute_spnp(net)
-    percentile = spnp_rank_percentile(spnp, net.application_years)
-    centrality = domain_centrality(domain_numbers, net, percentile)
+    threshold = float(config.get("highly_cited_threshold",
+                                 constants.DEFAULT_HIGHLY_CITED_THRESHOLD))
+    citation_percentiles = midrank_percentiles(
+        {p.patent_number: p.forward_citation_count for p in dataset.patents.values()
+         if p.patent_number in net.application_years},
+        net.application_years)
+    result = evaluate_domain(net, domain_numbers, citation_percentiles, threshold)
     payload = {
         "kind": args.kind,
         "filed_until": args.filed_until,
-        "centrality": centrality.value,
+        "centrality": result.centrality.value,
         "n_domain": len(domain_numbers),
-        "n_excluded_no_citations": centrality.n_excluded_no_citations,
-        "n_skipped_unknown_cited": centrality.n_skipped_unknown_cited,
+        "n_excluded_no_citations": result.centrality.n_excluded_no_citations,
+        "n_skipped_unknown_cited": result.centrality.n_skipped_unknown_cited,
     }
     if not args.centrality_only:
-        threshold = float(config.get("highly_cited_threshold",
-                                     constants.DEFAULT_HIGHLY_CITED_THRESHOLD))
-        citation_percentiles = midrank_percentiles(
-            {p.patent_number: p.forward_citation_count
-             for p in dataset.patents.values()
-             if p.patent_number in net.application_years},
-            {p.patent_number: net.application_years[p.patent_number]
-             for p in dataset.patents.values()
-             if p.patent_number in net.application_years})
-        flags = classify_highly_cited(citation_percentiles, threshold)
-        z = compute_z(domain_numbers, flags, net.application_years)
         payload.update({
-            "z": z,
-            "k2": predict_k2(centrality.value, z),
-            "n_highly_cited": sum(1 for p in domain_numbers if flags.get(p, False)),
+            "z": result.z,
+            "k2": result.k2,
+            "n_highly_cited": result.n_highly_cited,
             "highly_cited_threshold": threshold,
         })
     _emit(payload, "predict_k2", args)
@@ -276,13 +266,6 @@ def cmd_regress(args) -> int:
 
 # --- report ----------------------------------------------------------------
 
-def _write_table(path: Path, header: list[str], rows: list[list]) -> None:
-    with path.open("w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows(rows)
-
-
 def cmd_report(args) -> int:
     dataset = _require_dataset(args)
     patents = list(dataset.patents.values())
@@ -313,12 +296,11 @@ def cmd_report(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _write_table(out / "patents_per_year.csv", ["filed_year", "kind", "count"],
-                     counts_rows)
-        _write_table(out / "assignee_shares.csv", ["assignee", "count", "share"],
-                     share_rows)
-        _write_table(out / "backward_citations.csv",
-                     ["filed_year", "n_patents", "mean", "std"], backward_rows)
+        write_csv(out / "patents_per_year.csv", ["filed_year", "kind", "count"],
+                  counts_rows)
+        write_csv(out / "assignee_shares.csv", ["assignee", "count", "share"], share_rows)
+        write_csv(out / "backward_citations.csv",
+                  ["filed_year", "n_patents", "mean", "std"], backward_rows)
     _emit({
         "n_patents": total,
         "n_trial_sets": len(dataset.trial_sets),

@@ -31,6 +31,10 @@ DEFAULT_CITATION_CUTOFF_YEAR = 2015
 
 # Artifact defaults (not published values): the highly-cited criterion is
 # unspecified upstream, and 7 is the shortest control run worth fitting.
+# Highly-cited rule used for Z: a patent is highly cited when the mid-rank
+# percentile of its forward-citation count within its application-year
+# cohort is >= DEFAULT_HIGHLY_CITED_THRESHOLD (inclusive); a run config's
+# highly_cited_threshold replaces the default.
 DEFAULT_HIGHLY_CITED_THRESHOLD = 0.90
 DEFAULT_CONTROL_MIN_YEARS = 7
 

@@ -162,11 +162,31 @@ def _parse_yield(text: str) -> tuple[float, bool]:
     return _parse_number(text.rstrip("*")), significant
 
 
+# Raw ingestion layouts: the columns the loaders and CitationNetwork.from_files
+# read, and the synthetic fixture writer emits.
+PATENT_COLUMNS = ["patent_number", "title", "assignee", "filed_year",
+                  "granted_year", "forward_citations", "cited_patents"]
+TRIAL_COLUMNS = ["patent_number", "patented_variety", "control_variety",
+                 "patented_yield", "control_yield"]
+ILLINOIS_COLUMNS = ["Year", "Region", "Brand", "Hybrid", "Yield", "Moisture"]
+NODE_COLUMNS = ["patent_number", "application_year"]
+EDGE_COLUMNS = ["citing_patent", "cited_patent"]
+
+
+def write_csv(path, header: list[str], rows: Iterable) -> None:
+    """Write one header row and then the data rows as UTF-8 CSV."""
+    with Path(path).open("w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def _open_csv(path) -> tuple:
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"missing file: {path}")
-    handle = path.open(newline="", encoding="utf-8")
+    # utf-8-sig drops a byte-order mark that would otherwise prefix the first column name.
+    handle = path.open(newline="", encoding="utf-8-sig")
     return handle, csv.DictReader(handle)
 
 
@@ -186,10 +206,8 @@ def _require_columns(reader: csv.DictReader, names: Iterable[str], path) -> dict
 def load_patents(path) -> LoadReport:
     """Load the patent CSV; variety_name/kind stay unset for the title parser."""
     handle, reader = _open_csv(path)
-    required = ["patent_number", "title", "assignee", "filed_year",
-                "granted_year", "forward_citations", "cited_patents"]
     with handle:
-        cols = _require_columns(reader, required, path)
+        cols = _require_columns(reader, PATENT_COLUMNS, path)
         records: list[PatentRecord] = []
         errors: list[tuple[int, str]] = []
         seen: set[str] = set()
@@ -219,7 +237,7 @@ def load_patents(path) -> LoadReport:
 
 
 _FIELD_TEST_COLUMNS = {
-    FieldTestSchema.ILLINOIS_LIKE: ["Year", "Region", "Brand", "Hybrid", "Yield", "Moisture"],
+    FieldTestSchema.ILLINOIS_LIKE: ILLINOIS_COLUMNS,
     FieldTestSchema.KENTUCKY_LIKE: ["Maturity", "Year", "Brand", "Hybrid", "Yield", "Moist", "Stand"],
 }
 
@@ -274,10 +292,8 @@ def load_field_tests(path, schema: FieldTestSchema | str, state: str = "") -> Lo
 def load_trial_sets(path) -> LoadReport:
     """Load per-patent trial comparisons; summary 'AVG' rows are skipped."""
     handle, reader = _open_csv(path)
-    required = ["patent_number", "patented_variety", "control_variety",
-                "patented_yield", "control_yield"]
     with handle:
-        cols = _require_columns(reader, required, path)
+        cols = _require_columns(reader, TRIAL_COLUMNS, path)
         groups: dict[str, list[TrialComparison]] = {}
         errors: list[tuple[int, str]] = []
         skipped = 0
@@ -327,8 +343,7 @@ def infer_missing_year_average(summary_mean: float, known_year_means: list[float
 
 # --- dataset store ---------------------------------------------------------
 
-_PATENT_HEADER = ["patent_number", "title", "assignee", "filed_year", "granted_year",
-                  "forward_citations", "cited_patents", "variety_name", "kind"]
+_PATENT_HEADER = PATENT_COLUMNS + ["variety_name", "kind"]
 _TRIAL_HEADER = ["patent_number", "control_name", "patented_yield", "control_yield",
                  "patented_moisture", "control_moisture"]
 _FIELDTEST_HEADER = ["state", "year", "region", "brand", "hybrid", "yield", "moisture",
@@ -342,34 +357,26 @@ def _fmt(value) -> str:
         return "1" if value else "0"
     if isinstance(value, Enum):
         return value.value
-    return repr(value) if isinstance(value, float) else str(value)
+    # float() first: repr of a numpy float64 is "np.float64(98.3)" under numpy 2.
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def save_dataset(dataset: Dataset, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    with (directory / "patents.csv").open("w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(_PATENT_HEADER)
-        for p in dataset.patents.values():
-            w.writerow([p.patent_number, p.title, p.assignee, p.filed_year,
-                        p.granted_year, p.forward_citation_count,
-                        ";".join(p.cited_patents), _fmt(p.variety_name), _fmt(p.kind)])
-    with (directory / "trials.csv").open("w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(_TRIAL_HEADER)
-        for ts in dataset.trial_sets:
-            for c in ts.comparisons:
-                w.writerow([ts.patent_number, c.control_name, _fmt(c.patented_yield),
-                            _fmt(c.control_yield), _fmt(c.patented_moisture),
-                            _fmt(c.control_moisture)])
-    with (directory / "fieldtests.csv").open("w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(_FIELDTEST_HEADER)
-        for t in dataset.field_tests:
-            w.writerow([t.state, t.year, t.region, t.brand, t.hybrid,
-                        _fmt(t.yield_value), _fmt(t.moisture), _fmt(t.maturity),
-                        _fmt(t.stand), _fmt(t.significant)])
+    write_csv(directory / "patents.csv", _PATENT_HEADER, (
+        [p.patent_number, p.title, p.assignee, p.filed_year, p.granted_year,
+         p.forward_citation_count, ";".join(p.cited_patents), _fmt(p.variety_name),
+         _fmt(p.kind)]
+        for p in dataset.patents.values()))
+    write_csv(directory / "trials.csv", _TRIAL_HEADER, (
+        [ts.patent_number, c.control_name, _fmt(c.patented_yield), _fmt(c.control_yield),
+         _fmt(c.patented_moisture), _fmt(c.control_moisture)]
+        for ts in dataset.trial_sets for c in ts.comparisons))
+    write_csv(directory / "fieldtests.csv", _FIELDTEST_HEADER, (
+        [t.state, t.year, t.region, t.brand, t.hybrid, _fmt(t.yield_value),
+         _fmt(t.moisture), _fmt(t.maturity), _fmt(t.stand), _fmt(t.significant)]
+        for t in dataset.field_tests))
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "citation_cutoff_year": dataset.citation_cutoff_year,

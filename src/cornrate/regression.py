@@ -294,17 +294,15 @@ def build_analysis_table(dataset, exclusions: Iterable[str] = ()) -> list[dict]:
     Citation windows use only the citations observable inside the
     dataset; Cite3 rank percentiles are cohorted by grant year.
     """
-    from .citation_metrics import (build_internal_edges, cite3_counts,
-                                   cite3_rank_percentile)
+    from .citation_metrics import build_internal_edges, domain_citation_stats
     from .yield_metrics import performance_ratio
 
     excluded = set(exclusions)
     patents = {n: p for n, p in dataset.patents.items() if n not in excluded}
+    if not patents:
+        return []
+    stats = domain_citation_stats(patents.values(), build_internal_edges(patents))
     trial_by_patent = {ts.patent_number: ts for ts in dataset.trial_sets}
-    edges = build_internal_edges(patents)
-    counts = cite3_counts(patents.values(), edges)
-    percentiles = cite3_rank_percentile(
-        counts, {n: p.granted_year for n, p in patents.items()})
     rows = []
     for number in sorted(patents):
         if number not in trial_by_patent:
@@ -313,8 +311,8 @@ def build_analysis_table(dataset, exclusions: Iterable[str] = ()) -> list[dict]:
         rows.append({
             "patent_number": number,
             "cite_forward": patent.forward_citation_count,
-            "cite3": counts[number],
-            "cite3_rank_percentile": percentiles[number],
+            "cite3": stats.per_patent_cite3[number],
+            "cite3_rank_percentile": stats.per_patent_rank_percentile[number],
             "performance_ratio": performance_ratio(trial_by_patent[number]),
             "filed_year": patent.filed_year,
         })

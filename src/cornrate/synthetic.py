@@ -11,12 +11,13 @@ given the seed.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
 
-from .core_data import Dataset, FieldTestRecord, PatentRecord, PatentTrialSet, TrialComparison
+from .core_data import (EDGE_COLUMNS, ILLINOIS_COLUMNS, NODE_COLUMNS, PATENT_COLUMNS,
+                        TRIAL_COLUMNS, Dataset, FieldTestRecord, PatentRecord,
+                        PatentTrialSet, TrialComparison, write_csv)
 from .title_parser import annotate_patents
 
 DEFAULT_SEED = 20160826
@@ -120,43 +121,22 @@ def write_synthetic_csvs(directory, seed: int = DEFAULT_SEED) -> dict[str, Path]
     paths = {name: directory / f"{name}.csv"
              for name in ("patents", "trials", "fieldtests", "nodes", "edges")}
 
-    with paths["patents"].open("w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["patent_number", "title", "assignee", "filed_year",
-                    "granted_year", "forward_citations", "cited_patents"])
-        for p in dataset.patents.values():
-            w.writerow([p.patent_number, p.title, p.assignee, p.filed_year,
-                        p.granted_year, p.forward_citation_count,
-                        ";".join(p.cited_patents)])
-
-    with paths["trials"].open("w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["patent_number", "patented_variety", "control_variety",
-                    "patented_yield", "control_yield"])
-        for ts in dataset.trial_sets:
-            variety = dataset.patents[ts.patent_number].variety_name
-            for c in ts.comparisons:
-                w.writerow([ts.patent_number, variety, c.control_name,
-                            c.patented_yield, c.control_yield])
-
-    with paths["fieldtests"].open("w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["Year", "Region", "Brand", "Hybrid", "Yield", "Moisture"])
-        for t in dataset.field_tests:
-            w.writerow([t.year, t.region, t.brand, t.hybrid, t.yield_value, t.moisture])
-
-    with paths["nodes"].open("w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["patent_number", "application_year"])
-        for p in dataset.patents.values():
-            w.writerow([p.patent_number, p.filed_year])
-
-    with paths["edges"].open("w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["citing_patent", "cited_patent"])
-        for p in dataset.patents.values():
-            for cited in p.cited_patents:
-                w.writerow([p.patent_number, cited])
+    write_csv(paths["patents"], PATENT_COLUMNS, (
+        [p.patent_number, p.title, p.assignee, p.filed_year, p.granted_year,
+         p.forward_citation_count, ";".join(p.cited_patents)]
+        for p in dataset.patents.values()))
+    write_csv(paths["trials"], TRIAL_COLUMNS, (
+        [ts.patent_number, dataset.patents[ts.patent_number].variety_name,
+         c.control_name, c.patented_yield, c.control_yield]
+        for ts in dataset.trial_sets for c in ts.comparisons))
+    write_csv(paths["fieldtests"], ILLINOIS_COLUMNS, (
+        [t.year, t.region, t.brand, t.hybrid, t.yield_value, t.moisture]
+        for t in dataset.field_tests))
+    write_csv(paths["nodes"], NODE_COLUMNS, (
+        [p.patent_number, p.filed_year] for p in dataset.patents.values()))
+    write_csv(paths["edges"], EDGE_COLUMNS, (
+        [p.patent_number, cited] for p in dataset.patents.values()
+        for cited in p.cited_patents))
 
     return paths
 

@@ -18,7 +18,8 @@ from typing import Iterable, Optional
 
 from scipy import stats
 
-from .core_data import FieldTestRecord
+from .constants import DEFAULT_CONTROL_MIN_YEARS
+from .core_data import FieldTestRecord, write_csv
 
 
 class TrendError(Exception):
@@ -55,11 +56,7 @@ class TrendSeries:
         return TrendSeries(tuple(p for p in self.points if lo <= p[0] <= hi))
 
     def write_csv(self, path) -> None:
-        with Path(path).open("w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(["year", "value"])
-            for year, value in self.points:
-                w.writerow([year, repr(value)])
+        write_csv(path, ["year", "value"], ([year, repr(value)] for year, value in self.points))
 
     @classmethod
     def read_csv(cls, path) -> "TrendSeries":
@@ -133,7 +130,8 @@ class ControlCandidate:
 
 
 def find_control_varieties(tests: Iterable[FieldTestRecord],
-                           min_years: int = 7) -> list[ControlCandidate]:
+                           min_years: int = DEFAULT_CONTROL_MIN_YEARS
+                           ) -> list[ControlCandidate]:
     """Varieties tested in >= min_years consecutive years in one region.
 
     Reports the longest consecutive run per (region, variety).

@@ -69,31 +69,21 @@ def yearly_max_yield(summaries: Iterable[tuple[int, YieldSummary]]) -> TrendSeri
     return TrendSeries.from_pairs(best.items())
 
 
-def state_yearly_average(tests: Iterable[FieldTestRecord],
-                         two_stage: bool = True) -> TrendSeries:
+def state_yearly_average(tests: Iterable[FieldTestRecord]) -> TrendSeries:
     """Average yield per year across a state's field tests.
 
-    two_stage=True (default) averages per (year, region) first and then
-    across regions, so a region with more rows does not dominate the
-    year. two_stage=False pools all rows of the year; use it for sources
-    that publish pre-averaged rows.
+    Averages per (year, region) first and then across regions, so a
+    region with more rows does not dominate the year.
     """
     tests = list(tests)
     if not tests:
         raise ValueError("no field tests")
-    if two_stage:
-        by_year_region: dict[int, dict[str, list[float]]] = {}
-        for t in tests:
-            by_year_region.setdefault(t.year, {}).setdefault(t.region, []).append(t.yield_value)
-        points = []
-        for year in sorted(by_year_region):
-            region_means = [math.fsum(v) / len(v)
-                            for _, v in sorted(by_year_region[year].items())]
-            points.append((year, math.fsum(region_means) / len(region_means)))
-    else:
-        by_year: dict[int, list[float]] = {}
-        for t in tests:
-            by_year.setdefault(t.year, []).append(t.yield_value)
-        points = [(year, math.fsum(v) / len(v))
-                  for year, v in sorted(by_year.items())]
+    by_year_region: dict[int, dict[str, list[float]]] = {}
+    for t in tests:
+        by_year_region.setdefault(t.year, {}).setdefault(t.region, []).append(t.yield_value)
+    points = []
+    for year in sorted(by_year_region):
+        region_means = [math.fsum(v) / len(v)
+                        for _, v in sorted(by_year_region[year].items())]
+        points.append((year, math.fsum(region_means) / len(region_means)))
     return TrendSeries(tuple(points))

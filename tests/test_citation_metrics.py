@@ -5,8 +5,7 @@ from hypothesis import given, strategies as st
 
 from cornrate import constants
 from cornrate.citation_metrics import (CitationError, build_internal_edges,
-                                       cite3_counts, cite3_rank_percentile,
-                                       compute_ave_pub_year, compute_cite3,
+                                       cite3_counts, compute_ave_pub_year,
                                        domain_citation_stats, predict_k1)
 from cornrate.core_data import PatentRecord
 from cornrate.ranking import midrank_percentiles
@@ -59,7 +58,7 @@ class TestAggregates:
     def test_compute_cite3_is_mean(self):
         patents = [_patent("A", 2000), _patent("B", 2001), _patent("C", 2001)]
         edges = [("B", "A"), ("C", "A"), ("C", "B")]
-        assert compute_cite3(patents, edges) == pytest.approx(1.0)
+        assert domain_citation_stats(patents, edges).cite3 == pytest.approx(1.0)
 
     def test_ave_pub_year(self):
         patents = [_patent("A", 1998), _patent("B", 2004)]
@@ -67,7 +66,7 @@ class TestAggregates:
 
     def test_empty_rejected(self):
         with pytest.raises(CitationError):
-            compute_cite3([], [])
+            domain_citation_stats([], [])
         with pytest.raises(CitationError):
             compute_ave_pub_year([])
 

@@ -8,7 +8,8 @@ from cornrate.citation_network import (CentralityResult, CitationNetwork,
                                        NetworkError, classify_highly_cited,
                                        compute_spnp, compute_z,
                                        domain_centrality, evaluate_domain,
-                                       predict_k2, spnp_rank_percentile)
+                                       predict_k2)
+from cornrate.ranking import midrank_percentiles
 
 
 def chain_network():
@@ -137,7 +138,7 @@ class TestSpnp:
 class TestCentrality:
     def test_excludes_patents_without_citations(self):
         net = diamond_network()
-        pct = spnp_rank_percentile(compute_spnp(net), net.application_years)
+        pct = midrank_percentiles(compute_spnp(net), net.application_years)
         result = domain_centrality(["A", "D"], net, pct)
         # D cites nothing: excluded with a tally; only A enters the mean.
         assert result.n_used == 1
@@ -217,7 +218,8 @@ class TestPredictK2:
 class TestEvaluateDomain:
     def test_end_to_end(self):
         net = diamond_network()
-        result = evaluate_domain(net, ["A", "B", "C"])
+        spnp_percentiles = midrank_percentiles(compute_spnp(net), net.application_years)
+        result = evaluate_domain(net, ["A", "B", "C"], spnp_percentiles)
         assert isinstance(result, CentralityResult)
         assert result.k2 == pytest.approx(
             predict_k2(result.centrality.value, result.z), abs=1e-15)

@@ -1,4 +1,6 @@
+import codecs
 import math
+from importlib import resources
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +11,7 @@ from cornrate.core_data import (Dataset, FieldTestSchema, IngestError, DatasetEr
                                 infer_missing_year_average, load_dataset,
                                 load_field_tests, load_patents, load_trial_sets,
                                 save_dataset)
+from cornrate.synthetic import synthetic_dataset
 
 
 def write(path, text):
@@ -49,6 +52,16 @@ class TestLoadPatents:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError, match="missing file"):
             load_patents(tmp_path / "nope.csv")
+
+    @pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["plain", "bom"])
+    def test_bundled_fixture(self, tmp_path, bom):
+        bundled = resources.files("cornrate.data") / "synthetic" / "patents.csv"
+        p = tmp_path / "patents.csv"
+        p.write_bytes(bom + bundled.read_bytes())
+        report = load_patents(p)
+        assert report.row_errors == []
+        assert len(report.records) == 70
+        assert report.records[0].patent_number == "5000000"
 
     def test_missing_column(self, tmp_path):
         p = write(tmp_path / "p.csv", "patent_number,title\n1,t\n")
@@ -187,10 +200,11 @@ class TestDatasetStore:
         return Dataset(patents=patents, trial_sets=trial_sets, field_tests=field_tests)
 
     def test_round_trip(self, tmp_path):
-        d = self._dataset()
-        save_dataset(d, tmp_path / "ds")
-        loaded = load_dataset(tmp_path / "ds")
-        assert loaded == d
+        # The synthetic fixture holds numpy float64 yields.
+        for i, d in enumerate([self._dataset(), synthetic_dataset()]):
+            save_dataset(d, tmp_path / f"ds{i}")
+            loaded = load_dataset(tmp_path / f"ds{i}")
+            assert loaded == d
 
     def test_round_trip_empty(self, tmp_path):
         save_dataset(Dataset(), tmp_path / "ds")

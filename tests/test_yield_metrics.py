@@ -89,8 +89,6 @@ class TestStateAverage:
                  _row(2000, "South", "D", 200.0)]
         # Pooled mean would be 125; region-then-year gives (100+200)/2.
         assert dict(state_yearly_average(tests).points)[2000] == pytest.approx(150.0)
-        assert dict(state_yearly_average(tests, two_stage=False).points
-                    )[2000] == pytest.approx(125.0)
 
     def test_years_sorted(self):
         tests = [_row(2001, "North", "A", 110.0), _row(1999, "North", "A", 90.0)]
