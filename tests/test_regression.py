@@ -175,6 +175,7 @@ class TestNegativeBinomial:
         fit = fit_negative_binomial(y, X, terms=["intercept"])
         assert fit.dispersion == math.inf
         assert any("Poisson-equivalent" in w for w in fit.warnings)
+        assert fit.converged
         # Coefficients collapse to the Poisson fit.
         pois = fit_poisson(y, X, terms=["intercept"])
         assert fit.coefficients["intercept"] == pytest.approx(
@@ -274,6 +275,15 @@ class TestAnalysisTable:
             assert 0.0 <= r["cite3_rank_percentile"] <= 1.0
             assert r["cite3"] >= 0
             assert r["performance_ratio"] > 0
+
+    def test_every_count_fit_converges(self):
+        # filed_year near 2000 makes X'WX ill-conditioned (cond ~1e11); the
+        # stopping rule must still be reachable in floating point.
+        from cornrate.synthetic import synthetic_dataset
+        rows = build_analysis_table(synthetic_dataset())
+        for model in MODEL_SPECS:
+            for family in (Family.POISSON, Family.NEGATIVE_BINOMIAL):
+                assert run_model(model, family, rows).converged, (model, family)
 
     def test_exclusions_flow_through(self):
         from cornrate.synthetic import synthetic_dataset
