@@ -22,7 +22,6 @@ citations is >= constants.DEFAULT_HIGHLY_CITED_THRESHOLD), and
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from . import constants
-from .core_data import EDGE_COLUMNS, NODE_COLUMNS
+from .core_data import EDGE_COLUMNS, NODE_COLUMNS, _open_csv, _require_columns
 from .ranking import midrank_percentiles
 from .trend import TrendSeries, fit_exponential
 
@@ -83,20 +82,17 @@ class CitationNetwork:
 
     @classmethod
     def from_files(cls, node_csv, edge_csv) -> "CitationNetwork":
-        node_csv, edge_csv = Path(node_csv), Path(edge_csv)
         for p in (node_csv, edge_csv):
-            if not p.is_file():
+            if not Path(p).is_file():
                 raise NetworkError(f"missing file: {p}")
-        number, year = NODE_COLUMNS
-        years = {}
-        with node_csv.open(newline="", encoding="utf-8") as f:
-            for row in csv.DictReader(f):
-                years[row[number].strip()] = int(row[year])
-        citing, cited = EDGE_COLUMNS
-        edges = []
-        with edge_csv.open(newline="", encoding="utf-8") as f:
-            for row in csv.DictReader(f):
-                edges.append((row[citing].strip(), row[cited].strip()))
+        handle, reader = _open_csv(node_csv)
+        with handle:
+            number, year = _require_columns(reader, NODE_COLUMNS, node_csv).values()
+            years = {row[number].strip(): int(row[year]) for row in reader}
+        handle, reader = _open_csv(edge_csv)
+        with handle:
+            citing, cited = _require_columns(reader, EDGE_COLUMNS, edge_csv).values()
+            edges = [(row[citing].strip(), row[cited].strip()) for row in reader]
         return cls(years, edges)
 
 

@@ -154,6 +154,24 @@ class TestPredict:
         assert code == 0
         assert "k2" not in payload
 
+    @pytest.mark.parametrize("name, header, code", [
+        ("nodes", "\ufeffpatent_number,application_year", 0),
+        ("nodes", "patent_no,application_year", 2),
+        ("edges", "\ufeffciting_patent,cited_patent", 0),
+        ("edges", "citing_patent,cited", 2),
+    ], ids=["nodes-bom", "nodes-misnamed", "edges-bom", "edges-misnamed"])
+    def test_k2_network_headers(self, dataset_dir, raw_dir, tmp_path, capsys,
+                                name, header, code):
+        files = {n: raw_dir / f"{n}.csv" for n in ("nodes", "edges")}
+        rows = files[name].read_text(encoding="utf-8").splitlines()[1:]
+        files[name] = tmp_path / f"{name}.csv"
+        files[name].write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        assert main(["predict", "k2", "--dataset", str(dataset_dir),
+                     "--nodes", str(files["nodes"]), "--edges", str(files["edges"]),
+                     "--no-timestamp"]) == code
+        if code:
+            assert "missing required column" in json.loads(capsys.readouterr().err)["error"]
+
     def test_k2_requires_network_files(self, dataset_dir):
         assert main(["predict", "k2", "--dataset", str(dataset_dir)]) == 2
 
