@@ -34,8 +34,9 @@ class TrendSeries:
         years = [y for y, _ in self.points]
         if any(b <= a for a, b in zip(years, years[1:])):
             raise TrendError("years must be strictly increasing")
-        if any(v <= 0 for _, v in self.points):
-            raise TrendError("values must be positive")
+        # Written so that NaN fails too: every comparison with NaN is false.
+        if not all(0 < v < math.inf for _, v in self.points):
+            raise TrendError("values must be positive and finite")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, float]]) -> "TrendSeries":

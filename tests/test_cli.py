@@ -109,6 +109,12 @@ class TestTrend:
         assert main(["trend", "--series", "usda-file",
                      "--from", "2014", "--to", "2014"]) == 3
 
+    def test_nan_input_exit_3(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        series.write_text("year,value\n2000,1.5\n2001,nan\n2002,1.7\n", encoding="utf-8")
+        assert main(["trend", "--series", "usda-file", "--input", str(series)]) == 3
+        assert capsys.readouterr().out == ""
+
     def test_missing_dataset_exit_2(self, tmp_path):
         assert main(["trend", "--series", "patent-yearly-max",
                      "--dataset", str(tmp_path / "nope")]) == 2

@@ -25,6 +25,11 @@ class TestTrendSeries:
         with pytest.raises(TrendError):
             TrendSeries(((2000, 0.0),))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_nonfinite_values(self, value):
+        with pytest.raises(TrendError, match="finite"):
+            TrendSeries(((2000, 1.0), (2001, value)))
+
     def test_from_pairs_sorts(self):
         s = TrendSeries.from_pairs([(2001, 2.0), (1999, 1.0)])
         assert s.years == [1999, 2001]
