@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
-from scipy import stats
-
 from .constants import DEFAULT_CONTROL_MIN_YEARS
 from .core_data import FieldTestRecord, write_csv
+from .regression import t_sf
 
 
 class TrendError(Exception):
@@ -113,9 +112,9 @@ def fit_exponential(series: TrendSeries) -> FitResult:
     if se == 0.0:
         p_value = 0.0 if k != 0.0 else 1.0
     else:
-        p_value = 2.0 * stats.t.sf(abs(k) / se, df)
+        p_value = 2.0 * t_sf(abs(k) / se, df)
     return FitResult(k=k, q0=q0, t0=t0, n=n, r_squared=r_squared,
-                     p_value=float(p_value), residual_std=math.sqrt(resid_var))
+                     p_value=p_value, residual_std=math.sqrt(resid_var))
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,93 @@
+"""The in-house special functions against SciPy, which is the oracle here only.
+
+cornrate computes its p-values, log-likelihoods and NB dispersion search
+without SciPy; these grids hold each replacement to the tolerance stated
+in the cornrate.regression docstring.
+"""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy import optimize, special
+
+import cornrate
+from cornrate.regression import lgamma, minimize_bounded, norm_sf, t_sf
+
+# Upper tails from 0.5 down past 1e-300; below t ~ 1e-3 SciPy's stdtr loses
+# digits itself, so small t is held to closed forms instead.
+T_GRID = np.concatenate([np.geomspace(1e-2, 5.0, 60), np.geomspace(5.0, 1e20, 90)[1:]])
+
+
+def t_tail_error(dfs) -> float:
+    worst = 0.0
+    for df in dfs:
+        for t in T_GRID.tolist():
+            ref = special.stdtr(df, -t)
+            if ref >= 1e-300:
+                worst = max(worst, abs(t_sf(t, df) - ref) / ref)
+    return worst
+
+
+class TestStudentT:
+    def test_integer_df_up_to_200(self):
+        assert t_tail_error(range(1, 201)) <= 1e-12
+
+    def test_large_df(self):
+        assert t_tail_error([201, 333, 500, 1000, 2500, 5000, 7777, 10_000]) <= 1e-10
+
+    def test_fractional_df(self):
+        assert t_tail_error([0.5, 1.5, 2.5, 7.3, 99.9]) <= 1e-12
+
+    @pytest.mark.parametrize("t", [1e-12, 1e-8, 1e-4, 1e-2])
+    def test_small_t_closed_forms(self, t):
+        assert t_sf(t, 1) == pytest.approx(0.5 - math.atan(t) / math.pi, rel=1e-15)
+        assert t_sf(t, 2) == pytest.approx(0.5 - t / (2 * math.sqrt(2 + t * t)), rel=1e-15)
+
+    def test_zero(self):
+        assert t_sf(0.0, 7) == 0.5
+
+
+def test_normal_tail():
+    z = np.linspace(0.0, 37.0, 3701)
+    got = np.array([norm_sf(v) for v in z.tolist()])
+    ref = special.ndtr(-z)
+    assert np.max(np.abs(got - ref) / ref) <= 1e-12
+
+
+def test_lgamma():
+    x = np.concatenate([np.geomspace(1e-4, 1e10, 5000), np.arange(1.0, 2000.0),
+                        np.arange(0.0, 2000.0) * 0.5 + 1e-4, np.linspace(0.5, 20.0, 1000)])
+    err = np.abs(lgamma(x) - special.gammaln(x)) / np.maximum(1.0, np.abs(special.gammaln(x)))
+    assert np.max(err) <= 1e-13
+
+
+@pytest.mark.parametrize("func, bounds", [
+    (lambda x: (x - 1.3) ** 2, (-5.0, 5.0)),
+    (lambda x: math.cos(x) + 0.1 * x, (0.0, 10.0)),
+    (lambda x: -x, (0.0, 2.0)),                        # minimum on the upper bound
+    (lambda x: abs(x - 0.25) ** 0.5, (-1.0, 1.0)),     # not smooth at the minimum
+    (lambda x: math.exp(x) - 3.0 * x, (math.log(1e-4), math.log(1e8))),
+])
+def test_minimize_bounded_matches_scipy(func, bounds):
+    ref = optimize.minimize_scalar(func, bounds=bounds, method="bounded",
+                                   options={"xatol": 1e-10})
+    # Same iteration in the same floating-point order, so the same minimiser.
+    assert minimize_bounded(func, *bounds, xatol=1e-10) == ref.x
+
+
+def test_cli_runs_without_scipy():
+    src = str(Path(cornrate.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import contextlib, io, sys\n"
+            "import cornrate.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cornrate.cli.main(['trend', '--series', 'usda-file']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "[]"
