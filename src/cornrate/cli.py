@@ -49,7 +49,7 @@ def _emit(payload: dict, command: str, args) -> None:
     if not args.no_timestamp:
         payload["created_utc"] = datetime.datetime.now(
             datetime.timezone.utc).isoformat()
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     print(text)
     if args.out:
         out = Path(args.out)

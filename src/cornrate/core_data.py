@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import datetime
 import json
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -47,6 +48,11 @@ class FieldTestSchema(str, Enum):
     KENTUCKY_LIKE = "kentucky"
 
 
+def _finite(*values: Optional[float]) -> bool:
+    """True when no value is NaN or infinite; None (an unset optional field) passes."""
+    return all(math.isfinite(v) for v in values if v is not None)
+
+
 @dataclass
 class PatentRecord:
     patent_number: str
@@ -77,6 +83,9 @@ class TrialComparison:
     control_moisture: Optional[float] = None
 
     def validate(self) -> None:
+        if not _finite(self.patented_yield, self.control_yield, self.patented_moisture,
+                       self.control_moisture):
+            raise ValueError("non-finite value")
         if self.patented_yield <= 0 or self.control_yield <= 0:
             raise ValueError("nonpositive yield")
 
@@ -111,6 +120,8 @@ class FieldTestRecord:
     significant: bool = False  # Kentucky trailing-asterisk marker
 
     def validate(self) -> None:
+        if not _finite(self.yield_value, self.moisture, self.stand):
+            raise ValueError("non-finite value")
         if self.yield_value <= 0:
             raise ValueError("nonpositive yield")
         if not 0 <= self.moisture <= 100:
@@ -152,7 +163,10 @@ class LoadReport:
 
 def _parse_number(text: str) -> float:
     # Decimal comma accepted ("99,7" in the source snapshots).
-    return float(text.strip().replace(",", "."))
+    value = float(text.strip().replace(",", "."))
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text.strip()!r}")
+    return value
 
 
 def _parse_yield(text: str) -> tuple[float, bool]:
@@ -181,19 +195,18 @@ def write_csv(path, header: list[str], rows: Iterable) -> None:
         w.writerows(rows)
 
 
-def _open_csv(path) -> tuple:
+def _open_csv(path, reader=csv.DictReader) -> tuple:
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"missing file: {path}")
     # utf-8-sig drops a byte-order mark that would otherwise prefix the first column name.
     handle = path.open(newline="", encoding="utf-8-sig")
-    return handle, csv.DictReader(handle)
+    return handle, reader(handle)
 
 
-def _require_columns(reader: csv.DictReader, names: Iterable[str], path) -> dict[str, str]:
+def _require_columns(fields: Optional[list[str]], names: Iterable[str], path) -> dict[str, str]:
     """Case-insensitive header lookup; returns wanted-name -> actual-name."""
-    fields = reader.fieldnames or []
-    lookup = {f.strip().lower(): f for f in fields}
+    lookup = {f.strip().lower(): f for f in fields or []}
     mapping = {}
     for name in names:
         actual = lookup.get(name.lower())
@@ -207,7 +220,7 @@ def load_patents(path) -> LoadReport:
     """Load the patent CSV; variety_name/kind stay unset for the title parser."""
     handle, reader = _open_csv(path)
     with handle:
-        cols = _require_columns(reader, PATENT_COLUMNS, path)
+        cols = _require_columns(reader.fieldnames, PATENT_COLUMNS, path)
         records: list[PatentRecord] = []
         errors: list[tuple[int, str]] = []
         seen: set[str] = set()
@@ -250,7 +263,7 @@ def load_field_tests(path, schema: FieldTestSchema | str, state: str = "") -> Lo
         raise IngestError(f"unknown schema: {schema!r}") from None
     handle, reader = _open_csv(path)
     with handle:
-        cols = _require_columns(reader, _FIELD_TEST_COLUMNS[schema], path)
+        cols = _require_columns(reader.fieldnames, _FIELD_TEST_COLUMNS[schema], path)
         records: list[FieldTestRecord] = []
         errors: list[tuple[int, str]] = []
         for i, row in enumerate(reader):
@@ -293,7 +306,7 @@ def load_trial_sets(path) -> LoadReport:
     """Load per-patent trial comparisons; summary 'AVG' rows are skipped."""
     handle, reader = _open_csv(path)
     with handle:
-        cols = _require_columns(reader, TRIAL_COLUMNS, path)
+        cols = _require_columns(reader.fieldnames, TRIAL_COLUMNS, path)
         groups: dict[str, list[TrialComparison]] = {}
         errors: list[tuple[int, str]] = []
         skipped = 0

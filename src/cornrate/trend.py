@@ -10,14 +10,14 @@ multiplicative weather/soil factor shared within the region and year.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
 from .constants import DEFAULT_CONTROL_MIN_YEARS
-from .core_data import FieldTestRecord, write_csv
+from .core_data import (FieldTestRecord, _open_csv, _parse_number, _require_columns,
+                        write_csv)
 from .regression import t_sf
 
 
@@ -63,10 +63,14 @@ class TrendSeries:
         path = Path(path)
         if not path.is_file():
             raise TrendError(f"missing series file: {path}")
-        points = []
-        with path.open(newline="", encoding="utf-8") as f:
-            for row in csv.DictReader(f):
-                points.append((int(row["year"]), float(row["value"].replace(",", "."))))
+        handle, reader = _open_csv(path)
+        with handle:
+            year, value = _require_columns(reader.fieldnames, ["year", "value"], path).values()
+            try:
+                points = [(int(row[year] or ""), _parse_number(row[value] or ""))
+                          for row in reader]
+            except ValueError as exc:
+                raise TrendError(f"{path}, line {reader.line_num}: {exc}") from None
         return cls.from_pairs(points)
 
 

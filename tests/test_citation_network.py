@@ -1,5 +1,6 @@
 import math
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,6 +59,73 @@ def random_dag(rng, max_nodes=12):
     return years, edges
 
 
+def dict_spnp(years, edges, approximate=False):
+    """Oracle: SPNP by a per-node dict DP with Python ints over a Kahn order.
+
+    With approximate=True the natural log of SPNP, by a sequential
+    logaddexp over each node's neighbours.
+    """
+    out = {n: [] for n in years}
+    into = {n: [] for n in years}
+    for citing, cited in edges:
+        out[citing].append(cited)
+        into[cited].append(citing)
+    indegree = {n: len(into[n]) for n in years}
+    queue = deque(sorted(n for n, d in indegree.items() if d == 0))
+    order = []   # citing before cited
+    while queue:
+        node = queue.popleft()
+        order.append(node)
+        for cited in out[node]:
+            indegree[cited] -= 1
+            if indegree[cited] == 0:
+                queue.append(cited)
+    assert len(order) == len(years), "oracle input must be acyclic"
+    if approximate:
+        def logaddexp(a, b):
+            hi, lo = (a, b) if a >= b else (b, a)
+            return hi + math.log1p(math.exp(lo - hi))
+
+        log_down, log_up = {}, {}
+        for node in reversed(order):
+            acc = 0.0   # log(1): the empty path
+            for cited in out[node]:
+                acc = logaddexp(acc, log_down[cited])
+            log_down[node] = acc
+        for node in order:
+            acc = 0.0
+            for citing in into[node]:
+                acc = logaddexp(acc, log_up[citing])
+            log_up[node] = acc
+        return {n: log_down[n] + log_up[n] for n in years}
+    p_down, p_up = {}, {}
+    for node in reversed(order):
+        p_down[node] = sum(1 + p_down[cited] for cited in out[node])
+    for node in order:
+        p_up[node] = sum(1 + p_up[citing] for citing in into[node])
+    return {n: (1 + p_down[n]) * (1 + p_up[n]) for n in years}
+
+
+def large_random_dag(seed, n, mean_cited=3, mean_lag=50):
+    """n patents over 20 application years, each citing up to 2*mean_cited
+    patents at exponential lags in a hidden order, so of earlier or the
+    same year (same-year edges included) and acyclic.
+
+    Short lags make path counts overflow 64 bits within a few thousand
+    nodes. Nodes and edges are listed shuffled.
+    """
+    rng = random.Random(seed)
+    labels = [f"P{k}" for k in rng.sample(range(10 * n), n)]
+    year = [2000 + i * 20 // n for i in range(n)]
+    edges = [(labels[i], labels[j]) for i in range(1, n)
+             for j in {max(0, i - 1 - int(rng.expovariate(1 / mean_lag)))
+                       for _ in range(rng.randint(0, 2 * mean_cited))}]
+    rng.shuffle(edges)
+    listing = list(range(n))
+    rng.shuffle(listing)
+    return {labels[i]: year[i] for i in listing}, edges
+
+
 class TestNetworkValidation:
     def test_self_edge(self):
         with pytest.raises(NetworkError, match="self-citation"):
@@ -80,6 +148,29 @@ class TestNetworkValidation:
             CitationNetwork({"A": 2000, "B": 2000},
                             [("A", "B"), ("B", "A")])
 
+    @pytest.mark.parametrize("edges, message", [
+        ([("B", "A"), ("C", "C")], "applied after"),
+        ([("A", "C"), ("B", "A"), ("A", "C")], "applied after"),
+        ([("A", "C"), ("A", "C"), ("B", "A")], "duplicate edge A -> C"),
+        ([("A", "X"), ("C", "C")], "endpoint X not in"),
+        ([("Y", "A"), ("A", "X")], "endpoint Y not in"),
+        ([("A", "C"), ("X", "X")], "self-citation on X"),
+        ([("A", "C"), ("C", "C"), ("A", "X")], "self-citation on C"),
+    ], ids=["year-before-self", "year-before-duplicate", "duplicate-before-year",
+            "unknown-before-self", "unknown-citing", "unknown-self-edge",
+            "self-before-unknown"])
+    def test_first_bad_edge_is_reported(self, edges, message):
+        with pytest.raises(NetworkError, match=message):
+            CitationNetwork({"A": 2001, "B": 2000, "C": 2000}, edges)
+
+    def test_cycle_inside_same_year_block(self):
+        years, edges = large_random_dag(7, 2000)
+        block = sorted((p for p, y in years.items() if y == 2010))[:3]
+        edges += [(block[0], block[1]), (block[1], block[2]), (block[2], block[0])]
+        edges = list(dict.fromkeys(edges))
+        with pytest.raises(NetworkError, match="cycle"):
+            CitationNetwork(years, edges)
+
     def test_from_files(self, tmp_path):
         nodes = tmp_path / "nodes.csv"
         edges = tmp_path / "edges.csv"
@@ -87,7 +178,7 @@ class TestNetworkValidation:
         edges.write_text("citing_patent,cited_patent\nA,B\n")
         net = CitationNetwork.from_files(nodes, edges)
         assert net.application_years == {"A": 2002, "B": 2001}
-        assert net.out_edges["A"] == ["B"]
+        assert net.cited_patents("A") == ["B"]
 
     def test_from_files_missing(self, tmp_path):
         with pytest.raises(NetworkError, match="missing file"):
@@ -123,6 +214,29 @@ class TestSpnp:
         spnp = compute_spnp(CitationNetwork(years, edges))
         assert spnp["N0"] == 2 ** 63   # 1 + sum over subsets below
         assert spnp["N0"] > 2 ** 53    # unrepresentable exactly in float64
+
+    @pytest.mark.parametrize("seed, n", [(1, 1000), (2, 3000), (3, 10000)])
+    def test_matches_dict_dp_on_large_random_dags(self, seed, n):
+        years, edges = large_random_dag(seed, n)
+        net = CitationNetwork(years, edges)
+        exact = compute_spnp(net)
+        assert list(exact) == list(years)
+        assert exact == dict_spnp(years, edges)
+        approx = compute_spnp(net, approximate=True)
+        oracle = dict_spnp(years, edges, approximate=True)
+        for p in years:
+            assert approx[p] == pytest.approx(oracle[p], abs=1e-9)
+            assert approx[p] == pytest.approx(math.log(exact[p]), abs=1e-9)
+
+    def test_limbs_grow_past_2_199(self):
+        # Complete 200-node DAG: 1 + P_down(N_i) = 2**(199 - i) and
+        # 1 + P_up(N_i) = 2**i, so every node's SPNP is 2**199.
+        years = {f"N{i}": 2200 - i for i in range(200)}
+        edges = [(f"N{i}", f"N{j}") for i in range(200) for j in range(i + 1, 200)]
+        spnp = compute_spnp(CitationNetwork(years, edges))
+        assert set(spnp.values()) == {2 ** 199}
+        assert spnp == dict_spnp(years, edges)
+        assert all(type(v) is int for v in spnp.values())
 
     def test_log_mode_agrees_with_exact(self):
         rng = random.Random(3)

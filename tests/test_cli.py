@@ -1,4 +1,5 @@
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -61,6 +62,21 @@ class TestIngest:
                      "--trials", str(raw_dir / "trials.csv")]) == 2
 
 
+    def test_nan_yield_is_row_error(self, raw_dir, tmp_path, capsys):
+        header, first, *rest = (raw_dir / "trials.csv").read_text(encoding="utf-8").splitlines()
+        fields = header.split(",")
+        cells = first.split(",")
+        cells[fields.index("patented_yield")] = "nan"
+        trials = tmp_path / "trials.csv"
+        trials.write_text("\n".join([header, ",".join(cells), *rest]) + "\n", encoding="utf-8")
+        code, payload = run_json(capsys, [
+            "ingest", "--patents", str(raw_dir / "patents.csv"), "--trials", str(trials),
+            "--out", str(tmp_path / "ds"), "--no-timestamp"])
+        assert code == 0
+        assert payload["trials"]["row_errors"] == [{"row": 0, "error": "non-finite number 'nan'"}]
+        assert main(["regress", "--dataset", str(tmp_path / "ds"), "--no-timestamp"]) == 0
+
+
 class TestTrend:
     def test_usda_bundled_series(self, capsys):
         code, payload = run_json(capsys, ["trend", "--series", "usda-file",
@@ -114,6 +130,16 @@ class TestTrend:
         series.write_text("year,value\n2000,1.5\n2001,nan\n2002,1.7\n", encoding="utf-8")
         assert main(["trend", "--series", "usda-file", "--input", str(series)]) == 3
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("header, code", [("\ufeffyear,value", 0), ("year,val", 2)],
+                             ids=["bom", "misnamed"])
+    def test_input_header(self, tmp_path, capsys, header, code):
+        series = tmp_path / "series.csv"
+        series.write_text(f"{header}\n2000,1.5\n2001,1.6\n2002,1.7\n", encoding="utf-8")
+        assert main(["trend", "--series", "usda-file", "--input", str(series),
+                     "--no-timestamp"]) == code
+        if code:
+            assert "missing required column" in json.loads(capsys.readouterr().err)["error"]
 
     def test_missing_dataset_exit_2(self, tmp_path):
         assert main(["trend", "--series", "patent-yearly-max",
@@ -177,6 +203,28 @@ class TestPredict:
                      "--no-timestamp"]) == code
         if code:
             assert "missing required column" in json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize("name, row, problem", [
+        ("nodes", "9999999", "expected 2 fields, found 1"),
+        ("nodes", "9999999,2001,x", "expected 2 fields, found 3"),
+        ("nodes", "9999999,20x1", "invalid literal for int()"),
+        ("edges", "9999999", "expected 2 fields, found 1"),
+        ("edges", "9999999,9999998,x", "expected 2 fields, found 3"),
+    ], ids=["nodes-short", "nodes-long", "nodes-bad-year", "edges-short", "edges-long"])
+    def test_k2_bad_network_row_exit_2(self, dataset_dir, raw_dir, tmp_path, capsys,
+                                       name, row, problem):
+        files = {n: raw_dir / f"{n}.csv" for n in ("nodes", "edges")}
+        lines = files[name].read_text(encoding="utf-8").splitlines()
+        files[name] = tmp_path / f"{name}.csv"
+        # A blank line before the bad row: the reported line counts it too.
+        files[name].write_text("\n".join([*lines[:3], "", row, *lines[3:]]) + "\n",
+                               encoding="utf-8")
+        assert main(["predict", "k2", "--dataset", str(dataset_dir),
+                     "--nodes", str(files["nodes"]), "--edges", str(files["edges"]),
+                     "--no-timestamp"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error.startswith(f"{files[name]}, line 5: ")
+        assert problem in error
 
     def test_k2_requires_network_files(self, dataset_dir):
         assert main(["predict", "k2", "--dataset", str(dataset_dir)]) == 2
@@ -278,6 +326,15 @@ class TestDeterminism:
         assert main(["trend", "--series", "usda-file"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "created_utc" in payload
+
+    def test_nan_in_report_is_an_error(self, monkeypatch, capsys):
+        # Strict JSON: a NaN that reaches a report fails the command, never prints.
+        from cornrate import cli
+        monkeypatch.setattr(cli.constants, "provenance", lambda: {"bad": math.nan})
+        assert main(["trend", "--series", "usda-file", "--no-timestamp"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "JSON compliant" in json.loads(captured.err)["error"]
 
     def test_constants_echoed(self, capsys):
         assert main(["trend", "--series", "usda-file", "--no-timestamp"]) == 0

@@ -3,7 +3,7 @@ import math
 from importlib import resources
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cornrate.core_data import (Dataset, FieldTestSchema, IngestError, DatasetError,
                                 Maturity, PatentKind, PatentRecord, PatentTrialSet,
@@ -127,6 +127,26 @@ class TestLoadFieldTests:
         with pytest.raises(IngestError, match="unknown schema"):
             load_field_tests(p, "ohio")
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(*[st.sampled_from(["158", "19,8", "0", "nan", "NaN", "inf",
+                                                 "-inf", "1e999", "x", ""])] * 2),
+                    max_size=8))
+    def test_accounting_with_nonfinite_values(self, tmp_path_factory, cells):
+        p = write(tmp_path_factory.mktemp("il") / "il.csv",
+                  "Year,Region,Brand,Hybrid,Yield,Moisture\n" +
+                  "".join(f'1995,N,B,X,"{y}","{m}"\n' for y, m in cells))
+        report = load_field_tests(p, "illinois")
+        assert len(report.records) + len(report.row_errors) + report.skipped == len(cells)
+        for rec in report.records:
+            assert math.isfinite(rec.yield_value) and math.isfinite(rec.moisture)
+
+    @pytest.mark.parametrize("field", ["yield_value", "moisture", "stand"])
+    def test_validate_rejects_nonfinite(self, field):
+        rec = FieldTestRecord("IL", 1995, "N", "B", "X", 158.0, 19.8, stand=96.0)
+        setattr(rec, field, math.nan)
+        with pytest.raises(ValueError, match="non-finite"):
+            rec.validate()
+
     @pytest.mark.parametrize("text", ["158", "158.0", "158,0"])
     def test_locale_robust(self, tmp_path, text):
         p = write(tmp_path / "il.csv",
@@ -168,6 +188,22 @@ class TestLoadTrialSets:
         report = load_trial_sets(p)
         assert report.records == []
         assert any("no comparisons" in m for _, m in report.row_errors)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
+    def test_nonfinite_yield_is_row_error(self, tmp_path, text):
+        p = write(tmp_path / "t.csv", TRIAL_HEADER +
+                  f"1,v,A,100,99\n1,v,B,{text},99\n2,v,C,80,{text}\n")
+        report = load_trial_sets(p)
+        n_comparisons = sum(ts.n_tests for ts in report.records)
+        row_errors = [e for e in report.row_errors if e[0] >= 0]
+        assert [r for r, _ in row_errors] == [1, 2]
+        assert n_comparisons + len(row_errors) + report.skipped == 3
+
+    @pytest.mark.parametrize("values", [(math.nan, 99.0), (100.0, math.inf),
+                                        (100.0, 99.0, math.nan)])
+    def test_validate_rejects_nonfinite(self, values):
+        with pytest.raises(ValueError, match="non-finite"):
+            TrialComparison(values[0], values[1], "c", *values[2:]).validate()
 
     def test_accounting(self, tmp_path):
         p = write(tmp_path / "t.csv", TRIAL_HEADER +

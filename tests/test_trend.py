@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from cornrate.core_data import FieldTestRecord
+from cornrate.core_data import FieldTestRecord, IngestError
 from cornrate.trend import (ControlCandidate, FitResult, TrendError,
                             TrendSeries, find_control_varieties,
                             fit_exponential, weather_corrected_series)
@@ -45,6 +45,23 @@ class TestTrendSeries:
         path = tmp_path / "series.csv"
         s.write_csv(path)
         assert TrendSeries.read_csv(path) == s
+
+    def test_read_csv_bom_header(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("\ufeffYear,Value\n2000,1.5\n2001,\"1,7\"\n", encoding="utf-8")
+        assert TrendSeries.read_csv(path).points == ((2000, 1.5), (2001, 1.7))
+
+    def test_read_csv_misnamed_header(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("yr,value\n2000,1.5\n", encoding="utf-8")
+        with pytest.raises(IngestError, match="missing required column 'year'"):
+            TrendSeries.read_csv(path)
+
+    def test_read_csv_short_row(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("year,value\n2000,1.5\n2001\n", encoding="utf-8")
+        with pytest.raises(TrendError, match="line 3"):
+            TrendSeries.read_csv(path)
 
     def test_read_missing_file(self, tmp_path):
         with pytest.raises(TrendError):
