@@ -1,3 +1,26 @@
 """Hybrid-corn technology improvement rate analysis from patents and field trials."""
 
+import importlib.util
+import sys
+from types import ModuleType
+
 __version__ = "0.1.0"
+
+
+def _lazy_module(name: str) -> ModuleType:
+    """The module called name, executed on its first attribute access.
+
+    A module that is already imported is returned as it is. numpy is bound
+    this way so that commands that never touch an array skip its import.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module

@@ -43,6 +43,13 @@ patents (those whose application-year cohort percentile of forward
 citations is >= constants.DEFAULT_HIGHLY_CITED_THRESHOLD), and
 
     K2 = exp(5.0575 * Centrality + 10.1261 * Z - 5.8486).
+
+numpy is bound lazily (cornrate._lazy_module): it is imported by the first
+array operation, so CLI commands that never build a network do not pay
+for it. The binding stays at module level rather than in each function,
+so this module is fully defined once cornrate.cli is imported, and code
+that wraps its functions from outside (a profiler, the benchmark's
+tracer) finds them all.
 """
 
 from __future__ import annotations
@@ -54,13 +61,13 @@ from itertools import accumulate, chain
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
-import numpy as np
-
-from . import constants
+from . import _lazy_module, constants
 from .core_data import (EDGE_COLUMNS, NODE_COLUMNS, IngestError, _open_csv,
                         _require_columns)
 from .ranking import midrank_percentiles
 from .trend import TrendSeries, fit_exponential
+
+np = _lazy_module("numpy")
 
 LIMB_BITS = 30
 LIMB_MASK = (1 << LIMB_BITS) - 1

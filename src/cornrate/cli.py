@@ -17,8 +17,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from numpy.linalg import LinAlgError
-
 from . import constants, yield_metrics
 from .citation_metrics import (CitationError, build_internal_edges,
                                domain_citation_stats)
@@ -384,7 +382,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc), "exit_code": EXIT_DATA},
                          sort_keys=True), file=sys.stderr)
         return EXIT_DATA
-    except (RegressionError, ArithmeticError, LinAlgError) as exc:
+    except (RegressionError, ArithmeticError) as exc:
         print(json.dumps({"error": str(exc), "exit_code": EXIT_NUMERIC},
                          sort_keys=True), file=sys.stderr)
         return EXIT_NUMERIC

@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 SCHEMA_VERSION = 1
 
@@ -375,8 +375,14 @@ def _fmt(value) -> str:
 
 
 def save_dataset(dataset: Dataset, directory) -> None:
+    """Write the dataset's three CSVs and then its manifest into directory.
+
+    An existing manifest is removed first, so a rewrite that stops partway
+    leaves a store that load_dataset rejects for having no manifest.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    (directory / "manifest.json").unlink(missing_ok=True)
     write_csv(directory / "patents.csv", _PATENT_HEADER, (
         [p.patent_number, p.title, p.assignee, p.filed_year, p.granted_year,
          p.forward_citation_count, ";".join(p.cited_patents), _fmt(p.variety_name),
@@ -398,6 +404,70 @@ def save_dataset(dataset: Dataset, directory) -> None:
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
+def _read_store(path: Path, header: list[str], parse: Callable[[dict], object]) -> list:
+    """Each data row of a store CSV, as a column -> value dict, passed through parse.
+
+    A header other than the store layout's, a row with more or fewer fields
+    than the header, or a value parse rejects is a DatasetError naming the
+    file and line. Blank lines are skipped, as csv.DictReader does.
+    """
+    with path.open(newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        found = next(reader, [])
+        if found != header:
+            raise DatasetError(f"{path}: header {found} is not the store layout {header}")
+        records = []
+        try:
+            for row in reader:
+                if len(row) != len(header):
+                    if not row:
+                        continue
+                    raise ValueError(f"expected {len(header)} fields, found {len(row)}")
+                records.append(parse(dict(zip(header, row))))
+        except ValueError as exc:
+            raise DatasetError(f"{path}, line {reader.line_num}: {exc}") from None
+    return records
+
+
+def _patent_from_store(row: dict) -> PatentRecord:
+    return PatentRecord(
+        patent_number=row["patent_number"],
+        title=row["title"],
+        assignee=row["assignee"],
+        filed_year=int(row["filed_year"]),
+        granted_year=int(row["granted_year"]),
+        cited_patents=[c for c in row["cited_patents"].split(";") if c],
+        forward_citation_count=int(row["forward_citations"]),
+        variety_name=row["variety_name"] or None,
+        kind=PatentKind(row["kind"]) if row["kind"] else None,
+    )
+
+
+def _trial_from_store(row: dict) -> tuple[str, TrialComparison]:
+    return row["patent_number"], TrialComparison(
+        patented_yield=float(row["patented_yield"]),
+        control_yield=float(row["control_yield"]),
+        control_name=row["control_name"],
+        patented_moisture=float(row["patented_moisture"]) if row["patented_moisture"] else None,
+        control_moisture=float(row["control_moisture"]) if row["control_moisture"] else None,
+    )
+
+
+def _field_test_from_store(row: dict) -> FieldTestRecord:
+    return FieldTestRecord(
+        state=row["state"],
+        year=int(row["year"]),
+        region=row["region"],
+        brand=row["brand"],
+        hybrid=row["hybrid"],
+        yield_value=float(row["yield"]),
+        moisture=float(row["moisture"]),
+        maturity=Maturity(row["maturity"]) if row["maturity"] else None,
+        stand=float(row["stand"]) if row["stand"] else None,
+        significant=row["significant"] == "1",
+    )
+
+
 def load_dataset(directory) -> Dataset:
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
@@ -412,54 +482,15 @@ def load_dataset(directory) -> Dataset:
             f"schema version mismatch: found {manifest.get('schema_version')!r}, "
             f"expected {SCHEMA_VERSION}")
 
-    patents: dict[str, PatentRecord] = {}
-    with (directory / "patents.csv").open(newline="", encoding="utf-8") as f:
-        for row in csv.DictReader(f):
-            rec = PatentRecord(
-                patent_number=row["patent_number"],
-                title=row["title"],
-                assignee=row["assignee"],
-                filed_year=int(row["filed_year"]),
-                granted_year=int(row["granted_year"]),
-                cited_patents=[c for c in row["cited_patents"].split(";") if c],
-                forward_citation_count=int(row["forward_citations"]),
-                variety_name=row["variety_name"] or None,
-                kind=PatentKind(row["kind"]) if row["kind"] else None,
-            )
-            patents[rec.patent_number] = rec
-
+    patents = {rec.patent_number: rec for rec in
+               _read_store(directory / "patents.csv", _PATENT_HEADER, _patent_from_store)}
     groups: dict[str, list[TrialComparison]] = {}
-    order: list[str] = []
-    with (directory / "trials.csv").open(newline="", encoding="utf-8") as f:
-        for row in csv.DictReader(f):
-            number = row["patent_number"]
-            if number not in groups:
-                groups[number] = []
-                order.append(number)
-            groups[number].append(TrialComparison(
-                patented_yield=float(row["patented_yield"]),
-                control_yield=float(row["control_yield"]),
-                control_name=row["control_name"],
-                patented_moisture=float(row["patented_moisture"]) if row["patented_moisture"] else None,
-                control_moisture=float(row["control_moisture"]) if row["control_moisture"] else None,
-            ))
-    trial_sets = [PatentTrialSet(n, groups[n]) for n in order]
-
-    field_tests: list[FieldTestRecord] = []
-    with (directory / "fieldtests.csv").open(newline="", encoding="utf-8") as f:
-        for row in csv.DictReader(f):
-            field_tests.append(FieldTestRecord(
-                state=row["state"],
-                year=int(row["year"]),
-                region=row["region"],
-                brand=row["brand"],
-                hybrid=row["hybrid"],
-                yield_value=float(row["yield"]),
-                moisture=float(row["moisture"]),
-                maturity=Maturity(row["maturity"]) if row["maturity"] else None,
-                stand=float(row["stand"]) if row["stand"] else None,
-                significant=row["significant"] == "1",
-            ))
+    for number, comparison in _read_store(directory / "trials.csv", _TRIAL_HEADER,
+                                          _trial_from_store):
+        groups.setdefault(number, []).append(comparison)
+    trial_sets = [PatentTrialSet(n, comparisons) for n, comparisons in groups.items()]
+    field_tests = _read_store(directory / "fieldtests.csv", _FIELDTEST_HEADER,
+                              _field_test_from_store)
 
     dataset = Dataset(
         patents=patents,

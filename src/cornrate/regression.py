@@ -29,6 +29,13 @@ held against it:
                      up by 8; 1e-13
     minimize_bounded Brent's bounded minimiser, the same iteration as
                      minimize_scalar(method="bounded")
+
+numpy is bound lazily (cornrate._lazy_module): it is imported by the first
+array operation, so CLI commands that use only t_sf (trend) do not pay
+for it. The binding stays at module level rather than in each function,
+so this module is fully defined once cornrate.cli is imported, and code
+that wraps its functions from outside (a profiler, the benchmark's
+tracer) finds them all.
 """
 
 from __future__ import annotations
@@ -38,7 +45,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
 
-import numpy as np
+from . import _lazy_module
+
+np = _lazy_module("numpy")
 
 MAX_ITER = 100
 # Stopping rule on the scale-aware step max |dbeta| / (|beta| + 1). An absolute
@@ -526,11 +535,15 @@ def run_model(spec: ModelSpec | int, family: Family | str,
     X = [[1.0] + [float(r[c]) for c in spec.independents] for r in rows]
     terms = ["intercept", *spec.independents]
     bounded = spec.dependent in BOUNDED_RESPONSES
-    if family is Family.OLS:
-        result = _FITTERS[family](y, X, terms)
-    else:
-        # Rank percentiles are not counts; fitted quasi-style with a warning.
-        result = _FITTERS[family](y, X, terms, allow_noninteger=bounded)
+    try:
+        if family is Family.OLS:
+            result = _FITTERS[family](y, X, terms)
+        else:
+            # Rank percentiles are not counts; fitted quasi-style with a warning.
+            result = _FITTERS[family](y, X, terms, allow_noninteger=bounded)
+    except np.linalg.LinAlgError as exc:
+        # LinAlgError is a ValueError, which the CLI maps to a data error.
+        raise RegressionError(f"model {spec.id} ({family.value}): {exc}") from exc
     if bounded:
         result.warnings.append(
             "dependent variable is bounded in [0, 1]; OLS/Poisson families are "

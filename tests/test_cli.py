@@ -274,6 +274,21 @@ class TestRegress:
         assert main(["regress", "--dataset", str(dataset_dir),
                      "--family", "gamma"]) == 3
 
+    def test_singular_fit_exit_4(self, dataset_dir, monkeypatch, capsys):
+        # numpy's LinAlgError is a ValueError; it must still be a numeric failure.
+        import numpy as np
+        from cornrate import regression
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setitem(regression._FITTERS, regression.Family.OLS, singular)
+        assert main(["regress", "--dataset", str(dataset_dir), "--models", "1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "model 1 (ols): Singular matrix",
+                                            "exit_code": 4}
+
     def test_config_exclusions(self, dataset_dir, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"exclusion_list": ["5000000"]}))
@@ -285,6 +300,21 @@ class TestRegress:
 
 
 class TestReport:
+    def test_truncated_store_row_exit_2(self, dataset_dir, tmp_path, capsys):
+        store = tmp_path / "ds"
+        store.mkdir()
+        for f in dataset_dir.iterdir():
+            (store / f.name).write_bytes(f.read_bytes())
+        path = store / "patents.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[3] = lines[3].split(",")[0]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["report", "--dataset", str(store)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": f"{path}, line 4: expected 9 fields, found 1", "exit_code": 2}
+
     def test_report(self, dataset_dir, tmp_path, capsys):
         code, payload = run_json(capsys, [
             "report", "--dataset", str(dataset_dir),

@@ -264,6 +264,55 @@ class TestDatasetStore:
         with pytest.raises(DatasetError, match="no manifest"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("name", ["patents.csv", "trials.csv", "fieldtests.csv"])
+    @pytest.mark.parametrize("cut", ["short", "long"])
+    def test_bad_row_width(self, tmp_path, name, cut):
+        # A store row cut short (as an interrupted rewrite leaves it) or one
+        # with an extra field is a store error naming the file and line.
+        save_dataset(self._dataset(), tmp_path / "ds")
+        path = tmp_path / "ds" / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1].split(",")[0] if cut == "short" else lines[1] + ",extra"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=rf"{name}, line 2: expected \d+ fields"):
+            load_dataset(tmp_path / "ds")
+
+    def test_bad_store_value(self, tmp_path):
+        save_dataset(self._dataset(), tmp_path / "ds")
+        path = tmp_path / "ds" / "fieldtests.csv"
+        path.write_text(path.read_text(encoding="utf-8").replace(",1998,", ",19x8,"),
+                        encoding="utf-8")
+        with pytest.raises(DatasetError, match=r"fieldtests.csv, line 2: invalid literal"):
+            load_dataset(tmp_path / "ds")
+
+    def test_foreign_header(self, tmp_path):
+        save_dataset(self._dataset(), tmp_path / "ds")
+        path = tmp_path / "ds" / "trials.csv"
+        path.write_text("patent_number\n1\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match="not the store layout"):
+            load_dataset(tmp_path / "ds")
+
+    def test_interrupted_rewrite_has_no_manifest(self, tmp_path, monkeypatch):
+        # The old manifest goes first and the new one is written last, so a
+        # failed rewrite never leaves a manifest beside partial CSVs.
+        import cornrate.core_data as core_data
+        save_dataset(self._dataset(), tmp_path / "ds")
+        real_write_csv = core_data.write_csv
+        written = []
+
+        def failing_write_csv(path, header, rows):
+            if written:
+                raise OSError("disk full")
+            written.append(path)
+            real_write_csv(path, header, rows)
+
+        monkeypatch.setattr(core_data, "write_csv", failing_write_csv)
+        with pytest.raises(OSError, match="disk full"):
+            save_dataset(synthetic_dataset(), tmp_path / "ds")
+        assert written == [tmp_path / "ds" / "patents.csv"]
+        with pytest.raises(DatasetError, match="no manifest"):
+            load_dataset(tmp_path / "ds")
+
 
 class TestInferMissingYear:
     def test_two_year_case(self):

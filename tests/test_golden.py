@@ -11,15 +11,21 @@ To rewrite the golden files after a deliberate output change, run
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import cornrate
 from cornrate.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 DATASET_DIR = "DATASET_DIR"
+# The only commands that do array math; the others must not import numpy.
+ARRAY_COMMANDS = {"predict_k2", "regress"}
 
 
 def commands(store: Path) -> dict[str, list[str]]:
@@ -61,14 +67,36 @@ def run_all(store: Path) -> dict[str, str]:
 
 
 @pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
-    return run_all(tmp_path_factory.mktemp("golden") / "dataset")
+def store(tmp_path_factory):
+    return tmp_path_factory.mktemp("golden") / "dataset"
+
+
+@pytest.fixture(scope="module")
+def outputs(store):
+    return run_all(store)
 
 
 @pytest.mark.parametrize("stem", list(commands(Path("unused"))))
 def test_output_matches_golden(stem, outputs):
     expected = (GOLDEN_DIR / f"{stem}.json").read_text(encoding="utf-8")
     assert outputs[stem] == expected
+
+
+@pytest.mark.parametrize("stem", list(commands(Path("unused"))))
+def test_numpy_loads_only_for_array_commands(stem, store, outputs, tmp_path):
+    # numpy itself is in sys.modules as a lazy stub from the start; a numpy
+    # submodule (numpy._core among them) is there only once numpy has run.
+    argv = commands(tmp_path / "dataset" if stem == "ingest" else store)[stem]
+    src = str(Path(cornrate.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import contextlib, io, sys\n"
+            "import cornrate.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = cornrate.cli.main({argv!r})\n"
+            "print(code, any(m.startswith('numpy.') for m in sys.modules))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.split() == ["0", str(stem in ARRAY_COMMANDS)]
 
 
 if __name__ == "__main__":
