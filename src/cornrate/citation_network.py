@@ -13,8 +13,24 @@ i. Both follow Batagelj's linear-time path-count recursion
 and P_up likewise over the citing patents.
 
 Layout. Patents are numbered by their position in application_years and
-edges are read into integer arrays; validation (self-citations,
-duplicates, unknown endpoints, year order) is done on those arrays. One
+every edge becomes a (citing, cited) pair of those numbers; the
+constructor takes the pairs as patent-number strings or as an (m, 2)
+integer array of positions. CitationNetwork.from_files reads a CSV
+straight into int64 arrays when it qualifies: after the header (a
+byte-order mark dropped, the header read by csv.reader under the ingest
+rules) the bytes hold only ASCII digits, commas and LF or CRLF line
+ends, every row has the header's width, and every field has 1 to 18
+digits and no leading zero, so it is the str() of its value. Such a
+body is parsed by one np.fromstring call. When the node ids are
+distinct and every edge end is one of them, the ends become node
+numbers through one lookup: a direct table when the ids span at most 4
+values per node, else a binary search in the sorted ids. Every other
+file (quotes, spaces, signs, blank lines, non-ASCII digits) and every
+edge file naming an unknown or repeated node id is read by csv.reader
+with string ids, which also names a bad row's file and line; the two
+paths give the same network or the same error. Validation
+(self-citations, duplicates, unknown endpoints, year order) is done on
+the pairs and reports the first bad edge in file order. One
 level-synchronous pass of Kahn's algorithm then gives every node a
 level: level 0 holds the uncited patents, and a node's level is one more
 than the deepest patent citing it. A node left without a level lies on a
@@ -54,6 +70,7 @@ tracer) finds them all.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 from dataclasses import dataclass
@@ -89,13 +106,21 @@ class CitationNetwork:
     """Directed acyclic citation graph; edges point citing -> cited."""
 
     def __init__(self, application_years: Mapping[str, int],
-                 edges: Iterable[tuple[str, str]]):
-        """edges: (citing, cited) pairs of patent numbers."""
+                 edges: Iterable[tuple[str, str]] | np.ndarray):
+        """edges: (citing, cited) pairs of patent numbers, or an (m, 2) integer
+        array of (citing, cited) positions in application_years."""
         self.application_years = dict(application_years)
         n = len(self.application_years)
         numbering = _Numbering(zip(self.application_years, range(n)))
-        ends = np.fromiter(map(numbering.__getitem__, chain.from_iterable(edges)),
-                           dtype=np.int64)
+        if isinstance(edges, np.ndarray):
+            if edges.ndim != 2 or edges.shape[1] != 2:
+                raise ValueError(f"edge array must have shape (m, 2), not {edges.shape}")
+            ends = edges.astype(np.int64, copy=False).reshape(-1)
+            if ends.size and (ends.min() < 0 or ends.max() >= n):
+                raise ValueError(f"edge array holds a position outside 0..{n - 1}")
+        else:
+            ends = np.fromiter(map(numbering.__getitem__, chain.from_iterable(edges)),
+                               dtype=np.int64)
         src, dst = ends[0::2], ends[1::2]
         names = list(numbering)   # unknown endpoints, if any, are numbered from n up
         years = np.fromiter(self.application_years.values(), dtype=np.int64, count=n)
@@ -122,12 +147,40 @@ class CitationNetwork:
 
     @classmethod
     def from_files(cls, node_csv, edge_csv) -> "CitationNetwork":
+        """The network in a node CSV (patent_number, application_year) and an
+        edge CSV (citing_patent, cited_patent).
+
+        Files of plain integers are parsed as arrays (_read_int_columns);
+        any other file, and edges whose ends are not all node ids, go through
+        csv.reader (_read_pairs), which also names a bad row's file and line.
+        """
         for p in (node_csv, edge_csv):
             if not Path(p).is_file():
                 raise NetworkError(f"missing file: {p}")
-        numbers, years = _read_pairs(node_csv, NODE_COLUMNS, int)
+        nodes = _read_int_columns(node_csv, NODE_COLUMNS)
+        if nodes is None:
+            numbers, years = _read_pairs(node_csv, NODE_COLUMNS, int)
+        else:
+            numbers, years = list(map(str, nodes[:, 0].tolist())), nodes[:, 1].tolist()
+        application_years = dict(zip(numbers, years))
+        if nodes is not None and len(application_years) == len(nodes):
+            ends = _read_int_columns(edge_csv, EDGE_COLUMNS)
+            positions = None if ends is None else _positions(nodes[:, 0], ends)
+            if positions is not None:
+                return cls(application_years, positions)
         citing, cited = _read_pairs(edge_csv, EDGE_COLUMNS, str.strip)
-        return cls(dict(zip(numbers, years)), zip(citing, cited))
+        return cls(application_years, zip(citing, cited))
+
+
+def _column_positions(header: list[str], names: list[str], path) -> list[int]:
+    """Index in header of each named column, under the ingest header rules.
+
+    Names match case-insensitively and a missing one is an IngestError; a
+    repeated column name reads its last column, as csv.DictReader does.
+    """
+    actual = _require_columns(header, names, path)
+    position = {field: k for k, field in enumerate(header)}
+    return [position[actual[name]] for name in names]
 
 
 def _read_pairs(path, names: list[str], convert: Callable[[str], object]) -> tuple[list, list]:
@@ -141,10 +194,7 @@ def _read_pairs(path, names: list[str], convert: Callable[[str], object]) -> tup
     handle, reader = _open_csv(path, csv.reader)
     with handle:
         header = next(reader, [])
-        actual = _require_columns(header, names, path)
-        # A repeated column name reads its last column, as csv.DictReader does.
-        position = {field: k for k, field in enumerate(header)}
-        i, j = (position[actual[name]] for name in names)
+        i, j = _column_positions(header, names, path)
         width = len(header)
         first, second = [], []
         try:
@@ -158,6 +208,76 @@ def _read_pairs(path, names: list[str], convert: Callable[[str], object]) -> tup
         except ValueError as exc:
             raise IngestError(f"{path}, line {reader.line_num}: {exc}") from None
     return first, second
+
+
+# A field of the integer path has at most this many digits, so it fits an int64.
+MAX_INT_DIGITS = 18
+
+
+def _read_int_columns(path, names: list[str]) -> np.ndarray | None:
+    """The named columns of a CSV file of plain integers, as an int64 array.
+
+    Returns one row per data row and one column per name, or None when the
+    body does not qualify: it may hold only ASCII digits, commas and line
+    ends (LF, or CRLF), and every row must have the header's width of
+    fields of 1 to MAX_INT_DIGITS digits without a leading zero, so each
+    field is the str() of its value. The header is read as _read_pairs
+    reads it (a byte-order mark is dropped, a missing column is an
+    IngestError); a header with a quote or a bare carriage return also
+    gives None, and the caller then reads the file with csv.reader.
+    """
+    data = Path(path).read_bytes()
+    if data.startswith(codecs.BOM_UTF8):
+        data = data[len(codecs.BOM_UTF8):]
+    head, _, body = data.partition(b"\n")
+    head = head[:-1] if head.endswith(b"\r") else head
+    if b'"' in head or b"\r" in head:
+        return None
+    try:
+        header = next(csv.reader([head.decode("utf-8")]), [])
+    except UnicodeDecodeError:
+        return None
+    columns = _column_positions(header, names, path)
+    body = body.replace(b"\r\n", b"\n")
+    if body and not body.endswith(b"\n"):
+        body += b"\n"
+    if body.translate(None, b"0123456789,\n"):
+        return None
+    width = len(header)
+    text = np.frombuffer(body, dtype=np.uint8)
+    ends = np.flatnonzero(text < ord("0"))   # the comma or line end after each field
+    row_layout = np.array([ord(",")] * (width - 1) + [ord("\n")], dtype=np.uint8)
+    if ends.size % width or (text[ends].reshape(-1, width) != row_layout).any():
+        return None
+    length = np.diff(ends, prepend=-1) - 1
+    if ends.size and (length.min() < 1 or length.max() > MAX_INT_DIGITS
+                      or ((text[ends - length] == ord("0")) & (length > 1)).any()):
+        return None
+    values = np.fromstring(body.replace(b"\n", b","), dtype=np.int64, sep=",")
+    return values.reshape(-1, width)[:, columns]
+
+
+def _positions(ids: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """Position in ids (which are distinct) of every entry of ends; None if one is missing.
+
+    Ids spanning at most 4 * len(ids) values are looked up in a direct
+    table, others by binary search in the sorted ids.
+    """
+    if not ids.size:
+        return None if ends.size else ends
+    lo, hi = int(ids.min()), int(ids.max())
+    if hi - lo < 4 * ids.size:
+        offset = ends - lo
+        if ends.size and (offset.min() < 0 or offset.max() > hi - lo):
+            return None
+        table = np.full(hi - lo + 1, -1, dtype=np.int64)
+        table[ids - lo] = np.arange(ids.size)
+        found = table[offset]
+        return None if (found < 0).any() else found
+    order = np.argsort(ids)
+    ordered = ids[order]
+    at = np.minimum(np.searchsorted(ordered, ends), ids.size - 1)
+    return order[at] if (ordered[at] == ends).all() else None
 
 
 def _check_edges(names: list[str], src: np.ndarray, dst: np.ndarray, years: np.ndarray,

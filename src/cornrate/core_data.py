@@ -394,11 +394,11 @@ def save_dataset(dataset: Dataset, directory) -> None:
         for ts in dataset.trial_sets for c in ts.comparisons))
     write_csv(directory / "fieldtests.csv", _FIELDTEST_HEADER, (
         [t.state, t.year, t.region, t.brand, t.hybrid, _fmt(t.yield_value),
-         _fmt(t.moisture), _fmt(t.maturity), _fmt(t.stand), _fmt(t.significant)]
+         _fmt(t.moisture), _fmt(t.maturity), _fmt(t.stand), _fmt(bool(t.significant))]
         for t in dataset.field_tests))
     manifest = {
         "schema_version": SCHEMA_VERSION,
-        "citation_cutoff_year": dataset.citation_cutoff_year,
+        "citation_cutoff_year": int(dataset.citation_cutoff_year),   # json needs a Python int
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
@@ -408,8 +408,9 @@ def _read_store(path: Path, header: list[str], parse: Callable[[dict], object]) 
     """Each data row of a store CSV, as a column -> value dict, passed through parse.
 
     A header other than the store layout's, a row with more or fewer fields
-    than the header, or a value parse rejects is a DatasetError naming the
-    file and line. Blank lines are skipped, as csv.DictReader does.
+    than the header, or a value parse rejects (each parser also runs the
+    record's validate()) is a DatasetError naming the file and line. Blank
+    lines are skipped, as csv.DictReader does.
     """
     with path.open(newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
@@ -430,7 +431,7 @@ def _read_store(path: Path, header: list[str], parse: Callable[[dict], object]) 
 
 
 def _patent_from_store(row: dict) -> PatentRecord:
-    return PatentRecord(
+    record = PatentRecord(
         patent_number=row["patent_number"],
         title=row["title"],
         assignee=row["assignee"],
@@ -441,20 +442,24 @@ def _patent_from_store(row: dict) -> PatentRecord:
         variety_name=row["variety_name"] or None,
         kind=PatentKind(row["kind"]) if row["kind"] else None,
     )
+    record.validate()
+    return record
 
 
 def _trial_from_store(row: dict) -> tuple[str, TrialComparison]:
-    return row["patent_number"], TrialComparison(
+    comparison = TrialComparison(
         patented_yield=float(row["patented_yield"]),
         control_yield=float(row["control_yield"]),
         control_name=row["control_name"],
         patented_moisture=float(row["patented_moisture"]) if row["patented_moisture"] else None,
         control_moisture=float(row["control_moisture"]) if row["control_moisture"] else None,
     )
+    comparison.validate()
+    return row["patent_number"], comparison
 
 
 def _field_test_from_store(row: dict) -> FieldTestRecord:
-    return FieldTestRecord(
+    record = FieldTestRecord(
         state=row["state"],
         year=int(row["year"]),
         region=row["region"],
@@ -466,6 +471,8 @@ def _field_test_from_store(row: dict) -> FieldTestRecord:
         stand=float(row["stand"]) if row["stand"] else None,
         significant=row["significant"] == "1",
     )
+    record.validate()
+    return record
 
 
 def load_dataset(directory) -> Dataset:

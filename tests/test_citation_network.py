@@ -1,15 +1,19 @@
 import math
 import random
 from collections import deque
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cornrate import citation_network
 from cornrate.citation_network import (CentralityResult, CitationNetwork,
                                        NetworkError, classify_highly_cited,
                                        compute_spnp, compute_z,
                                        domain_centrality, evaluate_domain,
                                        predict_k2)
+from cornrate.core_data import EDGE_COLUMNS, NODE_COLUMNS, IngestError
 from cornrate.ranking import midrank_percentiles
 
 
@@ -183,6 +187,184 @@ class TestNetworkValidation:
     def test_from_files_missing(self, tmp_path):
         with pytest.raises(NetworkError, match="missing file"):
             CitationNetwork.from_files(tmp_path / "x.csv", tmp_path / "y.csv")
+
+
+def network_outcome(nodes, edges):
+    """What from_files makes of two files: the network's content, or its error."""
+    try:
+        net = CitationNetwork.from_files(nodes, edges)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (list(net.application_years.items()),
+            {p: net.cited_patents(p) for p in net.application_years},
+            compute_spnp(net))
+
+
+def both_paths(directory, nodes_text, edges_text):
+    """Write the two files; return which of them the integer path reads (None
+    when reading the header raises) and the outcome of from_files on each path."""
+    nodes, edges = directory / "nodes.csv", directory / "edges.csv"
+    nodes.write_bytes(nodes_text.encode("utf-8"))
+    edges.write_bytes(edges_text.encode("utf-8"))
+    try:
+        qualifies = tuple(citation_network._read_int_columns(path, columns) is not None
+                          for path, columns in [(nodes, NODE_COLUMNS), (edges, EDGE_COLUMNS)])
+    except IngestError:
+        qualifies = None
+    fast = network_outcome(nodes, edges)
+    with mock.patch.object(citation_network, "_read_int_columns", return_value=None):
+        slow = network_outcome(nodes, edges)
+    return qualifies, fast, slow
+
+
+NODES = "patent_number,application_year\n1000,1990\n1001,1991\n1002,1992\n1003,1992\n"
+EDGES = "citing_patent,cited_patent\n1001,1000\n1002,1001\n1002,1000\n1003,1000\n"
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66a))))
+SPARSE = {"1000": "4000000000", "1001": "70", "1002": "123456789012345678", "1003": "0"}
+
+
+def sparse(text):
+    for dense, far in SPARSE.items():
+        text = text.replace(dense, far)
+    return text
+
+
+# name: (nodes.csv, edges.csv, whether the integer path reads each file)
+FROM_FILES_CASES = {
+    "plain": (NODES, EDGES, (True, True)),
+    "bom": ("\ufeff" + NODES, "\ufeff" + EDGES, (True, True)),
+    "crlf": (NODES.replace("\n", "\r\n"), EDGES.replace("\n", "\r\n"), (True, True)),
+    "no-final-newline": (NODES.rstrip("\n"), EDGES.rstrip("\n"), (True, True)),
+    "bare-cr": (NODES.replace("\n", "\r"), EDGES, (False, True)),
+    "blank-line": (NODES.replace("1990\n", "1990\n\n"), EDGES + "\n", (False, False)),
+    "quoted-id": (NODES.replace("1001,", '"1001",'), EDGES.replace("\n1001,", '\n"1001",'),
+                  (False, False)),
+    "quoted-header": ('"patent_number",application_year' + NODES[NODES.index("\n"):], EDGES,
+                      (False, True)),
+    "leading-zero": (NODES, EDGES.replace(",1000", ",01000"), (True, False)),
+    "leading-zero-year": (NODES.replace("1990", "01990"), EDGES, (False, True)),
+    "space": (NODES.replace("1001,", " 1001,"), EDGES.replace(",1001", ", 1001"),
+              (False, False)),
+    "plus": (NODES.replace("1001,", "+1001,"), EDGES.replace(",1001", ",+1001"),
+             (False, False)),
+    "underscore": (NODES.replace("1001", "1_001"), EDGES.replace("1001", "1_001"),
+                   (False, False)),
+    "non-ascii-digits": (NODES.replace("1001", "1001".translate(ARABIC_INDIC)),
+                         EDGES.replace("1001", "1001".translate(ARABIC_INDIC)),
+                         (False, False)),
+    "negative-year": (NODES.replace("1990", "-1990"), EDGES, (False, True)),
+    "18-digits": (NODES.replace("1001", "1" * 18), EDGES.replace("1001", "1" * 18),
+                  (True, True)),
+    "19-digits": (NODES.replace("1001", "1" * 19), EDGES.replace("1001", "1" * 19),
+                  (False, False)),
+    "25-digits": (NODES.replace("1001", "9" * 25), EDGES.replace("1001", "9" * 25),
+                  (False, False)),
+    "reversed-header": ("application_year,patent_number\n1990,1000\n1991,1001\n1992,1002\n"
+                        "1992,1003\n",
+                        "cited_patent,citing_patent\n1000,1001\n1001,1002\n1000,1002\n"
+                        "1000,1003\n", (True, True)),
+    "extra-column": ("patent_number,application_year,x\n1000,1990,7\n1001,1991,0\n"
+                     "1002,1992,7\n1003,1992,7\n", EDGES, (True, True)),
+    # A repeated column name reads its last column.
+    "repeated-column": ("application_year,patent_number,Application_Year\n1,1000,1990\n"
+                        "1,1001,1991\n1,1002,1992\n1,1003,1992\n", EDGES, (True, True)),
+    "upper-case-header": (NODES.upper(), EDGES.upper(), (True, True)),
+    "missing-column": (NODES.replace("patent_number", "patent_no"), EDGES, None),
+    "short-row": (NODES, EDGES + "1003\n", (True, False)),
+    "long-row": (NODES + "1004,1993,1\n", EDGES, (False, True)),
+    "empty-field": (NODES, EDGES + "1003,\n", (True, False)),
+    "duplicate-node": (NODES + "1001,1980\n", EDGES, (True, True)),
+    "unknown-endpoint": (NODES, EDGES + "1003,1009\n", (True, True)),
+    "unknown-citing": (NODES, EDGES + "999,1000\n", (True, True)),
+    "self-edge": (NODES, EDGES + "1002,1002\n", (True, True)),
+    "duplicate-edge": (NODES, EDGES + "1002,1001\n", (True, True)),
+    "year-violation": (NODES, EDGES + "1000,1003\n", (True, True)),
+    "cycle": (NODES, EDGES + "1003,1002\n1002,1003\n", (True, True)),
+    "header-only-edges": (NODES, "citing_patent,cited_patent\n", (True, True)),
+    "header-only-nodes": ("patent_number,application_year", EDGES, (True, True)),
+    "empty-edges": (NODES, "", None),
+    "sparse-ids": (sparse(NODES), sparse(EDGES), (True, True)),
+    "sparse-unknown-endpoint": (sparse(NODES), sparse(EDGES) + "70,5\n", (True, True)),
+}
+
+
+class TestFromFilesFastPath:
+    """from_files gives the same network, or the same error, on the integer
+    path as on the csv.reader path."""
+
+    @pytest.mark.parametrize("name", FROM_FILES_CASES)
+    def test_same_as_csv_reader(self, tmp_path, name):
+        nodes_text, edges_text, expected = FROM_FILES_CASES[name]
+        qualifies, fast, slow = both_paths(tmp_path, nodes_text, edges_text)
+        assert qualifies == expected
+        assert fast == slow
+
+    def test_plain_files_build(self, tmp_path):
+        _, fast, _ = both_paths(tmp_path, NODES, EDGES)
+        years, cited, spnp = fast
+        assert years == [("1000", 1990), ("1001", 1991), ("1002", 1992), ("1003", 1992)]
+        assert cited["1002"] == ["1001", "1000"]
+        assert spnp == {"1000": 5, "1001": 4, "1002": 4, "1003": 2}
+
+    @pytest.mark.parametrize("step, dense", [(2, True), (500, False)],
+                             ids=["dense", "sparse"])
+    def test_positions_both_lookups(self, step, dense):
+        # Ids spanning at most 4 per id take the direct table, others the
+        # binary search; 101 lies inside the span but is no id.
+        ids = np.arange(100, 100 + 40 * step, step)
+        assert (ids.max() - ids.min() < 4 * ids.size) == dense
+        ends = ids[[[3, 0], [39, 3]]]
+        assert citation_network._positions(ids[::-1], ends).tolist() == [[36, 39], [0, 36]]
+        for missing in (99, 101, ids.max() + 1):
+            assert citation_network._positions(ids, np.array([[ids[0], missing]])) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_same_as_csv_reader_fuzzed(self, tmp_path_factory, data):
+        draw = data.draw
+        if draw(st.booleans()):
+            ids = draw(st.lists(st.integers(0, 60), min_size=1, max_size=12, unique=True))
+        else:
+            ids = draw(st.lists(st.integers(0, 10 ** 20), min_size=1, max_size=12,
+                                unique=True))
+        ids += draw(st.lists(st.sampled_from(ids), max_size=2))   # duplicate node ids
+        years = [draw(st.integers(1990, 1993)) for _ in ids]
+        known = dict(zip(ids, years))
+        pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                              max_size=20))
+        if draw(st.booleans()):
+            # Only edges that keep the network valid: to a strictly earlier
+            # (year, id), without repeats.
+            pairs = list(dict.fromkeys((a, b) for a, b in pairs
+                                       if (known[a], a) > (known[b], b)))
+        pairs += draw(st.lists(st.tuples(st.sampled_from(ids), st.integers(0, 70)),
+                               max_size=1))   # an end that may be unknown
+        plain = draw(st.booleans())
+        spellings = [str, lambda v: f"0{v}", lambda v: f" {v}", lambda v: f"+{v}",
+                     lambda v: f'"{v}"', lambda v: str(v).translate(ARABIC_INDIC),
+                     lambda v: f"{str(v)[0]}_{str(v)[1:]}" if v > 9 else str(v)]
+
+        def field(value):
+            return str(value) if plain else draw(st.sampled_from(spellings))(value)
+
+        def csv_text(header, rows):
+            newline = draw(st.sampled_from(["\n", "\r\n"]))
+            lines = [header] + [",".join(map(field, row)) for row in rows]
+            if not plain and lines[1:] and draw(st.booleans()):
+                lines.insert(draw(st.integers(1, len(lines))), "")
+            if not plain and lines[1:] and draw(st.booleans()):
+                lines[-1] += ",1"   # a long row
+            text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+            return draw(st.sampled_from(["", "\ufeff"])) + text
+
+        if draw(st.booleans()):
+            nodes_text = csv_text("application_year,patent_number",
+                                  [(y, i) for i, y in zip(ids, years)])
+        else:
+            nodes_text = csv_text("patent_number,application_year", zip(ids, years))
+        edges_text = csv_text("citing_patent,cited_patent", pairs)
+        _, fast, slow = both_paths(tmp_path_factory.mktemp("net"), nodes_text, edges_text)
+        assert fast == slow
 
 
 class TestSpnp:

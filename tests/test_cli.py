@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from importlib import resources
@@ -297,6 +298,32 @@ class TestRegress:
             "--config", str(config), "--no-timestamp"])
         assert code == 0
         assert payload["n_excluded"] == 1
+
+
+class TestStoreValidation:
+    @pytest.mark.parametrize("name, column", [("trials.csv", "patented_yield"),
+                                              ("fieldtests.csv", "yield")],
+                             ids=["trials", "fieldtests"])
+    @pytest.mark.parametrize("argv", [["regress"], ["trend", "--series", "patent-yearly-max"]],
+                             ids=["regress", "trend-patent-yearly-max"])
+    def test_nan_store_value_exit_2(self, dataset_dir, tmp_path, capsys, name, column, argv):
+        # The store's records are validated on load, so a NaN written into a
+        # store file is a store error naming the file and line.
+        store = tmp_path / "ds"
+        store.mkdir()
+        for f in dataset_dir.iterdir():
+            (store / f.name).write_bytes(f.read_bytes())
+        path = store / name
+        with path.open(newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+        rows[1][rows[0].index(column)] = "nan"
+        with path.open("w", newline="", encoding="utf-8") as f:
+            csv.writer(f).writerows(rows)
+        assert main([*argv, "--dataset", str(store)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": f"{path}, line 2: non-finite value",
+                                            "exit_code": 2}
 
 
 class TestReport:

@@ -2,6 +2,7 @@ import codecs
 import math
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -214,6 +215,57 @@ class TestLoadTrialSets:
         assert n_comparisons + len(row_errors) + report.skipped == 4
 
 
+def _or_numpy(values, numpy_type):
+    """Values of a strategy, some of them as numpy scalars of numpy_type."""
+    return st.one_of(values, values.map(numpy_type))
+
+
+# Any UTF-8 text but NUL, which csv cannot read before Python 3.11.
+_CHAR = st.characters(codec="utf-8", exclude_characters="\x00")
+_TEXT = st.text(_CHAR, max_size=10)
+_NAME = st.text(_CHAR, min_size=1, max_size=10)
+# Cited patent numbers are stored joined by ";".
+_NUMBER = st.text(_CHAR.filter(lambda c: c != ";"), min_size=1, max_size=8)
+_YEAR = _or_numpy(st.integers(1900, 2100), np.int64)
+_FINITE = _or_numpy(st.floats(allow_nan=False, allow_infinity=False), np.float64)
+_POSITIVE = _or_numpy(st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+                      np.float64)
+
+
+@st.composite
+def _patent(draw, number):
+    filed = draw(_YEAR)
+    return PatentRecord(
+        patent_number=number, title=draw(_TEXT), assignee=draw(_TEXT), filed_year=filed,
+        granted_year=filed + draw(_or_numpy(st.integers(0, 5), np.int64)),
+        cited_patents=draw(st.lists(_NUMBER, max_size=3)),
+        forward_citation_count=draw(_or_numpy(st.integers(0, 10 ** 6), np.int64)),
+        variety_name=draw(st.none() | _NAME), kind=draw(st.none() | st.sampled_from(PatentKind)))
+
+
+_COMPARISON = st.builds(TrialComparison, _POSITIVE, _POSITIVE, _TEXT,
+                        st.none() | _FINITE, st.none() | _FINITE)
+_FIELD_TEST = st.builds(
+    FieldTestRecord, _TEXT, _YEAR, _TEXT, _TEXT, _TEXT, _POSITIVE,
+    _or_numpy(st.floats(0, 100), np.float64), maturity=st.none() | st.sampled_from(Maturity),
+    stand=st.none() | _FINITE, significant=_or_numpy(st.booleans(), np.bool_))
+
+
+@st.composite
+def datasets(draw):
+    """Datasets the store can hold: records that pass validate(), and trial
+    sets of distinct patents in the dataset with at least one comparison."""
+    numbers = draw(st.lists(_NUMBER, max_size=5, unique=True))
+    patents = {n: draw(_patent(n)) for n in numbers}
+    tested = draw(st.lists(st.sampled_from(numbers), unique=True)) if numbers else []
+    return Dataset(
+        patents=patents,
+        trial_sets=[PatentTrialSet(n, draw(st.lists(_COMPARISON, min_size=1, max_size=3)))
+                    for n in tested],
+        field_tests=draw(st.lists(_FIELD_TEST, max_size=4)),
+        citation_cutoff_year=draw(_YEAR))
+
+
 class TestDatasetStore:
     def _dataset(self):
         patents = {
@@ -241,6 +293,13 @@ class TestDatasetStore:
             save_dataset(d, tmp_path / f"ds{i}")
             loaded = load_dataset(tmp_path / f"ds{i}")
             assert loaded == d
+
+    @settings(max_examples=80, deadline=None)
+    @given(dataset=datasets())
+    def test_round_trip_any_dataset(self, tmp_path_factory, dataset):
+        directory = tmp_path_factory.mktemp("ds")
+        save_dataset(dataset, directory)
+        assert load_dataset(directory) == dataset
 
     def test_round_trip_empty(self, tmp_path):
         save_dataset(Dataset(), tmp_path / "ds")
