@@ -61,7 +61,16 @@ def _load_config(args) -> dict:
     path = Path(args.config)
     if not path.is_file():
         raise IngestError(f"missing config file: {path}")
-    return json.loads(path.read_text())
+    try:
+        config = json.loads(path.read_text(encoding="utf-8-sig"))
+    except ValueError as exc:   # JSONDecodeError and UnicodeDecodeError
+        raise IngestError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise IngestError(f"config file {path}: top level must be a JSON object")
+    exclusions = config.get("exclusion_list", [])
+    if not (isinstance(exclusions, list) and all(isinstance(e, str) for e in exclusions)):
+        raise IngestError(f"config file {path}: exclusion_list must be a list of strings")
+    return config
 
 
 def _require_dataset(args) -> Dataset:
@@ -119,7 +128,7 @@ def cmd_ingest(args) -> int:
 
 # --- trend -----------------------------------------------------------------
 
-def _trend_series(args, config: dict) -> TrendSeries:
+def _trend_series(args) -> TrendSeries:
     if args.series == "usda-file":
         if args.input:
             return TrendSeries.read_csv(args.input)
@@ -147,8 +156,8 @@ def _trend_series(args, config: dict) -> TrendSeries:
 
 
 def cmd_trend(args) -> int:
-    config = _load_config(args)
-    series = _trend_series(args, config)
+    _load_config(args)   # trend reads no key, but a malformed file is still an input error
+    series = _trend_series(args)
     series = series.restrict(args.year_from, args.year_to)
     if len(series.points) < 2:
         raise CliDataError("series has fewer than 2 points after restriction")

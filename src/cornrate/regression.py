@@ -6,6 +6,19 @@ bit-identical results. NB2 means variance = mu + mu^2/theta; theta is
 profiled out by one-dimensional likelihood maximization between IRLS
 passes. All fitters report Wald standard errors and two-sided tests.
 
+Every least-squares problem goes through one core, _weighted_ls: a single
+QR of sqrt(W) X (Bjorck, Numerical Methods for Least Squares Problems,
+1996, ch. 2), for OLS (W = I), for each IRLS step at the working weights
+(Green, JRSS-B 46, 1984) and for the Wald covariance at the final
+weights. The normal equations X'WX are never formed, so cond(X), ~6e5
+on the bundled fixture with its raw filed_year column, is not squared.
+The design is rank deficient, for every family alike, when some
+|R_jj| <= max(n, p) * eps * max |R_jj|. The covariance is R^-1 R^-T
+(times sigma^2 for OLS). The linear predictor is clipped to [-30, 30] so
+that exp() cannot overflow; a fit whose final linear predictor was
+clipped is not the MLE, so it is reported as not converged, with a
+warning that counts the clipped rows.
+
 Model specs (intercept always included):
 
     1: cite_forward          ~ performance_ratio + filed_year
@@ -51,8 +64,9 @@ np = _lazy_module("numpy")
 
 MAX_ITER = 100
 # Stopping rule on the scale-aware step max |dbeta| / (|beta| + 1). An absolute
-# rule stalls: with filed_year near 2000, cond(X'WX) is ~1e11 and the intercept
-# step cannot get below ~1e-9 in float64. IRLS converges quadratically, so a
+# rule stalls: with filed_year near 2000, cond(sqrt(W) X) is ~6e5 on the fixture,
+# so a step at the solution is float noise of up to cond * eps ~ 1e-10 relative
+# (the last fixture steps are 1e-11 to 3e-10). IRLS converges quadratically, so a
 # step under 1e-8 leaves an error far below that floor.
 COEF_TOL = 1e-8
 # Stopping rule on |d log theta| between NB passes. The profile likelihood is flat
@@ -290,18 +304,31 @@ def _check_counts(y: np.ndarray, allow_noninteger: bool) -> None:
         raise RegressionError("count response must be integer-valued")
 
 
+def _weighted_ls(X: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimiser of sum w (y - X beta)^2, and R^-1, from one QR of sqrt(w) X.
+
+    The QR of sqrt(w) [X y] has R in its first p columns and Q' sqrt(w) y above
+    its last diagonal entry, so Q is never formed. (X'WX)^-1 = R^-1 R^-T: each
+    unscaled standard error is a row norm of R^-1.
+    """
+    p = X.shape[1]
+    r = np.linalg.qr(np.column_stack([X, y]) * np.sqrt(w)[:, None], mode="r")
+    diag = np.abs(r.diagonal()[:p]).tolist()
+    if min(diag) <= max(X.shape) * np.finfo(float).eps * max(diag):
+        raise RegressionError("design matrix is rank deficient")
+    r_inv = np.linalg.inv(r[:p, :p])
+    return r_inv @ r[:p, p], r_inv
+
+
 def fit_ols(y, X, terms: Optional[Sequence[str]] = None) -> RegressionResult:
     y, X, terms = _as_design(y, X, terms)
     n, p = X.shape
-    if np.linalg.matrix_rank(X) < p:
-        raise RegressionError("design matrix is rank deficient")
-    beta, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
+    beta, r_inv = _weighted_ls(X, y, np.ones(n))
     resid = y - X @ beta
     sse = float(resid @ resid)
     df = n - p
     sigma2 = sse / df
-    cov = sigma2 * np.linalg.inv(X.T @ X)
-    se = np.sqrt(np.diag(cov))
+    se = np.sqrt(sigma2 * np.sum(r_inv ** 2, axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = np.where(se > 0, beta / se, 0.0)
     p_values = np.array([2.0 * t_sf(abs(t), df) for t in t_stats.tolist()])
@@ -329,6 +356,20 @@ def _step(new: np.ndarray, old: np.ndarray) -> float:
     return float(np.max(np.abs(new - old) / (np.abs(new) + 1.0)))
 
 
+def _linear_predictor(X: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, int]:
+    """X beta clipped to [-30, 30] so that exp() cannot overflow, and the count of rows clipped."""
+    eta = X @ beta
+    return np.clip(eta, -30.0, 30.0), int(np.count_nonzero(np.abs(eta) > 30.0))
+
+
+def _report_clipping(result: RegressionResult, clipped: int) -> None:
+    """A clipped linear predictor means the reported fit is not the MLE."""
+    if clipped:
+        result.converged = False
+        result.warnings.append(f"linear predictor clipped to [-30, 30] in {clipped} of "
+                               f"{result.n} rows; estimates are not the MLE")
+
+
 def _irls(y: np.ndarray, X: np.ndarray, theta: Optional[float]) -> tuple[np.ndarray, bool]:
     """IRLS for log-link Poisson (theta None) or NB2 with known theta."""
     mu = y + np.mean(y) * 0.1 + 0.1
@@ -336,17 +377,11 @@ def _irls(y: np.ndarray, X: np.ndarray, theta: Optional[float]) -> tuple[np.ndar
     beta = np.zeros(X.shape[1])
     converged = False
     for _ in range(MAX_ITER):
-        if theta is None:
-            w = mu
-        else:
-            w = mu / (1.0 + mu / theta)
-        z = eta + (y - mu) / mu
-        wx = X * w[:, None]
-        beta_new = np.linalg.solve(X.T @ wx, wx.T @ z)
+        w = mu if theta is None else mu / (1.0 + mu / theta)
+        beta_new, _ = _weighted_ls(X, eta + (y - mu) / mu, w)
         delta = _step(beta_new, beta)
         beta = beta_new
-        eta = X @ beta
-        eta = np.clip(eta, -30.0, 30.0)
+        eta, _ = _linear_predictor(X, beta)
         mu = np.exp(eta)
         if delta < COEF_TOL:
             converged = True
@@ -354,8 +389,10 @@ def _irls(y: np.ndarray, X: np.ndarray, theta: Optional[float]) -> tuple[np.ndar
     return beta, converged
 
 
-def _wald(beta: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    se = np.sqrt(np.diag(cov))
+def _wald(X: np.ndarray, beta: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Wald standard errors and two-sided p-values at the IRLS weights w."""
+    _, r_inv = _weighted_ls(X, np.zeros(len(w)), w)
+    se = np.sqrt(np.sum(r_inv ** 2, axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, beta / se, 0.0)
     return se, np.array([2.0 * norm_sf(abs(v)) for v in z.tolist()])
@@ -381,9 +418,9 @@ def fit_poisson(y, X, terms: Optional[Sequence[str]] = None,
             warnings=["boundary estimate: all-zero response"],
         )
     beta, converged = _irls(y, X, theta=None)
-    mu = np.exp(np.clip(X @ beta, -30.0, 30.0))
-    cov = np.linalg.inv(X.T @ (X * mu[:, None]))
-    se, p_values = _wald(beta, cov)
+    eta, clipped = _linear_predictor(X, beta)
+    mu = np.exp(eta)
+    se, p_values = _wald(X, beta, mu)
     log_lik = _poisson_loglik(y, mu)
     result = RegressionResult(
         family=Family.POISSON,
@@ -399,6 +436,7 @@ def fit_poisson(y, X, terms: Optional[Sequence[str]] = None,
         result.converged = False
         result.warnings.append(f"IRLS did not converge in {MAX_ITER} iterations; "
                                "reporting last iterate")
+    _report_clipping(result, clipped)
     return result
 
 
@@ -423,7 +461,7 @@ def fit_negative_binomial(y, X, terms: Optional[Sequence[str]] = None,
 
     # Moment start for theta from the Poisson fit.
     beta, _ = _irls(y, X, theta=None)
-    mu = np.exp(np.clip(X @ beta, -30.0, 30.0))
+    mu = np.exp(_linear_predictor(X, beta)[0])
     excess = float(np.mean((y - mu) ** 2 - mu))
     theta = float(np.mean(mu ** 2) / excess) if excess > 0 else POISSON_EQUIVALENT_THETA
 
@@ -431,7 +469,8 @@ def fit_negative_binomial(y, X, terms: Optional[Sequence[str]] = None,
     converged = False
     for _ in range(50):
         beta_new, inner_ok = _irls(y, X, theta=theta)
-        mu = np.exp(np.clip(X @ beta_new, -30.0, 30.0))
+        eta, clipped = _linear_predictor(X, beta_new)
+        mu = np.exp(eta)
         theta_new = math.exp(minimize_bounded(
             lambda log_theta: -_nb_loglik(y, mu, math.exp(log_theta), lgamma_y1),
             math.log(1e-4), math.log(THETA_BOUND), xatol=1e-10))
@@ -448,9 +487,7 @@ def fit_negative_binomial(y, X, terms: Optional[Sequence[str]] = None,
             converged = True
             break
 
-    w = mu / (1.0 + mu / theta)
-    cov = np.linalg.inv(X.T @ (X * w[:, None]))
-    se, p_values = _wald(beta, cov)
+    se, p_values = _wald(X, beta, mu / (1.0 + mu / theta))
     log_lik = _nb_loglik(y, mu, theta, lgamma_y1)
     result = RegressionResult(
         family=Family.NEGATIVE_BINOMIAL,
@@ -470,6 +507,7 @@ def fit_negative_binomial(y, X, terms: Optional[Sequence[str]] = None,
                                "(theta at upper bound)")
     if not converged and theta < POISSON_EQUIVALENT_THETA:
         result.warnings.append("NB alternation did not converge; reporting last iterate")
+    _report_clipping(result, clipped)
     return result
 
 

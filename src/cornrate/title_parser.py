@@ -112,7 +112,7 @@ def annotate_patents(patents: Iterable[PatentRecord],
     unmatched = []
     for patent in patents:
         variety, matched = extract_variety_name(patent.title, table)
-        patent.variety_name = variety
+        patent.variety_name = variety or None   # a title that is only a pattern names no variety
         patent.kind = classify_patent_kind(patent.title)
         if not matched:
             unmatched.append(patent.patent_number)

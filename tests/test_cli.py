@@ -398,3 +398,21 @@ class TestDeterminism:
         payload = json.loads(capsys.readouterr().out)
         assert "constants" in payload
         assert "k1" in payload["constants"]
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("text", ["{not json", "[1]", '{"exclusion_list": "4629819"}',
+                                      '{"exclusion_list": [4629819]}'],
+                             ids=["invalid-json", "top-level-list", "exclusions-string",
+                                  "exclusions-ints"])
+    @pytest.mark.parametrize("command", [["regress", "--models", "4"], ["predict", "k1"],
+                                         ["trend", "--series", "patent-yearly-max"]],
+                             ids=["regress", "predict-k1", "trend"])
+    def test_input_error_naming_the_file(self, dataset_dir, tmp_path, capsys, text, command):
+        config = tmp_path / "run.json"
+        config.write_text(text)
+        code = main([*command, "--dataset", str(dataset_dir), "--config", str(config)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert str(config) in json.loads(captured.err)["error"]

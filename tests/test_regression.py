@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -292,3 +293,83 @@ class TestAnalysisTable:
         some = rows[0]["patent_number"]
         reduced = build_analysis_table(ds, exclusions=(some,))
         assert some not in {r["patent_number"] for r in reduced}
+
+
+def exact_ols_std_errors(y, X):
+    """Oracle in exact rational arithmetic: OLS standard errors from (X'X)^-1.
+
+    The floats of X and y are converted to Fractions without rounding, the
+    Gram matrix is inverted by Gauss-Jordan elimination, and only the final
+    square roots are taken in float.
+    """
+    Xf = [[Fraction(v) for v in row] for row in X]
+    yf = [Fraction(v) for v in y]
+    n, p = len(Xf), len(Xf[0])
+    aug = [[sum(row[i] * row[j] for row in Xf) for j in range(p)]
+           + [Fraction(int(i == j)) for j in range(p)] for i in range(p)]
+    for c in range(p):
+        pivot = next(r for r in range(c, p) if aug[r][c] != 0)
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for r in range(p):
+            if r != c and aug[r][c] != 0:
+                factor = aug[r][c]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[c])]
+    gram_inv = [row[p:] for row in aug]
+    xty = [sum(Xf[k][j] * yf[k] for k in range(n)) for j in range(p)]
+    beta = [sum(g * v for g, v in zip(gram_inv[i], xty)) for i in range(p)]
+    sse = sum((yf[k] - sum(x * b for x, b in zip(Xf[k], beta))) ** 2 for k in range(n))
+    sigma2 = sse / (n - p)
+    return [math.sqrt(sigma2 * gram_inv[i][i]) for i in range(p)]
+
+
+def collinear_design(t, d, rng):
+    """[1, t, t + d u]: full rank, with cond(X) growing like 1/d."""
+    u = np.round(rng.uniform(-1, 1, len(t)), 3)
+    return np.column_stack([np.ones(len(t)), t, t + d * u])
+
+
+RANK_DEFICIENT = [[1.0, 2.0, 4.0], [1.0, 3.0, 6.0], [1.0, 5.0, 10.0], [1.0, 7.0, 14.0]]
+
+
+class TestIllConditionedDesigns:
+    def test_ols_standard_errors_match_exact_oracle(self):
+        rng = np.random.default_rng(0)
+        X = collinear_design(1990.0 + np.arange(30) % 15, 3.6e-5, rng)
+        y = np.round(rng.normal(size=len(X)) + X[:, 1], 3)
+        assert 1e8 < np.linalg.cond(X) < 3e8
+        fit = fit_ols(y, X)
+        expected = exact_ols_std_errors(y.tolist(), X.tolist())
+        got = [fit.std_errors[t] for t in fit.terms]
+        assert all(math.isfinite(v) for v in got)
+        assert got == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("fitter", [fit_poisson, fit_negative_binomial])
+    def test_count_fit_rejects_rank_deficient_design(self, fitter):
+        with pytest.raises(RegressionError, match="rank deficient"):
+            fitter([1, 2, 3, 4], RANK_DEFICIENT)
+
+    def test_poisson_on_collinear_full_rank_design(self):
+        rng = np.random.default_rng(0)
+        t = np.arange(30) % 15 / 10.0
+        X = collinear_design(t, 1e-8, rng)
+        assert np.linalg.matrix_rank(X) == 3
+        y = rng.poisson(np.exp(0.5 + 0.5 * t))
+        fit = fit_poisson(y, X)
+        assert fit.converged and not fit.warnings
+        beta = np.array([fit.coefficients[term] for term in fit.terms])
+        mu = np.exp(X @ beta)
+        score = X.T @ (y - mu)
+        # Rounding in X @ beta alone moves each score component by about this much.
+        floor = np.finfo(float).eps * (np.abs(X).T @ (mu * (np.abs(X) @ np.abs(beta))))
+        assert np.all(np.abs(score) <= 10.0 * floor)
+
+
+class TestLinearPredictorClip:
+    Y = [1e14, 2e14, 1.5e14, 1.2e14]   # MLE intercept log(mean) = 32.59 > 30
+
+    @pytest.mark.parametrize("fitter", [fit_poisson, fit_negative_binomial])
+    def test_clipped_fit_is_reported(self, fitter):
+        fit = fitter(self.Y, [[1.0]] * 4, terms=["intercept"])
+        assert not fit.converged
+        assert any("clipped to [-30, 30] in 4 of 4 rows" in w for w in fit.warnings)

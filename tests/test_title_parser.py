@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from cornrate.core_data import FieldTestRecord, PatentKind, PatentRecord
-from cornrate.title_parser import (PrefixTable, classify_patent_kind,
-                                   extract_variety_name, match_patented_varieties,
-                                   normalize_variety, annotate_patents)
+from cornrate.core_data import (Dataset, FieldTestRecord, PatentKind, PatentRecord,
+                                load_dataset, save_dataset)
+from cornrate.title_parser import (PatternPosition, PrefixEntry, PrefixTable,
+                                   classify_patent_kind, extract_variety_name,
+                                   match_patented_varieties, normalize_variety,
+                                   annotate_patents)
 
 
 @pytest.fixture(scope="module")
@@ -129,3 +131,13 @@ def test_annotate_patents_flags_unmatched():
     assert patents[0].variety_name == "NP2073"
     assert patents[0].kind is PatentKind.INBRED
     assert patents[1].kind is PatentKind.OTHER
+
+
+def test_title_that_is_only_a_pattern_round_trips(tmp_path):
+    table = PrefixTable([PrefixEntry("Hybrid corn", PatternPosition.PREFIX)])
+    patents = [PatentRecord("1", "Hybrid corn", "A", 1990, 1992)]
+    assert annotate_patents(patents, table) == []
+    assert patents[0].variety_name is None
+    dataset = Dataset(patents={"1": patents[0]})
+    save_dataset(dataset, tmp_path / "ds")
+    assert load_dataset(tmp_path / "ds") == dataset
