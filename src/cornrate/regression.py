@@ -6,18 +6,9 @@ bit-identical results. NB2 means variance = mu + mu^2/theta; theta is
 profiled out by one-dimensional likelihood maximization between IRLS
 passes. All fitters report Wald standard errors and two-sided tests.
 
-Every least-squares problem goes through one core, _weighted_ls: a single
-QR of sqrt(W) X (Bjorck, Numerical Methods for Least Squares Problems,
-1996, ch. 2), for OLS (W = I), for each IRLS step at the working weights
-(Green, JRSS-B 46, 1984) and for the Wald covariance at the final
-weights. The normal equations X'WX are never formed, so cond(X), ~6e5
-on the bundled fixture with its raw filed_year column, is not squared.
-The design is rank deficient, for every family alike, when some
-|R_jj| <= max(n, p) * eps * max |R_jj|. The covariance is R^-1 R^-T
-(times sigma^2 for OLS). The linear predictor is clipped to [-30, 30] so
-that exp() cannot overflow; a fit whose final linear predictor was
-clipped is not the MLE, so it is reported as not converged, with a
-warning that counts the clipped rows.
+Every least-squares problem (OLS, each IRLS step, each Wald covariance) is
+one QR in _weighted_ls (Bjorck 1996, ch. 2; Green, JRSS-B 1984), which also
+decides rank deficiency for every family alike.
 
 Model specs (intercept always included):
 
@@ -305,19 +296,19 @@ def _check_counts(y: np.ndarray, allow_noninteger: bool) -> None:
 
 
 def _weighted_ls(X: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimiser of sum w (y - X beta)^2, and R^-1, from one QR of sqrt(w) X.
+    """Minimiser of sum w (y - X beta)^2, and R^-1, from one QR of sqrt(w) [X y].
 
-    The QR of sqrt(w) [X y] has R in its first p columns and Q' sqrt(w) y above
-    its last diagonal entry, so Q is never formed. (X'WX)^-1 = R^-1 R^-T: each
-    unscaled standard error is a row norm of R^-1.
+    X'WX is never formed, and (X'WX)^-1 = R^-1 R^-T. QR leaves about eps ||R_:j||
+    = eps ||sqrt(w) x_j|| in a column that depends on the others, so the design is
+    rank deficient when some |R_jj| <= max(n, p) eps ||R_:j||.
     """
     p = X.shape[1]
-    r = np.linalg.qr(np.column_stack([X, y]) * np.sqrt(w)[:, None], mode="r")
-    diag = np.abs(r.diagonal()[:p]).tolist()
-    if min(diag) <= max(X.shape) * np.finfo(float).eps * max(diag):
+    r = np.linalg.qr(np.column_stack([X, y]) * np.sqrt(w)[:, None], mode="r")[:p]
+    tol = max(X.shape) * np.finfo(float).eps
+    if any(abs(col[j]) <= tol * math.hypot(*col) for j, col in enumerate(zip(*r[:, :p].tolist()))):
         raise RegressionError("design matrix is rank deficient")
-    r_inv = np.linalg.inv(r[:p, :p])
-    return r_inv @ r[:p, p], r_inv
+    r_inv = np.linalg.inv(r[:, :p])
+    return r_inv @ r[:, p], r_inv
 
 
 def fit_ols(y, X, terms: Optional[Sequence[str]] = None) -> RegressionResult:
@@ -390,7 +381,6 @@ def _irls(y: np.ndarray, X: np.ndarray, theta: Optional[float]) -> tuple[np.ndar
 
 
 def _wald(X: np.ndarray, beta: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Wald standard errors and two-sided p-values at the IRLS weights w."""
     _, r_inv = _weighted_ls(X, np.zeros(len(w)), w)
     se = np.sqrt(np.sum(r_inv ** 2, axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
