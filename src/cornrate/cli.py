@@ -4,6 +4,16 @@ Commands emit machine-readable JSON on stdout (stable key order) and
 write series/table CSVs plus the same JSON into --out. Figures are
 emitted as data only; plotting is left to external tools. Exit codes:
 0 success, 2 input error, 3 data/precondition error, 4 numeric failure.
+
+Each command executes only the cornrate modules on its own path; the
+others are bound at import through cornrate._lazy_module and run on first
+use. Every command runs cli, constants and core_data (build_parser needs
+FieldTestSchema), and report runs nothing else. ingest adds title_parser;
+trend adds trend and special, plus yield_metrics for the patent and
+state series; predict k1 adds citation_metrics and ranking; predict k2
+adds citation_network, ranking, trend and special; regress adds
+regression and what its analysis table needs. Only predict k2 and regress
+import numpy.
 """
 
 from __future__ import annotations
@@ -17,18 +27,19 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from . import constants, yield_metrics
-from .citation_metrics import (CitationError, build_internal_edges,
-                               domain_citation_stats)
-from .citation_network import CitationNetwork, NetworkError, evaluate_domain
+from . import _lazy_module, constants
 from .core_data import (Dataset, DatasetError, FieldTestSchema, IngestError, PatentKind,
                         load_dataset, load_field_tests, load_patents, load_trial_sets,
                         save_dataset, write_csv)
-from .ranking import midrank_percentiles
-from .regression import (Family, MODEL_SPECS, RegressionError, build_analysis_table,
-                         run_model)
-from .title_parser import PrefixTable, annotate_patents
-from .trend import TrendError, TrendSeries, fit_exponential, weather_corrected_series
+
+# Executed on first use, so that each command runs only the modules on its path.
+citation_metrics = _lazy_module("cornrate.citation_metrics")
+citation_network = _lazy_module("cornrate.citation_network")
+ranking = _lazy_module("cornrate.ranking")
+regression = _lazy_module("cornrate.regression")
+title_parser = _lazy_module("cornrate.title_parser")
+trend = _lazy_module("cornrate.trend")
+yield_metrics = _lazy_module("cornrate.yield_metrics")
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -86,8 +97,8 @@ def _exclusions(args, config: dict) -> set[str]:
         path = Path(exclude_file)
         if not path.is_file():
             raise IngestError(f"missing exclusion file: {path}")
-        result.update(line.strip() for line in path.read_text().splitlines()
-                      if line.strip())
+        lines = path.read_text(encoding="utf-8-sig").splitlines()
+        result.update(line.strip() for line in lines if line.strip())
     return result
 
 
@@ -98,8 +109,9 @@ def cmd_ingest(args) -> int:
         raise IngestError("--out dataset directory is required")
     patents_report = load_patents(args.patents)
     trials_report = load_trial_sets(args.trials)
-    prefix_table = PrefixTable.load(args.prefix_table) if args.prefix_table else None
-    unmatched_titles = annotate_patents(patents_report.records, prefix_table)
+    prefix_table = (title_parser.PrefixTable.load(args.prefix_table)
+                    if args.prefix_table else None)
+    unmatched_titles = title_parser.annotate_patents(patents_report.records, prefix_table)
 
     field_reports = {}
     field_tests = []
@@ -128,13 +140,13 @@ def cmd_ingest(args) -> int:
 
 # --- trend -----------------------------------------------------------------
 
-def _trend_series(args) -> TrendSeries:
+def _trend_series(args) -> trend.TrendSeries:
     if args.series == "usda-file":
         if args.input:
-            return TrendSeries.read_csv(args.input)
+            return trend.TrendSeries.read_csv(args.input)
         ref = resources.files("cornrate.data") / "usda_us_corn_yield.csv"
         with resources.as_file(ref) as path:
-            return TrendSeries.read_csv(path)
+            return trend.TrendSeries.read_csv(path)
     dataset = _require_dataset(args)
     if args.series == "patent-yearly-max":
         summaries = [(dataset.patents[ts.patent_number].filed_year,
@@ -151,7 +163,7 @@ def _trend_series(args) -> TrendSeries:
         if not args.region or not args.control:
             raise IngestError("--region and --control are required for "
                               "weather-corrected series")
-        return weather_corrected_series(dataset.field_tests, args.region, args.control)
+        return trend.weather_corrected_series(dataset.field_tests, args.region, args.control)
     raise IngestError(f"unknown series {args.series!r}")
 
 
@@ -161,7 +173,7 @@ def cmd_trend(args) -> int:
     series = series.restrict(args.year_from, args.year_to)
     if len(series.points) < 2:
         raise CliDataError("series has fewer than 2 points after restriction")
-    fit = fit_exponential(series)
+    fit = trend.fit_exponential(series)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -190,11 +202,11 @@ def cmd_predict(args) -> int:
     domain = _domain_patents(dataset, args.kind, args.filed_until)
 
     if args.model == "k1":
-        edges = build_internal_edges(dataset.patents)
+        edges = citation_metrics.build_internal_edges(dataset.patents)
         # Citing patents may fall outside the selected domain slice.
         pub_years = {n: p.granted_year for n, p in dataset.patents.items()}
-        stats = domain_citation_stats(domain, edges, pub_years=pub_years,
-                                      exclusions=exclusions)
+        stats = citation_metrics.domain_citation_stats(domain, edges, pub_years=pub_years,
+                                                       exclusions=exclusions)
         _emit({
             "kind": args.kind,
             "filed_until": args.filed_until,
@@ -208,7 +220,7 @@ def cmd_predict(args) -> int:
 
     if not args.nodes or not args.edges:
         raise IngestError("predict k2 requires --nodes and --edges network files")
-    net = CitationNetwork.from_files(args.nodes, args.edges)
+    net = citation_network.CitationNetwork.from_files(args.nodes, args.edges)
     domain_numbers = sorted(p.patent_number for p in domain
                             if p.patent_number in net.application_years
                             and p.patent_number not in exclusions)
@@ -216,11 +228,12 @@ def cmd_predict(args) -> int:
         raise CliDataError("no domain patents present in the network")
     threshold = float(config.get("highly_cited_threshold",
                                  constants.DEFAULT_HIGHLY_CITED_THRESHOLD))
-    citation_percentiles = midrank_percentiles(
+    citation_percentiles = ranking.midrank_percentiles(
         {p.patent_number: p.forward_citation_count for p in dataset.patents.values()
          if p.patent_number in net.application_years},
         net.application_years)
-    result = evaluate_domain(net, domain_numbers, citation_percentiles, threshold)
+    result = citation_network.evaluate_domain(net, domain_numbers, citation_percentiles,
+                                              threshold)
     payload = {
         "kind": args.kind,
         "filed_until": args.filed_until,
@@ -246,18 +259,18 @@ def cmd_regress(args) -> int:
     config = _load_config(args)
     dataset = _require_dataset(args)
     exclusions = _exclusions(args, config)
-    rows = build_analysis_table(dataset, exclusions)
+    rows = regression.build_analysis_table(dataset, exclusions)
     if not rows:
         raise CliDataError("analysis table is empty after exclusions")
     model_ids = [int(m) for m in args.models.split(",")]
-    families = [Family(f) for f in args.family.split(",")]
+    families = [regression.Family(f) for f in args.family.split(",")]
     for mid in model_ids:
-        if mid not in MODEL_SPECS:
+        if mid not in regression.MODEL_SPECS:
             raise IngestError(f"unknown model id {mid}")
     fits = []
     for mid in model_ids:
         for family in families:
-            result = run_model(mid, family, rows)
+            result = regression.run_model(mid, family, rows)
             if not result.converged:
                 print(f"warning: model {mid} ({family.value}) did not converge",
                       file=sys.stderr)
@@ -387,11 +400,12 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc), "exit_code": EXIT_INPUT},
                          sort_keys=True), file=sys.stderr)
         return EXIT_INPUT
-    except (CliDataError, TrendError, NetworkError, CitationError, ValueError) as exc:
+    except (CliDataError, trend.TrendError, citation_network.NetworkError,
+            citation_metrics.CitationError, ValueError) as exc:
         print(json.dumps({"error": str(exc), "exit_code": EXIT_DATA},
                          sort_keys=True), file=sys.stderr)
         return EXIT_DATA
-    except (RegressionError, ArithmeticError) as exc:
+    except (regression.RegressionError, ArithmeticError) as exc:
         print(json.dumps({"error": str(exc), "exit_code": EXIT_NUMERIC},
                          sort_keys=True), file=sys.stderr)
         return EXIT_NUMERIC

@@ -481,13 +481,19 @@ def load_dataset(directory) -> Dataset:
     if not manifest_path.is_file():
         raise DatasetError(f"no manifest in {directory}")
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"corrupt manifest: {exc}") from exc
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as exc:   # JSONDecodeError and UnicodeDecodeError
+        raise DatasetError(f"corrupt manifest {manifest_path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DatasetError(f"corrupt manifest {manifest_path}: top level must be a JSON object")
     if manifest.get("schema_version") != SCHEMA_VERSION:
         raise DatasetError(
             f"schema version mismatch: found {manifest.get('schema_version')!r}, "
             f"expected {SCHEMA_VERSION}")
+    cutoff = manifest.get("citation_cutoff_year")
+    if type(cutoff) is not int:   # bool is an int subclass, and not a year
+        raise DatasetError(f"corrupt manifest {manifest_path}: citation_cutoff_year "
+                           f"must be an integer, found {cutoff!r}")
 
     patents = {rec.patent_number: rec for rec in
                _read_store(directory / "patents.csv", _PATENT_HEADER, _patent_from_store)}
@@ -503,7 +509,7 @@ def load_dataset(directory) -> Dataset:
         patents=patents,
         trial_sets=trial_sets,
         field_tests=field_tests,
-        citation_cutoff_year=int(manifest["citation_cutoff_year"]),
+        citation_cutoff_year=cutoff,
     )
     dataset.validate()
     return dataset

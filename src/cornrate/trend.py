@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 from .constants import DEFAULT_CONTROL_MIN_YEARS
 from .core_data import (FieldTestRecord, _open_csv, _parse_number, _require_columns,
                         write_csv)
-from .regression import t_sf
+from .special import t_sf
 
 
 class TrendError(Exception):

@@ -299,8 +299,37 @@ class TestRegress:
         assert code == 0
         assert payload["n_excluded"] == 1
 
+    def test_exclusion_file_bom(self, dataset_dir, tmp_path, capsys):
+        # A byte-order mark must not become part of the first id, which would
+        # then match no patent while n_excluded still counts it.
+        excl = tmp_path / "excl.txt"
+        excl.write_bytes(b"\xef\xbb\xbf5000000\n")
+        code, payload = run_json(capsys, [
+            "regress", "--dataset", str(dataset_dir), "--models", "4",
+            "--exclude-file", str(excl), "--no-timestamp"])
+        assert code == 0
+        assert (payload["n_rows"], payload["n_excluded"]) == (69, 1)
+
 
 class TestStoreValidation:
+    @pytest.mark.parametrize("manifest", [
+        b"[]",
+        b'{"schema_version": 1}',
+        b'{"schema_version": 1, "citation_cutoff_year": "x"}',
+        b'{"schema_version": 1, "citation_cutoff_year": true}',
+        b'{"schema_version": 1, "citation_cutoff_year": 2015, "note": "\xff"}',
+    ], ids=["not-an-object", "no-cutoff", "string-cutoff", "bool-cutoff", "not-utf-8"])
+    def test_malformed_manifest_exit_2(self, dataset_dir, tmp_path, capsys, manifest):
+        store = tmp_path / "ds"
+        store.mkdir()
+        for f in dataset_dir.iterdir():
+            (store / f.name).write_bytes(f.read_bytes())
+        (store / "manifest.json").write_bytes(manifest)
+        assert main(["report", "--dataset", str(store)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(store / "manifest.json") in json.loads(captured.err)["error"]
+
     @pytest.mark.parametrize("name, column", [("trials.csv", "patented_yield"),
                                               ("fieldtests.csv", "yield")],
                              ids=["trials", "fieldtests"])

@@ -26,6 +26,22 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 DATASET_DIR = "DATASET_DIR"
 # The only commands that do array math; the others must not import numpy.
 ARRAY_COMMANDS = {"predict_k2", "regress"}
+# The cornrate modules each command executes (cornrate.data holds package files).
+# report runs nothing beyond the base, and no trend series or predict model
+# runs regression.
+_BASE = {"cli", "constants", "core_data"}
+_TREND = {"trend", "special"}
+EXECUTED = {
+    "ingest": _BASE | {"title_parser", "data"},
+    "trend_usda-file": _BASE | _TREND | {"data"},
+    "trend_patent-yearly-max": _BASE | _TREND | {"yield_metrics"},
+    "trend_state-average": _BASE | _TREND | {"yield_metrics"},
+    "trend_weather-corrected": _BASE | _TREND,
+    "predict_k1": _BASE | {"citation_metrics", "ranking"},
+    "predict_k2": _BASE | _TREND | {"citation_network", "ranking"},
+    "regress": _BASE | _TREND | {"regression", "citation_metrics", "ranking", "yield_metrics"},
+    "report": _BASE,
+}
 
 
 def commands(store: Path) -> dict[str, list[str]]:
@@ -97,6 +113,54 @@ def test_numpy_loads_only_for_array_commands(stem, store, outputs, tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout
     assert out.split() == ["0", str(stem in ARRAY_COMMANDS)]
+
+
+def _run_python(code: str) -> str:
+    src = str(Path(cornrate.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout
+
+
+@pytest.mark.parametrize("stem", list(commands(Path("unused"))))
+def test_command_executes_only_its_modules(stem, store, outputs, tmp_path):
+    # cornrate.cli binds the per-command modules lazily: each stays a stub
+    # (a LazyLoader module subclass) in sys.modules until first used.
+    argv = commands(tmp_path / "dataset" if stem == "ingest" else store)[stem]
+    out = _run_python("import contextlib, io, sys, types\n"
+                      "import cornrate.cli\n"
+                      "with contextlib.redirect_stdout(io.StringIO()):\n"
+                      f"    code = cornrate.cli.main({argv!r})\n"
+                      "print(code, *sorted(n.split('.', 1)[1] for n, m in sys.modules.items()\n"
+                      "                    if n.startswith('cornrate.')\n"
+                      "                    and type(m) is types.ModuleType))\n")
+    code, *executed = out.split()
+    assert code == "0"
+    assert set(executed) == EXECUTED[stem]
+
+
+def test_modules_holding_cornrate_functions_are_bound_on_import(tmp_path):
+    # Code that wraps cornrate functions from outside (a profiler, the
+    # benchmark's tracer) walks sys.modules once, right after importing
+    # cornrate.cli. So every module that holds a function or class of another
+    # cornrate module must be in sys.modules by then; a module first imported
+    # later (cornrate.special) may only define its own.
+    argvs = list(commands(tmp_path / "dataset").values())
+    out = _run_python("import contextlib, io, json, sys\n"
+                      "import cornrate.cli\n"
+                      "bound = set(sys.modules)\n"
+                      "with contextlib.redirect_stdout(io.StringIO()):\n"
+                      f"    codes = [cornrate.cli.main(argv) for argv in {argvs!r}]\n"
+                      "late = {n: sorted(k for k, v in vars(m).items() if callable(v)\n"
+                      "                  and getattr(v, '__module__', '').startswith('cornrate.')\n"
+                      "                  and v.__module__ != n)\n"
+                      "        for n, m in sys.modules.items()\n"
+                      "        if n.startswith('cornrate.') and n not in bound}\n"
+                      "print(json.dumps({'codes': codes, 'late': late}))\n")
+    result = json.loads(out)
+    assert result["codes"] == [0] * len(argvs)
+    assert set(result["late"]) <= {"cornrate.special", "cornrate.data"}
+    assert all(held == [] for held in result["late"].values()), result["late"]
 
 
 if __name__ == "__main__":
