@@ -17,18 +17,18 @@ every edge becomes a (citing, cited) pair of those numbers; the
 constructor takes the pairs as patent-number strings or as an (m, 2)
 integer array of positions. CitationNetwork.from_files reads a CSV
 straight into int64 arrays when it qualifies: after the header (a
-byte-order mark dropped, the header read by csv.reader under the ingest
-rules) the bytes hold only ASCII digits, commas and LF or CRLF line
-ends, every row has the header's width, and every field has 1 to 18
-digits and no leading zero, so it is the str() of its value. Such a
-body is parsed by one np.fromstring call. When the node ids are
+byte-order mark dropped, its names matched under the rules of
+core_data.read_table) the bytes hold only ASCII digits, commas and LF or
+CRLF line ends, every row has the header's width, and every field has 1
+to 18 digits and no leading zero, so it is the str() of its value. Such
+a body is parsed by one np.fromstring call. When the node ids are
 distinct and every edge end is one of them, the ends become node
 numbers through one lookup: a direct table when the ids span at most 4
 values per node, else a binary search in the sorted ids. Every other
 file (quotes, spaces, signs, blank lines, non-ASCII digits) and every
-edge file naming an unknown or repeated node id is read by csv.reader
-with string ids, which also names a bad row's file and line; the two
-paths give the same network or the same error. Validation
+edge file naming an unknown or repeated node id is read with string ids
+by core_data.read_table, which also names a bad row's file and line; the
+two paths give the same network or the same error. Validation
 (self-citations, duplicates, unknown endpoints, year order) is done on
 the pairs and reports the first bad edge in file order. One
 level-synchronous pass of Kahn's algorithm then gives every node a
@@ -76,11 +76,10 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from . import _lazy_module, constants
-from .core_data import (EDGE_COLUMNS, NODE_COLUMNS, IngestError, _open_csv,
-                        _require_columns)
+from .core_data import EDGE_COLUMNS, NODE_COLUMNS, _column_positions, read_table
 from .ranking import midrank_percentiles
 from .trend import TrendSeries, fit_exponential
 
@@ -152,62 +151,26 @@ class CitationNetwork:
 
         Files of plain integers are parsed as arrays (_read_int_columns);
         any other file, and edges whose ends are not all node ids, go through
-        csv.reader (_read_pairs), which also names a bad row's file and line.
+        core_data.read_table, which also names a bad row's file and line.
         """
         for p in (node_csv, edge_csv):
             if not Path(p).is_file():
                 raise NetworkError(f"missing file: {p}")
         nodes = _read_int_columns(node_csv, NODE_COLUMNS)
         if nodes is None:
-            numbers, years = _read_pairs(node_csv, NODE_COLUMNS, int)
+            application_years = dict(read_table(
+                node_csv, lambda header: _column_positions(header, NODE_COLUMNS, node_csv),
+                lambda number, year: (number.strip(), int(year))))
         else:
-            numbers, years = list(map(str, nodes[:, 0].tolist())), nodes[:, 1].tolist()
-        application_years = dict(zip(numbers, years))
+            application_years = dict(zip(map(str, nodes[:, 0].tolist()), nodes[:, 1].tolist()))
         if nodes is not None and len(application_years) == len(nodes):
             ends = _read_int_columns(edge_csv, EDGE_COLUMNS)
             positions = None if ends is None else _positions(nodes[:, 0], ends)
             if positions is not None:
                 return cls(application_years, positions)
-        citing, cited = _read_pairs(edge_csv, EDGE_COLUMNS, str.strip)
-        return cls(application_years, zip(citing, cited))
-
-
-def _column_positions(header: list[str], names: list[str], path) -> list[int]:
-    """Index in header of each named column, under the ingest header rules.
-
-    Names match case-insensitively and a missing one is an IngestError; a
-    repeated column name reads its last column, as csv.DictReader does.
-    """
-    actual = _require_columns(header, names, path)
-    position = {field: k for k, field in enumerate(header)}
-    return [position[actual[name]] for name in names]
-
-
-def _read_pairs(path, names: list[str], convert: Callable[[str], object]) -> tuple[list, list]:
-    """The two named columns of a CSV file: the first stripped, the second converted.
-
-    The header follows the ingest loaders' rules (a byte-order mark is
-    dropped, names match case-insensitively) and blank lines are skipped,
-    as csv.DictReader does. A row with more or fewer fields than the header,
-    or a value convert rejects, is an IngestError naming the file and line.
-    """
-    handle, reader = _open_csv(path, csv.reader)
-    with handle:
-        header = next(reader, [])
-        i, j = _column_positions(header, names, path)
-        width = len(header)
-        first, second = [], []
-        try:
-            for row in reader:
-                if len(row) != width:
-                    if not row:
-                        continue
-                    raise ValueError(f"expected {width} fields, found {len(row)}")
-                first.append(row[i].strip())
-                second.append(convert(row[j]))
-        except ValueError as exc:
-            raise IngestError(f"{path}, line {reader.line_num}: {exc}") from None
-    return first, second
+        return cls(application_years, read_table(
+            edge_csv, lambda header: _column_positions(header, EDGE_COLUMNS, edge_csv),
+            lambda citing, cited: (citing.strip(), cited.strip())))
 
 
 # A field of the integer path has at most this many digits, so it fits an int64.
@@ -221,10 +184,10 @@ def _read_int_columns(path, names: list[str]) -> np.ndarray | None:
     body does not qualify: it may hold only ASCII digits, commas and line
     ends (LF, or CRLF), and every row must have the header's width of
     fields of 1 to MAX_INT_DIGITS digits without a leading zero, so each
-    field is the str() of its value. The header is read as _read_pairs
+    field is the str() of its value. The header is read as read_table
     reads it (a byte-order mark is dropped, a missing column is an
     IngestError); a header with a quote or a bare carriage return also
-    gives None, and the caller then reads the file with csv.reader.
+    gives None, and the caller then reads the file with read_table.
     """
     data = Path(path).read_bytes()
     if data.startswith(codecs.BOM_UTF8):

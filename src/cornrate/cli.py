@@ -30,7 +30,7 @@ from typing import Optional
 from . import _lazy_module, constants
 from .core_data import (Dataset, DatasetError, FieldTestSchema, IngestError, PatentKind,
                         load_dataset, load_field_tests, load_patents, load_trial_sets,
-                        save_dataset, write_csv)
+                        read_text, save_dataset, write_csv)
 
 # Executed on first use, so that each command runs only the modules on its path.
 citation_metrics = _lazy_module("cornrate.citation_metrics")
@@ -81,6 +81,11 @@ def _load_config(args) -> dict:
     exclusions = config.get("exclusion_list", [])
     if not (isinstance(exclusions, list) and all(isinstance(e, str) for e in exclusions)):
         raise IngestError(f"config file {path}: exclusion_list must be a list of strings")
+    threshold = config.get("highly_cited_threshold", constants.DEFAULT_HIGHLY_CITED_THRESHOLD)
+    # type(), not isinstance(): a bool is an int but no percentile. NaN fails the range.
+    if type(threshold) not in (int, float) or not 0 < threshold < 1:
+        raise IngestError(f"config file {path}: highly_cited_threshold must be a number "
+                          f"in (0, 1), found {threshold!r}")
     return config
 
 
@@ -94,10 +99,7 @@ def _exclusions(args, config: dict) -> set[str]:
     result = set(config.get("exclusion_list", []))
     exclude_file = getattr(args, "exclude_file", None)
     if exclude_file:
-        path = Path(exclude_file)
-        if not path.is_file():
-            raise IngestError(f"missing exclusion file: {path}")
-        lines = path.read_text(encoding="utf-8-sig").splitlines()
+        lines = read_text(exclude_file).splitlines()
         result.update(line.strip() for line in lines if line.strip())
     return result
 

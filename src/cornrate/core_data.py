@@ -4,19 +4,25 @@ Three data families come in as CSV: granted patents, the head-to-head
 trial tables transcribed from patent documents, and state field-test
 rows. Ingestion never drops rows silently: every input data row ends up
 either as a record, as a row-indexed error, or in the skip tally.
+
+Every CSV file, and the exclusion list, is decoded by read_text. The
+store, network, series and prefix-table CSVs are parsed by read_table;
+the ingest loaders keep csv.DictReader and their per-row accounting.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime
+import io
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 SCHEMA_VERSION = 1
 
@@ -195,13 +201,26 @@ def write_csv(path, header: list[str], rows: Iterable) -> None:
         w.writerows(rows)
 
 
-def _open_csv(path, reader=csv.DictReader) -> tuple:
+def read_text(path, error: type[Exception] = IngestError) -> str:
+    """The text of a UTF-8 file, a leading byte-order mark dropped.
+
+    A missing file, or a byte that is not UTF-8, is an error naming the file
+    (and the line of the bad byte).
+    """
     path = Path(path)
     if not path.is_file():
-        raise IngestError(f"missing file: {path}")
-    # utf-8-sig drops a byte-order mark that would otherwise prefix the first column name.
-    handle = path.open(newline="", encoding="utf-8-sig")
-    return handle, reader(handle)
+        raise error(f"missing file: {path}")
+    try:
+        return path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.start counts from after a byte-order mark, as exc.object does.
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}, line {line}: {exc}") from None
+
+
+def _open_csv(path, error: type[Exception] = IngestError) -> io.StringIO:
+    """A CSV file's text (read_text) as the stream csv readers expect."""
+    return io.StringIO(read_text(path, error), newline="")
 
 
 def _require_columns(fields: Optional[list[str]], names: Iterable[str], path) -> dict[str, str]:
@@ -216,36 +235,72 @@ def _require_columns(fields: Optional[list[str]], names: Iterable[str], path) ->
     return mapping
 
 
+def _column_positions(header: list[str], names: list[str], path) -> list[int]:
+    """Index in header of each named column, under the ingest header rules.
+
+    Names match case-insensitively and a missing one is an IngestError; a
+    repeated column name reads its last column, as csv.DictReader does.
+    """
+    actual = _require_columns(header, names, path)
+    position = {field: k for k, field in enumerate(header)}
+    return [position[actual[name]] for name in names]
+
+
+def read_table(path, columns: Callable[[list[str]], Iterable[int]],
+               parse: Callable[..., object], error: type[Exception] = IngestError) -> Iterator:
+    """Yield parse(*fields) for each data row of a CSV file, in file order.
+
+    columns(header) gives the positions of the two or more fields passed to
+    parse, or raises for a header it rejects. Blank lines are skipped. A row
+    of the wrong width, or a ValueError from parse, is an error of class
+    error naming the file and line; a read_text failure is a DatasetError
+    for a store file, else an IngestError. Rows are parsed as they are
+    consumed, so the rows of a large file are never all held at once.
+    """
+    reader = csv.reader(_open_csv(path, DatasetError if error is DatasetError else IngestError))
+    header = next(reader, [])
+    pick = operator.itemgetter(*columns(header))
+    width = len(header)
+    try:
+        for row in reader:
+            if len(row) != width:
+                if not row:
+                    continue
+                raise ValueError(f"expected {width} fields, found {len(row)}")
+            yield parse(*pick(row))
+    except ValueError as exc:
+        raise error(f"{path}, line {reader.line_num}: {exc}") from None
+
+
 def load_patents(path) -> LoadReport:
     """Load the patent CSV; variety_name/kind stay unset for the title parser."""
-    handle, reader = _open_csv(path)
-    with handle:
-        cols = _require_columns(reader.fieldnames, PATENT_COLUMNS, path)
-        records: list[PatentRecord] = []
-        errors: list[tuple[int, str]] = []
-        seen: set[str] = set()
-        for i, row in enumerate(reader):
-            number = (row[cols["patent_number"]] or "").strip()
-            if number and number in seen:
-                raise IngestError(f"duplicate patent_number {number} at row {i}")
-            try:
-                cited = [c.strip() for c in (row[cols["cited_patents"]] or "").split(";")
-                         if c.strip()]
-                rec = PatentRecord(
-                    patent_number=number,
-                    title=(row[cols["title"]] or "").strip(),
-                    assignee=(row[cols["assignee"]] or "").strip(),
-                    filed_year=int(row[cols["filed_year"]]),
-                    granted_year=int(row[cols["granted_year"]]),
-                    cited_patents=cited,
-                    forward_citation_count=int(row[cols["forward_citations"]]),
-                )
-                rec.validate()
-            except (ValueError, TypeError) as exc:
-                errors.append((i, str(exc)))
-                continue
-            seen.add(number)
-            records.append(rec)
+    reader = csv.DictReader(_open_csv(path))
+    cols = _require_columns(reader.fieldnames, PATENT_COLUMNS, path)
+    records: list[PatentRecord] = []
+    errors: list[tuple[int, str]] = []
+    seen: set[str] = set()
+    for i, row in enumerate(reader):
+        number = (row[cols["patent_number"]] or "").strip()
+        if number and number in seen:
+            raise IngestError(f"duplicate patent_number {number} at row {i}")
+        try:
+            cited = [c.strip() for c in (row[cols["cited_patents"]] or "").split(";")
+                     if c.strip()]
+            rec = PatentRecord(
+                patent_number=number,
+                title=(row[cols["title"]] or "").strip(),
+                assignee=(row[cols["assignee"]] or "").strip(),
+                filed_year=int(row[cols["filed_year"]]),
+                granted_year=int(row[cols["granted_year"]]),
+                cited_patents=cited,
+                forward_citation_count=int(row[cols["forward_citations"]]),
+            )
+            rec.validate()
+        except (ValueError, TypeError) as exc:
+            errors.append((i, str(exc)))
+            continue
+        seen.add(number)
+        records.append(rec)
     return LoadReport(records, errors)
 
 
@@ -261,73 +316,71 @@ def load_field_tests(path, schema: FieldTestSchema | str, state: str = "") -> Lo
         schema = FieldTestSchema(schema)
     except ValueError:
         raise IngestError(f"unknown schema: {schema!r}") from None
-    handle, reader = _open_csv(path)
-    with handle:
-        cols = _require_columns(reader.fieldnames, _FIELD_TEST_COLUMNS[schema], path)
-        records: list[FieldTestRecord] = []
-        errors: list[tuple[int, str]] = []
-        for i, row in enumerate(reader):
-            try:
-                yield_value, significant = _parse_yield(row[cols["Yield"]])
-                if schema is FieldTestSchema.ILLINOIS_LIKE:
-                    rec = FieldTestRecord(
-                        state=state,
-                        year=int(row[cols["Year"]]),
-                        region=(row[cols["Region"]] or "").strip(),
-                        brand=(row[cols["Brand"]] or "").strip(),
-                        hybrid=(row[cols["Hybrid"]] or "").strip(),
-                        yield_value=yield_value,
-                        moisture=_parse_number(row[cols["Moisture"]]),
-                        significant=significant,
-                    )
-                else:
-                    stand_text = (row[cols["Stand"]] or "").strip()
-                    rec = FieldTestRecord(
-                        state=state,
-                        year=int(row[cols["Year"]]),
-                        region="STATE_AVG",
-                        brand=(row[cols["Brand"]] or "").strip(),
-                        hybrid=(row[cols["Hybrid"]] or "").strip(),
-                        yield_value=yield_value,
-                        moisture=_parse_number(row[cols["Moist"]]),
-                        maturity=Maturity((row[cols["Maturity"]] or "").strip().lower()),
-                        stand=_parse_number(stand_text) if stand_text else None,
-                        significant=significant,
-                    )
-                rec.validate()
-            except (ValueError, TypeError) as exc:
-                errors.append((i, str(exc)))
-                continue
-            records.append(rec)
+    reader = csv.DictReader(_open_csv(path))
+    cols = _require_columns(reader.fieldnames, _FIELD_TEST_COLUMNS[schema], path)
+    records: list[FieldTestRecord] = []
+    errors: list[tuple[int, str]] = []
+    for i, row in enumerate(reader):
+        try:
+            yield_value, significant = _parse_yield(row[cols["Yield"]])
+            if schema is FieldTestSchema.ILLINOIS_LIKE:
+                rec = FieldTestRecord(
+                    state=state,
+                    year=int(row[cols["Year"]]),
+                    region=(row[cols["Region"]] or "").strip(),
+                    brand=(row[cols["Brand"]] or "").strip(),
+                    hybrid=(row[cols["Hybrid"]] or "").strip(),
+                    yield_value=yield_value,
+                    moisture=_parse_number(row[cols["Moisture"]]),
+                    significant=significant,
+                )
+            else:
+                stand_text = (row[cols["Stand"]] or "").strip()
+                rec = FieldTestRecord(
+                    state=state,
+                    year=int(row[cols["Year"]]),
+                    region="STATE_AVG",
+                    brand=(row[cols["Brand"]] or "").strip(),
+                    hybrid=(row[cols["Hybrid"]] or "").strip(),
+                    yield_value=yield_value,
+                    moisture=_parse_number(row[cols["Moist"]]),
+                    maturity=Maturity((row[cols["Maturity"]] or "").strip().lower()),
+                    stand=_parse_number(stand_text) if stand_text else None,
+                    significant=significant,
+                )
+            rec.validate()
+        except (ValueError, TypeError) as exc:
+            errors.append((i, str(exc)))
+            continue
+        records.append(rec)
     return LoadReport(records, errors)
 
 
 def load_trial_sets(path) -> LoadReport:
     """Load per-patent trial comparisons; summary 'AVG' rows are skipped."""
-    handle, reader = _open_csv(path)
-    with handle:
-        cols = _require_columns(reader.fieldnames, TRIAL_COLUMNS, path)
-        groups: dict[str, list[TrialComparison]] = {}
-        errors: list[tuple[int, str]] = []
-        skipped = 0
-        for i, row in enumerate(reader):
-            number = (row[cols["patent_number"]] or "").strip()
-            control = (row[cols["control_variety"]] or "").strip()
-            if control == "AVG":
-                skipped += 1
-                groups.setdefault(number, [])
-                continue
-            try:
-                comp = TrialComparison(
-                    patented_yield=_parse_number(row[cols["patented_yield"]]),
-                    control_yield=_parse_number(row[cols["control_yield"]]),
-                    control_name=control,
-                )
-                comp.validate()
-            except (ValueError, TypeError) as exc:
-                errors.append((i, str(exc)))
-                continue
-            groups.setdefault(number, []).append(comp)
+    reader = csv.DictReader(_open_csv(path))
+    cols = _require_columns(reader.fieldnames, TRIAL_COLUMNS, path)
+    groups: dict[str, list[TrialComparison]] = {}
+    errors: list[tuple[int, str]] = []
+    skipped = 0
+    for i, row in enumerate(reader):
+        number = (row[cols["patent_number"]] or "").strip()
+        control = (row[cols["control_variety"]] or "").strip()
+        if control == "AVG":
+            skipped += 1
+            groups.setdefault(number, [])
+            continue
+        try:
+            comp = TrialComparison(
+                patented_yield=_parse_number(row[cols["patented_yield"]]),
+                control_yield=_parse_number(row[cols["control_yield"]]),
+                control_name=control,
+            )
+            comp.validate()
+        except (ValueError, TypeError) as exc:
+            errors.append((i, str(exc)))
+            continue
+        groups.setdefault(number, []).append(comp)
     records = []
     for number, comparisons in groups.items():
         if not comparisons:
@@ -404,72 +457,64 @@ def save_dataset(dataset: Dataset, directory) -> None:
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def _read_store(path: Path, header: list[str], parse: Callable[[dict], object]) -> list:
-    """Each data row of a store CSV, as a column -> value dict, passed through parse.
+def _read_store(path: Path, layout: list[str], parse: Callable[..., object]) -> Iterator:
+    """Yield parse(*fields) for each data row of a store CSV (read_table).
 
-    A header other than the store layout's, a row with more or fewer fields
-    than the header, or a value parse rejects (each parser also runs the
-    record's validate()) is a DatasetError naming the file and line. Blank
-    lines are skipped, as csv.DictReader does.
+    A header other than the store layout's, a row of the wrong width or a
+    value parse rejects (each parser also runs the record's validate()) is
+    a DatasetError naming the file, and the line for a row.
     """
-    with path.open(newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        found = next(reader, [])
-        if found != header:
-            raise DatasetError(f"{path}: header {found} is not the store layout {header}")
-        records = []
-        try:
-            for row in reader:
-                if len(row) != len(header):
-                    if not row:
-                        continue
-                    raise ValueError(f"expected {len(header)} fields, found {len(row)}")
-                records.append(parse(dict(zip(header, row))))
-        except ValueError as exc:
-            raise DatasetError(f"{path}, line {reader.line_num}: {exc}") from None
-    return records
+    def columns(header: list[str]) -> range:
+        if header != layout:
+            raise DatasetError(f"{path}: header {header} is not the store layout {layout}")
+        return range(len(layout))
+
+    return read_table(path, columns, parse, DatasetError)
 
 
-def _patent_from_store(row: dict) -> PatentRecord:
+def _patent_from_store(number, title, assignee, filed_year, granted_year, forward_citations,
+                       cited_patents, variety_name, kind) -> PatentRecord:
     record = PatentRecord(
-        patent_number=row["patent_number"],
-        title=row["title"],
-        assignee=row["assignee"],
-        filed_year=int(row["filed_year"]),
-        granted_year=int(row["granted_year"]),
-        cited_patents=[c for c in row["cited_patents"].split(";") if c],
-        forward_citation_count=int(row["forward_citations"]),
-        variety_name=row["variety_name"] or None,
-        kind=PatentKind(row["kind"]) if row["kind"] else None,
+        patent_number=number,
+        title=title,
+        assignee=assignee,
+        filed_year=int(filed_year),
+        granted_year=int(granted_year),
+        cited_patents=[c for c in cited_patents.split(";") if c],
+        forward_citation_count=int(forward_citations),
+        variety_name=variety_name or None,
+        kind=PatentKind(kind) if kind else None,
     )
     record.validate()
     return record
 
 
-def _trial_from_store(row: dict) -> tuple[str, TrialComparison]:
+def _trial_from_store(number, control_name, patented_yield, control_yield, patented_moisture,
+                      control_moisture) -> tuple[str, TrialComparison]:
     comparison = TrialComparison(
-        patented_yield=float(row["patented_yield"]),
-        control_yield=float(row["control_yield"]),
-        control_name=row["control_name"],
-        patented_moisture=float(row["patented_moisture"]) if row["patented_moisture"] else None,
-        control_moisture=float(row["control_moisture"]) if row["control_moisture"] else None,
+        patented_yield=float(patented_yield),
+        control_yield=float(control_yield),
+        control_name=control_name,
+        patented_moisture=float(patented_moisture) if patented_moisture else None,
+        control_moisture=float(control_moisture) if control_moisture else None,
     )
     comparison.validate()
-    return row["patent_number"], comparison
+    return number, comparison
 
 
-def _field_test_from_store(row: dict) -> FieldTestRecord:
+def _field_test_from_store(state, year, region, brand, hybrid, yield_value, moisture, maturity,
+                           stand, significant) -> FieldTestRecord:
     record = FieldTestRecord(
-        state=row["state"],
-        year=int(row["year"]),
-        region=row["region"],
-        brand=row["brand"],
-        hybrid=row["hybrid"],
-        yield_value=float(row["yield"]),
-        moisture=float(row["moisture"]),
-        maturity=Maturity(row["maturity"]) if row["maturity"] else None,
-        stand=float(row["stand"]) if row["stand"] else None,
-        significant=row["significant"] == "1",
+        state=state,
+        year=int(year),
+        region=region,
+        brand=brand,
+        hybrid=hybrid,
+        yield_value=float(yield_value),
+        moisture=float(moisture),
+        maturity=Maturity(maturity) if maturity else None,
+        stand=float(stand) if stand else None,
+        significant=significant == "1",
     )
     record.validate()
     return record
@@ -502,8 +547,8 @@ def load_dataset(directory) -> Dataset:
                                           _trial_from_store):
         groups.setdefault(number, []).append(comparison)
     trial_sets = [PatentTrialSet(n, comparisons) for n, comparisons in groups.items()]
-    field_tests = _read_store(directory / "fieldtests.csv", _FIELDTEST_HEADER,
-                              _field_test_from_store)
+    field_tests = list(_read_store(directory / "fieldtests.csv", _FIELDTEST_HEADER,
+                                   _field_test_from_store))
 
     dataset = Dataset(
         patents=patents,

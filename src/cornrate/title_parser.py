@@ -9,15 +9,14 @@ never guessed at.
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
-from pathlib import Path
 from typing import Iterable, Optional
 
-from .core_data import FieldTestRecord, PatentKind, PatentRecord
+from .core_data import (FieldTestRecord, PatentKind, PatentRecord, _column_positions,
+                        read_table)
 
 
 class PatternPosition(str, Enum):
@@ -30,7 +29,6 @@ class PatternPosition(str, Enum):
 class PrefixEntry:
     pattern: str
     position: PatternPosition
-    note: str = ""
 
 
 class PrefixTable:
@@ -47,15 +45,11 @@ class PrefixTable:
 
     @classmethod
     def load(cls, path) -> "PrefixTable":
-        entries = []
-        with Path(path).open(newline="", encoding="utf-8") as f:
-            for row in csv.DictReader(f):
-                entries.append(PrefixEntry(
-                    pattern=row["pattern"],
-                    position=PatternPosition(row["position"].strip().lower()),
-                    note=(row.get("note") or "").strip(),
-                ))
-        return cls(entries)
+        """The table in a CSV file with pattern and position columns (read_table)."""
+        return cls(read_table(
+            path, lambda header: _column_positions(header, ["pattern", "position"], path),
+            lambda pattern, position: PrefixEntry(pattern,
+                                                  PatternPosition(position.strip().lower()))))
 
     @classmethod
     def default(cls) -> "PrefixTable":

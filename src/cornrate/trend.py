@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .constants import DEFAULT_CONTROL_MIN_YEARS
-from .core_data import (FieldTestRecord, _open_csv, _parse_number, _require_columns,
+from .core_data import (FieldTestRecord, _column_positions, _parse_number, read_table,
                         write_csv)
 from .special import t_sf
 
@@ -60,18 +60,12 @@ class TrendSeries:
 
     @classmethod
     def read_csv(cls, path) -> "TrendSeries":
-        path = Path(path)
-        if not path.is_file():
+        """The series in a CSV file with year and value columns (read_table)."""
+        if not Path(path).is_file():
             raise TrendError(f"missing series file: {path}")
-        handle, reader = _open_csv(path)
-        with handle:
-            year, value = _require_columns(reader.fieldnames, ["year", "value"], path).values()
-            try:
-                points = [(int(row[year] or ""), _parse_number(row[value] or ""))
-                          for row in reader]
-            except ValueError as exc:
-                raise TrendError(f"{path}, line {reader.line_num}: {exc}") from None
-        return cls.from_pairs(points)
+        return cls.from_pairs(read_table(
+            path, lambda header: _column_positions(header, ["year", "value"], path),
+            lambda year, value: (int(year), _parse_number(value)), TrendError))
 
 
 @dataclass

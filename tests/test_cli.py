@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 from importlib import resources
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import jsonschema
 import pytest
 
 from cornrate.cli import main
+from cornrate.core_data import DatasetError, load_dataset
 from cornrate.synthetic import write_synthetic_csvs
 
 
@@ -431,9 +433,16 @@ class TestDeterminism:
 
 class TestMalformedConfig:
     @pytest.mark.parametrize("text", ["{not json", "[1]", '{"exclusion_list": "4629819"}',
-                                      '{"exclusion_list": [4629819]}'],
+                                      '{"exclusion_list": [4629819]}',
+                                      '{"highly_cited_threshold": [0.9]}',
+                                      '{"highly_cited_threshold": null}',
+                                      '{"highly_cited_threshold": "high"}',
+                                      '{"highly_cited_threshold": 1.5}',
+                                      '{"highly_cited_threshold": true}'],
                              ids=["invalid-json", "top-level-list", "exclusions-string",
-                                  "exclusions-ints"])
+                                  "exclusions-ints", "threshold-list", "threshold-null",
+                                  "threshold-string", "threshold-out-of-range",
+                                  "threshold-bool"])
     @pytest.mark.parametrize("command", [["regress", "--models", "4"], ["predict", "k1"],
                                          ["trend", "--series", "patent-yearly-max"]],
                              ids=["regress", "predict-k1", "trend"])
@@ -445,3 +454,105 @@ class TestMalformedConfig:
         assert code == 2
         assert captured.out == ""
         assert str(config) in json.loads(captured.err)["error"]
+
+
+def bundled(name):
+    ref = resources.files("cornrate.data") / name
+    with resources.as_file(ref) as path:
+        return Path(path).read_bytes()
+
+
+def spoil_line_3(data: bytes, bom: bool) -> bytes:
+    """data with a byte that is not UTF-8 at the start of its third line."""
+    lines = data.split(b"\n")
+    lines[2] = b"\xff" + lines[2]
+    return (b"\xef\xbb\xbf" if bom else b"") + b"\n".join(lines)
+
+
+class TestCsvInputRules:
+    """Every CSV input goes through one decode step and one set of header rules."""
+
+    # Each CSV input flag, and the command that reads it.
+    COMMANDS = {"--patents": "ingest", "--trials": "ingest", "--fieldtests": "ingest",
+                "--input": "trend", "--nodes": "k2", "--edges": "k2",
+                "--prefix-table": "ingest", "--exclude-file": "k1"}
+
+    @pytest.mark.parametrize("flag", COMMANDS)
+    @pytest.mark.parametrize("bom", [False, True], ids=["plain", "bom"])
+    def test_non_utf8_input_names_file_and_line(self, raw_dir, dataset_dir, tmp_path, capsys,
+                                                flag, bom):
+        inputs = {f"--{name}": (raw_dir / f"{name}.csv").read_bytes()
+                  for name in ("patents", "trials", "fieldtests", "nodes", "edges")}
+        inputs.update({"--input": bundled("usda_us_corn_yield.csv"),
+                       "--prefix-table": bundled("title_prefixes.csv"),
+                       "--exclude-file": b"5000000\n5000001\n5000002\n"})
+        inputs[flag] = spoil_line_3(inputs[flag], bom)
+        paths = {f: tmp_path / f"{f[2:]}.csv" for f in inputs}
+        for f, data in inputs.items():
+            paths[f].write_bytes(data)
+        argv = {
+            "ingest": ["ingest", "--out", str(tmp_path / "ds"), "--schema", "illinois",
+                       *(str(a) for f, command in self.COMMANDS.items() if command == "ingest"
+                         for a in (f, paths[f]))],
+            "trend": ["trend", "--series", "usda-file", "--input", str(paths["--input"])],
+            "k2": ["predict", "k2", "--dataset", str(dataset_dir),
+                   "--nodes", str(paths["--nodes"]), "--edges", str(paths["--edges"])],
+            "k1": ["predict", "k1", "--dataset", str(dataset_dir),
+                   "--exclude-file", str(paths["--exclude-file"])],
+        }[self.COMMANDS[flag]]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"].startswith(f"{paths[flag]}, line 3: ")
+
+    @pytest.mark.parametrize("name", ["patents.csv", "trials.csv", "fieldtests.csv"])
+    @pytest.mark.parametrize("bom", [False, True], ids=["plain", "bom"])
+    def test_non_utf8_store_file(self, dataset_dir, tmp_path, capsys, name, bom):
+        store = tmp_path / "ds"
+        store.mkdir()
+        for f in dataset_dir.iterdir():
+            (store / f.name).write_bytes(f.read_bytes())
+        path = store / name
+        path.write_bytes(spoil_line_3(path.read_bytes(), bom))
+        with pytest.raises(DatasetError, match=rf"^{re.escape(str(path))}, line 3: "):
+            load_dataset(store)
+        assert main(["report", "--dataset", str(store)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"].startswith(f"{path}, line 3: ")
+
+    @pytest.mark.parametrize("spelling", ["bom", "capitalised"])
+    def test_prefix_table_header_spellings(self, raw_dir, tmp_path, capsys, spelling):
+        table = bundled("title_prefixes.csv")
+        header, rest = table.split(b"\n", 1)
+        assert header.startswith(b"pattern,position")
+        if spelling == "bom":
+            table = b"\xef\xbb\xbf" + table
+        else:
+            table = header.replace(b"pattern,position", b"Pattern,Position") + b"\n" + rest
+        path = tmp_path / "prefixes.csv"
+        path.write_bytes(table)
+        argv = ["ingest", "--patents", str(raw_dir / "patents.csv"),
+                "--trials", str(raw_dir / "trials.csv"), "--out", str(tmp_path / "ds"),
+                "--no-timestamp"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        assert main([*argv, "--prefix-table", str(path)]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: ["patterns,position,note", *lines[1:]], "missing required column"),
+        (lambda lines: [lines[0], lines[1].replace(",prefix,", ",sideways,"), *lines[2:]],
+         "line 2: "),
+    ], ids=["no-pattern-column", "bad-position"])
+    def test_bad_prefix_table_exit_2(self, raw_dir, tmp_path, capsys, edit, message):
+        lines = bundled("title_prefixes.csv").decode("utf-8").split("\n")
+        path = tmp_path / "prefixes.csv"
+        path.write_text("\n".join(edit(lines)), encoding="utf-8")
+        assert main(["ingest", "--patents", str(raw_dir / "patents.csv"),
+                     "--trials", str(raw_dir / "trials.csv"), "--out", str(tmp_path / "ds"),
+                     "--prefix-table", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert str(path) in error and message in error

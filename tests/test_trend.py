@@ -63,6 +63,13 @@ class TestTrendSeries:
         with pytest.raises(TrendError, match="line 3"):
             TrendSeries.read_csv(path)
 
+    def test_read_csv_long_row(self, tmp_path):
+        # A cell past the header's width is an error, not a dropped value.
+        path = tmp_path / "series.csv"
+        path.write_text("year,value\n2000,1.5\n2001,1.6,1.7\n2002,1.8\n", encoding="utf-8")
+        with pytest.raises(TrendError, match="series.csv, line 3: expected 2 fields, found 3"):
+            TrendSeries.read_csv(path)
+
     def test_read_missing_file(self, tmp_path):
         with pytest.raises(TrendError):
             TrendSeries.read_csv(tmp_path / "nope.csv")
