@@ -42,15 +42,14 @@ slice of the out-edge array, and likewise for in-edges.
 
 Kernel. compute_spnp sweeps the levels once per direction: deepest
 first for P_down over out-edges, level 0 first for P_up over in-edges.
-A level's values come from one gather of its neighbours' values and one
-reduction of each node's CSR segment (np.add.reduceat), so the work is
-linear in the edges with one set of array operations per level. Path
-counts grow exponentially with network size, so the exact mode holds each
-count as 30-bit limbs in an int64 row: a segment sum of limbs cannot
-overflow, carries are propagated after each level, and a limb is added
-when the top one carries. The limbs become Python integers once, at the
-end. The log mode runs the same sweep on log(1 + P) with
-np.logaddexp.reduceat; near-ties may rank differently there.
+Each node holds 1 + P, starting at 1; a level's entries come from one
+gather of its neighbours' entries and one sum of each node's CSR segment
+(np.add.reduceat), plus 1, so the work is linear in the edges with one
+set of array operations per level. Path counts grow exponentially with
+network size, so the exact mode holds them as Python integers in an
+object array and SPNP is the product of the two sweeps' entries. The log
+mode runs the same sweep on log(1 + P) with np.logaddexp.reduceat and
+adds the two sweeps; near-ties may rank differently there.
 
 Downstream: per-application-year mid-rank percentiles of SPNP, the
 domain centrality (mean over domain patents of the mean percentile of
@@ -84,9 +83,6 @@ from .ranking import midrank_percentiles
 from .trend import TrendSeries, fit_exponential
 
 np = _lazy_module("numpy")
-
-LIMB_BITS = 30
-LIMB_MASK = (1 << LIMB_BITS) - 1
 
 
 class NetworkError(Exception):
@@ -320,59 +316,28 @@ def _sweep(bounds: Iterable[tuple[int, int]], ptr: np.ndarray, adj: np.ndarray,
            values: np.ndarray, combine) -> np.ndarray:
     """Fill values level by level from each node's neighbours' values.
 
-    values has one row per node (in level order); combine(gathered,
-    starts, degree) reduces the neighbours' rows of every node in a level
-    with at least one neighbour and may return more columns than values
-    has, which widens values. Nodes without neighbours keep their row.
+    values has one entry per node (in level order); combine(gathered,
+    starts) reduces the gathered neighbour entries of every node in a
+    level with at least one neighbour, each node's run beginning at its
+    entry of starts. Nodes without neighbours keep their entry.
     """
     for lo, hi in bounds:
         first, last = ptr[lo], ptr[hi]
         if first == last:
             continue
-        starts = ptr[lo:hi] - first
-        degree = ptr[lo + 1:hi + 1] - ptr[lo:hi]
-        used = np.flatnonzero(degree)
-        block = combine(values[adj[first:last]], starts[used], degree[used])
-        if block.shape[1] > values.shape[1]:
-            wider = np.zeros((values.shape[0], block.shape[1]), dtype=values.dtype)
-            wider[:, :values.shape[1]] = values
-            values = wider
-        values[lo + used] = block
+        used = np.flatnonzero(ptr[lo + 1:hi + 1] - ptr[lo:hi])
+        values[lo + used] = combine(values[adj[first:last]], ptr[lo + used] - first)
     return values
 
 
-def _add_path_counts(gathered: np.ndarray, starts: np.ndarray,
-                     degree: np.ndarray) -> np.ndarray:
-    # sum over neighbours of (1 + P): limb-wise segment sums, then carries.
-    # Limbs are < 2**30 on entry, so a segment of fewer than 2**32 rows fits in int64.
-    block = np.add.reduceat(gathered, starts, axis=0)
-    block[:, 0] += degree
-    while True:
-        for j in range(block.shape[1] - 1):
-            block[:, j + 1] += block[:, j] >> LIMB_BITS
-            block[:, j] &= LIMB_MASK
-        top = block[:, -1] >> LIMB_BITS
-        if not top.any():
-            return block
-        block[:, -1] &= LIMB_MASK
-        block = np.column_stack([block, top])
+def _add_path_counts(gathered: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    # 1 + sum over neighbours of (1 + P), from entries holding 1 + P.
+    return np.add.reduceat(gathered, starts) + 1
 
 
-def _add_log_path_counts(gathered: np.ndarray, starts: np.ndarray,
-                         degree: np.ndarray) -> np.ndarray:
-    # log(1 + sum over neighbours of (1 + P)), from rows holding log(1 + P).
-    return np.logaddexp(0.0, np.logaddexp.reduceat(gathered, starts, axis=0))
-
-
-def _limbs_to_ints(limbs: np.ndarray) -> np.ndarray:
-    """Object array of the Python integers that rows of 30-bit limbs stand for."""
-    if limbs.shape[1] % 2:
-        limbs = np.column_stack([limbs, np.zeros(len(limbs), dtype=limbs.dtype)])
-    words = limbs[:, 0::2] | (limbs[:, 1::2] << LIMB_BITS)   # two limbs per int64
-    values = words[:, -1].astype(object)
-    for j in range(words.shape[1] - 2, -1, -1):
-        values = (values << 2 * LIMB_BITS) | words[:, j].astype(object)
-    return values
+def _add_log_path_counts(gathered: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    # log(1 + sum over neighbours of (1 + P)), from entries holding log(1 + P).
+    return np.logaddexp(0.0, np.logaddexp.reduceat(gathered, starts))
 
 
 def compute_spnp(net: CitationNetwork, approximate: bool = False) -> dict:
@@ -383,17 +348,15 @@ def compute_spnp(net: CitationNetwork, approximate: bool = False) -> dict:
     """
     n = len(net.application_years)
     if approximate:
-        combine, start = _add_log_path_counts, np.zeros((n, 1), dtype=np.float64)
+        combine, start = _add_log_path_counts, np.zeros(n)
     else:
-        combine, start = _add_path_counts, np.zeros((n, 1), dtype=np.int64)
+        combine, start = _add_path_counts, np.ones(n, dtype=object)
     down = _sweep(reversed(net._bounds), net._out_ptr, net._out, start.copy(), combine)
     up = _sweep(net._bounds, net._in_ptr, net._in, start, combine)
-    if approximate:
-        # Rows hold log(1 + P_down) and log(1 + P_up), so the sum is log SPNP.
-        spnp = (down[:, 0] + up[:, 0])[net._rank].tolist()
-    else:
-        spnp = ((1 + _limbs_to_ints(down)) * (1 + _limbs_to_ints(up)))[net._rank].tolist()
-    return dict(zip(net.application_years, spnp))
+    # Entries hold 1 + P_down and 1 + P_up (log mode: their logs), so SPNP is
+    # their product (log mode: their sum).
+    spnp = down + up if approximate else down * up
+    return dict(zip(net.application_years, spnp[net._rank].tolist()))
 
 
 @dataclass

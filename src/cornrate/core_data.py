@@ -6,8 +6,10 @@ rows. Ingestion never drops rows silently: every input data row ends up
 either as a record, as a row-indexed error, or in the skip tally.
 
 Every CSV file, and the exclusion list, is decoded by read_text. The
-store, network, series and prefix-table CSVs are parsed by read_table;
-the ingest loaders keep csv.DictReader and their per-row accounting.
+store, network, series and prefix-table CSVs are parsed by read_table,
+which stops at the first bad row; the ingest loaders read their rows
+through _ingest_rows, which records a row of the wrong width as a row
+error and goes on.
 """
 
 from __future__ import annotations
@@ -223,27 +225,18 @@ def _open_csv(path, error: type[Exception] = IngestError) -> io.StringIO:
     return io.StringIO(read_text(path, error), newline="")
 
 
-def _require_columns(fields: Optional[list[str]], names: Iterable[str], path) -> dict[str, str]:
-    """Case-insensitive header lookup; returns wanted-name -> actual-name."""
-    lookup = {f.strip().lower(): f for f in fields or []}
-    mapping = {}
-    for name in names:
-        actual = lookup.get(name.lower())
-        if actual is None:
-            raise IngestError(f"missing required column '{name}' in {path}")
-        mapping[name] = actual
-    return mapping
-
-
 def _column_positions(header: list[str], names: list[str], path) -> list[int]:
     """Index in header of each named column, under the ingest header rules.
 
-    Names match case-insensitively and a missing one is an IngestError; a
-    repeated column name reads its last column, as csv.DictReader does.
+    Names match case-insensitively and ignoring surrounding spaces, and a
+    missing one is an IngestError; a repeated column name reads its last
+    column.
     """
-    actual = _require_columns(header, names, path)
-    position = {field: k for k, field in enumerate(header)}
-    return [position[actual[name]] for name in names]
+    position = {field.strip().lower(): k for k, field in enumerate(header)}
+    for name in names:
+        if name.lower() not in position:
+            raise IngestError(f"missing required column '{name}' in {path}")
+    return [position[name.lower()] for name in names]
 
 
 def read_table(path, columns: Callable[[list[str]], Iterable[int]],
@@ -272,31 +265,47 @@ def read_table(path, columns: Callable[[list[str]], Iterable[int]],
         raise error(f"{path}, line {reader.line_num}: {exc}") from None
 
 
+def _ingest_rows(path, names: list[str],
+                 errors: list[tuple[int, str]]) -> Iterator[tuple[int, dict[str, str]]]:
+    """(index, {name: field}) for each data row of an ingest CSV, in file order.
+
+    Rows are indexed from 0 and blank lines are not rows. Columns are found
+    by _column_positions. A row whose width is not the header's is appended
+    to errors as (index, "expected N fields, found M") and not yielded.
+    """
+    reader = csv.reader(_open_csv(path))
+    header = next(reader, [])
+    columns = _column_positions(header, names, path)
+    width = len(header)
+    for i, row in enumerate(row for row in reader if row):
+        if len(row) != width:
+            errors.append((i, f"expected {width} fields, found {len(row)}"))
+            continue
+        yield i, {name: row[k] for name, k in zip(names, columns)}
+
+
 def load_patents(path) -> LoadReport:
     """Load the patent CSV; variety_name/kind stay unset for the title parser."""
-    reader = csv.DictReader(_open_csv(path))
-    cols = _require_columns(reader.fieldnames, PATENT_COLUMNS, path)
     records: list[PatentRecord] = []
     errors: list[tuple[int, str]] = []
     seen: set[str] = set()
-    for i, row in enumerate(reader):
-        number = (row[cols["patent_number"]] or "").strip()
+    for i, row in _ingest_rows(path, PATENT_COLUMNS, errors):
+        number = row["patent_number"].strip()
         if number and number in seen:
             raise IngestError(f"duplicate patent_number {number} at row {i}")
         try:
-            cited = [c.strip() for c in (row[cols["cited_patents"]] or "").split(";")
-                     if c.strip()]
+            cited = [c.strip() for c in row["cited_patents"].split(";") if c.strip()]
             rec = PatentRecord(
                 patent_number=number,
-                title=(row[cols["title"]] or "").strip(),
-                assignee=(row[cols["assignee"]] or "").strip(),
-                filed_year=int(row[cols["filed_year"]]),
-                granted_year=int(row[cols["granted_year"]]),
+                title=row["title"].strip(),
+                assignee=row["assignee"].strip(),
+                filed_year=int(row["filed_year"]),
+                granted_year=int(row["granted_year"]),
                 cited_patents=cited,
-                forward_citation_count=int(row[cols["forward_citations"]]),
+                forward_citation_count=int(row["forward_citations"]),
             )
             rec.validate()
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             errors.append((i, str(exc)))
             continue
         seen.add(number)
@@ -316,40 +325,38 @@ def load_field_tests(path, schema: FieldTestSchema | str, state: str = "") -> Lo
         schema = FieldTestSchema(schema)
     except ValueError:
         raise IngestError(f"unknown schema: {schema!r}") from None
-    reader = csv.DictReader(_open_csv(path))
-    cols = _require_columns(reader.fieldnames, _FIELD_TEST_COLUMNS[schema], path)
     records: list[FieldTestRecord] = []
     errors: list[tuple[int, str]] = []
-    for i, row in enumerate(reader):
+    for i, row in _ingest_rows(path, _FIELD_TEST_COLUMNS[schema], errors):
         try:
-            yield_value, significant = _parse_yield(row[cols["Yield"]])
+            yield_value, significant = _parse_yield(row["Yield"])
             if schema is FieldTestSchema.ILLINOIS_LIKE:
                 rec = FieldTestRecord(
                     state=state,
-                    year=int(row[cols["Year"]]),
-                    region=(row[cols["Region"]] or "").strip(),
-                    brand=(row[cols["Brand"]] or "").strip(),
-                    hybrid=(row[cols["Hybrid"]] or "").strip(),
+                    year=int(row["Year"]),
+                    region=row["Region"].strip(),
+                    brand=row["Brand"].strip(),
+                    hybrid=row["Hybrid"].strip(),
                     yield_value=yield_value,
-                    moisture=_parse_number(row[cols["Moisture"]]),
+                    moisture=_parse_number(row["Moisture"]),
                     significant=significant,
                 )
             else:
-                stand_text = (row[cols["Stand"]] or "").strip()
+                stand_text = row["Stand"].strip()
                 rec = FieldTestRecord(
                     state=state,
-                    year=int(row[cols["Year"]]),
+                    year=int(row["Year"]),
                     region="STATE_AVG",
-                    brand=(row[cols["Brand"]] or "").strip(),
-                    hybrid=(row[cols["Hybrid"]] or "").strip(),
+                    brand=row["Brand"].strip(),
+                    hybrid=row["Hybrid"].strip(),
                     yield_value=yield_value,
-                    moisture=_parse_number(row[cols["Moist"]]),
-                    maturity=Maturity((row[cols["Maturity"]] or "").strip().lower()),
+                    moisture=_parse_number(row["Moist"]),
+                    maturity=Maturity(row["Maturity"].strip().lower()),
                     stand=_parse_number(stand_text) if stand_text else None,
                     significant=significant,
                 )
             rec.validate()
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             errors.append((i, str(exc)))
             continue
         records.append(rec)
@@ -358,26 +365,24 @@ def load_field_tests(path, schema: FieldTestSchema | str, state: str = "") -> Lo
 
 def load_trial_sets(path) -> LoadReport:
     """Load per-patent trial comparisons; summary 'AVG' rows are skipped."""
-    reader = csv.DictReader(_open_csv(path))
-    cols = _require_columns(reader.fieldnames, TRIAL_COLUMNS, path)
     groups: dict[str, list[TrialComparison]] = {}
     errors: list[tuple[int, str]] = []
     skipped = 0
-    for i, row in enumerate(reader):
-        number = (row[cols["patent_number"]] or "").strip()
-        control = (row[cols["control_variety"]] or "").strip()
+    for i, row in _ingest_rows(path, TRIAL_COLUMNS, errors):
+        number = row["patent_number"].strip()
+        control = row["control_variety"].strip()
         if control == "AVG":
             skipped += 1
             groups.setdefault(number, [])
             continue
         try:
             comp = TrialComparison(
-                patented_yield=_parse_number(row[cols["patented_yield"]]),
-                control_yield=_parse_number(row[cols["control_yield"]]),
+                patented_yield=_parse_number(row["patented_yield"]),
+                control_yield=_parse_number(row["control_yield"]),
                 control_name=control,
             )
             comp.validate()
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             errors.append((i, str(exc)))
             continue
         groups.setdefault(number, []).append(comp)

@@ -15,8 +15,8 @@ from enum import Enum
 from importlib import resources
 from typing import Iterable, Optional
 
-from .core_data import (FieldTestRecord, PatentKind, PatentRecord, _column_positions,
-                        read_table)
+from .core_data import (FieldTestRecord, IngestError, PatentKind, PatentRecord,
+                        _column_positions, read_table)
 
 
 class PatternPosition(str, Enum):
@@ -45,17 +45,29 @@ class PrefixTable:
 
     @classmethod
     def load(cls, path) -> "PrefixTable":
-        """The table in a CSV file with pattern and position columns (read_table)."""
-        return cls(read_table(
+        """The table in a CSV file with pattern and position columns (read_table).
+
+        A file without pattern rows, or a row with an empty pattern, is an
+        IngestError naming it.
+        """
+        entries = list(read_table(
             path, lambda header: _column_positions(header, ["pattern", "position"], path),
-            lambda pattern, position: PrefixEntry(pattern,
-                                                  PatternPosition(position.strip().lower()))))
+            _prefix_entry))
+        if not entries:
+            raise IngestError(f"no pattern rows in prefix table {path}")
+        return cls(entries)
 
     @classmethod
     def default(cls) -> "PrefixTable":
         ref = resources.files("cornrate.data") / "title_prefixes.csv"
         with resources.as_file(ref) as path:
             return cls.load(path)
+
+
+def _prefix_entry(pattern: str, position: str) -> PrefixEntry:
+    if not pattern:
+        raise ValueError("empty pattern")
+    return PrefixEntry(pattern, PatternPosition(position.strip().lower()))
 
 
 def _matches(title: str, entry: PrefixEntry) -> bool:

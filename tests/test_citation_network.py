@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 from collections import deque
@@ -410,7 +411,7 @@ class TestSpnp:
             assert approx[p] == pytest.approx(oracle[p], abs=1e-9)
             assert approx[p] == pytest.approx(math.log(exact[p]), abs=1e-9)
 
-    def test_limbs_grow_past_2_199(self):
+    def test_counts_grow_past_2_199(self):
         # Complete 200-node DAG: 1 + P_down(N_i) = 2**(199 - i) and
         # 1 + P_up(N_i) = 2**i, so every node's SPNP is 2**199.
         years = {f"N{i}": 2200 - i for i in range(200)}
@@ -419,6 +420,42 @@ class TestSpnp:
         assert set(spnp.values()) == {2 ** 199}
         assert spnp == dict_spnp(years, edges)
         assert all(type(v) is int for v in spnp.values())
+
+    def test_tie_heavy_cohort_percentiles(self):
+        # C0 tops a complete 71-node DAG (1 + P_down = 2**70) and is cited by
+        # two leaves (1 + P_up = 3); Y is cited by every node of a complete
+        # 70-node DAG (1 + P_up = 2**70) and cites two sinks (1 + P_down = 3).
+        # Their SPNPs are the equal products 2**70 * 3 and 3 * 2**70. Forty
+        # leaves citing one sink all have SPNP 2, and twenty isolated nodes 1.
+        years = {f"C{i}": 2000 for i in range(71)}
+        edges = [(f"C{i}", f"C{j}") for i in range(71) for j in range(i + 1, 71)]
+        years.update({"L1": 2001, "L2": 2001, "Y": 2000, "S1": 2000, "S2": 2000, "T": 2000})
+        edges += [("L1", "C0"), ("L2", "C0"), ("Y", "S1"), ("Y", "S2")]
+        years.update({f"U{i}": 2001 for i in range(70)})
+        edges += [(f"U{i}", f"U{j}") for i in range(70) for j in range(i + 1, 70)]
+        edges += [(f"U{i}", "Y") for i in range(70)]
+        years.update({f"M{i}": 2001 for i in range(40)})
+        edges += [(f"M{i}", "T") for i in range(40)]
+        years.update({f"I{i}": 2000 + i % 2 for i in range(20)})
+        net = CitationNetwork(years, edges)
+        spnp = compute_spnp(net)
+        assert spnp == dict_spnp(years, edges)
+        assert spnp["C0"] == spnp["Y"] == 3 * 2 ** 70 > 2 ** 63
+        assert {spnp[f"M{i}"] for i in range(40)} == {2}
+        pct = midrank_percentiles(spnp, years)
+        # Oracle: (count strictly below + 0.5 * count equal) / size, from
+        # each cohort's sorted values.
+        expected = {}
+        for year in set(years.values()):
+            ordered = sorted(spnp[p] for p in years if years[p] == year)
+            for p in years:
+                if years[p] == year:
+                    below = bisect.bisect_left(ordered, spnp[p])
+                    equal = bisect.bisect_right(ordered, spnp[p]) - below
+                    expected[p] = (below + 0.5 * equal) / len(ordered)
+        assert pct == expected
+        assert len({pct[f"M{i}"] for i in range(40)}) == 1
+        assert pct["C0"] == pct["Y"]
 
     def test_log_mode_agrees_with_exact(self):
         rng = random.Random(3)

@@ -544,7 +544,9 @@ class TestCsvInputRules:
         (lambda lines: ["patterns,position,note", *lines[1:]], "missing required column"),
         (lambda lines: [lines[0], lines[1].replace(",prefix,", ",sideways,"), *lines[2:]],
          "line 2: "),
-    ], ids=["no-pattern-column", "bad-position"])
+        (lambda lines: lines[:1], "no pattern rows"),
+        (lambda lines: [lines[0], ",prefix,", *lines[1:]], "line 2: empty pattern"),
+    ], ids=["no-pattern-column", "bad-position", "header-only", "empty-pattern"])
     def test_bad_prefix_table_exit_2(self, raw_dir, tmp_path, capsys, edit, message):
         lines = bundled("title_prefixes.csv").decode("utf-8").split("\n")
         path = tmp_path / "prefixes.csv"

@@ -80,6 +80,14 @@ class TestLoadPatents:
         assert report.records == []
         assert len(report.row_errors) == 1
 
+    def test_wrong_width_is_row_error(self, tmp_path):
+        p = write(tmp_path / "p.csv", PATENT_HEADER +
+                  "1,t,A,1990,1995,0\n\n2,t,A,1990,1995,0,,x\n3,t,A,1990,1995,0,\n")
+        report = load_patents(p)
+        assert [r.patent_number for r in report.records] == ["3"]
+        assert report.row_errors == [(0, "expected 7 fields, found 6"),
+                                     (1, "expected 7 fields, found 8")]
+
     def test_accounting(self, tmp_path):
         p = write(tmp_path / "p.csv", PATENT_HEADER +
                   "1,t,A,1990,1995,0,\n2,t,A,1999,1995,0,\n3,t,A,1990,1995,-1,\n4,t,A,1990,1995,2,\n")
@@ -122,6 +130,20 @@ class TestLoadFieldTests:
         report = load_field_tests(p, "illinois")
         assert report.records == []
         assert "nonpositive yield" in report.row_errors[0][1]
+
+    @pytest.mark.parametrize("schema, header, row", [
+        ("illinois", "Year,Region,Brand,Hybrid,Yield,Moisture", "1995,N,B,X,158,19.8"),
+        ("kentucky", "MATURITY,YEAR,BRAND,HYBRID,YIELD,MOIST,STAND",
+         "EARLY,1998,P,X,190.3,14.4,96.2"),
+    ])
+    def test_wrong_width_is_row_error(self, tmp_path, schema, header, row):
+        width = header.count(",") + 1
+        short, long = row.rsplit(",", 1)[0], row + ",x"
+        p = write(tmp_path / "f.csv", "\n".join([header, short, "", long, row]) + "\n")
+        report = load_field_tests(p, schema)
+        assert len(report.records) == 1
+        assert report.row_errors == [(0, f"expected {width} fields, found {width - 1}"),
+                                     (1, f"expected {width} fields, found {width + 1}")]
 
     def test_unknown_schema(self, tmp_path):
         p = write(tmp_path / "x.csv", "a\n1\n")
@@ -199,6 +221,16 @@ class TestLoadTrialSets:
         row_errors = [e for e in report.row_errors if e[0] >= 0]
         assert [r for r, _ in row_errors] == [1, 2]
         assert n_comparisons + len(row_errors) + report.skipped == 3
+
+    def test_wrong_width_is_row_error(self, tmp_path):
+        p = write(tmp_path / "t.csv", TRIAL_HEADER +
+                  "1,v,A,100\n1,v,AVG\n\n1,v,B,100,99,x\n1,v,C,100,99\n")
+        report = load_trial_sets(p)
+        assert [ts.n_tests for ts in report.records] == [1]
+        assert report.skipped == 0
+        assert report.row_errors == [(0, "expected 5 fields, found 4"),
+                                     (1, "expected 5 fields, found 3"),
+                                     (2, "expected 5 fields, found 6")]
 
     @pytest.mark.parametrize("values", [(math.nan, 99.0), (100.0, math.inf),
                                         (100.0, 99.0, math.nan)])
