@@ -80,7 +80,6 @@ class DomainCitationStats:
     cite3: float
     cite3_total: int
     ave_pub_year: float
-    cite_forward_mean: float
     k1: float
     per_patent_cite3: dict[str, int] = field(default_factory=dict)
     per_patent_rank_percentile: dict[str, float] = field(default_factory=dict)
@@ -102,14 +101,12 @@ def domain_citation_stats(patents: Iterable[PatentRecord],
     total = sum(counts[k] for k in sorted(counts))
     cite3 = total / spc
     ave_pub_year = compute_ave_pub_year(kept)
-    cite_forward_mean = math.fsum(p.forward_citation_count for p in kept) / spc
     grant_years = {p.patent_number: p.granted_year for p in kept}
     return DomainCitationStats(
         spc=spc,
         cite3=cite3,
         cite3_total=total,
         ave_pub_year=ave_pub_year,
-        cite_forward_mean=cite_forward_mean,
         k1=predict_k1(ave_pub_year, cite3),
         per_patent_cite3=counts,
         per_patent_rank_percentile=midrank_percentiles(counts, grant_years),

@@ -194,7 +194,7 @@ def _read_int_columns(path, names: list[str]) -> np.ndarray | None:
         return None
     try:
         header = next(csv.reader([head.decode("utf-8")]), [])
-    except UnicodeDecodeError:
+    except (UnicodeDecodeError, csv.Error):
         return None
     columns = _column_positions(header, names, path)
     body = body.replace(b"\r\n", b"\n")
@@ -362,7 +362,6 @@ def compute_spnp(net: CitationNetwork, approximate: bool = False) -> dict:
 @dataclass
 class DomainCentrality:
     value: float
-    n_used: int                 # domain patents entering the outer mean
     n_excluded_no_citations: int
     n_skipped_unknown_cited: int
 
@@ -390,7 +389,6 @@ def domain_centrality(domain_patents: Iterable[str], net: CitationNetwork,
         raise NetworkError("no domain patent has scored citations")
     return DomainCentrality(
         value=math.fsum(inner_means) / len(inner_means),
-        n_used=len(inner_means),
         n_excluded_no_citations=excluded,
         n_skipped_unknown_cited=skipped,
     )
@@ -436,8 +434,6 @@ def predict_k2(centrality: float, z: float) -> float:
 
 @dataclass
 class CentralityResult:
-    spnp: dict[str, int]
-    rank_percentile: dict[str, float]
     centrality: DomainCentrality
     z: float
     k2: float
@@ -456,14 +452,11 @@ def evaluate_domain(net: CitationNetwork, domain_patents: Iterable[str],
     cited when its percentile is >= threshold, and those flags drive Z.
     """
     domain = sorted(set(domain_patents))
-    spnp = compute_spnp(net)
-    percentile = midrank_percentiles(spnp, net.application_years)
+    percentile = midrank_percentiles(compute_spnp(net), net.application_years)
     centrality = domain_centrality(domain, net, percentile)
     flags = classify_highly_cited(citation_percentiles, threshold)
     z = compute_z(domain, flags, net.application_years)
     return CentralityResult(
-        spnp=spnp,
-        rank_percentile=percentile,
         centrality=centrality,
         z=z,
         k2=predict_k2(centrality.value, z),

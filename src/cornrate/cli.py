@@ -142,7 +142,7 @@ def cmd_ingest(args) -> int:
 
 # --- trend -----------------------------------------------------------------
 
-def _trend_series(args) -> trend.TrendSeries:
+def _trend_series(args, payload: dict) -> trend.TrendSeries:
     if args.series == "usda-file":
         if args.input:
             return trend.TrendSeries.read_csv(args.input)
@@ -162,16 +162,25 @@ def _trend_series(args) -> trend.TrendSeries:
             raise CliDataError("dataset has no field tests")
         return yield_metrics.state_yearly_average(dataset.field_tests)
     if args.series == "weather-corrected":
-        if not args.region or not args.control:
-            raise IngestError("--region and --control are required for "
-                              "weather-corrected series")
-        return trend.weather_corrected_series(dataset.field_tests, args.region, args.control)
+        if not args.region:
+            raise IngestError("--region is required for weather-corrected series")
+        control = args.control
+        if not control:   # the region's longest run of consecutive years, ties by name
+            runs = sorted((-c.n_years, c.variety)
+                          for c in trend.find_control_varieties(dataset.field_tests)
+                          if c.region == args.region)
+            if not runs:
+                raise CliDataError(f"no variety in region {args.region!r} was tested in "
+                                   f"{constants.DEFAULT_CONTROL_MIN_YEARS} consecutive years")
+            control = payload["control"] = runs[0][1]
+        return trend.weather_corrected_series(dataset.field_tests, args.region, control)
     raise IngestError(f"unknown series {args.series!r}")
 
 
 def cmd_trend(args) -> int:
     _load_config(args)   # trend reads no key, but a malformed file is still an input error
-    series = _trend_series(args)
+    payload = {"series": args.series}
+    series = _trend_series(args, payload)
     series = series.restrict(args.year_from, args.year_to)
     if len(series.points) < 2:
         raise CliDataError("series has fewer than 2 points after restriction")
@@ -180,7 +189,7 @@ def cmd_trend(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         series.write_csv(out / f"series_{args.series}.csv")
-    _emit({"series": args.series, **fit.as_dict()}, "trend", args)
+    _emit({**payload, **fit.as_dict()}, "trend", args)
     return EXIT_OK
 
 
@@ -369,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="year_from", type=int)
     p.add_argument("--to", dest="year_to", type=int)
     p.add_argument("--region")
-    p.add_argument("--control")
+    p.add_argument("--control", help="control variety (default: the longest run in --region)")
     p.set_defaults(func=cmd_trend)
 
     p = sub.add_parser("predict", parents=[common], help="run the K1/K2 rate models")

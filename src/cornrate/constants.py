@@ -24,7 +24,6 @@ K2_INTERCEPT = -5.8486
 HIGHLY_CITED_EXCLUSIONS = ("4629819", "4607453", "4731499", "4737596")
 FILED_UNTIL_EARLY = 2005
 FILED_UNTIL_LATE = 2013
-PATENTING_PRACTICE_CHANGE_YEAR = 2008
 
 # Forward citations are counted up to the end of this year.
 DEFAULT_CITATION_CUTOFF_YEAR = 2015

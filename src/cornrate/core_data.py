@@ -157,10 +157,6 @@ class LoadReport:
     row_errors: list[tuple[int, str]] = field(default_factory=list)
     skipped: int = 0
 
-    @property
-    def n_input_rows(self) -> int:
-        return len(self.records) + len(self.row_errors) + self.skipped
-
     def as_dict(self) -> dict:
         return {
             "records": len(self.records),
@@ -246,15 +242,18 @@ def read_table(path, columns: Callable[[list[str]], Iterable[int]],
     columns(header) gives the positions of the two or more fields passed to
     parse, or raises for a header it rejects. Blank lines are skipped. A row
     of the wrong width, or a ValueError from parse, is an error of class
-    error naming the file and line; a read_text failure is a DatasetError
-    for a store file, else an IngestError. Rows are parsed as they are
-    consumed, so the rows of a large file are never all held at once.
+    error naming the file and line; a read_text failure, or text the csv
+    module cannot split (a NUL byte before Python 3.11, a quoted field over
+    its size limit), is a DatasetError for a store file, else an
+    IngestError. Rows are parsed as they are consumed, so the rows of a
+    large file are never all held at once.
     """
-    reader = csv.reader(_open_csv(path, DatasetError if error is DatasetError else IngestError))
-    header = next(reader, [])
-    pick = operator.itemgetter(*columns(header))
-    width = len(header)
+    unreadable = DatasetError if error is DatasetError else IngestError
+    reader = csv.reader(_open_csv(path, unreadable))
     try:
+        header = next(reader, [])
+        pick = operator.itemgetter(*columns(header))
+        width = len(header)
         for row in reader:
             if len(row) != width:
                 if not row:
@@ -263,6 +262,8 @@ def read_table(path, columns: Callable[[list[str]], Iterable[int]],
             yield parse(*pick(row))
     except ValueError as exc:
         raise error(f"{path}, line {reader.line_num}: {exc}") from None
+    except csv.Error as exc:
+        raise unreadable(f"{path}, line {reader.line_num}: {exc}") from None
 
 
 def _ingest_rows(path, names: list[str],
@@ -271,17 +272,21 @@ def _ingest_rows(path, names: list[str],
 
     Rows are indexed from 0 and blank lines are not rows. Columns are found
     by _column_positions. A row whose width is not the header's is appended
-    to errors as (index, "expected N fields, found M") and not yielded.
+    to errors as (index, "expected N fields, found M") and not yielded. Text
+    the csv module cannot split is an IngestError, as in read_table.
     """
     reader = csv.reader(_open_csv(path))
-    header = next(reader, [])
-    columns = _column_positions(header, names, path)
-    width = len(header)
-    for i, row in enumerate(row for row in reader if row):
-        if len(row) != width:
-            errors.append((i, f"expected {width} fields, found {len(row)}"))
-            continue
-        yield i, {name: row[k] for name, k in zip(names, columns)}
+    try:
+        header = next(reader, [])
+        columns = _column_positions(header, names, path)
+        width = len(header)
+        for i, row in enumerate(row for row in reader if row):
+            if len(row) != width:
+                errors.append((i, f"expected {width} fields, found {len(row)}"))
+                continue
+            yield i, {name: row[k] for name, k in zip(names, columns)}
+    except csv.Error as exc:
+        raise IngestError(f"{path}, line {reader.line_num}: {exc}") from None
 
 
 def load_patents(path) -> LoadReport:

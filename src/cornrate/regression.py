@@ -19,8 +19,7 @@ Model specs (intercept always included):
 
 p-values, log-likelihoods and the NB dispersion search use the special
 functions of cornrate.special (t_sf, norm_sf, lgamma, minimize_bounded);
-their tolerances against SciPy are listed there. They are re-exported
-here, so `from cornrate.regression import t_sf` keeps working.
+their tolerances against SciPy are listed there.
 
 numpy is bound lazily (cornrate._lazy_module): it is imported by the first
 array operation. The binding stays at module level rather than in each
@@ -383,21 +382,19 @@ _FITTERS = {
 
 
 def run_model(spec: ModelSpec | int, family: Family | str,
-              data: Iterable[Mapping[str, float]],
-              exclusions: Iterable[str] = ()) -> RegressionResult:
+              data: Iterable[Mapping[str, float]]) -> RegressionResult:
     """Fit one model spec on a per-patent analysis table.
 
-    Rows are mappings with keys patent_number, cite_forward, cite3,
-    cite3_rank_percentile, performance_ratio, filed_year. Exclusions are
-    removed before fitting.
+    Rows are mappings with keys cite_forward, cite3, cite3_rank_percentile,
+    performance_ratio, filed_year; build_analysis_table has already dropped
+    the excluded patents.
     """
     if isinstance(spec, int):
         spec = MODEL_SPECS[spec]
     family = Family(family)
-    excluded = set(exclusions)
-    rows = [r for r in data if str(r.get("patent_number", "")) not in excluded]
+    rows = list(data)
     if not rows:
-        raise RegressionError("no data rows left after exclusions")
+        raise RegressionError("no data rows")
     for column in (spec.dependent, *spec.independents):
         for r in rows:
             if column not in r:

@@ -1,4 +1,4 @@
-"""Variety-name extraction from patent titles and variety matching.
+"""Variety-name extraction from patent titles.
 
 Patent titles follow dozens of boilerplate templates ("Inbred corn line
 NP2073", "Hybrid maize variety X13088", ...). A user-editable pattern
@@ -10,13 +10,12 @@ never guessed at.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from typing import Iterable, Optional
 
-from .core_data import (FieldTestRecord, IngestError, PatentKind, PatentRecord,
-                        _column_positions, read_table)
+from .core_data import IngestError, PatentKind, PatentRecord, _column_positions, read_table
 
 
 class PatternPosition(str, Enum):
@@ -124,41 +123,3 @@ def annotate_patents(patents: Iterable[PatentRecord],
             unmatched.append(patent.patent_number)
     return unmatched
 
-
-def normalize_variety(name: str) -> str:
-    return name.upper().replace(" ", "").replace("-", "")
-
-
-@dataclass
-class MatchReport:
-    """Exact variety matches plus the gap list of never-matched patents."""
-
-    matches: dict[str, list[int]] = field(default_factory=dict)  # patent -> row indices
-    unmatched_patents: list[str] = field(default_factory=list)
-
-    @property
-    def n_matched(self) -> int:
-        return len(self.matches)
-
-
-def match_patented_varieties(patents: Iterable[PatentRecord],
-                             tests: Iterable[FieldTestRecord]) -> MatchReport:
-    """Link patented varieties to field-test rows by normalized exact name.
-
-    Naming-scheme gaps (e.g. patented CHxxxxxx vs tested DKxxxx) surface
-    in unmatched_patents rather than disappearing.
-    """
-    by_name: dict[str, list[int]] = {}
-    for i, test in enumerate(tests):
-        by_name.setdefault(normalize_variety(test.hybrid), []).append(i)
-    report = MatchReport()
-    for patent in patents:
-        if not patent.variety_name:
-            report.unmatched_patents.append(patent.patent_number)
-            continue
-        rows = by_name.get(normalize_variety(patent.variety_name))
-        if rows:
-            report.matches[patent.patent_number] = list(rows)
-        else:
-            report.unmatched_patents.append(patent.patent_number)
-    return report

@@ -76,7 +76,6 @@ class FitResult:
     n: int
     r_squared: Optional[float] = None   # unset for n == 2
     p_value: Optional[float] = None     # two-sided slope t-test, df = n - 2
-    residual_std: Optional[float] = None
 
     def as_dict(self) -> dict:
         return {"rate_k": self.k, "q0": self.q0, "t0": self.t0, "n": self.n,
@@ -105,14 +104,12 @@ def fit_exponential(series: TrendSeries) -> FitResult:
     sst = math.fsum((y - y_mean) ** 2 for y in logs)
     r_squared = 1.0 - sse / sst if sst > 0 else 0.0
     df = n - 2
-    resid_var = sse / df
-    se = math.sqrt(resid_var / sxx)
+    se = math.sqrt(sse / df / sxx)
     if se == 0.0:
         p_value = 0.0 if k != 0.0 else 1.0
     else:
         p_value = 2.0 * t_sf(abs(k) / se, df)
-    return FitResult(k=k, q0=q0, t0=t0, n=n, r_squared=r_squared,
-                     p_value=p_value, residual_std=math.sqrt(resid_var))
+    return FitResult(k=k, q0=q0, t0=t0, n=n, r_squared=r_squared, p_value=p_value)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,11 @@ positive effect of the trial performance ratio on forward citations
 TRUE_IMPROVEMENT_RATE, and per-year multiplicative weather factors
 shared by all varieties within a region. Everything is deterministic
 given the seed.
+
+The bundled fixture in src/cornrate/data/synthetic is this generator's
+output; regenerate it from the repository root with
+
+    PYTHONPATH=src python -m tests.synthetic src/cornrate/data/synthetic
 """
 
 from __future__ import annotations
@@ -15,10 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .core_data import (EDGE_COLUMNS, ILLINOIS_COLUMNS, NODE_COLUMNS, PATENT_COLUMNS,
-                        TRIAL_COLUMNS, Dataset, FieldTestRecord, PatentRecord,
-                        PatentTrialSet, TrialComparison, write_csv)
-from .title_parser import annotate_patents
+from cornrate.core_data import (EDGE_COLUMNS, ILLINOIS_COLUMNS, NODE_COLUMNS, PATENT_COLUMNS,
+                                TRIAL_COLUMNS, Dataset, FieldTestRecord, PatentRecord,
+                                PatentTrialSet, TrialComparison, write_csv)
+from cornrate.title_parser import annotate_patents
 
 DEFAULT_SEED = 20160826
 TRUE_IMPROVEMENT_RATE = 0.015
@@ -97,7 +102,6 @@ def synthetic_dataset(seed: int = DEFAULT_SEED, n_patents: int = 70) -> Dataset:
                     yield_value=round(level * weather[region], 1),
                     moisture=round(float(rng.uniform(14.0, 22.0)), 1),
                 ))
-        # A few patented varieties show up in the trials for matching.
         for number in numbers[year - 1995::20]:
             p = patents[number]
             field_tests.append(FieldTestRecord(

@@ -19,7 +19,7 @@ from cornrate.cli import main
 from cornrate.core_data import infer_missing_year_average
 from cornrate.regression import (Family, fit_negative_binomial, fit_ols,
                                  fit_poisson, run_model, build_analysis_table)
-from cornrate.synthetic import synthetic_dataset, write_synthetic_csvs
+from tests.synthetic import synthetic_dataset, write_synthetic_csvs
 from cornrate.trend import TrendSeries, fit_exponential, weather_corrected_series
 from cornrate.core_data import FieldTestRecord
 from cornrate.yield_metrics import performance_ratio, yield_a

@@ -153,7 +153,6 @@ class TestDomainStats:
         assert stats.cite3_total == 3
         assert stats.cite3 == pytest.approx(0.75)
         assert stats.ave_pub_year == pytest.approx(2001.0)
-        assert stats.cite_forward_mean == pytest.approx(1.75)
         assert stats.k1 == pytest.approx(predict_k1(2001.0, 0.75), abs=1e-12)
         assert stats.per_patent_cite3 == {"A": 2, "B": 1, "C": 0, "D": 0}
 

@@ -1,16 +1,20 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import re
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cornrate.cli import main
-from cornrate.core_data import DatasetError, load_dataset
-from cornrate.synthetic import write_synthetic_csvs
+from cornrate.core_data import DatasetError, load_dataset, load_trial_sets
+from tests.synthetic import write_synthetic_csvs
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +122,30 @@ class TestTrend:
     def test_weather_needs_region_and_control(self, dataset_dir):
         assert main(["trend", "--series", "weather-corrected",
                      "--dataset", str(dataset_dir)]) == 2
+
+    def test_weather_default_control(self, dataset_dir, capsys):
+        base = ["trend", "--series", "weather-corrected", "--dataset", str(dataset_dir),
+                "--region", "North", "--no-timestamp"]
+        code, chosen = run_json(capsys, base)
+        assert code == 0
+        validate(chosen, "trend")
+        _, given_control = run_json(capsys, base + ["--control", "CTRL1"])
+        assert "control" not in given_control
+        assert chosen == {**given_control, "control": "CTRL1"}
+
+    def test_weather_no_control_run_exit_3(self, raw_dir, tmp_path, capsys):
+        # East's only variety is tested in 6 consecutive years, one short of the default.
+        rows = [f"{year},East,B,SHORT,150.0,18.0" for year in (*range(2000, 2006), 2007)]
+        fieldtests = tmp_path / "fieldtests.csv"
+        fieldtests.write_text("Year,Region,Brand,Hybrid,Yield,Moisture\n"
+                              + "\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["ingest", "--patents", str(raw_dir / "patents.csv"),
+                     "--trials", str(raw_dir / "trials.csv"), "--fieldtests", str(fieldtests),
+                     "--schema", "illinois", "--out", str(tmp_path / "ds")]) == 0
+        capsys.readouterr()
+        assert main(["trend", "--series", "weather-corrected", "--dataset",
+                     str(tmp_path / "ds"), "--region", "East"]) == 3
+        assert "'East'" in json.loads(capsys.readouterr().err)["error"]
 
     def test_missing_control_exit_3(self, dataset_dir):
         assert main(["trend", "--series", "weather-corrected",
@@ -558,3 +586,118 @@ class TestCsvInputRules:
         assert captured.out == ""
         error = json.loads(captured.err)["error"]
         assert str(path) in error and message in error
+
+    @pytest.mark.parametrize("argv", [["ingest", "--patents", "{csv}", "--trials", "{csv}"],
+                                      ["trend", "--series", "usda-file", "--input", "{csv}"]],
+                             ids=["ingest", "read_table"])
+    def test_unsplittable_csv_names_file_and_line(self, raw_dir, tmp_path, capsys, argv):
+        # An unclosed quote runs past the csv module's field size limit.
+        header = (raw_dir / "patents.csv").read_text(encoding="utf-8").split("\n")[0]
+        path = tmp_path / "in.csv"
+        path.write_text(f'{header},year,value\n1,"' + "x" * 200_000 + "\n", encoding="utf-8")
+        argv = [a.replace("{csv}", str(path)) for a in argv] + ["--out", str(tmp_path / "ds")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error.startswith(f"{path}, line ") and "field limit" in error
+
+
+# --- row-accounting fuzz -----------------------------------------------------
+
+FUZZ_INPUTS = ("patents", "trials", "fieldtests", "nodes", "edges")
+ODD_CELLS = ("nan", "-inf", "inf", "NaN", "1e309", "-1e309", "1e308", "9" * 40, "")
+QUERIES = (["trend", "--series", "patent-yearly-max"],
+           ["trend", "--series", "state-average"],
+           ["trend", "--series", "weather-corrected", "--region", "North"],
+           ["predict", "k1"],
+           ["predict", "k2", "--nodes", "{nodes}", "--edges", "{edges}"],
+           ["regress", "--family", "ols,poisson,negbin"],
+           ["report"])
+
+
+def mutate(draw, blob: bytes) -> bytes:
+    """blob with one byte flipped, or one row cut, duplicated, swapped or respelled."""
+    kind = draw(st.sampled_from(["flip", "cut", "duplicate", "swap_rows", "swap_fields",
+                                 "odd_cell"]))
+    if kind == "flip":
+        at = draw(st.integers(0, len(blob) - 1))
+        return blob[:at] + bytes([draw(st.integers(0, 255))]) + blob[at + 1:]
+    lines = blob.split(b"\n")
+    i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+    if kind == "cut":
+        lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))]
+    elif kind == "duplicate":
+        lines.insert(j, lines[i])
+    elif kind == "swap_rows":
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        fields = lines[i].split(b",")
+        a, b = (draw(st.integers(0, len(fields) - 1)) for _ in range(2))
+        if kind == "swap_fields":
+            fields[a], fields[b] = fields[b], fields[a]
+        else:
+            fields[a] = draw(st.sampled_from(ODD_CELLS)).encode()
+        lines[i] = b",".join(fields)
+    return b"\n".join(lines)
+
+
+def data_rows(blob: bytes) -> int:
+    """Non-blank CSV rows after the header, split as the loaders split them."""
+    rows = csv.reader(io.StringIO(blob.decode("utf-8-sig"), newline=""))
+    return sum(1 for row in list(rows)[1:] if row)
+
+
+def run_quiet(argv) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def strict_json(text: str) -> dict:
+    def reject(constant):
+        raise AssertionError(f"non-strict JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_mutated_inputs_are_accounted_for(raw_dir, data):
+    """Every row of a mutated fixture ends up as a record, a row error or a skip,
+    and every command exits 0, 2, 3 or 4 with strict JSON or nothing on stdout."""
+    inputs = {name: (raw_dir / f"{name}.csv").read_bytes() for name in FUZZ_INPUTS}
+    for _ in range(data.draw(st.integers(1, 3))):
+        name = data.draw(st.sampled_from(FUZZ_INPUTS))
+        inputs[name] = mutate(data.draw, inputs[name])
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: str(Path(tmp, f"{name}.csv")) for name in inputs}
+        for name, blob in inputs.items():
+            Path(paths[name]).write_bytes(blob)
+        store = str(Path(tmp, "ds"))
+        ingest = ["ingest", "--schema", "illinois", "--out", store, "--no-timestamp"]
+        for name in ("patents", "trials", "fieldtests"):
+            ingest += [f"--{name}", paths[name]]
+        code, out = run_quiet(ingest)
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            report = strict_json(out)
+            for name in ("patents", "fieldtests"):
+                counts = report[name]
+                assert (counts["records"] + len(counts["row_errors"]) + counts["skipped"]
+                        == data_rows(inputs[name])), name
+            # Trial records are per-patent groups, so count their comparisons instead.
+            trials = load_trial_sets(paths["trials"])
+            assert (sum(len(ts.comparisons) for ts in trials.records) + trials.skipped
+                    + sum(1 for row, _ in trials.row_errors if row >= 0)
+                    == data_rows(inputs["trials"]))
+        else:
+            assert out == ""
+        for query in QUERIES:
+            argv = [a.format(**paths) for a in query]
+            code, out = run_quiet([*argv, "--dataset", store, "--no-timestamp"])
+            assert code in (0, 2, 3, 4), argv
+            if code == 0:
+                strict_json(out)
+            else:
+                assert out == "", argv

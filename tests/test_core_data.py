@@ -12,7 +12,7 @@ from cornrate.core_data import (Dataset, FieldTestSchema, IngestError, DatasetEr
                                 infer_missing_year_average, load_dataset,
                                 load_field_tests, load_patents, load_trial_sets,
                                 save_dataset)
-from cornrate.synthetic import synthetic_dataset
+from tests.synthetic import synthetic_dataset
 
 
 def write(path, text):
@@ -92,7 +92,6 @@ class TestLoadPatents:
         p = write(tmp_path / "p.csv", PATENT_HEADER +
                   "1,t,A,1990,1995,0,\n2,t,A,1999,1995,0,\n3,t,A,1990,1995,-1,\n4,t,A,1990,1995,2,\n")
         report = load_patents(p)
-        assert report.n_input_rows == 4
         assert len(report.records) + len(report.row_errors) == 4
 
 

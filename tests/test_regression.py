@@ -236,18 +236,14 @@ class TestRunModel:
         fit4 = run_model(4, "poisson", self._rows())
         assert fit4.terms == ["intercept", "performance_ratio"]
 
-    def test_exclusions_applied(self):
-        rows = self._rows()
-        fit_all = run_model(4, Family.OLS, rows)
-        fit_less = run_model(4, Family.OLS, rows,
-                             exclusions=(rows[0]["patent_number"],))
-        assert fit_less.n == fit_all.n - 1
-
     def test_all_excluded_raises(self):
-        rows = self._rows(4)
+        # build_analysis_table applies the exclusions; run_model refuses what is left.
+        from tests.synthetic import synthetic_dataset
+        ds = synthetic_dataset()
+        rows = build_analysis_table(ds, exclusions=ds.patents)
+        assert rows == []
         with pytest.raises(RegressionError, match="no data rows"):
-            run_model(4, Family.OLS, rows,
-                      exclusions=tuple(r["patent_number"] for r in rows))
+            run_model(4, Family.OLS, rows)
 
     def test_missing_column_raises(self):
         rows = [{"patent_number": "1", "performance_ratio": 1.0}] * 5
@@ -265,7 +261,7 @@ class TestRunModel:
 
 class TestAnalysisTable:
     def test_from_synthetic_dataset(self):
-        from cornrate.synthetic import synthetic_dataset
+        from tests.synthetic import synthetic_dataset
         ds = synthetic_dataset()
         rows = build_analysis_table(ds)
         assert rows
@@ -280,14 +276,14 @@ class TestAnalysisTable:
     def test_every_count_fit_converges(self):
         # filed_year near 2000 makes X'WX ill-conditioned (cond ~1e11); the
         # stopping rule must still be reachable in floating point.
-        from cornrate.synthetic import synthetic_dataset
+        from tests.synthetic import synthetic_dataset
         rows = build_analysis_table(synthetic_dataset())
         for model in MODEL_SPECS:
             for family in (Family.POISSON, Family.NEGATIVE_BINOMIAL):
                 assert run_model(model, family, rows).converged, (model, family)
 
     def test_exclusions_flow_through(self):
-        from cornrate.synthetic import synthetic_dataset
+        from tests.synthetic import synthetic_dataset
         ds = synthetic_dataset()
         rows = build_analysis_table(ds)
         some = rows[0]["patent_number"]
@@ -338,7 +334,7 @@ def one_filing_year():
     QR leaves a rounding residual of about eps * ||x_year|| in that column, not an
     exact zero, so the rank rule must be scaled by the column, not by max |R_jj|.
     """
-    from cornrate.synthetic import synthetic_dataset
+    from tests.synthetic import synthetic_dataset
     rows = build_analysis_table(synthetic_dataset())
     return ([r["cite_forward"] for r in rows],
             [[1.0, r["performance_ratio"], 1990.0] for r in rows])

@@ -2,7 +2,7 @@
 
 cornrate computes its p-values, log-likelihoods and NB dispersion search
 without SciPy; these grids hold each replacement to the tolerance stated
-in the cornrate.regression docstring.
+in the cornrate.special docstring.
 """
 
 import math
@@ -16,7 +16,7 @@ import pytest
 from scipy import optimize, special
 
 import cornrate
-from cornrate.regression import lgamma, minimize_bounded, norm_sf, t_sf
+from cornrate.special import lgamma, minimize_bounded, norm_sf, t_sf
 
 # Upper tails from 0.5 down past 1e-300; below t ~ 1e-3 SciPy's stdtr loses
 # digits itself, so small t is held to closed forms instead.

@@ -1,7 +1,6 @@
 from importlib import resources
 
-from cornrate.synthetic import (DEFAULT_SEED, synthetic_dataset,
-                                write_synthetic_csvs)
+from tests.synthetic import DEFAULT_SEED, synthetic_dataset, write_synthetic_csvs
 
 
 def test_generator_is_deterministic():

@@ -1,12 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from cornrate.core_data import (Dataset, FieldTestRecord, PatentKind, PatentRecord,
-                                load_dataset, save_dataset)
+from cornrate.core_data import Dataset, PatentKind, PatentRecord, load_dataset, save_dataset
 from cornrate.title_parser import (PatternPosition, PrefixEntry, PrefixTable,
-                                   classify_patent_kind, extract_variety_name,
-                                   match_patented_varieties, normalize_variety,
-                                   annotate_patents)
+                                   annotate_patents, classify_patent_kind,
+                                   extract_variety_name)
 
 
 @pytest.fixture(scope="module")
@@ -86,39 +84,6 @@ class TestClassify:
         "Method of making popcorn", "Corn lineage tracing"]))
     def test_case_insensitive(self, title):
         assert classify_patent_kind(title) is classify_patent_kind(title.upper())
-
-
-class TestMatching:
-    def _patent(self, number, variety):
-        return PatentRecord(number, f"Hybrid corn variety {variety}", "X", 1990, 1992,
-                            variety_name=variety, kind=PatentKind.HYBRID)
-
-    def _test_row(self, hybrid, year=2000):
-        return FieldTestRecord("IL", year, "North", "B", hybrid, 150.0, 18.0)
-
-    def test_exact_match(self):
-        report = match_patented_varieties([self._patent("1", "3563")],
-                                          [self._test_row("3563")])
-        assert report.matches == {"1": [0]}
-        assert report.unmatched_patents == []
-
-    def test_naming_gap_reported(self):
-        report = match_patented_varieties([self._patent("1", "CH123456")],
-                                          [self._test_row("DK5353")])
-        assert report.matches == {}
-        assert report.unmatched_patents == ["1"]
-
-    def test_normalization(self):
-        report = match_patented_varieties([self._patent("1", "dk 535")],
-                                          [self._test_row("DK535")])
-        assert report.matches == {"1": [0]}
-
-    @given(st.text(alphabet="abcDEF 0-9", min_size=1, max_size=12))
-    def test_normalization_symmetry(self, name):
-        a, b = name, name.lower().replace("-", " ")
-        assert (normalize_variety(a) == normalize_variety(b)) == bool(
-            match_patented_varieties(
-                [self._patent("1", a)], [self._test_row(b)]).matches)
 
 
 def test_annotate_patents_flags_unmatched():
