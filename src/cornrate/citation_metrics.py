@@ -12,15 +12,14 @@ whose coefficients are fixed constants (see constants module).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from . import constants
-from .core_data import PatentRecord
+from .core_data import CornrateError, PatentRecord
 from .ranking import midrank_percentiles
 
 
-class CitationError(Exception):
+class CitationError(CornrateError):
     """Missing publication year or impossible (backwards-in-time) citation."""
 
 
@@ -61,6 +60,14 @@ def cite3_counts(patents: Iterable[PatentRecord],
     return counts
 
 
+def per_patent_cite3(patents: Mapping[str, PatentRecord]
+                     ) -> tuple[dict[str, int], dict[str, float]]:
+    """Each patent's cite3 count over the collection's internal edges, and its
+    mid-rank percentile within its grant-year cohort."""
+    counts = cite3_counts(patents.values(), build_internal_edges(patents))
+    return counts, midrank_percentiles(counts, {n: p.granted_year for n, p in patents.items()})
+
+
 def compute_ave_pub_year(patents: Iterable[PatentRecord]) -> float:
     years = [p.granted_year for p in patents]
     if not years:
@@ -74,22 +81,15 @@ def predict_k1(ave_pub_year: float, cite3: float) -> float:
             + constants.K1_CITE3 * cite3)
 
 
-@dataclass
-class DomainCitationStats:
-    spc: int
-    cite3: float
-    cite3_total: int
-    ave_pub_year: float
-    k1: float
-    per_patent_cite3: dict[str, int] = field(default_factory=dict)
-    per_patent_rank_percentile: dict[str, float] = field(default_factory=dict)
-
-
 def domain_citation_stats(patents: Iterable[PatentRecord],
                           citation_edges: Iterable[tuple[str, str]],
                           pub_years: Optional[Mapping[str, int]] = None,
-                          exclusions: Iterable[str] = ()) -> DomainCitationStats:
-    """All citation statistics for one domain slice, exclusions applied first."""
+                          exclusions: Iterable[str] = ()) -> dict:
+    """K1 and its inputs for one domain slice, exclusions applied first.
+
+    spc is the number of patents kept and cite3_total the sum of their
+    cite3_counts, whose mean is cite3.
+    """
     excluded = set(exclusions)
     kept = [p for p in patents if p.patent_number not in excluded]
     if not kept:
@@ -97,17 +97,19 @@ def domain_citation_stats(patents: Iterable[PatentRecord],
     edges = [(a, b) for a, b in citation_edges
              if a not in excluded and b not in excluded]
     counts = cite3_counts(kept, edges, pub_years)
-    spc = len(kept)
     total = sum(counts[k] for k in sorted(counts))
-    cite3 = total / spc
+    cite3 = total / len(kept)
     ave_pub_year = compute_ave_pub_year(kept)
-    grant_years = {p.patent_number: p.granted_year for p in kept}
-    return DomainCitationStats(
-        spc=spc,
-        cite3=cite3,
-        cite3_total=total,
-        ave_pub_year=ave_pub_year,
-        k1=predict_k1(ave_pub_year, cite3),
-        per_patent_cite3=counts,
-        per_patent_rank_percentile=midrank_percentiles(counts, grant_years),
-    )
+    return {"spc": len(kept), "cite3": cite3, "cite3_total": total,
+            "ave_pub_year": ave_pub_year, "k1": predict_k1(ave_pub_year, cite3)}
+
+
+def evaluate_k1(patents: Mapping[str, PatentRecord], domain: Iterable[PatentRecord],
+                exclusions: Iterable[str] = ()) -> dict:
+    """K1 and its inputs for a domain slice of a patent collection.
+
+    The citations are the collection's internal edges, so a citing patent
+    may fall outside the slice; each patent is published in its grant year.
+    """
+    return domain_citation_stats(domain, build_internal_edges(patents),
+                                 {n: p.granted_year for n, p in patents.items()}, exclusions)

@@ -69,23 +69,21 @@ tracer) finds them all.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import math
-from dataclasses import dataclass
 from itertools import accumulate, chain
-from pathlib import Path
 from typing import Iterable, Mapping
 
 from . import _lazy_module, constants
-from .core_data import EDGE_COLUMNS, NODE_COLUMNS, _column_positions, read_table
+from .core_data import (EDGE_COLUMNS, NODE_COLUMNS, CornrateError, PatentRecord,
+                        _column_positions, read_table, read_text)
 from .ranking import midrank_percentiles
 from .trend import TrendSeries, fit_exponential
 
 np = _lazy_module("numpy")
 
 
-class NetworkError(Exception):
+class NetworkError(CornrateError):
     """Malformed network: cycle, self-edge, duplicate or year violation."""
 
 
@@ -149,9 +147,6 @@ class CitationNetwork:
         any other file, and edges whose ends are not all node ids, go through
         core_data.read_table, which also names a bad row's file and line.
         """
-        for p in (node_csv, edge_csv):
-            if not Path(p).is_file():
-                raise NetworkError(f"missing file: {p}")
         nodes = _read_int_columns(node_csv, NODE_COLUMNS)
         if nodes is None:
             application_years = dict(read_table(
@@ -180,21 +175,19 @@ def _read_int_columns(path, names: list[str]) -> np.ndarray | None:
     body does not qualify: it may hold only ASCII digits, commas and line
     ends (LF, or CRLF), and every row must have the header's width of
     fields of 1 to MAX_INT_DIGITS digits without a leading zero, so each
-    field is the str() of its value. The header is read as read_table
-    reads it (a byte-order mark is dropped, a missing column is an
-    IngestError); a header with a quote or a bare carriage return also
-    gives None, and the caller then reads the file with read_table.
+    field is the str() of its value. The file is read by read_text and
+    its header as read_table reads it, so a missing or undecodable file or
+    a missing column is an IngestError; a header with a quote or a bare
+    carriage return also gives None, and the caller then reads the file
+    with read_table.
     """
-    data = Path(path).read_bytes()
-    if data.startswith(codecs.BOM_UTF8):
-        data = data[len(codecs.BOM_UTF8):]
-    head, _, body = data.partition(b"\n")
+    head, _, body = read_text(path).encode().partition(b"\n")
     head = head[:-1] if head.endswith(b"\r") else head
     if b'"' in head or b"\r" in head:
         return None
     try:
-        header = next(csv.reader([head.decode("utf-8")]), [])
-    except (UnicodeDecodeError, csv.Error):
+        header = next(csv.reader([head.decode()]), [])
+    except csv.Error:
         return None
     columns = _column_positions(header, names, path)
     body = body.replace(b"\r\n", b"\n")
@@ -359,20 +352,14 @@ def compute_spnp(net: CitationNetwork, approximate: bool = False) -> dict:
     return dict(zip(net.application_years, spnp[net._rank].tolist()))
 
 
-@dataclass
-class DomainCentrality:
-    value: float
-    n_excluded_no_citations: int
-    n_skipped_unknown_cited: int
-
-
 def domain_centrality(domain_patents: Iterable[str], net: CitationNetwork,
-                      rank_percentile: Mapping[str, float]) -> DomainCentrality:
+                      rank_percentile: Mapping[str, float]) -> dict:
     """Mean over domain patents of the mean percentile of their cited patents.
 
-    Patents citing nothing contribute nothing (1/CB_i undefined) and are
-    tallied; cited patents without a percentile (outside the scored
-    corpus) are skipped and tallied.
+    Returned as "centrality", with two tallies: patents citing nothing
+    contribute nothing (1/CB_i undefined) and are counted in
+    "n_excluded_no_citations"; cited patents without a percentile (outside
+    the scored corpus) are skipped and counted in "n_skipped_unknown_cited".
     """
     inner_means = []
     excluded = 0
@@ -387,11 +374,8 @@ def domain_centrality(domain_patents: Iterable[str], net: CitationNetwork,
         inner_means.append(math.fsum(scored) / len(scored))
     if not inner_means:
         raise NetworkError("no domain patent has scored citations")
-    return DomainCentrality(
-        value=math.fsum(inner_means) / len(inner_means),
-        n_excluded_no_citations=excluded,
-        n_skipped_unknown_cited=skipped,
-    )
+    return {"centrality": math.fsum(inner_means) / len(inner_means),
+            "n_excluded_no_citations": excluded, "n_skipped_unknown_cited": skipped}
 
 
 def classify_highly_cited(citation_percentiles: Mapping[str, float],
@@ -432,21 +416,13 @@ def predict_k2(centrality: float, z: float) -> float:
                     + constants.K2_INTERCEPT)
 
 
-@dataclass
-class CentralityResult:
-    centrality: DomainCentrality
-    z: float
-    k2: float
-    n_highly_cited: int = 0
-
-
 def evaluate_domain(net: CitationNetwork, domain_patents: Iterable[str],
                     citation_percentiles: Mapping[str, float],
-                    threshold: float = constants.DEFAULT_HIGHLY_CITED_THRESHOLD
-                    ) -> CentralityResult:
+                    threshold: float = constants.DEFAULT_HIGHLY_CITED_THRESHOLD) -> dict:
     """Full second-model evaluation for one domain within a network.
 
-    Centrality comes from the cohort SPNP percentiles of the network.
+    Centrality comes from the cohort SPNP percentiles of the network
+    (domain_centrality, whose tallies are reported with it).
     citation_percentiles are the cohort (application-year) mid-rank
     percentiles of forward-citation counts; a domain patent is highly
     cited when its percentile is >= threshold, and those flags drive Z.
@@ -456,9 +432,27 @@ def evaluate_domain(net: CitationNetwork, domain_patents: Iterable[str],
     centrality = domain_centrality(domain, net, percentile)
     flags = classify_highly_cited(citation_percentiles, threshold)
     z = compute_z(domain, flags, net.application_years)
-    return CentralityResult(
-        centrality=centrality,
-        z=z,
-        k2=predict_k2(centrality.value, z),
-        n_highly_cited=sum(1 for p in domain if flags.get(p, False)),
-    )
+    return {**centrality, "z": z, "k2": predict_k2(centrality["centrality"], z),
+            "n_highly_cited": sum(1 for p in domain if flags.get(p, False)),
+            "highly_cited_threshold": threshold}
+
+
+def evaluate_k2(net: CitationNetwork, patents: Mapping[str, PatentRecord],
+                domain: Iterable[PatentRecord], exclusions: Iterable[str],
+                threshold: float = constants.DEFAULT_HIGHLY_CITED_THRESHOLD) -> dict:
+    """evaluate_domain for the domain patents in the network that are not excluded.
+
+    The citation percentiles rank the forward-citation counts of the
+    collection's patents in the network, by application-year cohort.
+    """
+    excluded = set(exclusions)
+    numbers = sorted(p.patent_number for p in domain
+                     if p.patent_number in net.application_years
+                     and p.patent_number not in excluded)
+    if not numbers:
+        raise NetworkError("no domain patents present in the network")
+    citation_percentiles = midrank_percentiles(
+        {n: p.forward_citation_count for n, p in patents.items() if n in net.application_years},
+        net.application_years)
+    return {"n_domain": len(numbers),
+            **evaluate_domain(net, numbers, citation_percentiles, threshold)}

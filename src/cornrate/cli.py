@@ -1,19 +1,22 @@
 """Command-line front end: ingest, trend, predict, regress, report.
 
-Commands emit machine-readable JSON on stdout (stable key order) and
-write series/table CSVs plus the same JSON into --out. Figures are
-emitted as data only; plotting is left to external tools. Exit codes:
-0 success, 2 input error, 3 data/precondition error, 4 numeric failure.
+Each command parses its arguments, loads its inputs, makes one library
+call that returns its report, and emits that report: strict JSON on
+stdout (stable key order) and, with --out, the same JSON plus the
+command's series or table CSVs in that directory. Figures are data only.
 
-Each command executes only the cornrate modules on its own path; the
-others are bound at import through cornrate._lazy_module and run on first
-use. Every command runs cli, constants and core_data (build_parser needs
-FieldTestSchema), and report runs nothing else. ingest adds title_parser;
-trend adds trend and special, plus yield_metrics for the patent and
-state series; predict k1 adds citation_metrics and ranking; predict k2
-adds citation_network, ranking, trend and special; regress adds
-regression and what its analysis table needs. Only predict k2 and regress
-import numpy.
+Exit codes: 0 success, 2 input error, 3 data/precondition error, 4
+numeric failure. The exception that stops a command sets the code: a
+core_data.CornrateError carries its exit_code, and BUILTIN_EXIT_CODES
+maps the builtin exceptions.
+
+The modules off a command's path are bound through cornrate._lazy_module
+and never run. Every command runs cli, constants and core_data, and report
+nothing else; ingest adds title_parser; trend adds trend and special, plus
+yield_metrics for the patent and state series; predict k1 adds
+citation_metrics and ranking; predict k2 adds citation_network, ranking,
+trend and special; regress adds regression and what its analysis table
+needs. Only predict k2 and regress import numpy.
 """
 
 from __future__ import annotations
@@ -21,18 +24,18 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import math
 import sys
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
-from typing import Optional
 
 from . import _lazy_module, constants
-from .core_data import (Dataset, DatasetError, FieldTestSchema, IngestError, PatentKind,
-                        load_dataset, load_field_tests, load_patents, load_trial_sets,
-                        read_text, save_dataset, write_csv)
+from .core_data import (REPORT_TABLES, CornrateError, Dataset, FieldTestSchema, IngestError,
+                        describe_dataset, load_dataset, load_field_tests, load_patents,
+                        load_trial_sets, read_text, save_dataset, select_domain, write_csv)
 
 # Executed on first use, so that each command runs only the modules on its path.
+# ranking is bound too, though not called here, so that importing cli binds every module.
 citation_metrics = _lazy_module("cornrate.citation_metrics")
 citation_network = _lazy_module("cornrate.citation_network")
 ranking = _lazy_module("cornrate.ranking")
@@ -41,14 +44,14 @@ title_parser = _lazy_module("cornrate.title_parser")
 trend = _lazy_module("cornrate.trend")
 yield_metrics = _lazy_module("cornrate.yield_metrics")
 
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
+# Exit code of each builtin exception a command may raise.
+BUILTIN_EXIT_CODES = {FileNotFoundError: 2, ValueError: 3, ArithmeticError: 4}
 
 
-class CliDataError(Exception):
-    """Mapped to exit code 3."""
+def _out_dir(args) -> Path:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _emit(payload: dict, command: str, args) -> None:
@@ -61,20 +64,16 @@ def _emit(payload: dict, command: str, args) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     print(text)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"{command}.json").write_text(text + "\n", encoding="utf-8")
+        (_out_dir(args) / f"{command}.json").write_text(text + "\n", encoding="utf-8")
 
 
 def _load_config(args) -> dict:
     if not getattr(args, "config", None):
         return {}
     path = Path(args.config)
-    if not path.is_file():
-        raise IngestError(f"missing config file: {path}")
     try:
-        config = json.loads(path.read_text(encoding="utf-8-sig"))
-    except ValueError as exc:   # JSONDecodeError and UnicodeDecodeError
+        config = json.loads(read_text(path))
+    except ValueError as exc:
         raise IngestError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise IngestError(f"config file {path}: top level must be a JSON object")
@@ -137,7 +136,7 @@ def cmd_ingest(args) -> int:
         "titles_needing_review": unmatched_titles,
         **field_reports,
     }, "ingest", args)
-    return EXIT_OK
+    return 0
 
 
 # --- trend -----------------------------------------------------------------
@@ -151,117 +150,54 @@ def _trend_series(args, payload: dict) -> trend.TrendSeries:
             return trend.TrendSeries.read_csv(path)
     dataset = _require_dataset(args)
     if args.series == "patent-yearly-max":
-        summaries = [(dataset.patents[ts.patent_number].filed_year,
-                      yield_metrics.summarize(ts))
-                     for ts in dataset.trial_sets]
-        if not summaries:
-            raise CliDataError("dataset has no trial sets")
-        return yield_metrics.yearly_max_yield(summaries)
+        return yield_metrics.yearly_max_yield(
+            (dataset.patents[ts.patent_number].filed_year, yield_metrics.summarize(ts))
+            for ts in dataset.trial_sets)
     if args.series == "state-average":
-        if not dataset.field_tests:
-            raise CliDataError("dataset has no field tests")
         return yield_metrics.state_yearly_average(dataset.field_tests)
-    if args.series == "weather-corrected":
-        if not args.region:
-            raise IngestError("--region is required for weather-corrected series")
-        control = args.control
-        if not control:   # the region's longest run of consecutive years, ties by name
-            runs = sorted((-c.n_years, c.variety)
-                          for c in trend.find_control_varieties(dataset.field_tests)
-                          if c.region == args.region)
-            if not runs:
-                raise CliDataError(f"no variety in region {args.region!r} was tested in "
-                                   f"{constants.DEFAULT_CONTROL_MIN_YEARS} consecutive years")
-            control = payload["control"] = runs[0][1]
-        return trend.weather_corrected_series(dataset.field_tests, args.region, control)
-    raise IngestError(f"unknown series {args.series!r}")
+    if not args.region:
+        raise IngestError("--region is required for weather-corrected series")
+    control = args.control
+    if not control:
+        control = payload["control"] = trend.default_control(dataset.field_tests, args.region)
+    return trend.weather_corrected_series(dataset.field_tests, args.region, control)
 
 
 def cmd_trend(args) -> int:
     _load_config(args)   # trend reads no key, but a malformed file is still an input error
     payload = {"series": args.series}
-    series = _trend_series(args, payload)
-    series = series.restrict(args.year_from, args.year_to)
-    if len(series.points) < 2:
-        raise CliDataError("series has fewer than 2 points after restriction")
-    fit = trend.fit_exponential(series)
+    series = _trend_series(args, payload).restrict(args.year_from, args.year_to)
+    payload.update(trend.fit_exponential(series).as_dict())
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        series.write_csv(out / f"series_{args.series}.csv")
-    _emit({**payload, **fit.as_dict()}, "trend", args)
-    return EXIT_OK
+        series.write_csv(_out_dir(args) / f"series_{args.series}.csv")
+    _emit(payload, "trend", args)
+    return 0
 
 
 # --- predict ---------------------------------------------------------------
-
-def _domain_patents(dataset: Dataset, kind: str, filed_until: Optional[int]) -> list:
-    wanted = {"hybrid": {PatentKind.HYBRID}, "inbred": {PatentKind.INBRED},
-              "both": {PatentKind.HYBRID, PatentKind.INBRED}}[kind]
-    patents = [p for p in dataset.patents.values() if p.kind in wanted]
-    if filed_until is not None:
-        patents = [p for p in patents if p.filed_year <= filed_until]
-    if not patents:
-        raise CliDataError("no patents match the kind/filed-until selection")
-    return patents
-
 
 def cmd_predict(args) -> int:
     config = _load_config(args)
     dataset = _require_dataset(args)
     exclusions = _exclusions(args, config) or set(constants.HIGHLY_CITED_EXCLUSIONS)
-    domain = _domain_patents(dataset, args.kind, args.filed_until)
-
+    domain = select_domain(dataset, args.kind, args.filed_until)
+    selection = {"kind": args.kind, "filed_until": args.filed_until}
     if args.model == "k1":
-        edges = citation_metrics.build_internal_edges(dataset.patents)
-        # Citing patents may fall outside the selected domain slice.
-        pub_years = {n: p.granted_year for n, p in dataset.patents.items()}
-        stats = citation_metrics.domain_citation_stats(domain, edges, pub_years=pub_years,
-                                                       exclusions=exclusions)
-        _emit({
-            "kind": args.kind,
-            "filed_until": args.filed_until,
-            "k1": stats.k1,
-            "ave_pub_year": stats.ave_pub_year,
-            "cite3": stats.cite3,
-            "cite3_total": stats.cite3_total,
-            "spc": stats.spc,
-        }, "predict_k1", args)
-        return EXIT_OK
+        payload = citation_metrics.evaluate_k1(dataset.patents, domain, exclusions)
+        _emit({**selection, **payload}, "predict_k1", args)
+        return 0
 
     if not args.nodes or not args.edges:
         raise IngestError("predict k2 requires --nodes and --edges network files")
     net = citation_network.CitationNetwork.from_files(args.nodes, args.edges)
-    domain_numbers = sorted(p.patent_number for p in domain
-                            if p.patent_number in net.application_years
-                            and p.patent_number not in exclusions)
-    if not domain_numbers:
-        raise CliDataError("no domain patents present in the network")
     threshold = float(config.get("highly_cited_threshold",
                                  constants.DEFAULT_HIGHLY_CITED_THRESHOLD))
-    citation_percentiles = ranking.midrank_percentiles(
-        {p.patent_number: p.forward_citation_count for p in dataset.patents.values()
-         if p.patent_number in net.application_years},
-        net.application_years)
-    result = citation_network.evaluate_domain(net, domain_numbers, citation_percentiles,
-                                              threshold)
-    payload = {
-        "kind": args.kind,
-        "filed_until": args.filed_until,
-        "centrality": result.centrality.value,
-        "n_domain": len(domain_numbers),
-        "n_excluded_no_citations": result.centrality.n_excluded_no_citations,
-        "n_skipped_unknown_cited": result.centrality.n_skipped_unknown_cited,
-    }
-    if not args.centrality_only:
-        payload.update({
-            "z": result.z,
-            "k2": result.k2,
-            "n_highly_cited": result.n_highly_cited,
-            "highly_cited_threshold": threshold,
-        })
-    _emit(payload, "predict_k2", args)
-    return EXIT_OK
+    payload = citation_network.evaluate_k2(net, dataset.patents, domain, exclusions, threshold)
+    if args.centrality_only:
+        for key in ("z", "k2", "n_highly_cited", "highly_cited_threshold"):
+            del payload[key]
+    _emit({**selection, **payload}, "predict_k2", args)
+    return 0
 
 
 # --- regress ---------------------------------------------------------------
@@ -269,81 +205,26 @@ def cmd_predict(args) -> int:
 def cmd_regress(args) -> int:
     config = _load_config(args)
     dataset = _require_dataset(args)
-    exclusions = _exclusions(args, config)
-    rows = regression.build_analysis_table(dataset, exclusions)
-    if not rows:
-        raise CliDataError("analysis table is empty after exclusions")
-    model_ids = [int(m) for m in args.models.split(",")]
-    families = [regression.Family(f) for f in args.family.split(",")]
-    for mid in model_ids:
-        if mid not in regression.MODEL_SPECS:
-            raise IngestError(f"unknown model id {mid}")
-    fits = []
-    for mid in model_ids:
-        for family in families:
-            result = regression.run_model(mid, family, rows)
-            if not result.converged:
-                print(f"warning: model {mid} ({family.value}) did not converge",
-                      file=sys.stderr)
-            fits.append({"model": mid, **result.as_dict()})
-    # Combined table mirroring the terms x models layout.
-    terms = sorted({t for f in fits for t in f["terms"]})
-    table = {term: {f"model{f['model']}_{f['family']}": f["coefficients"].get(term)
-                    for f in fits} for term in terms}
-    _emit({"n_rows": len(rows), "n_excluded": len(exclusions),
-           "fits": fits, "coefficient_table": table}, "regress", args)
-    return EXIT_OK
+    payload = regression.fit_models(dataset, _exclusions(args, config), args.models,
+                                    args.family)
+    for fit in payload["fits"]:
+        if not fit["converged"]:
+            print(f"warning: model {fit['model']} ({fit['family']}) did not converge",
+                  file=sys.stderr)
+    _emit(payload, "regress", args)
+    return 0
 
 
 # --- report ----------------------------------------------------------------
 
 def cmd_report(args) -> int:
-    dataset = _require_dataset(args)
-    patents = list(dataset.patents.values())
-
-    per_year: dict[tuple[int, str], int] = {}
-    for p in patents:
-        kind = p.kind.value if p.kind else "unknown"
-        per_year[(p.filed_year, kind)] = per_year.get((p.filed_year, kind), 0) + 1
-    counts_rows = [[y, k, c] for (y, k), c in sorted(per_year.items())]
-
-    by_assignee: dict[str, int] = {}
-    for p in patents:
-        by_assignee[p.assignee] = by_assignee.get(p.assignee, 0) + 1
-    total = len(patents)
-    share_rows = [[a, c, c / total] for a, c in
-                  sorted(by_assignee.items(), key=lambda kv: (-kv[1], kv[0]))] if total else []
-
-    backward: dict[int, list[int]] = {}
-    for p in patents:
-        backward.setdefault(p.filed_year, []).append(len(p.cited_patents))
-    backward_rows = []
-    for year in sorted(backward):
-        values = backward[year]
-        mean = sum(values) / len(values)
-        var = sum((v - mean) ** 2 for v in values) / len(values)
-        backward_rows.append([year, len(values), mean, math.sqrt(var)])
-
+    payload = describe_dataset(_require_dataset(args))
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_csv(out / "patents_per_year.csv", ["filed_year", "kind", "count"],
-                  counts_rows)
-        write_csv(out / "assignee_shares.csv", ["assignee", "count", "share"], share_rows)
-        write_csv(out / "backward_citations.csv",
-                  ["filed_year", "n_patents", "mean", "std"], backward_rows)
-    _emit({
-        "n_patents": total,
-        "n_trial_sets": len(dataset.trial_sets),
-        "n_field_tests": len(dataset.field_tests),
-        "patents_per_year": [{"filed_year": r[0], "kind": r[1], "count": r[2]}
-                             for r in counts_rows],
-        "assignee_shares": [{"assignee": r[0], "count": r[1], "share": r[2]}
-                            for r in share_rows],
-        "backward_citations": [{"filed_year": r[0], "n_patents": r[1],
-                                "mean": r[2], "std": r[3]} for r in backward_rows],
-    }, "report", args)
-    return EXIT_OK
+        for name, columns in REPORT_TABLES.items():
+            write_csv(_out_dir(args) / f"{name}.csv", columns,
+                      map(itemgetter(*columns), payload[name]))
+    _emit(payload, "report", args)
+    return 0
 
 
 # --- entry point -------------------------------------------------------------
@@ -403,23 +284,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (IngestError, DatasetError, FileNotFoundError) as exc:
-        print(json.dumps({"error": str(exc), "exit_code": EXIT_INPUT},
-                         sort_keys=True), file=sys.stderr)
-        return EXIT_INPUT
-    except (CliDataError, trend.TrendError, citation_network.NetworkError,
-            citation_metrics.CitationError, ValueError) as exc:
-        print(json.dumps({"error": str(exc), "exit_code": EXIT_DATA},
-                         sort_keys=True), file=sys.stderr)
-        return EXIT_DATA
-    except (regression.RegressionError, ArithmeticError) as exc:
-        print(json.dumps({"error": str(exc), "exit_code": EXIT_NUMERIC},
-                         sort_keys=True), file=sys.stderr)
-        return EXIT_NUMERIC
+    except (CornrateError, *BUILTIN_EXIT_CODES) as exc:
+        code = exc.exit_code if isinstance(exc, CornrateError) else next(
+            code for cls, code in BUILTIN_EXIT_CODES.items() if isinstance(exc, cls))
+        print(json.dumps({"error": str(exc), "exit_code": code}, sort_keys=True),
+              file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -5,11 +5,15 @@ trial tables transcribed from patent documents, and state field-test
 rows. Ingestion never drops rows silently: every input data row ends up
 either as a record, as a row-indexed error, or in the skip tally.
 
-Every CSV file, and the exclusion list, is decoded by read_text. The
-store, network, series and prefix-table CSVs are parsed by read_table,
-which stops at the first bad row; the ingest loaders read their rows
-through _ingest_rows, which records a row of the wrong width as a row
-error and goes on.
+Every CSV file, the exclusion list and the run configuration are
+decoded by read_text. The store, network, series and prefix-table CSVs
+are parsed by read_table, which stops at the first bad row; the ingest
+loaders read their rows through _ingest_rows, which records a row of the
+wrong width as a row error and goes on.
+
+CornrateError is the base of every cornrate error and carries the CLI's
+exit code. The dataset views at the end select the K1/K2 domain and
+describe a dataset for the report command.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import json
 import math
 import operator
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -31,12 +36,26 @@ SCHEMA_VERSION = 1
 from .constants import DEFAULT_CITATION_CUTOFF_YEAR
 
 
-class IngestError(Exception):
+class CornrateError(Exception):
+    """A failure the CLI reports with the class's exit_code.
+
+    3 is a data or precondition error; IngestError and DatasetError (bad
+    input, 2) and regression.RegressionError (numeric failure, 4) set their own.
+    """
+
+    exit_code = 3
+
+
+class IngestError(CornrateError):
     """File-level ingestion failure (missing file/column, duplicates)."""
 
+    exit_code = 2
 
-class DatasetError(Exception):
+
+class DatasetError(CornrateError):
     """Dataset store failure (version mismatch, corrupt manifest)."""
+
+    exit_code = 2
 
 
 class PatentKind(str, Enum):
@@ -568,3 +587,61 @@ def load_dataset(directory) -> Dataset:
     )
     dataset.validate()
     return dataset
+
+
+# --- dataset views ---------------------------------------------------------
+
+_KINDS = {"hybrid": {PatentKind.HYBRID}, "inbred": {PatentKind.INBRED},
+          "both": {PatentKind.HYBRID, PatentKind.INBRED}}
+
+
+def select_domain(dataset: Dataset, kind: str,
+                  filed_until: Optional[int] = None) -> list[PatentRecord]:
+    """The patents of one kind ("hybrid", "inbred" or "both") filed up to
+    filed_until (None: no bound), in store order; the domain of K1 and K2.
+    """
+    domain = [p for p in dataset.patents.values() if p.kind in _KINDS[kind]
+              and (filed_until is None or p.filed_year <= filed_until)]
+    if not domain:
+        raise ValueError("no patents match the kind/filed-until selection")
+    return domain
+
+
+# The tables of describe_dataset: name -> the columns of each row.
+REPORT_TABLES = {
+    "patents_per_year": ("filed_year", "kind", "count"),
+    "assignee_shares": ("assignee", "count", "share"),
+    "backward_citations": ("filed_year", "n_patents", "mean", "std"),
+}
+
+
+def _mean_std(values: list[int]) -> tuple[float, float]:
+    """Mean and population standard deviation."""
+    mean = sum(values) / len(values)
+    return mean, math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
+
+
+def describe_dataset(dataset: Dataset) -> dict:
+    """The dataset's sizes and its REPORT_TABLES, each a list of rows keyed by column.
+
+    Patents are counted per (filed year, kind), and per assignee with the
+    assignee's share of all patents (most patents first, ties by name).
+    Backward citations are the mean and standard deviation, per filed
+    year, of the number of patents each patent cites.
+    """
+    patents = dataset.patents.values()
+    per_year = Counter((p.filed_year, p.kind.value if p.kind else "unknown") for p in patents)
+    per_assignee = Counter(p.assignee for p in patents)
+    cited: dict[int, list[int]] = {}
+    for p in patents:
+        cited.setdefault(p.filed_year, []).append(len(p.cited_patents))
+    rows = {
+        "patents_per_year": ((*key, n) for key, n in sorted(per_year.items())),
+        "assignee_shares": ((a, n, n / len(patents)) for a, n in
+                            sorted(per_assignee.items(), key=lambda kv: (-kv[1], kv[0]))),
+        "backward_citations": ((year, len(v), *_mean_std(v)) for year, v in sorted(cited.items())),
+    }
+    return {"n_patents": len(patents), "n_trial_sets": len(dataset.trial_sets),
+            "n_field_tests": len(dataset.field_tests),
+            **{name: [dict(zip(REPORT_TABLES[name], row)) for row in rows[name]]
+               for name in REPORT_TABLES}}

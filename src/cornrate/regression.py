@@ -35,6 +35,7 @@ from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import _lazy_module
+from .core_data import CornrateError, IngestError
 from .special import lgamma, minimize_bounded, norm_sf, t_sf
 
 np = _lazy_module("numpy")
@@ -54,8 +55,10 @@ THETA_BOUND = 1e8        # optimizer search bound for the NB dispersion
 POISSON_EQUIVALENT_THETA = 1e6  # above this, NB is reported as Poisson-equivalent
 
 
-class RegressionError(Exception):
+class RegressionError(CornrateError):
     """Bad inputs: rank deficiency, too few rows, invalid response."""
+
+    exit_code = 4
 
 
 class Family(str, Enum):
@@ -349,14 +352,12 @@ def build_analysis_table(dataset, exclusions: Iterable[str] = ()) -> list[dict]:
     Citation windows use only the citations observable inside the
     dataset; Cite3 rank percentiles are cohorted by grant year.
     """
-    from .citation_metrics import build_internal_edges, domain_citation_stats
+    from .citation_metrics import per_patent_cite3
     from .yield_metrics import performance_ratio
 
     excluded = set(exclusions)
     patents = {n: p for n, p in dataset.patents.items() if n not in excluded}
-    if not patents:
-        return []
-    stats = domain_citation_stats(patents.values(), build_internal_edges(patents))
+    cite3, percentile = per_patent_cite3(patents)
     trial_by_patent = {ts.patent_number: ts for ts in dataset.trial_sets}
     rows = []
     for number in sorted(patents):
@@ -366,8 +367,8 @@ def build_analysis_table(dataset, exclusions: Iterable[str] = ()) -> list[dict]:
         rows.append({
             "patent_number": number,
             "cite_forward": patent.forward_citation_count,
-            "cite3": stats.per_patent_cite3[number],
-            "cite3_rank_percentile": stats.per_patent_rank_percentile[number],
+            "cite3": cite3[number],
+            "cite3_rank_percentile": percentile[number],
             "performance_ratio": performance_ratio(trial_by_patent[number]),
             "filed_year": patent.filed_year,
         })
@@ -417,3 +418,39 @@ def run_model(spec: ModelSpec | int, family: Family | str,
             "dependent variable is bounded in [0, 1]; OLS/Poisson families are "
             "ill-suited to it")
     return result
+
+
+def _model_id(entry: str) -> int:
+    """The MODEL_SPECS id an entry of a model list names; any other entry is an IngestError."""
+    try:
+        model = int(entry)
+    except ValueError:
+        model = None
+    if model not in MODEL_SPECS:
+        raise IngestError(f"unknown model id {entry!r}; the ids are "
+                          f"{', '.join(map(str, MODEL_SPECS))}")
+    return model
+
+
+def fit_models(dataset, exclusions: Iterable[str], models: str, families: str) -> dict:
+    """Every model of a comma-separated id list, fitted in every family of another.
+
+    The rows are build_analysis_table(dataset, exclusions); none left is a
+    ValueError. A family that is not a Family value is a ValueError, a
+    model that is not a MODEL_SPECS id an IngestError naming it. Each fit
+    is reported with its model id, and the coefficient table gives every
+    term's coefficient in every fit, keyed model<id>_<family>.
+    """
+    excluded = set(exclusions)
+    rows = build_analysis_table(dataset, excluded)
+    if not rows:
+        raise ValueError("analysis table is empty after exclusions")
+    family_list = [Family(f) for f in families.split(",")]
+    model_ids = [_model_id(m) for m in models.split(",")]
+    fits = [{"model": model, **run_model(model, family, rows).as_dict()}
+            for model in model_ids for family in family_list]
+    terms = sorted({t for f in fits for t in f["terms"]})
+    table = {term: {f"model{f['model']}_{f['family']}": f["coefficients"].get(term)
+                    for f in fits} for term in terms}
+    return {"n_rows": len(rows), "n_excluded": len(excluded), "fits": fits,
+            "coefficient_table": table}

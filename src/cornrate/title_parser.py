@@ -31,14 +31,12 @@ class PrefixEntry:
 
 
 class PrefixTable:
-    """Ordered pattern list; longest pattern wins, ties broken by file order."""
+    """Ordered pattern list; longest pattern wins, ties broken by file order.
+
+    load rejects a table without patterns and an empty pattern.
+    """
 
     def __init__(self, entries: Iterable[PrefixEntry]):
-        entries = list(entries)
-        if not entries:
-            raise ValueError("empty prefix table")
-        if any(not e.pattern for e in entries):
-            raise ValueError("empty pattern in prefix table")
         # Stable sort: equal-length patterns keep their input order.
         self.entries = sorted(entries, key=lambda e: -len(e.pattern))
 

@@ -12,16 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Optional
 
 from .constants import DEFAULT_CONTROL_MIN_YEARS
-from .core_data import (FieldTestRecord, _column_positions, _parse_number, read_table,
-                        write_csv)
+from .core_data import (CornrateError, FieldTestRecord, _column_positions, _parse_number,
+                        read_table, write_csv)
 from .special import t_sf
 
 
-class TrendError(Exception):
+class TrendError(CornrateError):
     """Bad series or unmet precondition (e.g. control absent in region)."""
 
 
@@ -60,9 +59,11 @@ class TrendSeries:
 
     @classmethod
     def read_csv(cls, path) -> "TrendSeries":
-        """The series in a CSV file with year and value columns (read_table)."""
-        if not Path(path).is_file():
-            raise TrendError(f"missing series file: {path}")
+        """The series in a CSV file with year and value columns (read_table).
+
+        A missing or undecodable file, or a missing column, is an IngestError;
+        a bad row is a TrendError.
+        """
         return cls.from_pairs(read_table(
             path, lambda header: _column_positions(header, ["year", "value"], path),
             lambda year, value: (int(year), _parse_number(value)), TrendError))
@@ -152,6 +153,20 @@ def find_control_varieties(tests: Iterable[FieldTestRecord],
             candidates.append(ControlCandidate(region, variety, best_start,
                                                best_start + best_len - 1))
     return candidates
+
+
+def default_control(tests: Iterable[FieldTestRecord], region: str) -> str:
+    """The variety with the region's longest run of consecutive tested years.
+
+    Ties go to the first name; a run shorter than DEFAULT_CONTROL_MIN_YEARS
+    (find_control_varieties) does not count.
+    """
+    runs = sorted((-c.n_years, c.variety) for c in find_control_varieties(tests)
+                  if c.region == region)
+    if not runs:
+        raise TrendError(f"no variety in region {region!r} was tested in "
+                         f"{DEFAULT_CONTROL_MIN_YEARS} consecutive years")
+    return runs[0][1]
 
 
 def weather_corrected_series(tests: Iterable[FieldTestRecord], region: str,

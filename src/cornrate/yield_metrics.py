@@ -59,13 +59,11 @@ def summarize(trial_set: PatentTrialSet) -> YieldSummary:
 def yearly_max_yield(summaries: Iterable[tuple[int, YieldSummary]]) -> TrendSeries:
     """Maximum yield_b among patents filed each year; no interpolation."""
     best: dict[int, float] = {}
-    empty = True
     for year, summary in summaries:
-        empty = False
-        if summary.yield_b > best.get(year, 0.0):
+        if summary.yield_b > best.get(year, 0.0):   # yields are positive
             best[year] = summary.yield_b
-    if empty:
-        raise ValueError("no summaries")
+    if not best:
+        raise ValueError("no trial sets to summarize")
     return TrendSeries.from_pairs(best.items())
 
 

@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 from cornrate import constants
 from cornrate.citation_metrics import (CitationError, build_internal_edges,
                                        cite3_counts, compute_ave_pub_year,
-                                       domain_citation_stats, predict_k1)
+                                       domain_citation_stats, per_patent_cite3,
+                                       predict_k1)
 from cornrate.core_data import PatentRecord
 from cornrate.ranking import midrank_percentiles
 
@@ -58,7 +59,7 @@ class TestAggregates:
     def test_compute_cite3_is_mean(self):
         patents = [_patent("A", 2000), _patent("B", 2001), _patent("C", 2001)]
         edges = [("B", "A"), ("C", "A"), ("C", "B")]
-        assert domain_citation_stats(patents, edges).cite3 == pytest.approx(1.0)
+        assert domain_citation_stats(patents, edges)["cite3"] == pytest.approx(1.0)
 
     def test_ave_pub_year(self):
         patents = [_patent("A", 1998), _patent("B", 2004)]
@@ -148,19 +149,19 @@ class TestDomainStats:
     def test_full_stats(self):
         patents, edges = self._domain()
         stats = domain_citation_stats(patents, edges)
-        assert stats.spc == 4
+        assert stats["spc"] == 4
         # In-window citations: B->A (d=2), C->A (d=3), C->B (d=1); D->A d=7 out.
-        assert stats.cite3_total == 3
-        assert stats.cite3 == pytest.approx(0.75)
-        assert stats.ave_pub_year == pytest.approx(2001.0)
-        assert stats.k1 == pytest.approx(predict_k1(2001.0, 0.75), abs=1e-12)
-        assert stats.per_patent_cite3 == {"A": 2, "B": 1, "C": 0, "D": 0}
+        assert stats["cite3_total"] == 3
+        assert stats["cite3"] == pytest.approx(0.75)
+        assert stats["ave_pub_year"] == pytest.approx(2001.0)
+        assert stats["k1"] == pytest.approx(predict_k1(2001.0, 0.75), abs=1e-12)
+        assert cite3_counts(patents, edges) == {"A": 2, "B": 1, "C": 0, "D": 0}
 
     def test_exclusions_drop_patents_and_edges(self):
         patents, edges = self._domain()
         stats = domain_citation_stats(patents, edges, exclusions=("C",))
-        assert stats.spc == 3
-        assert stats.per_patent_cite3 == {"A": 1, "B": 0, "D": 0}
+        assert stats["spc"] == 3
+        assert stats["cite3_total"] == 1   # only B->A is left in the window
 
     def test_all_excluded_raises(self):
         patents, edges = self._domain()
@@ -169,7 +170,8 @@ class TestDomainStats:
                                   exclusions=("A", "B", "C", "D"))
 
     def test_rank_percentiles_cohorted_by_grant_year(self):
-        patents, edges = self._domain()
-        stats = domain_citation_stats(patents, edges)
+        patents, _ = self._domain()
+        counts, percentiles = per_patent_cite3({p.patent_number: p for p in patents})
+        assert counts == {"A": 2, "B": 1, "C": 0, "D": 0}
         # Each grant year is its own one-patent cohort here.
-        assert all(v == 0.5 for v in stats.per_patent_rank_percentile.values())
+        assert percentiles == {"A": 0.5, "B": 0.5, "C": 0.5, "D": 0.5}

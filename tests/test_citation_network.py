@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cornrate import citation_network
-from cornrate.citation_network import (CentralityResult, CitationNetwork,
-                                       NetworkError, classify_highly_cited,
+from cornrate.citation_network import (CitationNetwork, NetworkError, classify_highly_cited,
                                        compute_spnp, compute_z,
                                        domain_centrality, evaluate_domain,
                                        predict_k2)
@@ -186,8 +185,13 @@ class TestNetworkValidation:
         assert net.cited_patents("A") == ["B"]
 
     def test_from_files_missing(self, tmp_path):
-        with pytest.raises(NetworkError, match="missing file"):
-            CitationNetwork.from_files(tmp_path / "x.csv", tmp_path / "y.csv")
+        # A missing file is the IngestError of core_data.read_text, as for every input.
+        nodes, edges = tmp_path / "nodes.csv", tmp_path / "edges.csv"
+        with pytest.raises(IngestError, match="missing file: .*nodes.csv"):
+            CitationNetwork.from_files(nodes, edges)
+        nodes.write_text("patent_number,application_year\n1,2001\n2,2000\n")
+        with pytest.raises(IngestError, match="missing file: .*edges.csv"):
+            CitationNetwork.from_files(nodes, edges)
 
 
 def network_outcome(nodes, edges):
@@ -474,15 +478,15 @@ class TestCentrality:
         pct = midrank_percentiles(compute_spnp(net), net.application_years)
         result = domain_centrality(["A", "D"], net, pct)
         # D cites nothing: excluded with a tally; only A enters the mean.
-        assert result.n_excluded_no_citations == 1
-        assert result.value == pytest.approx((pct["B"] + pct["C"]) / 2)
+        assert result["n_excluded_no_citations"] == 1
+        assert result["centrality"] == pytest.approx((pct["B"] + pct["C"]) / 2)
 
     def test_skips_unscored_cited(self):
         net = chain_network()
         pct = {"C": 0.5}   # B has no percentile
         result = domain_centrality(["A", "B"], net, pct)
-        assert result.n_skipped_unknown_cited == 1   # A -> B skipped
-        assert result.value == pytest.approx(0.5)    # only B -> C scored
+        assert result["n_skipped_unknown_cited"] == 1   # A -> B skipped
+        assert result["centrality"] == pytest.approx(0.5)    # only B -> C scored
 
     def test_all_unusable_raises(self):
         net = CitationNetwork({"A": 2000}, [])
@@ -552,13 +556,12 @@ class TestEvaluateDomain:
         net = diamond_network()
         spnp_percentiles = midrank_percentiles(compute_spnp(net), net.application_years)
         result = evaluate_domain(net, ["A", "B", "C"], spnp_percentiles)
-        assert isinstance(result, CentralityResult)
-        assert result.k2 == pytest.approx(
-            predict_k2(result.centrality.value, result.z), abs=1e-15)
+        assert result["k2"] == pytest.approx(
+            predict_k2(result["centrality"], result["z"]), abs=1e-15)
 
     def test_external_percentiles_drive_flags(self):
         net = chain_network()
         result = evaluate_domain(net, ["A", "B"],
                                  citation_percentiles={"A": 0.95, "B": 0.1},
                                  threshold=0.9)
-        assert result.n_highly_cited == 1
+        assert result["n_highly_cited"] == 1

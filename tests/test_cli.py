@@ -12,8 +12,13 @@ import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from cornrate import cli
+from cornrate.citation_metrics import CitationError
+from cornrate.citation_network import NetworkError
 from cornrate.cli import main
-from cornrate.core_data import DatasetError, load_dataset, load_trial_sets
+from cornrate.core_data import DatasetError, IngestError, load_dataset, load_trial_sets
+from cornrate.regression import RegressionError
+from cornrate.trend import TrendError
 from tests.synthetic import write_synthetic_csvs
 
 
@@ -156,6 +161,13 @@ class TestTrend:
         assert main(["trend", "--series", "usda-file",
                      "--from", "2014", "--to", "2014"]) == 3
 
+    def test_missing_input_exit_2(self, tmp_path, capsys):
+        # A missing series file is an input error; only a bad series row is a data error.
+        series = tmp_path / "missing.csv"
+        assert main(["trend", "--series", "usda-file", "--input", str(series)]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": f"missing file: {series}",
+                                                       "exit_code": 2}
+
     def test_nan_input_exit_3(self, tmp_path, capsys):
         series = tmp_path / "series.csv"
         series.write_text("year,value\n2000,1.5\n2001,nan\n2002,1.7\n", encoding="utf-8")
@@ -257,6 +269,16 @@ class TestPredict:
         assert error.startswith(f"{files[name]}, line 5: ")
         assert problem in error
 
+    @pytest.mark.parametrize("name", ["nodes", "edges"])
+    def test_k2_missing_network_file_exit_2(self, dataset_dir, raw_dir, tmp_path, capsys,
+                                            name):
+        files = {n: raw_dir / f"{n}.csv" for n in ("nodes", "edges")}
+        files[name] = tmp_path / "missing.csv"
+        assert main(["predict", "k2", "--dataset", str(dataset_dir),
+                     "--nodes", str(files["nodes"]), "--edges", str(files["edges"])]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": f"missing file: {files[name]}", "exit_code": 2}
+
     def test_k2_requires_network_files(self, dataset_dir):
         assert main(["predict", "k2", "--dataset", str(dataset_dir)]) == 2
 
@@ -300,6 +322,14 @@ class TestRegress:
         assert main(["regress", "--dataset", str(dataset_dir),
                      "--models", "9"]) == 2
 
+    @pytest.mark.parametrize("models, entry", [("x", "x"), ("1,", ""), ("1,2.0", "2.0")],
+                             ids=["word", "trailing-comma", "float"])
+    def test_non_integer_model_exit_2(self, dataset_dir, capsys, models, entry):
+        assert main(["regress", "--dataset", str(dataset_dir), "--models", models]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"].startswith(f"unknown model id {entry!r}")
+
     def test_bad_family_exit_3(self, dataset_dir):
         # ValueError from the Family enum maps to the data error code.
         assert main(["regress", "--dataset", str(dataset_dir),
@@ -339,6 +369,28 @@ class TestRegress:
             "--exclude-file", str(excl), "--no-timestamp"])
         assert code == 0
         assert (payload["n_rows"], payload["n_excluded"]) == (69, 1)
+
+
+@pytest.mark.parametrize("error, code", [
+    (IngestError("bad input"), 2),
+    (DatasetError("bad store"), 2),
+    (FileNotFoundError("no such file"), 2),
+    (TrendError("bad series"), 3),
+    (NetworkError("bad network"), 3),
+    (CitationError("bad citation"), 3),
+    (ValueError("bad value"), 3),
+    (RegressionError("bad design"), 4),
+    (ArithmeticError("overflow"), 4),
+], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None)
+def test_exception_class_sets_the_exit_code(dataset_dir, monkeypatch, capsys, error, code):
+    def fail(dataset):
+        raise error
+
+    monkeypatch.setattr(cli, "describe_dataset", fail)
+    assert main(["report", "--dataset", str(dataset_dir)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": str(error), "exit_code": code}
 
 
 class TestStoreValidation:

@@ -122,21 +122,40 @@ def _run_python(code: str) -> str:
                           text=True, check=True, timeout=120).stdout
 
 
-@pytest.mark.parametrize("stem", list(commands(Path("unused"))))
-def test_command_executes_only_its_modules(stem, store, outputs, tmp_path):
+def executed_modules(argv: list[str]) -> tuple[str, set[str]]:
+    """The exit code of cornrate.cli.main(argv), run in a fresh interpreter,
+    and the cornrate modules (past the package) it executed."""
     # cornrate.cli binds the per-command modules lazily: each stays a stub
     # (a LazyLoader module subclass) in sys.modules until first used.
-    argv = commands(tmp_path / "dataset" if stem == "ingest" else store)[stem]
     out = _run_python("import contextlib, io, sys, types\n"
                       "import cornrate.cli\n"
-                      "with contextlib.redirect_stdout(io.StringIO()):\n"
+                      "with contextlib.redirect_stdout(io.StringIO()), "
+                      "contextlib.redirect_stderr(io.StringIO()):\n"
                       f"    code = cornrate.cli.main({argv!r})\n"
                       "print(code, *sorted(n.split('.', 1)[1] for n, m in sys.modules.items()\n"
                       "                    if n.startswith('cornrate.')\n"
                       "                    and type(m) is types.ModuleType))\n")
     code, *executed = out.split()
-    assert code == "0"
-    assert set(executed) == EXECUTED[stem]
+    return code, set(executed)
+
+
+@pytest.mark.parametrize("stem", list(commands(Path("unused"))))
+def test_command_executes_only_its_modules(stem, store, outputs, tmp_path):
+    argv = commands(tmp_path / "dataset" if stem == "ingest" else store)[stem]
+    assert executed_modules(argv) == ("0", EXECUTED[stem])
+
+
+@pytest.mark.parametrize("stem, code", [("predict_k1", "3"), ("ingest", "2")])
+def test_failing_command_executes_only_its_modules(stem, code, store, outputs, tmp_path):
+    # Reporting an error executes no module off the command's path.
+    argv = commands(tmp_path / "dataset" if stem == "ingest" else store)[stem]
+    if stem == "ingest":
+        argv[argv.index("--patents") + 1] = str(tmp_path / "missing.csv")
+    else:
+        argv += ["--filed-until", "1900"]   # no patent is that old
+    exit_code, executed = executed_modules(argv)
+    assert exit_code == code
+    assert executed <= EXECUTED[stem]
 
 
 def test_modules_holding_cornrate_functions_are_bound_on_import(tmp_path):

@@ -71,7 +71,8 @@ class TestTrendSeries:
             TrendSeries.read_csv(path)
 
     def test_read_missing_file(self, tmp_path):
-        with pytest.raises(TrendError):
+        # The IngestError of core_data.read_text, as for every input file.
+        with pytest.raises(IngestError, match="missing file"):
             TrendSeries.read_csv(tmp_path / "nope.csv")
 
 
