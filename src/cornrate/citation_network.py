@@ -21,13 +21,13 @@ byte-order mark dropped, its names matched under the rules of
 core_data.read_table) the bytes hold only ASCII digits, commas and LF or
 CRLF line ends, every row has the header's width, and every field has 1
 to 18 digits and no leading zero, so it is the str() of its value. Such
-a body is parsed by one np.fromstring call. When the node ids are
-distinct and every edge end is one of them, the ends become node
+a body is parsed by one np.fromstring call. A repeated node id is an
+IngestError. When every edge end is a node id, the ends become node
 numbers through one lookup: a direct table when the ids span at most 4
 values per node, else a binary search in the sorted ids. Every other
 file (quotes, spaces, signs, blank lines, non-ASCII digits) and every
-edge file naming an unknown or repeated node id is read with string ids
-by core_data.read_table, which also names a bad row's file and line; the
+edge file naming an unknown node id is read with string ids by
+core_data.read_table, which also names a bad row's file and line; the
 two paths give the same network or the same error. Validation
 (self-citations, duplicates, unknown endpoints, year order) is done on
 the pairs and reports the first bad edge in file order. One
@@ -75,7 +75,7 @@ from itertools import accumulate, chain
 from typing import Iterable, Mapping
 
 from . import _lazy_module, constants
-from .core_data import (EDGE_COLUMNS, NODE_COLUMNS, CornrateError, PatentRecord,
+from .core_data import (EDGE_COLUMNS, NODE_COLUMNS, CornrateError, IngestError, PatentRecord,
                         _column_positions, read_table, read_text)
 from .ranking import midrank_percentiles
 from .trend import TrendSeries, fit_exponential
@@ -147,14 +147,8 @@ class CitationNetwork:
         any other file, and edges whose ends are not all node ids, go through
         core_data.read_table, which also names a bad row's file and line.
         """
-        nodes = _read_int_columns(node_csv, NODE_COLUMNS)
-        if nodes is None:
-            application_years = dict(read_table(
-                node_csv, lambda header: _column_positions(header, NODE_COLUMNS, node_csv),
-                lambda number, year: (number.strip(), int(year))))
-        else:
-            application_years = dict(zip(map(str, nodes[:, 0].tolist()), nodes[:, 1].tolist()))
-        if nodes is not None and len(application_years) == len(nodes):
+        application_years, nodes = _read_nodes(node_csv)
+        if nodes is not None:
             ends = _read_int_columns(edge_csv, EDGE_COLUMNS)
             positions = None if ends is None else _positions(nodes[:, 0], ends)
             if positions is not None:
@@ -162,6 +156,25 @@ class CitationNetwork:
         return cls(application_years, read_table(
             edge_csv, lambda header: _column_positions(header, EDGE_COLUMNS, edge_csv),
             lambda citing, cited: (citing.strip(), cited.strip())))
+
+
+def _read_nodes(path) -> tuple[dict[str, int], np.ndarray | None]:
+    """The application year of each patent number in a node CSV, and the file's
+    rows as an array if the integer path reads it; a repeated number is an IngestError."""
+    nodes = _read_int_columns(path, NODE_COLUMNS)
+    if nodes is None:
+        rows = list(read_table(path, lambda header: _column_positions(header, NODE_COLUMNS, path),
+                               lambda number, year: (number.strip(), int(year))))
+        numbers = [number for number, _ in rows]
+    else:
+        numbers = list(map(str, nodes[:, 0].tolist()))
+        rows = zip(numbers, nodes[:, 1].tolist())
+    application_years = dict(rows)
+    if len(application_years) < len(numbers):
+        seen: set[str] = set()
+        repeat = next(n for n in numbers if n in seen or seen.add(n))
+        raise IngestError(f"{path}: duplicate patent_number {repeat}")
+    return application_years, nodes
 
 
 # A field of the integer path has at most this many digits, so it fits an int64.

@@ -6,10 +6,10 @@ rows. Ingestion never drops rows silently: every input data row ends up
 either as a record, as a row-indexed error, or in the skip tally.
 
 Every CSV file, the exclusion list and the run configuration are
-decoded by read_text. The store, network, series and prefix-table CSVs
-are parsed by read_table, which stops at the first bad row; the ingest
-loaders read their rows through _ingest_rows, which records a row of the
-wrong width as a row error and goes on.
+decoded by read_text, and every CSV is split by read_table, which passes
+each row's fields to one parse function. Store, network, series and
+prefix-table files stop at the first bad row; the ingest loaders record
+each bad row as a row error and read on.
 
 CornrateError is the base of every cornrate error and carries the CLI's
 exit code. The dataset views at the end select the K1/K2 domain and
@@ -24,16 +24,17 @@ import io
 import json
 import math
 import operator
+import os
+import tempfile
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional
 
 SCHEMA_VERSION = 1
-
-from .constants import DEFAULT_CITATION_CUTOFF_YEAR
 
 
 class CornrateError(Exception):
@@ -160,12 +161,6 @@ class Dataset:
     patents: dict[str, PatentRecord] = field(default_factory=dict)
     trial_sets: list[PatentTrialSet] = field(default_factory=list)
     field_tests: list[FieldTestRecord] = field(default_factory=list)
-    citation_cutoff_year: int = DEFAULT_CITATION_CUTOFF_YEAR
-
-    def validate(self) -> None:
-        for ts in self.trial_sets:
-            if ts.patent_number not in self.patents:
-                raise ValueError(f"trial set for unknown patent {ts.patent_number}")
 
 
 @dataclass
@@ -235,11 +230,6 @@ def read_text(path, error: type[Exception] = IngestError) -> str:
         raise error(f"{path}, line {line}: {exc}") from None
 
 
-def _open_csv(path, error: type[Exception] = IngestError) -> io.StringIO:
-    """A CSV file's text (read_text) as the stream csv readers expect."""
-    return io.StringIO(read_text(path, error), newline="")
-
-
 def _column_positions(header: list[str], names: list[str], path) -> list[int]:
     """Index in header of each named column, under the ingest header rules.
 
@@ -255,168 +245,149 @@ def _column_positions(header: list[str], names: list[str], path) -> list[int]:
 
 
 def read_table(path, columns: Callable[[list[str]], Iterable[int]],
-               parse: Callable[..., object], error: type[Exception] = IngestError) -> Iterator:
+               parse: Callable[..., object], error: type[Exception] = IngestError,
+               row_errors: Optional[list[tuple[int, str]]] = None) -> Iterator:
     """Yield parse(*fields) for each data row of a CSV file, in file order.
 
     columns(header) gives the positions of the two or more fields passed to
     parse, or raises for a header it rejects. Blank lines are skipped. A row
     of the wrong width, or a ValueError from parse, is an error of class
-    error naming the file and line; a read_text failure, or text the csv
-    module cannot split (a NUL byte before Python 3.11, a quoted field over
-    its size limit), is a DatasetError for a store file, else an
+    error naming the file and line; given a row_errors list, it is appended
+    there as (index, message) instead, the index counting data rows from 0
+    without blank lines, and reading goes on. A read_text failure, or text
+    the csv module cannot split (a NUL byte before Python 3.11, a quoted
+    field over its size limit), is a DatasetError for a store file, else an
     IngestError. Rows are parsed as they are consumed, so the rows of a
     large file are never all held at once.
     """
     unreadable = DatasetError if error is DatasetError else IngestError
-    reader = csv.reader(_open_csv(path, unreadable))
+    reader = csv.reader(io.StringIO(read_text(path, unreadable), newline=""))
     try:
         header = next(reader, [])
         pick = operator.itemgetter(*columns(header))
         width = len(header)
-        for row in reader:
-            if len(row) != width:
-                if not row:
-                    continue
-                raise ValueError(f"expected {width} fields, found {len(row)}")
-            yield parse(*pick(row))
+        for index, row in enumerate(row for row in reader if row):
+            try:
+                if len(row) != width:
+                    raise ValueError(f"expected {width} fields, found {len(row)}")
+                record = parse(*pick(row))
+            except ValueError as exc:
+                if row_errors is None:
+                    raise
+                row_errors.append((index, str(exc)))
+            else:
+                yield record
     except ValueError as exc:
         raise error(f"{path}, line {reader.line_num}: {exc}") from None
     except csv.Error as exc:
         raise unreadable(f"{path}, line {reader.line_num}: {exc}") from None
 
 
-def _ingest_rows(path, names: list[str],
-                 errors: list[tuple[int, str]]) -> Iterator[tuple[int, dict[str, str]]]:
-    """(index, {name: field}) for each data row of an ingest CSV, in file order.
+def _valid(record):
+    """record, once its validate() has passed."""
+    record.validate()
+    return record
 
-    Rows are indexed from 0 and blank lines are not rows. Columns are found
-    by _column_positions. A row whose width is not the header's is appended
-    to errors as (index, "expected N fields, found M") and not yielded. Text
-    the csv module cannot split is an IngestError, as in read_table.
-    """
-    reader = csv.reader(_open_csv(path))
-    try:
-        header = next(reader, [])
-        columns = _column_positions(header, names, path)
-        width = len(header)
-        for i, row in enumerate(row for row in reader if row):
-            if len(row) != width:
-                errors.append((i, f"expected {width} fields, found {len(row)}"))
-                continue
-            yield i, {name: row[k] for name, k in zip(names, columns)}
-    except csv.Error as exc:
-        raise IngestError(f"{path}, line {reader.line_num}: {exc}") from None
+
+def _load(path, names: list[str], parse: Callable[..., object]) -> LoadReport:
+    """The records parse makes of the named columns of an ingest CSV, and its row errors."""
+    errors: list[tuple[int, str]] = []
+    records = list(read_table(path, lambda header: _column_positions(header, names, path),
+                              parse, row_errors=errors))
+    return LoadReport(records, errors)
 
 
 def load_patents(path) -> LoadReport:
     """Load the patent CSV; variety_name/kind stay unset for the title parser."""
-    records: list[PatentRecord] = []
-    errors: list[tuple[int, str]] = []
     seen: set[str] = set()
-    for i, row in _ingest_rows(path, PATENT_COLUMNS, errors):
-        number = row["patent_number"].strip()
-        if number and number in seen:
-            raise IngestError(f"duplicate patent_number {number} at row {i}")
-        try:
-            cited = [c.strip() for c in row["cited_patents"].split(";") if c.strip()]
-            rec = PatentRecord(
-                patent_number=number,
-                title=row["title"].strip(),
-                assignee=row["assignee"].strip(),
-                filed_year=int(row["filed_year"]),
-                granted_year=int(row["granted_year"]),
-                cited_patents=cited,
-                forward_citation_count=int(row["forward_citations"]),
-            )
-            rec.validate()
-        except ValueError as exc:
-            errors.append((i, str(exc)))
-            continue
+
+    def patent(number, title, assignee, filed_year, granted_year, forward_citations,
+               cited_patents) -> PatentRecord:
+        number = number.strip()
+        if number in seen:
+            raise IngestError(f"duplicate patent_number {number} in {path}")
+        record = _valid(PatentRecord(
+            patent_number=number,
+            title=title.strip(),
+            assignee=assignee.strip(),
+            filed_year=int(filed_year),
+            granted_year=int(granted_year),
+            cited_patents=[c.strip() for c in cited_patents.split(";") if c.strip()],
+            forward_citation_count=int(forward_citations),
+        ))
         seen.add(number)
-        records.append(rec)
-    return LoadReport(records, errors)
+        return record
+
+    return _load(path, PATENT_COLUMNS, patent)
 
 
-_FIELD_TEST_COLUMNS = {
-    FieldTestSchema.ILLINOIS_LIKE: ILLINOIS_COLUMNS,
-    FieldTestSchema.KENTUCKY_LIKE: ["Maturity", "Year", "Brand", "Hybrid", "Yield", "Moist", "Stand"],
-}
+def _illinois_row(state, year, region, brand, hybrid, yield_text, moisture) -> FieldTestRecord:
+    yield_value, significant = _parse_yield(yield_text)
+    return _valid(FieldTestRecord(
+        state=state,
+        year=int(year),
+        region=region.strip(),
+        brand=brand.strip(),
+        hybrid=hybrid.strip(),
+        yield_value=yield_value,
+        moisture=_parse_number(moisture),
+        significant=significant,
+    ))
+
+
+def _kentucky_row(state, maturity, year, brand, hybrid, yield_text, moisture,
+                  stand) -> FieldTestRecord:
+    yield_value, significant = _parse_yield(yield_text)
+    return _valid(FieldTestRecord(
+        state=state,
+        year=int(year),
+        region="STATE_AVG",
+        brand=brand.strip(),
+        hybrid=hybrid.strip(),
+        yield_value=yield_value,
+        moisture=_parse_number(moisture),
+        maturity=Maturity(maturity.strip().lower()),
+        stand=_parse_number(stand) if stand.strip() else None,
+        significant=significant,
+    ))
 
 
 def load_field_tests(path, schema: FieldTestSchema | str, state: str = "") -> LoadReport:
     """Load one state's field-test CSV in the Illinois- or Kentucky-like layout."""
-    try:
-        schema = FieldTestSchema(schema)
-    except ValueError:
-        raise IngestError(f"unknown schema: {schema!r}") from None
-    records: list[FieldTestRecord] = []
-    errors: list[tuple[int, str]] = []
-    for i, row in _ingest_rows(path, _FIELD_TEST_COLUMNS[schema], errors):
-        try:
-            yield_value, significant = _parse_yield(row["Yield"])
-            if schema is FieldTestSchema.ILLINOIS_LIKE:
-                rec = FieldTestRecord(
-                    state=state,
-                    year=int(row["Year"]),
-                    region=row["Region"].strip(),
-                    brand=row["Brand"].strip(),
-                    hybrid=row["Hybrid"].strip(),
-                    yield_value=yield_value,
-                    moisture=_parse_number(row["Moisture"]),
-                    significant=significant,
-                )
-            else:
-                stand_text = row["Stand"].strip()
-                rec = FieldTestRecord(
-                    state=state,
-                    year=int(row["Year"]),
-                    region="STATE_AVG",
-                    brand=row["Brand"].strip(),
-                    hybrid=row["Hybrid"].strip(),
-                    yield_value=yield_value,
-                    moisture=_parse_number(row["Moist"]),
-                    maturity=Maturity(row["Maturity"].strip().lower()),
-                    stand=_parse_number(stand_text) if stand_text else None,
-                    significant=significant,
-                )
-            rec.validate()
-        except ValueError as exc:
-            errors.append((i, str(exc)))
-            continue
-        records.append(rec)
-    return LoadReport(records, errors)
+    if schema == FieldTestSchema.ILLINOIS_LIKE:   # a str enum: equal to its value
+        return _load(path, ILLINOIS_COLUMNS, partial(_illinois_row, state))
+    if schema == FieldTestSchema.KENTUCKY_LIKE:
+        return _load(path, ["Maturity", "Year", "Brand", "Hybrid", "Yield", "Moist", "Stand"],
+                     partial(_kentucky_row, state))
+    raise IngestError(f"unknown schema: {schema!r}")
+
+
+def _trial_row(number, patented_variety, control, patented_yield,
+               control_yield) -> tuple[str, Optional[TrialComparison]]:
+    """(patent number, comparison), or (patent number, None) for a summary 'AVG' row."""
+    control = control.strip()
+    if control == "AVG":
+        return number.strip(), None
+    return number.strip(), _valid(TrialComparison(
+        patented_yield=_parse_number(patented_yield),
+        control_yield=_parse_number(control_yield),
+        control_name=control,
+    ))
 
 
 def load_trial_sets(path) -> LoadReport:
     """Load per-patent trial comparisons; summary 'AVG' rows are skipped."""
+    rows = _load(path, TRIAL_COLUMNS, _trial_row)
     groups: dict[str, list[TrialComparison]] = {}
-    errors: list[tuple[int, str]] = []
-    skipped = 0
-    for i, row in _ingest_rows(path, TRIAL_COLUMNS, errors):
-        number = row["patent_number"].strip()
-        control = row["control_variety"].strip()
-        if control == "AVG":
-            skipped += 1
-            groups.setdefault(number, [])
-            continue
-        try:
-            comp = TrialComparison(
-                patented_yield=_parse_number(row["patented_yield"]),
-                control_yield=_parse_number(row["control_yield"]),
-                control_name=control,
-            )
-            comp.validate()
-        except ValueError as exc:
-            errors.append((i, str(exc)))
-            continue
-        groups.setdefault(number, []).append(comp)
-    records = []
-    for number, comparisons in groups.items():
-        if not comparisons:
-            errors.append((-1, f"no comparisons for patent {number}"))
-            continue
-        records.append(PatentTrialSet(patent_number=number, comparisons=comparisons))
-    return LoadReport(records, errors, skipped)
+    for number, comparison in rows.records:
+        group = groups.setdefault(number, [])
+        if comparison is not None:
+            group.append(comparison)
+    records = [PatentTrialSet(number, group) for number, group in groups.items() if group]
+    rows.row_errors.extend((-1, f"no comparisons for patent {number}")
+                           for number, group in groups.items() if not group)
+    skipped = sum(comparison is None for _, comparison in rows.records)
+    return LoadReport(records, rows.row_errors, skipped)
 
 
 def infer_missing_year_average(summary_mean: float, known_year_means: list[float],
@@ -457,33 +428,35 @@ def _fmt(value) -> str:
 
 
 def save_dataset(dataset: Dataset, directory) -> None:
-    """Write the dataset's three CSVs and then its manifest into directory.
+    """Write the dataset's three CSVs and its manifest into directory.
 
-    An existing manifest is removed first, so a rewrite that stops partway
-    leaves a store that load_dataset rejects for having no manifest.
+    All four are written to a temporary directory inside directory, then the
+    old manifest is removed and each file moved over its old one, the manifest
+    last: a failed write leaves the old store, a failed move leaves no manifest.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / "manifest.json").unlink(missing_ok=True)
-    write_csv(directory / "patents.csv", _PATENT_HEADER, (
-        [p.patent_number, p.title, p.assignee, p.filed_year, p.granted_year,
-         p.forward_citation_count, ";".join(p.cited_patents), _fmt(p.variety_name),
-         _fmt(p.kind)]
-        for p in dataset.patents.values()))
-    write_csv(directory / "trials.csv", _TRIAL_HEADER, (
-        [ts.patent_number, c.control_name, _fmt(c.patented_yield), _fmt(c.control_yield),
-         _fmt(c.patented_moisture), _fmt(c.control_moisture)]
-        for ts in dataset.trial_sets for c in ts.comparisons))
-    write_csv(directory / "fieldtests.csv", _FIELDTEST_HEADER, (
-        [t.state, t.year, t.region, t.brand, t.hybrid, _fmt(t.yield_value),
-         _fmt(t.moisture), _fmt(t.maturity), _fmt(t.stand), _fmt(bool(t.significant))]
-        for t in dataset.field_tests))
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "citation_cutoff_year": int(dataset.citation_cutoff_year),   # json needs a Python int
-        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    with tempfile.TemporaryDirectory(dir=directory) as temporary:
+        staging = Path(temporary)
+        write_csv(staging / "patents.csv", _PATENT_HEADER, (
+            [p.patent_number, p.title, p.assignee, p.filed_year, p.granted_year,
+             p.forward_citation_count, ";".join(p.cited_patents), _fmt(p.variety_name),
+             _fmt(p.kind)]
+            for p in dataset.patents.values()))
+        write_csv(staging / "trials.csv", _TRIAL_HEADER, (
+            [ts.patent_number, c.control_name, _fmt(c.patented_yield), _fmt(c.control_yield),
+             _fmt(c.patented_moisture), _fmt(c.control_moisture)]
+            for ts in dataset.trial_sets for c in ts.comparisons))
+        write_csv(staging / "fieldtests.csv", _FIELDTEST_HEADER, (
+            [t.state, t.year, t.region, t.brand, t.hybrid, _fmt(t.yield_value),
+             _fmt(t.moisture), _fmt(t.maturity), _fmt(t.stand), _fmt(bool(t.significant))]
+            for t in dataset.field_tests))
+        manifest = {"schema_version": SCHEMA_VERSION,
+                    "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat()}
+        (staging / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        (directory / "manifest.json").unlink(missing_ok=True)
+        for name in ("patents.csv", "trials.csv", "fieldtests.csv", "manifest.json"):
+            os.replace(staging / name, directory / name)
 
 
 def _read_store(path: Path, layout: list[str], parse: Callable[..., object]) -> Iterator:
@@ -501,9 +474,12 @@ def _read_store(path: Path, layout: list[str], parse: Callable[..., object]) -> 
     return read_table(path, columns, parse, DatasetError)
 
 
-def _patent_from_store(number, title, assignee, filed_year, granted_year, forward_citations,
-                       cited_patents, variety_name, kind) -> PatentRecord:
-    record = PatentRecord(
+def _patent_from_store(patents: dict[str, PatentRecord], number, title, assignee, filed_year,
+                       granted_year, forward_citations, cited_patents, variety_name,
+                       kind) -> PatentRecord:
+    if number in patents:
+        raise ValueError(f"duplicate patent_number {number}")
+    return _valid(PatentRecord(
         patent_number=number,
         title=title,
         assignee=assignee,
@@ -513,27 +489,26 @@ def _patent_from_store(number, title, assignee, filed_year, granted_year, forwar
         forward_citation_count=int(forward_citations),
         variety_name=variety_name or None,
         kind=PatentKind(kind) if kind else None,
-    )
-    record.validate()
-    return record
+    ))
 
 
-def _trial_from_store(number, control_name, patented_yield, control_yield, patented_moisture,
+def _trial_from_store(patents: dict[str, PatentRecord], number, control_name, patented_yield,
+                      control_yield, patented_moisture,
                       control_moisture) -> tuple[str, TrialComparison]:
-    comparison = TrialComparison(
+    if number not in patents:
+        raise ValueError(f"trial set for unknown patent {number}")
+    return number, _valid(TrialComparison(
         patented_yield=float(patented_yield),
         control_yield=float(control_yield),
         control_name=control_name,
         patented_moisture=float(patented_moisture) if patented_moisture else None,
         control_moisture=float(control_moisture) if control_moisture else None,
-    )
-    comparison.validate()
-    return number, comparison
+    ))
 
 
 def _field_test_from_store(state, year, region, brand, hybrid, yield_value, moisture, maturity,
                            stand, significant) -> FieldTestRecord:
-    record = FieldTestRecord(
+    return _valid(FieldTestRecord(
         state=state,
         year=int(year),
         region=region,
@@ -544,12 +519,12 @@ def _field_test_from_store(state, year, region, brand, hybrid, yield_value, mois
         maturity=Maturity(maturity) if maturity else None,
         stand=float(stand) if stand else None,
         significant=significant == "1",
-    )
-    record.validate()
-    return record
+    ))
 
 
 def load_dataset(directory) -> Dataset:
+    """The dataset in a store directory. A repeated patent, or a trial row for a patent
+    not in patents.csv, is a DatasetError naming the file and line."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():
@@ -564,29 +539,22 @@ def load_dataset(directory) -> Dataset:
         raise DatasetError(
             f"schema version mismatch: found {manifest.get('schema_version')!r}, "
             f"expected {SCHEMA_VERSION}")
-    cutoff = manifest.get("citation_cutoff_year")
-    if type(cutoff) is not int:   # bool is an int subclass, and not a year
-        raise DatasetError(f"corrupt manifest {manifest_path}: citation_cutoff_year "
-                           f"must be an integer, found {cutoff!r}")
 
-    patents = {rec.patent_number: rec for rec in
-               _read_store(directory / "patents.csv", _PATENT_HEADER, _patent_from_store)}
+    # Each patent is stored before the next row is parsed, so duplicates are caught.
+    patents: dict[str, PatentRecord] = {}
+    for record in _read_store(directory / "patents.csv", _PATENT_HEADER,
+                              partial(_patent_from_store, patents)):
+        patents[record.patent_number] = record
     groups: dict[str, list[TrialComparison]] = {}
     for number, comparison in _read_store(directory / "trials.csv", _TRIAL_HEADER,
-                                          _trial_from_store):
+                                          partial(_trial_from_store, patents)):
         groups.setdefault(number, []).append(comparison)
-    trial_sets = [PatentTrialSet(n, comparisons) for n, comparisons in groups.items()]
-    field_tests = list(_read_store(directory / "fieldtests.csv", _FIELDTEST_HEADER,
-                                   _field_test_from_store))
-
-    dataset = Dataset(
+    return Dataset(
         patents=patents,
-        trial_sets=trial_sets,
-        field_tests=field_tests,
-        citation_cutoff_year=cutoff,
+        trial_sets=[PatentTrialSet(n, comparisons) for n, comparisons in groups.items()],
+        field_tests=list(_read_store(directory / "fieldtests.csv", _FIELDTEST_HEADER,
+                                     _field_test_from_store)),
     )
-    dataset.validate()
-    return dataset
 
 
 # --- dataset views ---------------------------------------------------------

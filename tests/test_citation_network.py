@@ -304,6 +304,13 @@ class TestFromFilesFastPath:
         assert qualifies == expected
         assert fast == slow
 
+    def test_repeated_node_id(self, tmp_path):
+        # Both paths raise, naming the file, where the last year used to win.
+        qualifies, fast, slow = both_paths(tmp_path, NODES + "1001,1995\n", EDGES)
+        assert qualifies == (True, True)
+        assert fast == slow == (IngestError,
+                                f"{tmp_path / 'nodes.csv'}: duplicate patent_number 1001")
+
     def test_plain_files_build(self, tmp_path):
         _, fast, _ = both_paths(tmp_path, NODES, EDGES)
         years, cited, spnp = fast

@@ -396,11 +396,8 @@ def test_exception_class_sets_the_exit_code(dataset_dir, monkeypatch, capsys, er
 class TestStoreValidation:
     @pytest.mark.parametrize("manifest", [
         b"[]",
-        b'{"schema_version": 1}',
-        b'{"schema_version": 1, "citation_cutoff_year": "x"}',
-        b'{"schema_version": 1, "citation_cutoff_year": true}',
         b'{"schema_version": 1, "citation_cutoff_year": 2015, "note": "\xff"}',
-    ], ids=["not-an-object", "no-cutoff", "string-cutoff", "bool-cutoff", "not-utf-8"])
+    ], ids=["not-an-object", "not-utf-8"])
     def test_malformed_manifest_exit_2(self, dataset_dir, tmp_path, capsys, manifest):
         store = tmp_path / "ds"
         store.mkdir()
@@ -411,6 +408,27 @@ class TestStoreValidation:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert str(store / "manifest.json") in json.loads(captured.err)["error"]
+
+    @pytest.mark.parametrize("name, row, message", [
+        ("patents.csv", 1, "duplicate patent_number"),
+        ("trials.csv", "9999999,c9,100.0,99.0,,", "trial set for unknown patent 9999999"),
+    ], ids=["duplicate-patent", "unknown-trial-patent"])
+    def test_inconsistent_store_row_exit_2(self, dataset_dir, tmp_path, capsys, name, row,
+                                           message):
+        # A row is appended; an int names the existing row to repeat.
+        store = tmp_path / "ds"
+        store.mkdir()
+        for f in dataset_dir.iterdir():
+            (store / f.name).write_bytes(f.read_bytes())
+        path = store / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines.append(lines[row] if isinstance(row, int) else row)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["report", "--dataset", str(store)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error.startswith(f"{path}, line {len(lines)}: {message}")
 
     @pytest.mark.parametrize("name, column", [("trials.csv", "patented_yield"),
                                               ("fieldtests.csv", "yield")],

@@ -1,5 +1,8 @@
 import codecs
 import math
+import os
+import re
+from pathlib import Path
 from importlib import resources
 
 import numpy as np
@@ -11,8 +14,10 @@ from cornrate.core_data import (Dataset, FieldTestSchema, IngestError, DatasetEr
                                 TrialComparison, FieldTestRecord,
                                 infer_missing_year_average, load_dataset,
                                 load_field_tests, load_patents, load_trial_sets,
-                                save_dataset)
+                                read_table, save_dataset)
 from tests.synthetic import synthetic_dataset
+
+STORE_FILES = ["fieldtests.csv", "manifest.json", "patents.csv", "trials.csv"]
 
 
 def write(path, text):
@@ -21,6 +26,49 @@ def write(path, text):
 
 
 PATENT_HEADER = "patent_number,title,assignee,filed_year,granted_year,forward_citations,cited_patents\n"
+
+
+def pair(a: str, b: str) -> tuple[int, int]:
+    return int(a), int(b)
+
+
+def first_two(header):
+    return [0, 1]
+
+
+class TestReadTable:
+    TEXT = "a,b\n1,2\n\n3\n4,x\n\n5,6,7\n8,9\n"
+
+    def test_strict_names_file_and_physical_line(self, tmp_path):
+        # The short row "3" is on line 4, after a blank line that is not a row.
+        p = write(tmp_path / "t.csv", self.TEXT)
+        with pytest.raises(DatasetError, match=rf"^{re.escape(str(p))}, line 4: "
+                                               r"expected 2 fields, found 1$"):
+            list(read_table(p, first_two, pair, DatasetError))
+        p = write(tmp_path / "t.csv", "a,b\n\n1,2\n\n4,x\n")
+        with pytest.raises(IngestError, match=rf"^{re.escape(str(p))}, line 5: invalid literal"):
+            list(read_table(p, first_two, pair))
+
+    def test_row_errors_collected_and_reading_goes_on(self, tmp_path):
+        p = write(tmp_path / "t.csv", self.TEXT)
+        errors = []
+        assert list(read_table(p, first_two, pair, row_errors=errors)) == [(1, 2), (8, 9)]
+        assert [index for index, _ in errors] == [1, 2, 3]
+        assert errors[0] == (1, "expected 2 fields, found 1")
+        assert "invalid literal" in errors[1][1]
+        assert errors[2] == (3, "expected 2 fields, found 3")
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.sampled_from(["1,2", "", "3", "4,x", "5,6,7", " ,8", "9,10"]),
+                    max_size=12))
+    def test_every_row_is_a_record_or_an_error(self, tmp_path_factory, lines):
+        p = write(tmp_path_factory.mktemp("t") / "t.csv", "\n".join(["a,b", *lines]) + "\n")
+        errors = []
+        records = list(read_table(p, first_two, pair, row_errors=errors))
+        rows = [line for line in lines if line]
+        assert len(records) + len(errors) == len(rows)
+        assert [index for index, _ in errors] == [
+            i for i, row in enumerate(rows) if row not in ("1,2", "9,10")]
 
 
 class TestLoadPatents:
@@ -71,7 +119,7 @@ class TestLoadPatents:
 
     def test_duplicate_patent_number(self, tmp_path):
         p = write(tmp_path / "p.csv", PATENT_HEADER + "1,t,A,1990,1995,0,\n1,t,A,1990,1995,0,\n")
-        with pytest.raises(IngestError, match="duplicate"):
+        with pytest.raises(IngestError, match=rf"^duplicate patent_number 1 in {re.escape(str(p))}$"):
             load_patents(p)
 
     def test_unparsable_year_is_row_error(self, tmp_path):
@@ -293,8 +341,7 @@ def datasets(draw):
         patents=patents,
         trial_sets=[PatentTrialSet(n, draw(st.lists(_COMPARISON, min_size=1, max_size=3)))
                     for n in tested],
-        field_tests=draw(st.lists(_FIELD_TEST, max_size=4)),
-        citation_cutoff_year=draw(_YEAR))
+        field_tests=draw(st.lists(_FIELD_TEST, max_size=4)))
 
 
 class TestDatasetStore:
@@ -382,9 +429,9 @@ class TestDatasetStore:
         with pytest.raises(DatasetError, match="not the store layout"):
             load_dataset(tmp_path / "ds")
 
-    def test_interrupted_rewrite_has_no_manifest(self, tmp_path, monkeypatch):
-        # The old manifest goes first and the new one is written last, so a
-        # failed rewrite never leaves a manifest beside partial CSVs.
+    def test_failed_write_keeps_old_store(self, tmp_path, monkeypatch):
+        # The new files are written aside, so a write that fails leaves the
+        # old store loadable and no temporary directory behind.
         import cornrate.core_data as core_data
         save_dataset(self._dataset(), tmp_path / "ds")
         real_write_csv = core_data.write_csv
@@ -393,15 +440,54 @@ class TestDatasetStore:
         def failing_write_csv(path, header, rows):
             if written:
                 raise OSError("disk full")
-            written.append(path)
+            written.append(path.name)
             real_write_csv(path, header, rows)
 
         monkeypatch.setattr(core_data, "write_csv", failing_write_csv)
         with pytest.raises(OSError, match="disk full"):
             save_dataset(synthetic_dataset(), tmp_path / "ds")
-        assert written == [tmp_path / "ds" / "patents.csv"]
+        assert written == ["patents.csv"]
+        assert load_dataset(tmp_path / "ds") == self._dataset()
+        assert sorted(f.name for f in (tmp_path / "ds").iterdir()) == STORE_FILES
+
+    def test_interrupted_rewrite_has_no_manifest(self, tmp_path, monkeypatch):
+        # The old manifest goes before the first file is moved into place and
+        # the new one comes last, so a rewrite that stops while moving never
+        # leaves a manifest beside a mix of old and new CSVs.
+        save_dataset(self._dataset(), tmp_path / "ds")
+        real_replace = os.replace
+        moved = []
+
+        def failing_replace(source, target):
+            if moved:
+                raise OSError("interrupted")
+            moved.append(Path(target).name)
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="interrupted"):
+            save_dataset(synthetic_dataset(), tmp_path / "ds")
+        assert moved == ["patents.csv"]
         with pytest.raises(DatasetError, match="no manifest"):
             load_dataset(tmp_path / "ds")
+        assert sorted(f.name for f in (tmp_path / "ds").iterdir()) == [
+            "fieldtests.csv", "patents.csv", "trials.csv"]
+
+    def test_rewrite_replaces_only_store_files(self, tmp_path):
+        directory = tmp_path / "ds"
+        save_dataset(synthetic_dataset(), directory)
+        (directory / "notes.txt").write_text("kept")
+        save_dataset(self._dataset(), directory)
+        assert load_dataset(directory) == self._dataset()
+        assert sorted(f.name for f in directory.iterdir()) == sorted(STORE_FILES + ["notes.txt"])
+        assert (directory / "notes.txt").read_text() == "kept"
+
+    def test_manifest_with_old_keys_loads(self, tmp_path):
+        # Stores written before citation_cutoff_year left the manifest still load.
+        save_dataset(self._dataset(), tmp_path / "ds")
+        manifest = tmp_path / "ds" / "manifest.json"
+        manifest.write_text('{"schema_version": 1, "citation_cutoff_year": 2015}')
+        assert load_dataset(tmp_path / "ds") == self._dataset()
 
 
 class TestInferMissingYear:
