@@ -7,12 +7,16 @@ publication year it feeds the affine rate model
     K1 = -31.1285 + 0.0155 * AvePubYear + 0.1406 * Cite3
 
 whose coefficients are fixed constants (see constants module).
+domain_citation_stats, the call behind `predict k1`, gives K1 and its
+inputs for a domain slice of a patent collection; per_patent_cite3 gives
+every patent's Cite3 count and grant-year cohort percentile for the
+regressions.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 from . import constants
 from .core_data import CornrateError, PatentRecord
@@ -35,23 +39,19 @@ def build_internal_edges(patents: Mapping[str, PatentRecord]) -> list[tuple[str,
 
 def cite3_counts(patents: Iterable[PatentRecord],
                  citation_edges: Iterable[tuple[str, str]],
-                 pub_years: Optional[Mapping[str, int]] = None) -> dict[str, int]:
+                 pub_years: Mapping[str, int]) -> dict[str, int]:
     """Per-patent count of forward citations within the 3-year window.
 
-    pub_years may supply years for citing patents outside the domain;
-    domain patents default to their grant year.
+    pub_years gives the publication year of each patent counted and of
+    every patent citing one.
     """
-    patents = list(patents)
-    years = dict(pub_years or {})
-    for p in patents:
-        years.setdefault(p.patent_number, p.granted_year)
     counts = {p.patent_number: 0 for p in patents}
     for citing, cited in citation_edges:
         if cited not in counts:
             continue
-        if citing not in years:
+        if citing not in pub_years:
             raise CitationError(f"no publication year for citing patent {citing}")
-        delta = years[citing] - years[cited]
+        delta = pub_years[citing] - pub_years[cited]
         if delta < 0:
             raise CitationError(
                 f"citation from {citing} predates cited patent {cited}")
@@ -64,15 +64,9 @@ def per_patent_cite3(patents: Mapping[str, PatentRecord]
                      ) -> tuple[dict[str, int], dict[str, float]]:
     """Each patent's cite3 count over the collection's internal edges, and its
     mid-rank percentile within its grant-year cohort."""
-    counts = cite3_counts(patents.values(), build_internal_edges(patents))
-    return counts, midrank_percentiles(counts, {n: p.granted_year for n, p in patents.items()})
-
-
-def compute_ave_pub_year(patents: Iterable[PatentRecord]) -> float:
-    years = [p.granted_year for p in patents]
-    if not years:
-        raise CitationError("empty patent collection")
-    return math.fsum(years) / len(years)
+    granted = {n: p.granted_year for n, p in patents.items()}
+    counts = cite3_counts(patents.values(), build_internal_edges(patents), granted)
+    return counts, midrank_percentiles(counts, granted)
 
 
 def predict_k1(ave_pub_year: float, cite3: float) -> float:
@@ -81,35 +75,24 @@ def predict_k1(ave_pub_year: float, cite3: float) -> float:
             + constants.K1_CITE3 * cite3)
 
 
-def domain_citation_stats(patents: Iterable[PatentRecord],
-                          citation_edges: Iterable[tuple[str, str]],
-                          pub_years: Optional[Mapping[str, int]] = None,
-                          exclusions: Iterable[str] = ()) -> dict:
-    """K1 and its inputs for one domain slice, exclusions applied first.
+def domain_citation_stats(patents: Mapping[str, PatentRecord], domain: Iterable[PatentRecord],
+                          exclusions: Iterable[str]) -> dict:
+    """K1 and its inputs for a domain slice of a patent collection, exclusions applied first.
 
-    spc is the number of patents kept and cite3_total the sum of their
-    cite3_counts, whose mean is cite3.
+    The citations are the collection's internal edges between patents not
+    excluded, so a citing patent may fall outside the slice; each patent
+    is published in its grant year. spc is the number of domain patents
+    kept and cite3_total the sum of their cite3_counts, whose mean is cite3.
     """
     excluded = set(exclusions)
-    kept = [p for p in patents if p.patent_number not in excluded]
+    kept = [p for p in domain if p.patent_number not in excluded]
     if not kept:
         raise CitationError("no patents left after exclusions")
-    edges = [(a, b) for a, b in citation_edges
+    edges = [(a, b) for a, b in build_internal_edges(patents)
              if a not in excluded and b not in excluded]
-    counts = cite3_counts(kept, edges, pub_years)
-    total = sum(counts[k] for k in sorted(counts))
+    total = sum(cite3_counts(kept, edges,
+                             {n: p.granted_year for n, p in patents.items()}).values())
     cite3 = total / len(kept)
-    ave_pub_year = compute_ave_pub_year(kept)
+    ave_pub_year = math.fsum(p.granted_year for p in kept) / len(kept)
     return {"spc": len(kept), "cite3": cite3, "cite3_total": total,
             "ave_pub_year": ave_pub_year, "k1": predict_k1(ave_pub_year, cite3)}
-
-
-def evaluate_k1(patents: Mapping[str, PatentRecord], domain: Iterable[PatentRecord],
-                exclusions: Iterable[str] = ()) -> dict:
-    """K1 and its inputs for a domain slice of a patent collection.
-
-    The citations are the collection's internal edges, so a citing patent
-    may fall outside the slice; each patent is published in its grant year.
-    """
-    return domain_citation_stats(domain, build_internal_edges(patents),
-                                 {n: p.granted_year for n, p in patents.items()}, exclusions)

@@ -51,11 +51,13 @@ object array and SPNP is the product of the two sweeps' entries. The log
 mode runs the same sweep on log(1 + P) with np.logaddexp.reduceat and
 adds the two sweeps; near-ties may rank differently there.
 
-Downstream: per-application-year mid-rank percentiles of SPNP, the
-domain centrality (mean over domain patents of the mean percentile of
-their cited patents), the growth rate Z of the domain's highly cited
-patents (those whose application-year cohort percentile of forward
-citations is >= constants.DEFAULT_HIGHLY_CITED_THRESHOLD), and
+Downstream, in evaluate_k2 (the call behind `predict k2`):
+per-application-year mid-rank percentiles of SPNP, the domain centrality
+(mean over domain patents of the mean percentile of their cited
+patents), the growth rate Z of the domain's highly cited patents (those
+whose application-year cohort percentile of forward citations is >= a
+threshold in (0, 1), constants.DEFAULT_HIGHLY_CITED_THRESHOLD unless the
+run configuration sets highly_cited_threshold), and
 
     K2 = exp(5.0575 * Centrality + 10.1261 * Z - 5.8486).
 
@@ -391,15 +393,6 @@ def domain_centrality(domain_patents: Iterable[str], net: CitationNetwork,
             "n_excluded_no_citations": excluded, "n_skipped_unknown_cited": skipped}
 
 
-def classify_highly_cited(citation_percentiles: Mapping[str, float],
-                          threshold: float = constants.DEFAULT_HIGHLY_CITED_THRESHOLD
-                          ) -> dict[str, bool]:
-    """Inclusive threshold on the cohort citation rank percentile."""
-    if not 0 < threshold < 1:
-        raise ValueError("threshold must be in (0, 1)")
-    return {k: v >= threshold for k, v in citation_percentiles.items()}
-
-
 def compute_z(domain_patents: Iterable[str], highly_cited: Mapping[str, bool],
               application_years: Mapping[str, int]) -> float:
     """Exponential rate of the cumulative highly-cited count by application year.
@@ -429,35 +422,20 @@ def predict_k2(centrality: float, z: float) -> float:
                     + constants.K2_INTERCEPT)
 
 
-def evaluate_domain(net: CitationNetwork, domain_patents: Iterable[str],
-                    citation_percentiles: Mapping[str, float],
-                    threshold: float = constants.DEFAULT_HIGHLY_CITED_THRESHOLD) -> dict:
-    """Full second-model evaluation for one domain within a network.
-
-    Centrality comes from the cohort SPNP percentiles of the network
-    (domain_centrality, whose tallies are reported with it).
-    citation_percentiles are the cohort (application-year) mid-rank
-    percentiles of forward-citation counts; a domain patent is highly
-    cited when its percentile is >= threshold, and those flags drive Z.
-    """
-    domain = sorted(set(domain_patents))
-    percentile = midrank_percentiles(compute_spnp(net), net.application_years)
-    centrality = domain_centrality(domain, net, percentile)
-    flags = classify_highly_cited(citation_percentiles, threshold)
-    z = compute_z(domain, flags, net.application_years)
-    return {**centrality, "z": z, "k2": predict_k2(centrality["centrality"], z),
-            "n_highly_cited": sum(1 for p in domain if flags.get(p, False)),
-            "highly_cited_threshold": threshold}
-
-
 def evaluate_k2(net: CitationNetwork, patents: Mapping[str, PatentRecord],
                 domain: Iterable[PatentRecord], exclusions: Iterable[str],
-                threshold: float = constants.DEFAULT_HIGHLY_CITED_THRESHOLD) -> dict:
-    """evaluate_domain for the domain patents in the network that are not excluded.
+                threshold: float) -> dict:
+    """K2 and its inputs for the domain patents in the network that are not excluded.
 
-    The citation percentiles rank the forward-citation counts of the
-    collection's patents in the network, by application-year cohort.
+    Centrality comes from the cohort SPNP percentiles of the network
+    (domain_centrality, whose tallies are reported with it). The
+    citation percentiles rank the forward-citation counts of the
+    collection's patents in the network, by application-year cohort; a
+    domain patent is highly cited when its percentile is >= threshold,
+    which must lie in (0, 1), and those patents drive Z.
     """
+    if not 0 < threshold < 1:
+        raise ValueError("threshold must be in (0, 1)")
     excluded = set(exclusions)
     numbers = sorted(p.patent_number for p in domain
                      if p.patent_number in net.application_years
@@ -467,5 +445,11 @@ def evaluate_k2(net: CitationNetwork, patents: Mapping[str, PatentRecord],
     citation_percentiles = midrank_percentiles(
         {n: p.forward_citation_count for n, p in patents.items() if n in net.application_years},
         net.application_years)
-    return {"n_domain": len(numbers),
-            **evaluate_domain(net, numbers, citation_percentiles, threshold)}
+    percentile = midrank_percentiles(compute_spnp(net), net.application_years)
+    centrality = domain_centrality(numbers, net, percentile)
+    flags = {n: v >= threshold for n, v in citation_percentiles.items()}
+    z = compute_z(numbers, flags, net.application_years)
+    return {"n_domain": len(numbers), **centrality, "z": z,
+            "k2": predict_k2(centrality["centrality"], z),
+            "n_highly_cited": sum(1 for n in numbers if flags.get(n, False)),
+            "highly_cited_threshold": threshold}

@@ -3,7 +3,9 @@
 Each command parses its arguments, loads its inputs, makes one library
 call that returns its report, and emits that report: strict JSON on
 stdout (stable key order) and, with --out, the same JSON plus the
-command's series or table CSVs in that directory. Figures are data only.
+command's series or table CSVs in that directory. ingest's --out is the
+dataset store it writes instead, and its report goes to stdout only.
+Each command takes only the options it reads. Figures are data only.
 
 Exit codes: 0 success, 2 input error, 3 data/precondition error, 4
 numeric failure. The exception that stops a command sets the code: a
@@ -63,12 +65,14 @@ def _emit(payload: dict, command: str, args) -> None:
             datetime.timezone.utc).isoformat()
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     print(text)
-    if args.out:
+    # ingest has no report directory: its --out is the store (args.store), which
+    # holds only the files save_dataset writes.
+    if getattr(args, "out", None):
         (_out_dir(args) / f"{command}.json").write_text(text + "\n", encoding="utf-8")
 
 
 def _load_config(args) -> dict:
-    if not getattr(args, "config", None):
+    if not args.config:
         return {}
     path = Path(args.config)
     try:
@@ -96,9 +100,8 @@ def _require_dataset(args) -> Dataset:
 
 def _exclusions(args, config: dict) -> set[str]:
     result = set(config.get("exclusion_list", []))
-    exclude_file = getattr(args, "exclude_file", None)
-    if exclude_file:
-        lines = read_text(exclude_file).splitlines()
+    if args.exclude_file:
+        lines = read_text(args.exclude_file).splitlines()
         result.update(line.strip() for line in lines if line.strip())
     return result
 
@@ -106,7 +109,7 @@ def _exclusions(args, config: dict) -> set[str]:
 # --- ingest ----------------------------------------------------------------
 
 def cmd_ingest(args) -> int:
-    if not args.out:
+    if not args.store:
         raise IngestError("--out dataset directory is required")
     patents_report = load_patents(args.patents)
     trials_report = load_trial_sets(args.trials)
@@ -127,9 +130,9 @@ def cmd_ingest(args) -> int:
     trial_sets = [ts for ts in trials_report.records if ts.patent_number in patents]
     dropped_trials = len(trials_report.records) - len(trial_sets)
     dataset = Dataset(patents=patents, trial_sets=trial_sets, field_tests=field_tests)
-    save_dataset(dataset, args.out)
+    save_dataset(dataset, args.store)
     _emit({
-        "dataset_dir": str(args.out),
+        "dataset_dir": str(args.store),
         "patents": patents_report.as_dict(),
         "trials": trials_report.as_dict(),
         "trial_sets_without_patent": dropped_trials,
@@ -164,7 +167,6 @@ def _trend_series(args, payload: dict) -> trend.TrendSeries:
 
 
 def cmd_trend(args) -> int:
-    _load_config(args)   # trend reads no key, but a malformed file is still an input error
     payload = {"series": args.series}
     series = _trend_series(args, payload).restrict(args.year_from, args.year_to)
     payload.update(trend.fit_exponential(series).as_dict())
@@ -183,7 +185,7 @@ def cmd_predict(args) -> int:
     domain = select_domain(dataset, args.kind, args.filed_until)
     selection = {"kind": args.kind, "filed_until": args.filed_until}
     if args.model == "k1":
-        payload = citation_metrics.evaluate_k1(dataset.patents, domain, exclusions)
+        payload = citation_metrics.domain_citation_stats(dataset.patents, domain, exclusions)
         _emit({**selection, **payload}, "predict_k1", args)
         return 0
 
@@ -231,11 +233,13 @@ def cmd_report(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--dataset", help="dataset directory (from ingest)")
-    common.add_argument("--out", help="output directory for reports and CSVs")
-    common.add_argument("--config", help="JSON run configuration file")
     common.add_argument("--no-timestamp", action="store_true",
                         help="omit timestamps for byte-identical re-runs")
+    reader = argparse.ArgumentParser(add_help=False, parents=[common])
+    reader.add_argument("--dataset", help="dataset directory (from ingest)")
+    reader.add_argument("--out", help="output directory for reports and CSVs")
+    configured = argparse.ArgumentParser(add_help=False, parents=[reader])
+    configured.add_argument("--config", help="JSON run configuration file")
 
     parser = argparse.ArgumentParser(
         prog="cornrate",
@@ -243,6 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("ingest", parents=[common], help="build a dataset from CSVs")
+    p.add_argument("--out", dest="store", help="dataset directory to write")
     p.add_argument("--patents", required=True)
     p.add_argument("--trials", required=True)
     p.add_argument("--fieldtests")
@@ -251,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prefix-table", help="override the bundled title pattern table")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("trend", parents=[common], help="fit an exponential trend")
+    p = sub.add_parser("trend", parents=[reader], help="fit an exponential trend")
     p.add_argument("--series", required=True,
                    choices=["patent-yearly-max", "state-average", "usda-file",
                             "weather-corrected"])
@@ -262,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--control", help="control variety (default: the longest run in --region)")
     p.set_defaults(func=cmd_trend)
 
-    p = sub.add_parser("predict", parents=[common], help="run the K1/K2 rate models")
+    p = sub.add_parser("predict", parents=[configured], help="run the K1/K2 rate models")
     p.add_argument("model", choices=["k1", "k2"])
     p.add_argument("--kind", choices=["hybrid", "inbred", "both"], default="both")
     p.add_argument("--filed-until", type=int)
@@ -272,13 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--centrality-only", action="store_true")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("regress", parents=[common], help="citation regressions")
+    p = sub.add_parser("regress", parents=[configured], help="citation regressions")
     p.add_argument("--models", default="1,2,3,4")
     p.add_argument("--family", default="ols")
     p.add_argument("--exclude-file")
     p.set_defaults(func=cmd_regress)
 
-    p = sub.add_parser("report", parents=[common], help="descriptive statistics")
+    p = sub.add_parser("report", parents=[reader], help="descriptive statistics")
     p.set_defaults(func=cmd_report)
     return parser
 

@@ -375,24 +375,15 @@ def build_analysis_table(dataset, exclusions: Iterable[str] = ()) -> list[dict]:
     return rows
 
 
-_FITTERS = {
-    Family.OLS: fit_ols,
-    Family.POISSON: fit_poisson,
-    Family.NEGATIVE_BINOMIAL: fit_negative_binomial,
-}
-
-
-def run_model(spec: ModelSpec | int, family: Family | str,
+def run_model(model: int, family: Family,
               data: Iterable[Mapping[str, float]]) -> RegressionResult:
-    """Fit one model spec on a per-patent analysis table.
+    """Fit the MODEL_SPECS model of an id on a per-patent analysis table.
 
     Rows are mappings with keys cite_forward, cite3, cite3_rank_percentile,
     performance_ratio, filed_year; build_analysis_table has already dropped
     the excluded patents.
     """
-    if isinstance(spec, int):
-        spec = MODEL_SPECS[spec]
-    family = Family(family)
+    spec = MODEL_SPECS[model]
     rows = list(data)
     if not rows:
         raise RegressionError("no data rows")
@@ -403,13 +394,15 @@ def run_model(spec: ModelSpec | int, family: Family | str,
     y = [float(r[spec.dependent]) for r in rows]
     X = [[1.0] + [float(r[c]) for c in spec.independents] for r in rows]
     terms = ["intercept", *spec.independents]
+    # Rank percentiles are not counts; fitted quasi-style with a warning.
     bounded = spec.dependent in BOUNDED_RESPONSES
     try:
         if family is Family.OLS:
-            result = _FITTERS[family](y, X, terms)
+            result = fit_ols(y, X, terms)
+        elif family is Family.POISSON:
+            result = fit_poisson(y, X, terms, allow_noninteger=bounded)
         else:
-            # Rank percentiles are not counts; fitted quasi-style with a warning.
-            result = _FITTERS[family](y, X, terms, allow_noninteger=bounded)
+            result = fit_negative_binomial(y, X, terms, allow_noninteger=bounded)
     except np.linalg.LinAlgError as exc:
         # LinAlgError is a ValueError, which the CLI maps to a data error.
         raise RegressionError(f"model {spec.id} ({family.value}): {exc}") from exc

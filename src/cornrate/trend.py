@@ -6,6 +6,9 @@ are reported (log-scale plots, linear-regression statistics). Also holds
 the weather-corrected series construction: dividing each year's best
 regional yield by a long-running control variety's yield cancels any
 multiplicative weather/soil factor shared within the region and year.
+Without a named control, default_control picks the variety with the
+region's longest run of consecutive tested years, of at least
+DEFAULT_CONTROL_MIN_YEARS.
 """
 
 from __future__ import annotations
@@ -113,60 +116,28 @@ def fit_exponential(series: TrendSeries) -> FitResult:
     return FitResult(k=k, q0=q0, t0=t0, n=n, r_squared=r_squared, p_value=p_value)
 
 
-@dataclass(frozen=True)
-class ControlCandidate:
-    region: str
-    variety: str
-    first_year: int
-    last_year: int
-
-    @property
-    def n_years(self) -> int:
-        return self.last_year - self.first_year + 1
-
-
-def find_control_varieties(tests: Iterable[FieldTestRecord],
-                           min_years: int = DEFAULT_CONTROL_MIN_YEARS
-                           ) -> list[ControlCandidate]:
-    """Varieties tested in >= min_years consecutive years in one region.
-
-    Reports the longest consecutive run per (region, variety).
-    """
-    if min_years < 2:
-        raise ValueError("min_years must be at least 2")
-    years_by_key: dict[tuple[str, str], set[int]] = {}
-    for t in tests:
-        years_by_key.setdefault((t.region, t.hybrid), set()).add(t.year)
-    candidates = []
-    for (region, variety), years in sorted(years_by_key.items()):
-        best_start = best_len = 0
-        start = None
-        prev = None
-        for y in sorted(years):
-            if prev is None or y != prev + 1:
-                start = y
-            prev = y
-            if y - start + 1 > best_len:
-                best_len = y - start + 1
-                best_start = start
-        if best_len >= min_years:
-            candidates.append(ControlCandidate(region, variety, best_start,
-                                               best_start + best_len - 1))
-    return candidates
-
-
 def default_control(tests: Iterable[FieldTestRecord], region: str) -> str:
     """The variety with the region's longest run of consecutive tested years.
 
     Ties go to the first name; a run shorter than DEFAULT_CONTROL_MIN_YEARS
-    (find_control_varieties) does not count.
+    does not count.
     """
-    runs = sorted((-c.n_years, c.variety) for c in find_control_varieties(tests)
-                  if c.region == region)
-    if not runs:
+    years_by_variety: dict[str, set[int]] = {}
+    for t in tests:
+        if t.region == region:
+            years_by_variety.setdefault(t.hybrid, set()).add(t.year)
+    control, control_run = None, DEFAULT_CONTROL_MIN_YEARS - 1
+    for variety, years in sorted(years_by_variety.items()):
+        run = longest = 0
+        for year in sorted(years):
+            run = run + 1 if year - 1 in years else 1
+            longest = max(longest, run)
+        if longest > control_run:
+            control, control_run = variety, longest
+    if control is None:
         raise TrendError(f"no variety in region {region!r} was tested in "
                          f"{DEFAULT_CONTROL_MIN_YEARS} consecutive years")
-    return runs[0][1]
+    return control
 
 
 def weather_corrected_series(tests: Iterable[FieldTestRecord], region: str,

@@ -8,6 +8,8 @@ C_i control yields):
     performance_ratio = mean_i(P_i / C_i)     (mean of ratios, not ratio of means)
 
 and per filed year over all summaries, the yearly maximum of yield_b.
+The three statistics expect a valid trial set (PatentTrialSet.validate):
+summarize validates its set once, and load_dataset every set of a store.
 """
 
 from __future__ import annotations
@@ -30,23 +32,22 @@ class YieldSummary:
 
 
 def yield_a(trial_set: PatentTrialSet) -> float:
-    trial_set.validate()
     yields = [c.patented_yield for c in trial_set.comparisons]
     return math.fsum(yields) / len(yields)
 
 
 def yield_b(trial_set: PatentTrialSet) -> float:
-    trial_set.validate()
     return max(c.patented_yield for c in trial_set.comparisons)
 
 
 def performance_ratio(trial_set: PatentTrialSet) -> float:
-    trial_set.validate()
     ratios = [c.patented_yield / c.control_yield for c in trial_set.comparisons]
     return math.fsum(ratios) / len(ratios)
 
 
 def summarize(trial_set: PatentTrialSet) -> YieldSummary:
+    """All three statistics of a trial set, which is validated first."""
+    trial_set.validate()
     return YieldSummary(
         patent_number=trial_set.patent_number,
         yield_a=yield_a(trial_set),

@@ -5,9 +5,8 @@ from hypothesis import given, strategies as st
 
 from cornrate import constants
 from cornrate.citation_metrics import (CitationError, build_internal_edges,
-                                       cite3_counts, compute_ave_pub_year,
-                                       domain_citation_stats, per_patent_cite3,
-                                       predict_k1)
+                                       cite3_counts, domain_citation_stats,
+                                       per_patent_cite3, predict_k1)
 from cornrate.core_data import PatentRecord
 from cornrate.ranking import midrank_percentiles
 
@@ -18,31 +17,39 @@ def _patent(number, granted, cited=(), forward=0):
                         forward_citation_count=forward)
 
 
+def _granted(patents):
+    return {p.patent_number: p.granted_year for p in patents}
+
+
+def _collection(patents):
+    return {p.patent_number: p for p in patents}
+
+
 class TestCite3Counts:
     def test_window_boundaries(self):
         # deltas 0, 3 count; delta 4 does not.
         patents = [_patent("T", 2000), _patent("A", 2000), _patent("B", 2003),
                    _patent("C", 2004)]
         edges = [("A", "T"), ("B", "T"), ("C", "T")]
-        counts = cite3_counts(patents, edges)
+        counts = cite3_counts(patents, edges, _granted(patents))
         assert counts["T"] == 2
 
     def test_external_citing_year_map(self):
         patents = [_patent("T", 2000)]
-        counts = cite3_counts(patents, [("EXT", "T")], pub_years={"EXT": 2002})
+        counts = cite3_counts(patents, [("EXT", "T")], {"T": 2000, "EXT": 2002})
         assert counts["T"] == 1
 
     def test_missing_citing_year_raises(self):
         with pytest.raises(CitationError, match="no publication year"):
-            cite3_counts([_patent("T", 2000)], [("EXT", "T")])
+            cite3_counts([_patent("T", 2000)], [("EXT", "T")], {"T": 2000})
 
     def test_backwards_citation_raises(self):
         patents = [_patent("T", 2005), _patent("A", 2000)]
         with pytest.raises(CitationError, match="predates"):
-            cite3_counts(patents, [("A", "T")])
+            cite3_counts(patents, [("A", "T")], _granted(patents))
 
     def test_edges_to_outsiders_ignored(self):
-        counts = cite3_counts([_patent("T", 2000)], [("T", "NOTHERE")])
+        counts = cite3_counts([_patent("T", 2000)], [("T", "NOTHERE")], {"T": 2000})
         assert counts == {"T": 0}
 
     @given(st.integers(0, 10))
@@ -51,25 +58,34 @@ class TestCite3Counts:
         citers = [_patent(f"C{i}", 2000 + (i % 4)) for i in range(n_in_window)]
         late = [_patent(f"L{i}", 2005) for i in range(3)]
         edges = [(p.patent_number, "T") for p in citers + late]
-        counts = cite3_counts([target] + citers + late, edges)
+        patents = [target] + citers + late
+        counts = cite3_counts(patents, edges, _granted(patents))
         assert counts["T"] == n_in_window
 
 
 class TestAggregates:
     def test_compute_cite3_is_mean(self):
-        patents = [_patent("A", 2000), _patent("B", 2001), _patent("C", 2001)]
-        edges = [("B", "A"), ("C", "A"), ("C", "B")]
-        assert domain_citation_stats(patents, edges)["cite3"] == pytest.approx(1.0)
+        patents = [_patent("A", 2000), _patent("B", 2001, cited=["A"]),
+                   _patent("C", 2001, cited=["A", "B"])]
+        stats = domain_citation_stats(_collection(patents), patents, ())
+        assert stats["cite3"] == pytest.approx(1.0)
 
     def test_ave_pub_year(self):
         patents = [_patent("A", 1998), _patent("B", 2004)]
-        assert compute_ave_pub_year(patents) == pytest.approx(2001.0)
+        stats = domain_citation_stats(_collection(patents), patents, ())
+        assert stats["ave_pub_year"] == pytest.approx(2001.0)
+
+    def test_ave_pub_year_of_the_slice(self):
+        # Patents outside the slice cite into it but do not enter the mean.
+        patents = [_patent("A", 1998), _patent("B", 2004),
+                   _patent("C", 2000, cited=["A"]), _patent("D", 2010)]
+        stats = domain_citation_stats(_collection(patents), patents[:2], ())
+        assert stats["ave_pub_year"] == pytest.approx(2001.0)
+        assert (stats["spc"], stats["cite3_total"]) == (2, 1)
 
     def test_empty_rejected(self):
         with pytest.raises(CitationError):
-            domain_citation_stats([], [])
-        with pytest.raises(CitationError):
-            compute_ave_pub_year([])
+            domain_citation_stats({}, [], ())
 
     def test_build_internal_edges(self):
         patents = {"A": _patent("A", 2000, cited=["B", "ZZZ"]),
@@ -137,41 +153,38 @@ class TestMidrankPercentiles:
 
 class TestDomainStats:
     def _domain(self):
-        patents = [
+        return [
             _patent("A", 1998, forward=4),
             _patent("B", 2000, cited=["A"], forward=2),
             _patent("C", 2001, cited=["A", "B"], forward=0),
             _patent("D", 2005, cited=["A"], forward=1),
         ]
-        edges = build_internal_edges({p.patent_number: p for p in patents})
-        return patents, edges
 
     def test_full_stats(self):
-        patents, edges = self._domain()
-        stats = domain_citation_stats(patents, edges)
+        patents = self._domain()
+        stats = domain_citation_stats(_collection(patents), patents, ())
         assert stats["spc"] == 4
         # In-window citations: B->A (d=2), C->A (d=3), C->B (d=1); D->A d=7 out.
         assert stats["cite3_total"] == 3
         assert stats["cite3"] == pytest.approx(0.75)
         assert stats["ave_pub_year"] == pytest.approx(2001.0)
         assert stats["k1"] == pytest.approx(predict_k1(2001.0, 0.75), abs=1e-12)
-        assert cite3_counts(patents, edges) == {"A": 2, "B": 1, "C": 0, "D": 0}
+        edges = build_internal_edges(_collection(patents))
+        assert cite3_counts(patents, edges, _granted(patents)) == {"A": 2, "B": 1, "C": 0, "D": 0}
 
     def test_exclusions_drop_patents_and_edges(self):
-        patents, edges = self._domain()
-        stats = domain_citation_stats(patents, edges, exclusions=("C",))
+        patents = self._domain()
+        stats = domain_citation_stats(_collection(patents), patents, ("C",))
         assert stats["spc"] == 3
         assert stats["cite3_total"] == 1   # only B->A is left in the window
 
     def test_all_excluded_raises(self):
-        patents, edges = self._domain()
+        patents = self._domain()
         with pytest.raises(CitationError, match="no patents left"):
-            domain_citation_stats(patents, edges,
-                                  exclusions=("A", "B", "C", "D"))
+            domain_citation_stats(_collection(patents), patents, ("A", "B", "C", "D"))
 
     def test_rank_percentiles_cohorted_by_grant_year(self):
-        patents, _ = self._domain()
-        counts, percentiles = per_patent_cite3({p.patent_number: p for p in patents})
+        counts, percentiles = per_patent_cite3(_collection(self._domain()))
         assert counts == {"A": 2, "B": 1, "C": 0, "D": 0}
         # Each grant year is its own one-patent cohort here.
         assert percentiles == {"A": 0.5, "B": 0.5, "C": 0.5, "D": 0.5}

@@ -9,11 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cornrate import citation_network
-from cornrate.citation_network import (CitationNetwork, NetworkError, classify_highly_cited,
-                                       compute_spnp, compute_z,
-                                       domain_centrality, evaluate_domain,
+from cornrate.citation_network import (CitationNetwork, NetworkError, compute_spnp,
+                                       compute_z, domain_centrality, evaluate_k2,
                                        predict_k2)
-from cornrate.core_data import EDGE_COLUMNS, NODE_COLUMNS, IngestError
+from cornrate.core_data import EDGE_COLUMNS, NODE_COLUMNS, IngestError, PatentRecord
 from cornrate.ranking import midrank_percentiles
 
 
@@ -501,14 +500,33 @@ class TestCentrality:
             domain_centrality(["A"], net, {})
 
 
+def _record(number, forward):
+    return PatentRecord(number, f"Inbred corn line X{number}", "A", 1999, 2001,
+                        forward_citation_count=forward)
+
+
+def fan_domain():
+    """Five patents of 2001, with forward counts 0 to 4, each citing one of 2000."""
+    net = CitationNetwork({"X": 2000, **{f"P{i}": 2001 for i in range(5)}},
+                          [(f"P{i}", "X") for i in range(5)])
+    patents = {f"P{i}": _record(f"P{i}", i) for i in range(5)}
+    return net, patents
+
+
 class TestHighlyCitedAndZ:
     def test_threshold_inclusive(self):
-        flags = classify_highly_cited({"a": 0.90, "b": 0.899}, threshold=0.90)
-        assert flags == {"a": True, "b": False}
+        # P4's cohort percentile is 4.5 / 5 = 0.9, and P3's 0.7.
+        net, patents = fan_domain()
+        counts = {threshold: evaluate_k2(net, patents, patents.values(), (),
+                                         threshold)["n_highly_cited"]
+                  for threshold in (0.7, 0.9, 0.91)}
+        assert counts == {0.7: 2, 0.9: 1, 0.91: 0}
 
     def test_threshold_validated(self):
-        with pytest.raises(ValueError):
-            classify_highly_cited({}, threshold=1.0)
+        net, patents = fan_domain()
+        for threshold in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError, match="threshold"):
+                evaluate_k2(net, patents, patents.values(), (), threshold)
 
     def test_z_worked_example(self):
         # Counts 1, 0, 1, 2 over 2000-2003: cumulative 1, 1, 2, 4.
@@ -559,16 +577,34 @@ class TestPredictK2:
 
 
 class TestEvaluateDomain:
+    """evaluate_k2 on one domain of a network."""
+
     def test_end_to_end(self):
-        net = diamond_network()
-        spnp_percentiles = midrank_percentiles(compute_spnp(net), net.application_years)
-        result = evaluate_domain(net, ["A", "B", "C"], spnp_percentiles)
+        net, patents = fan_domain()
+        result = evaluate_k2(net, patents, patents.values(), (), 0.9)
+        assert result["n_domain"] == 5
+        # Every domain patent cites only X, alone in its cohort; all hits fall in 2001.
+        assert (result["centrality"], result["z"]) == (0.5, 0.0)
         assert result["k2"] == pytest.approx(
             predict_k2(result["centrality"], result["z"]), abs=1e-15)
 
     def test_external_percentiles_drive_flags(self):
-        net = chain_network()
-        result = evaluate_domain(net, ["A", "B"],
-                                 citation_percentiles={"A": 0.95, "B": 0.1},
-                                 threshold=0.9)
-        assert result["n_highly_cited"] == 1
+        # Z comes from the cohort percentiles of the collection's forward counts.
+        net = CitationNetwork({"A": 2002, "B": 2001, "C": 2000, "D": 2001},
+                              [("A", "B"), ("B", "C"), ("D", "C")])
+        patents = {"A": _record("A", 0), "B": _record("B", 5), "C": _record("C", 0),
+                   "D": _record("D", 1)}
+        result = evaluate_k2(net, patents, [patents["A"], patents["B"]], (), 0.75)
+        assert (result["n_highly_cited"], result["z"]) == (1, 0.0)
+        result = evaluate_k2(net, patents, [patents["A"], patents["B"]], (), 0.25)
+        assert result["n_highly_cited"] == 2
+        assert result["z"] == pytest.approx(math.log(2))
+
+    def test_exclusions_and_patents_outside_the_network(self):
+        net, patents = fan_domain()
+        domain = [*patents.values(), _record("OUT", 9)]
+        result = evaluate_k2(net, patents, domain, {"P4"}, 0.9)
+        assert result["n_domain"] == 4
+        assert result["n_highly_cited"] == 0   # P4 is excluded, though still ranked
+        with pytest.raises(NetworkError, match="no domain patents"):
+            evaluate_k2(net, patents, [_record("OUT", 9)], (), 0.9)

@@ -62,7 +62,9 @@ class TestIngest:
         assert code == 0
         validate(payload, "ingest")
         assert payload["patents"]["records"] == 70
-        assert (tmp_path / "ds" / "manifest.json").is_file()
+        # The report goes to stdout only; the store holds the dataset's files.
+        assert sorted(f.name for f in (tmp_path / "ds").iterdir()) == [
+            "fieldtests.csv", "manifest.json", "patents.csv", "trials.csv"]
 
     def test_missing_input_exit_2(self, tmp_path):
         assert main(["ingest", "--patents", str(tmp_path / "nope.csv"),
@@ -220,6 +222,19 @@ class TestPredict:
         assert payload["k2"] == pytest.approx(
             predict_k2(payload["centrality"], payload["z"]), abs=1e-12)
 
+    def test_k2_config_threshold(self, dataset_dir, raw_dir, tmp_path, capsys):
+        argv = ["predict", "k2", "--dataset", str(dataset_dir),
+                "--nodes", str(raw_dir / "nodes.csv"), "--edges", str(raw_dir / "edges.csv"),
+                "--no-timestamp"]
+        _, default = run_json(capsys, argv)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"highly_cited_threshold": 0.25}))
+        code, lowered = run_json(capsys, [*argv, "--config", str(config)])
+        assert code == 0
+        assert lowered["highly_cited_threshold"] == 0.25
+        assert lowered["n_highly_cited"] > default["n_highly_cited"]
+        assert lowered["centrality"] == default["centrality"]
+
     def test_k2_centrality_only(self, dataset_dir, raw_dir, capsys):
         code, payload = run_json(capsys, [
             "predict", "k2", "--dataset", str(dataset_dir),
@@ -343,7 +358,7 @@ class TestRegress:
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setitem(regression._FITTERS, regression.Family.OLS, singular)
+        monkeypatch.setattr(regression, "fit_ols", singular)
         assert main(["regress", "--dataset", str(dataset_dir), "--models", "1"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -541,9 +556,8 @@ class TestMalformedConfig:
                                   "exclusions-ints", "threshold-list", "threshold-null",
                                   "threshold-string", "threshold-out-of-range",
                                   "threshold-bool"])
-    @pytest.mark.parametrize("command", [["regress", "--models", "4"], ["predict", "k1"],
-                                         ["trend", "--series", "patent-yearly-max"]],
-                             ids=["regress", "predict-k1", "trend"])
+    @pytest.mark.parametrize("command", [["regress", "--models", "4"], ["predict", "k1"]],
+                             ids=["regress", "predict-k1"])
     def test_input_error_naming_the_file(self, dataset_dir, tmp_path, capsys, text, command):
         config = tmp_path / "run.json"
         config.write_text(text)
@@ -552,6 +566,19 @@ class TestMalformedConfig:
         assert code == 2
         assert captured.out == ""
         assert str(config) in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--patents", "p.csv", "--trials", "t.csv", "--out", "ds", "--config", "c.json"],
+    ["ingest", "--patents", "p.csv", "--trials", "t.csv", "--out", "ds", "--dataset", "ds"],
+    ["trend", "--series", "usda-file", "--config", "c.json"],
+    ["report", "--dataset", "ds", "--config", "c.json"],
+], ids=["ingest-config", "ingest-dataset", "trend-config", "report-config"])
+def test_option_a_command_does_not_read_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def bundled(name):

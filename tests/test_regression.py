@@ -233,8 +233,15 @@ class TestRunModel:
     def test_spec_lookup_and_terms(self):
         fit = run_model(1, Family.OLS, self._rows())
         assert fit.terms == ["intercept", "performance_ratio", "filed_year"]
-        fit4 = run_model(4, "poisson", self._rows())
+        fit4 = run_model(4, Family.POISSON, self._rows())
         assert fit4.terms == ["intercept", "performance_ratio"]
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_family_dispatch(self, family):
+        fit = run_model(1, family, self._rows())
+        assert fit.family is family
+        assert (fit.r_squared is None) is (family is not Family.OLS)
+        assert (fit.dispersion is None) is (family is not Family.NEGATIVE_BINOMIAL)
 
     def test_all_excluded_raises(self):
         # build_analysis_table applies the exclusions; run_model refuses what is left.

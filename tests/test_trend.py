@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from cornrate.core_data import FieldTestRecord, IngestError
-from cornrate.trend import (ControlCandidate, FitResult, TrendError,
-                            TrendSeries, find_control_varieties,
+from cornrate.trend import (FitResult, TrendError, TrendSeries, default_control,
                             fit_exponential, weather_corrected_series)
 
 
@@ -133,29 +132,39 @@ def _row(year, region, hybrid, value):
     return FieldTestRecord("IL", year, region, "B", hybrid, value, 18.0)
 
 
+def _runs(region, hybrid, years):
+    return [_row(y, region, hybrid, 100.0) for y in years]
+
+
 class TestControls:
     def test_consecutive_run_detected(self):
-        tests = [_row(y, "North", "CTRL", 100.0) for y in range(1995, 2003)]
-        tests += [_row(y, "North", "SHORT", 100.0) for y in (1995, 1996)]
-        found = find_control_varieties(tests, min_years=7)
-        assert found == [ControlCandidate("North", "CTRL", 1995, 2002)]
-        assert found[0].n_years == 8
+        # The longest run wins, whatever the names.
+        tests = (_runs("North", "LONG", range(1995, 2004))
+                 + _runs("North", "AAA", range(1995, 2003))
+                 + _runs("North", "SHORT", (1995, 1996)))
+        assert default_control(tests, "North") == "LONG"
 
     def test_gap_breaks_run(self):
-        years = [1995, 1996, 1997, 1999, 2000, 2001, 2002]  # gap at 1998
-        tests = [_row(y, "North", "CTRL", 100.0) for y in years]
-        assert find_control_varieties(tests, min_years=7) == []
-        assert find_control_varieties(tests, min_years=4) == [
-            ControlCandidate("North", "CTRL", 1999, 2002)]
+        # Nine years in all, but the gap at 1998 leaves runs of 3 and 6.
+        years = [1995, 1996, 1997, *range(1999, 2005)]
+        tests = _runs("North", "GAPPED", years) + _runs("North", "ZZZ", range(1995, 2002))
+        assert default_control(tests, "North") == "ZZZ"
+
+    def test_six_year_run_does_not_count(self):
+        tests = _runs("North", "CTRL", [*range(1995, 2001), 2002, 2003])
+        with pytest.raises(TrendError, match="7 consecutive years"):
+            default_control(tests, "North")
+        assert default_control(tests + _runs("North", "CTRL", [2001]), "North") == "CTRL"
+
+    def test_tie_goes_to_first_name(self):
+        tests = _runs("North", "B", range(1995, 2002)) + _runs("North", "A", range(2000, 2007))
+        assert default_control(tests, "North") == "A"
 
     def test_regions_independent(self):
-        tests = [_row(y, "North", "C", 100.0) for y in range(1995, 1999)]
-        tests += [_row(y, "South", "C", 100.0) for y in range(1999, 2003)]
-        assert find_control_varieties(tests, min_years=7) == []
-
-    def test_min_years_guard(self):
-        with pytest.raises(ValueError):
-            find_control_varieties([], min_years=1)
+        tests = _runs("South", "LONG", range(1990, 2010)) + _runs("North", "C", range(1995, 2002))
+        assert default_control(tests, "North") == "C"
+        with pytest.raises(TrendError, match="'East'"):
+            default_control(tests, "East")
 
 
 class TestWeatherCorrection:

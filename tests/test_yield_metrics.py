@@ -58,8 +58,13 @@ class TestPerPatentMetrics:
 
     def test_empty_set_rejected(self):
         ts = PatentTrialSet(patent_number="p", comparisons=[])
-        with pytest.raises(ValueError):
-            yield_a(ts)
+        with pytest.raises(ValueError, match="no comparisons"):
+            summarize(ts)
+
+    def test_invalid_comparison_rejected(self):
+        ts = _trial_set([(150.0, 140.0), (math.nan, 140.0)])
+        with pytest.raises(ValueError, match="non-finite"):
+            summarize(ts)
 
 
 class TestYearlyMax:
