@@ -10,7 +10,9 @@ whose coefficients are fixed constants (see constants module).
 domain_citation_stats, the call behind `predict k1`, gives K1 and its
 inputs for a domain slice of a patent collection; per_patent_cite3 gives
 every patent's Cite3 count and grant-year cohort percentile for the
-regressions.
+regressions. Both count only citations between patents of the collection
+they are given, so a run's excluded patents are dropped from the
+collection beforehand (core_data.without_patents).
 """
 
 from __future__ import annotations
@@ -75,24 +77,22 @@ def predict_k1(ave_pub_year: float, cite3: float) -> float:
             + constants.K1_CITE3 * cite3)
 
 
-def domain_citation_stats(patents: Mapping[str, PatentRecord], domain: Iterable[PatentRecord],
-                          exclusions: Iterable[str]) -> dict:
-    """K1 and its inputs for a domain slice of a patent collection, exclusions applied first.
+def domain_citation_stats(patents: Mapping[str, PatentRecord],
+                          domain: Iterable[PatentRecord]) -> dict:
+    """K1 and its inputs for a domain slice of a patent collection.
 
-    The citations are the collection's internal edges between patents not
-    excluded, so a citing patent may fall outside the slice; each patent
-    is published in its grant year. spc is the number of domain patents
-    kept and cite3_total the sum of their cite3_counts, whose mean is cite3.
+    The citations are the collection's internal edges, so a citing patent
+    may fall outside the slice; each patent is published in its grant
+    year. spc is the number of domain patents and cite3_total the sum of
+    their cite3_counts, whose mean is cite3. An empty domain is a
+    CitationError.
     """
-    excluded = set(exclusions)
-    kept = [p for p in domain if p.patent_number not in excluded]
-    if not kept:
-        raise CitationError("no patents left after exclusions")
-    edges = [(a, b) for a, b in build_internal_edges(patents)
-             if a not in excluded and b not in excluded]
-    total = sum(cite3_counts(kept, edges,
+    domain = list(domain)
+    if not domain:
+        raise CitationError("no domain patents")
+    total = sum(cite3_counts(domain, build_internal_edges(patents),
                              {n: p.granted_year for n, p in patents.items()}).values())
-    cite3 = total / len(kept)
-    ave_pub_year = math.fsum(p.granted_year for p in kept) / len(kept)
-    return {"spc": len(kept), "cite3": cite3, "cite3_total": total,
+    cite3 = total / len(domain)
+    ave_pub_year = math.fsum(p.granted_year for p in domain) / len(domain)
+    return {"spc": len(domain), "cite3": cite3, "cite3_total": total,
             "ave_pub_year": ave_pub_year, "k1": predict_k1(ave_pub_year, cite3)}

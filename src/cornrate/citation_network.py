@@ -423,23 +423,20 @@ def predict_k2(centrality: float, z: float) -> float:
 
 
 def evaluate_k2(net: CitationNetwork, patents: Mapping[str, PatentRecord],
-                domain: Iterable[PatentRecord], exclusions: Iterable[str],
-                threshold: float) -> dict:
-    """K2 and its inputs for the domain patents in the network that are not excluded.
+                domain: Iterable[PatentRecord], threshold: float) -> dict:
+    """K2 and its inputs for the domain patents in the network.
 
-    Centrality comes from the cohort SPNP percentiles of the network
-    (domain_centrality, whose tallies are reported with it). The
-    citation percentiles rank the forward-citation counts of the
-    collection's patents in the network, by application-year cohort; a
-    domain patent is highly cited when its percentile is >= threshold,
+    Centrality comes from the cohort SPNP percentiles of the whole network
+    (domain_centrality, whose tallies are reported with it). The citation
+    percentiles rank the forward-citation counts of the collection's
+    patents in the network by application-year cohort, so an excluded
+    patent, dropped from the collection, stays a node but is not ranked.
+    A domain patent is highly cited when its percentile is >= threshold,
     which must lie in (0, 1), and those patents drive Z.
     """
     if not 0 < threshold < 1:
         raise ValueError("threshold must be in (0, 1)")
-    excluded = set(exclusions)
-    numbers = sorted(p.patent_number for p in domain
-                     if p.patent_number in net.application_years
-                     and p.patent_number not in excluded)
+    numbers = sorted(p.patent_number for p in domain if p.patent_number in net.application_years)
     if not numbers:
         raise NetworkError("no domain patents present in the network")
     citation_percentiles = midrank_percentiles(

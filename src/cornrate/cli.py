@@ -7,6 +7,11 @@ command's series or table CSVs in that directory. ingest's --out is the
 dataset store it writes instead, and its report goes to stdout only.
 Each command takes only the options it reads. Figures are data only.
 
+predict and regress drop the patents of the --config exclusion_list from
+the loaded dataset (core_data.without_patents) before their library call;
+the citation network keeps them as nodes. Without that list, predict
+excludes constants.HIGHLY_CITED_EXCLUSIONS and regress nothing.
+
 Exit codes: 0 success, 2 input error, 3 data/precondition error, 4
 numeric failure. The exception that stops a command sets the code: a
 core_data.CornrateError carries its exit_code, and BUILTIN_EXIT_CODES
@@ -34,7 +39,8 @@ from pathlib import Path
 from . import _lazy_module, constants
 from .core_data import (REPORT_TABLES, CornrateError, Dataset, FieldTestSchema, IngestError,
                         describe_dataset, load_dataset, load_field_tests, load_patents,
-                        load_trial_sets, read_text, save_dataset, select_domain, write_csv)
+                        load_trial_sets, read_text, save_dataset, select_domain,
+                        without_patents, write_csv)
 
 # Executed on first use, so that each command runs only the modules on its path.
 # ranking is bound too, though not called here, so that importing cli binds every module.
@@ -71,17 +77,18 @@ def _emit(payload: dict, command: str, args) -> None:
         (_out_dir(args) / f"{command}.json").write_text(text + "\n", encoding="utf-8")
 
 
-def _load_config(args) -> dict:
-    if not args.config:
-        return {}
-    path = Path(args.config)
-    try:
-        config = json.loads(read_text(path))
-    except ValueError as exc:
-        raise IngestError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise IngestError(f"config file {path}: top level must be a JSON object")
-    exclusions = config.get("exclusion_list", [])
+def _load_config(args) -> tuple[set[str], float]:
+    """The run's exclusion set and highly-cited threshold, from --config or the defaults."""
+    path = Path(args.config) if args.config else None
+    config = {}
+    if path:
+        try:
+            config = json.loads(read_text(path))
+        except ValueError as exc:
+            raise IngestError(f"config file {path} is not valid JSON: {exc}") from exc
+        if not isinstance(config, dict):
+            raise IngestError(f"config file {path}: top level must be a JSON object")
+    exclusions = config.get("exclusion_list", args.default_exclusions)
     if not (isinstance(exclusions, list) and all(isinstance(e, str) for e in exclusions)):
         raise IngestError(f"config file {path}: exclusion_list must be a list of strings")
     threshold = config.get("highly_cited_threshold", constants.DEFAULT_HIGHLY_CITED_THRESHOLD)
@@ -89,21 +96,13 @@ def _load_config(args) -> dict:
     if type(threshold) not in (int, float) or not 0 < threshold < 1:
         raise IngestError(f"config file {path}: highly_cited_threshold must be a number "
                           f"in (0, 1), found {threshold!r}")
-    return config
+    return set(exclusions), threshold
 
 
 def _require_dataset(args) -> Dataset:
     if not args.dataset:
         raise IngestError("--dataset is required for this command")
     return load_dataset(args.dataset)
-
-
-def _exclusions(args, config: dict) -> set[str]:
-    result = set(config.get("exclusion_list", []))
-    if args.exclude_file:
-        lines = read_text(args.exclude_file).splitlines()
-        result.update(line.strip() for line in lines if line.strip())
-    return result
 
 
 # --- ingest ----------------------------------------------------------------
@@ -179,25 +178,19 @@ def cmd_trend(args) -> int:
 # --- predict ---------------------------------------------------------------
 
 def cmd_predict(args) -> int:
-    config = _load_config(args)
-    dataset = _require_dataset(args)
-    exclusions = _exclusions(args, config) or set(constants.HIGHLY_CITED_EXCLUSIONS)
+    exclusions, threshold = _load_config(args)
+    dataset = without_patents(_require_dataset(args), exclusions)
     domain = select_domain(dataset, args.kind, args.filed_until)
     selection = {"kind": args.kind, "filed_until": args.filed_until}
     if args.model == "k1":
-        payload = citation_metrics.domain_citation_stats(dataset.patents, domain, exclusions)
+        payload = citation_metrics.domain_citation_stats(dataset.patents, domain)
         _emit({**selection, **payload}, "predict_k1", args)
         return 0
 
     if not args.nodes or not args.edges:
         raise IngestError("predict k2 requires --nodes and --edges network files")
     net = citation_network.CitationNetwork.from_files(args.nodes, args.edges)
-    threshold = float(config.get("highly_cited_threshold",
-                                 constants.DEFAULT_HIGHLY_CITED_THRESHOLD))
-    payload = citation_network.evaluate_k2(net, dataset.patents, domain, exclusions, threshold)
-    if args.centrality_only:
-        for key in ("z", "k2", "n_highly_cited", "highly_cited_threshold"):
-            del payload[key]
+    payload = citation_network.evaluate_k2(net, dataset.patents, domain, threshold)
     _emit({**selection, **payload}, "predict_k2", args)
     return 0
 
@@ -205,15 +198,14 @@ def cmd_predict(args) -> int:
 # --- regress ---------------------------------------------------------------
 
 def cmd_regress(args) -> int:
-    config = _load_config(args)
-    dataset = _require_dataset(args)
-    payload = regression.fit_models(dataset, _exclusions(args, config), args.models,
-                                    args.family)
+    exclusions, _ = _load_config(args)
+    dataset = without_patents(_require_dataset(args), exclusions)
+    payload = regression.fit_models(dataset, args.models, args.family)
     for fit in payload["fits"]:
         if not fit["converged"]:
             print(f"warning: model {fit['model']} ({fit['family']}) did not converge",
                   file=sys.stderr)
-    _emit(payload, "regress", args)
+    _emit({**payload, "n_excluded": len(exclusions)}, "regress", args)
     return 0
 
 
@@ -273,15 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filed-until", type=int)
     p.add_argument("--nodes", help="network node CSV (patent_number,application_year)")
     p.add_argument("--edges", help="network edge CSV (citing_patent,cited_patent)")
-    p.add_argument("--exclude-file")
-    p.add_argument("--centrality-only", action="store_true")
-    p.set_defaults(func=cmd_predict)
+    p.set_defaults(func=cmd_predict,
+                   default_exclusions=list(constants.HIGHLY_CITED_EXCLUSIONS))
 
     p = sub.add_parser("regress", parents=[configured], help="citation regressions")
     p.add_argument("--models", default="1,2,3,4")
     p.add_argument("--family", default="ols")
-    p.add_argument("--exclude-file")
-    p.set_defaults(func=cmd_regress)
+    p.set_defaults(func=cmd_regress, default_exclusions=[])
 
     p = sub.add_parser("report", parents=[reader], help="descriptive statistics")
     p.set_defaults(func=cmd_report)

@@ -5,15 +5,15 @@ trial tables transcribed from patent documents, and state field-test
 rows. Ingestion never drops rows silently: every input data row ends up
 either as a record, as a row-indexed error, or in the skip tally.
 
-Every CSV file, the exclusion list and the run configuration are
-decoded by read_text, and every CSV is split by read_table, which passes
-each row's fields to one parse function. Store, network, series and
-prefix-table files stop at the first bad row; the ingest loaders record
-each bad row as a row error and read on.
+Every CSV file and the run configuration are decoded by read_text, and
+every CSV is split by read_table, which passes each row's fields to one
+parse function. Store, network, series and prefix-table files stop at
+the first bad row; the ingest loaders record each bad row as a row
+error and read on.
 
 CornrateError is the base of every cornrate error and carries the CLI's
-exit code. The dataset views at the end select the K1/K2 domain and
-describe a dataset for the report command.
+exit code. The dataset views at the end drop a run's excluded patents,
+select the K1/K2 domain and describe a dataset for the report command.
 """
 
 from __future__ import annotations
@@ -561,6 +561,16 @@ def load_dataset(directory) -> Dataset:
 
 _KINDS = {"hybrid": {PatentKind.HYBRID}, "inbred": {PatentKind.INBRED},
           "both": {PatentKind.HYBRID, PatentKind.INBRED}}
+
+
+def without_patents(dataset: Dataset, numbers: Iterable[str]) -> Dataset:
+    """A new dataset without the numbered patents and their trial sets; the field
+    tests are kept, and numbers of no patent in the dataset are ignored."""
+    dropped = set(numbers)
+    return Dataset(
+        patents={n: p for n, p in dataset.patents.items() if n not in dropped},
+        trial_sets=[ts for ts in dataset.trial_sets if ts.patent_number not in dropped],
+        field_tests=list(dataset.field_tests))
 
 
 def select_domain(dataset: Dataset, kind: str,

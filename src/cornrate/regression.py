@@ -346,17 +346,17 @@ def fit_negative_binomial(y, X, terms: Optional[Sequence[str]] = None,
     return result
 
 
-def build_analysis_table(dataset, exclusions: Iterable[str] = ()) -> list[dict]:
-    """Per-patent analysis rows for run_model from a loaded dataset.
+def build_analysis_table(dataset) -> list[dict]:
+    """Per-patent analysis rows for run_model, one per patent with a trial set.
 
-    Citation windows use only the citations observable inside the
-    dataset; Cite3 rank percentiles are cohorted by grant year.
+    Citation windows use only the citations between the dataset's
+    patents, so an excluded patent (core_data.without_patents) neither
+    gets a row nor cites; Cite3 rank percentiles are cohorted by grant year.
     """
     from .citation_metrics import per_patent_cite3
     from .yield_metrics import performance_ratio
 
-    excluded = set(exclusions)
-    patents = {n: p for n, p in dataset.patents.items() if n not in excluded}
+    patents = dataset.patents
     cite3, percentile = per_patent_cite3(patents)
     trial_by_patent = {ts.patent_number: ts for ts in dataset.trial_sets}
     rows = []
@@ -380,8 +380,7 @@ def run_model(model: int, family: Family,
     """Fit the MODEL_SPECS model of an id on a per-patent analysis table.
 
     Rows are mappings with keys cite_forward, cite3, cite3_rank_percentile,
-    performance_ratio, filed_year; build_analysis_table has already dropped
-    the excluded patents.
+    performance_ratio, filed_year, as build_analysis_table gives them.
     """
     spec = MODEL_SPECS[model]
     rows = list(data)
@@ -425,19 +424,19 @@ def _model_id(entry: str) -> int:
     return model
 
 
-def fit_models(dataset, exclusions: Iterable[str], models: str, families: str) -> dict:
+def fit_models(dataset, models: str, families: str) -> dict:
     """Every model of a comma-separated id list, fitted in every family of another.
 
-    The rows are build_analysis_table(dataset, exclusions); none left is a
-    ValueError. A family that is not a Family value is a ValueError, a
-    model that is not a MODEL_SPECS id an IngestError naming it. Each fit
-    is reported with its model id, and the coefficient table gives every
-    term's coefficient in every fit, keyed model<id>_<family>.
+    The rows are build_analysis_table(dataset), of a dataset from which
+    any excluded patents are already dropped; no row is a ValueError. A
+    family that is not a Family value is a ValueError, a model that is not
+    a MODEL_SPECS id an IngestError naming it. Each fit is reported with
+    its model id, and the coefficient table gives every term's
+    coefficient in every fit, keyed model<id>_<family>.
     """
-    excluded = set(exclusions)
-    rows = build_analysis_table(dataset, excluded)
+    rows = build_analysis_table(dataset)
     if not rows:
-        raise ValueError("analysis table is empty after exclusions")
+        raise ValueError("analysis table is empty: no patent has a trial set")
     family_list = [Family(f) for f in families.split(",")]
     model_ids = [_model_id(m) for m in models.split(",")]
     fits = [{"model": model, **run_model(model, family, rows).as_dict()}
@@ -445,5 +444,4 @@ def fit_models(dataset, exclusions: Iterable[str], models: str, families: str) -
     terms = sorted({t for f in fits for t in f["terms"]})
     table = {term: {f"model{f['model']}_{f['family']}": f["coefficients"].get(term)
                     for f in fits} for term in terms}
-    return {"n_rows": len(rows), "n_excluded": len(excluded), "fits": fits,
-            "coefficient_table": table}
+    return {"n_rows": len(rows), "fits": fits, "coefficient_table": table}

@@ -7,7 +7,7 @@ from cornrate import constants
 from cornrate.citation_metrics import (CitationError, build_internal_edges,
                                        cite3_counts, domain_citation_stats,
                                        per_patent_cite3, predict_k1)
-from cornrate.core_data import PatentRecord
+from cornrate.core_data import Dataset, PatentRecord, without_patents
 from cornrate.ranking import midrank_percentiles
 
 
@@ -67,25 +67,25 @@ class TestAggregates:
     def test_compute_cite3_is_mean(self):
         patents = [_patent("A", 2000), _patent("B", 2001, cited=["A"]),
                    _patent("C", 2001, cited=["A", "B"])]
-        stats = domain_citation_stats(_collection(patents), patents, ())
+        stats = domain_citation_stats(_collection(patents), patents)
         assert stats["cite3"] == pytest.approx(1.0)
 
     def test_ave_pub_year(self):
         patents = [_patent("A", 1998), _patent("B", 2004)]
-        stats = domain_citation_stats(_collection(patents), patents, ())
+        stats = domain_citation_stats(_collection(patents), patents)
         assert stats["ave_pub_year"] == pytest.approx(2001.0)
 
     def test_ave_pub_year_of_the_slice(self):
         # Patents outside the slice cite into it but do not enter the mean.
         patents = [_patent("A", 1998), _patent("B", 2004),
                    _patent("C", 2000, cited=["A"]), _patent("D", 2010)]
-        stats = domain_citation_stats(_collection(patents), patents[:2], ())
+        stats = domain_citation_stats(_collection(patents), patents[:2])
         assert stats["ave_pub_year"] == pytest.approx(2001.0)
         assert (stats["spc"], stats["cite3_total"]) == (2, 1)
 
     def test_empty_rejected(self):
         with pytest.raises(CitationError):
-            domain_citation_stats({}, [], ())
+            domain_citation_stats({}, [])
 
     def test_build_internal_edges(self):
         patents = {"A": _patent("A", 2000, cited=["B", "ZZZ"]),
@@ -162,7 +162,7 @@ class TestDomainStats:
 
     def test_full_stats(self):
         patents = self._domain()
-        stats = domain_citation_stats(_collection(patents), patents, ())
+        stats = domain_citation_stats(_collection(patents), patents)
         assert stats["spc"] == 4
         # In-window citations: B->A (d=2), C->A (d=3), C->B (d=1); D->A d=7 out.
         assert stats["cite3_total"] == 3
@@ -172,16 +172,20 @@ class TestDomainStats:
         edges = build_internal_edges(_collection(patents))
         assert cite3_counts(patents, edges, _granted(patents)) == {"A": 2, "B": 1, "C": 0, "D": 0}
 
+    def _without(self, numbers):
+        return without_patents(Dataset(patents=_collection(self._domain())), numbers).patents
+
     def test_exclusions_drop_patents_and_edges(self):
-        patents = self._domain()
-        stats = domain_citation_stats(_collection(patents), patents, ("C",))
+        # An excluded patent leaves the slice, and its citations leave the collection.
+        kept = self._without(("C",))
+        stats = domain_citation_stats(kept, kept.values())
         assert stats["spc"] == 3
         assert stats["cite3_total"] == 1   # only B->A is left in the window
 
     def test_all_excluded_raises(self):
-        patents = self._domain()
-        with pytest.raises(CitationError, match="no patents left"):
-            domain_citation_stats(_collection(patents), patents, ("A", "B", "C", "D"))
+        kept = self._without(("A", "B", "C", "D"))
+        with pytest.raises(CitationError, match="no domain patents"):
+            domain_citation_stats(kept, kept.values())
 
     def test_rank_percentiles_cohorted_by_grant_year(self):
         counts, percentiles = per_patent_cite3(_collection(self._domain()))

@@ -12,7 +12,8 @@ from cornrate import citation_network
 from cornrate.citation_network import (CitationNetwork, NetworkError, compute_spnp,
                                        compute_z, domain_centrality, evaluate_k2,
                                        predict_k2)
-from cornrate.core_data import EDGE_COLUMNS, NODE_COLUMNS, IngestError, PatentRecord
+from cornrate.core_data import (EDGE_COLUMNS, NODE_COLUMNS, Dataset, IngestError, PatentRecord,
+                                without_patents)
 from cornrate.ranking import midrank_percentiles
 
 
@@ -517,7 +518,7 @@ class TestHighlyCitedAndZ:
     def test_threshold_inclusive(self):
         # P4's cohort percentile is 4.5 / 5 = 0.9, and P3's 0.7.
         net, patents = fan_domain()
-        counts = {threshold: evaluate_k2(net, patents, patents.values(), (),
+        counts = {threshold: evaluate_k2(net, patents, patents.values(),
                                          threshold)["n_highly_cited"]
                   for threshold in (0.7, 0.9, 0.91)}
         assert counts == {0.7: 2, 0.9: 1, 0.91: 0}
@@ -526,7 +527,7 @@ class TestHighlyCitedAndZ:
         net, patents = fan_domain()
         for threshold in (0.0, 1.0, math.nan):
             with pytest.raises(ValueError, match="threshold"):
-                evaluate_k2(net, patents, patents.values(), (), threshold)
+                evaluate_k2(net, patents, patents.values(), threshold)
 
     def test_z_worked_example(self):
         # Counts 1, 0, 1, 2 over 2000-2003: cumulative 1, 1, 2, 4.
@@ -581,7 +582,7 @@ class TestEvaluateDomain:
 
     def test_end_to_end(self):
         net, patents = fan_domain()
-        result = evaluate_k2(net, patents, patents.values(), (), 0.9)
+        result = evaluate_k2(net, patents, patents.values(), 0.9)
         assert result["n_domain"] == 5
         # Every domain patent cites only X, alone in its cohort; all hits fall in 2001.
         assert (result["centrality"], result["z"]) == (0.5, 0.0)
@@ -594,17 +595,21 @@ class TestEvaluateDomain:
                               [("A", "B"), ("B", "C"), ("D", "C")])
         patents = {"A": _record("A", 0), "B": _record("B", 5), "C": _record("C", 0),
                    "D": _record("D", 1)}
-        result = evaluate_k2(net, patents, [patents["A"], patents["B"]], (), 0.75)
+        result = evaluate_k2(net, patents, [patents["A"], patents["B"]], 0.75)
         assert (result["n_highly_cited"], result["z"]) == (1, 0.0)
-        result = evaluate_k2(net, patents, [patents["A"], patents["B"]], (), 0.25)
+        result = evaluate_k2(net, patents, [patents["A"], patents["B"]], 0.25)
         assert result["n_highly_cited"] == 2
         assert result["z"] == pytest.approx(math.log(2))
 
     def test_exclusions_and_patents_outside_the_network(self):
+        # An excluded patent stays a network node but leaves the collection, so it
+        # is neither in the domain nor ranked in its citation cohort.
         net, patents = fan_domain()
-        domain = [*patents.values(), _record("OUT", 9)]
-        result = evaluate_k2(net, patents, domain, {"P4"}, 0.9)
+        kept = without_patents(Dataset(patents=patents), {"P4"}).patents
+        domain = [*kept.values(), _record("OUT", 9)]
+        result = evaluate_k2(net, kept, domain, 0.875)
         assert result["n_domain"] == 4
-        assert result["n_highly_cited"] == 0   # P4 is excluded, though still ranked
+        # P3 ranks 3.5 / 4 among P0-P3; with P4 still ranked it would be 3.5 / 5.
+        assert result["n_highly_cited"] == 1
         with pytest.raises(NetworkError, match="no domain patents"):
-            evaluate_k2(net, patents, [_record("OUT", 9)], (), 0.9)
+            evaluate_k2(net, kept, [_record("OUT", 9)], 0.9)

@@ -235,15 +235,6 @@ class TestPredict:
         assert lowered["n_highly_cited"] > default["n_highly_cited"]
         assert lowered["centrality"] == default["centrality"]
 
-    def test_k2_centrality_only(self, dataset_dir, raw_dir, capsys):
-        code, payload = run_json(capsys, [
-            "predict", "k2", "--dataset", str(dataset_dir),
-            "--nodes", str(raw_dir / "nodes.csv"),
-            "--edges", str(raw_dir / "edges.csv"),
-            "--centrality-only", "--no-timestamp"])
-        assert code == 0
-        assert "k2" not in payload
-
     @pytest.mark.parametrize("name, header, code", [
         ("nodes", "\ufeffpatent_number,application_year", 0),
         ("nodes", "patent_no,application_year", 2),
@@ -298,13 +289,37 @@ class TestPredict:
         assert main(["predict", "k2", "--dataset", str(dataset_dir)]) == 2
 
     def test_exclusion_file(self, dataset_dir, tmp_path, capsys):
-        excl = tmp_path / "excl.txt"
-        excl.write_text("5000000\n")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"exclusion_list": ["5000000"]}))
         code, payload = run_json(capsys, [
             "predict", "k1", "--dataset", str(dataset_dir),
-            "--exclude-file", str(excl), "--no-timestamp"])
+            "--config", str(config), "--no-timestamp"])
         assert code == 0
         assert payload["spc"] == 69
+
+    def test_empty_exclusion_list_excludes_nothing(self, raw_dir, tmp_path, capsys):
+        # A store holding one of the four default exclusions: predict drops it
+        # by default, and an explicit empty list keeps it.
+        patents = tmp_path / "patents.csv"
+        patents.write_text((raw_dir / "patents.csv").read_text(encoding="utf-8")
+                           + "4629819,Inbred corn line SYN9999,PIONEER,1985,1987,40,\n",
+                           encoding="utf-8")
+        store = tmp_path / "ds"
+        assert main(["ingest", "--patents", str(patents), "--trials", str(raw_dir / "trials.csv"),
+                     "--out", str(store)]) == 0
+        capsys.readouterr()
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"exclusion_list": []}))
+        argv = ["predict", "k1", "--dataset", str(store), "--no-timestamp"]
+        assert run_json(capsys, argv)[1]["spc"] == 70
+        assert run_json(capsys, [*argv, "--config", str(config)])[1]["spc"] == 71
+
+    def test_all_patents_excluded_exit_3(self, dataset_dir, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"exclusion_list": sorted(load_dataset(dataset_dir).patents)}))
+        assert main(["predict", "k1", "--dataset", str(dataset_dir),
+                     "--config", str(config)]) == 3
+        assert capsys.readouterr().out == ""
 
     def test_kind_filter(self, dataset_dir, capsys):
         code, hybrid = run_json(capsys, [
@@ -375,15 +390,52 @@ class TestRegress:
         assert payload["n_excluded"] == 1
 
     def test_exclusion_file_bom(self, dataset_dir, tmp_path, capsys):
-        # A byte-order mark must not become part of the first id, which would
-        # then match no patent while n_excluded still counts it.
-        excl = tmp_path / "excl.txt"
-        excl.write_bytes(b"\xef\xbb\xbf5000000\n")
+        # A config file with a byte-order mark is read as one without.
+        config = tmp_path / "run.json"
+        config.write_bytes(b"\xef\xbb\xbf" + json.dumps({"exclusion_list": ["5000000"]}).encode())
         code, payload = run_json(capsys, [
             "regress", "--dataset", str(dataset_dir), "--models", "4",
-            "--exclude-file", str(excl), "--no-timestamp"])
+            "--config", str(config), "--no-timestamp"])
         assert code == 0
         assert (payload["n_rows"], payload["n_excluded"]) == (69, 1)
+
+
+@pytest.fixture(scope="module")
+def store_without_5026664(raw_dir, tmp_path_factory):
+    """The fixture store as if patent 5026664 and its trial rows had never been ingested."""
+    d = tmp_path_factory.mktemp("without_5026664")
+    for name in ("patents", "trials"):
+        lines = (raw_dir / f"{name}.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        (d / f"{name}.csv").write_text(
+            "".join(line for line in lines if not line.startswith("5026664,")), encoding="utf-8")
+    assert main(["ingest", "--patents", str(d / "patents.csv"), "--trials", str(d / "trials.csv"),
+                 "--fieldtests", str(raw_dir / "fieldtests.csv"), "--schema", "illinois",
+                 "--out", str(d / "ds")]) == 0
+    return d / "ds"
+
+
+@pytest.mark.parametrize("command", [
+    ["predict", "k1"],
+    ["predict", "k2", "--nodes", "{raw}/nodes.csv", "--edges", "{raw}/edges.csv"],
+    ["regress", "--family", "ols,poisson,negbin"],
+], ids=["k1", "k2", "regress"])
+def test_excluded_patent_is_as_if_never_ingested(dataset_dir, store_without_5026664, raw_dir,
+                                                 tmp_path, capsys, command):
+    # 5026664 is cited by other fixture patents and is a node of the network.
+    command = [arg.format(raw=raw_dir) for arg in command]
+    reports = []
+    for store, config in ((dataset_dir, {"exclusion_list": ["5026664"]}),
+                          (store_without_5026664, {})):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**config, "highly_cited_threshold": 0.5}))
+        code, payload = run_json(capsys, [*command, "--dataset", str(store),
+                                          "--config", str(path), "--no-timestamp"])
+        assert code == 0
+        reports.append(payload)
+    excluded, never_ingested = reports
+    if command[0] == "regress":
+        assert (excluded.pop("n_excluded"), never_ingested.pop("n_excluded")) == (1, 0)
+    assert excluded == never_ingested
 
 
 @pytest.mark.parametrize("error, code", [
@@ -573,7 +625,11 @@ class TestMalformedConfig:
     ["ingest", "--patents", "p.csv", "--trials", "t.csv", "--out", "ds", "--dataset", "ds"],
     ["trend", "--series", "usda-file", "--config", "c.json"],
     ["report", "--dataset", "ds", "--config", "c.json"],
-], ids=["ingest-config", "ingest-dataset", "trend-config", "report-config"])
+    ["predict", "k1", "--dataset", "ds", "--exclude-file", "x.txt"],
+    ["regress", "--dataset", "ds", "--exclude-file", "x.txt"],
+    ["predict", "k2", "--dataset", "ds", "--centrality-only"],
+], ids=["ingest-config", "ingest-dataset", "trend-config", "report-config",
+        "predict-exclude-file", "regress-exclude-file", "k2-centrality-only"])
 def test_option_a_command_does_not_read_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -600,7 +656,7 @@ class TestCsvInputRules:
     # Each CSV input flag, and the command that reads it.
     COMMANDS = {"--patents": "ingest", "--trials": "ingest", "--fieldtests": "ingest",
                 "--input": "trend", "--nodes": "k2", "--edges": "k2",
-                "--prefix-table": "ingest", "--exclude-file": "k1"}
+                "--prefix-table": "ingest"}
 
     @pytest.mark.parametrize("flag", COMMANDS)
     @pytest.mark.parametrize("bom", [False, True], ids=["plain", "bom"])
@@ -609,8 +665,7 @@ class TestCsvInputRules:
         inputs = {f"--{name}": (raw_dir / f"{name}.csv").read_bytes()
                   for name in ("patents", "trials", "fieldtests", "nodes", "edges")}
         inputs.update({"--input": bundled("usda_us_corn_yield.csv"),
-                       "--prefix-table": bundled("title_prefixes.csv"),
-                       "--exclude-file": b"5000000\n5000001\n5000002\n"})
+                       "--prefix-table": bundled("title_prefixes.csv")})
         inputs[flag] = spoil_line_3(inputs[flag], bom)
         paths = {f: tmp_path / f"{f[2:]}.csv" for f in inputs}
         for f, data in inputs.items():
@@ -622,8 +677,6 @@ class TestCsvInputRules:
             "trend": ["trend", "--series", "usda-file", "--input", str(paths["--input"])],
             "k2": ["predict", "k2", "--dataset", str(dataset_dir),
                    "--nodes", str(paths["--nodes"]), "--edges", str(paths["--edges"])],
-            "k1": ["predict", "k1", "--dataset", str(dataset_dir),
-                   "--exclude-file", str(paths["--exclude-file"])],
         }[self.COMMANDS[flag]]
         assert main(argv) == 2
         captured = capsys.readouterr()

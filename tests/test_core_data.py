@@ -1,4 +1,5 @@
 import codecs
+import copy
 import math
 import os
 import re
@@ -14,7 +15,7 @@ from cornrate.core_data import (Dataset, FieldTestSchema, IngestError, DatasetEr
                                 TrialComparison, FieldTestRecord,
                                 infer_missing_year_average, load_dataset,
                                 load_field_tests, load_patents, load_trial_sets,
-                                read_table, save_dataset)
+                                read_table, save_dataset, without_patents)
 from tests.synthetic import synthetic_dataset
 
 STORE_FILES = ["fieldtests.csv", "manifest.json", "patents.csv", "trials.csv"]
@@ -488,6 +489,31 @@ class TestDatasetStore:
         manifest = tmp_path / "ds" / "manifest.json"
         manifest.write_text('{"schema_version": 1, "citation_cutoff_year": 2015}')
         assert load_dataset(tmp_path / "ds") == self._dataset()
+
+
+class TestWithoutPatents:
+    def test_trial_sets_go_with_their_patents(self):
+        ds = synthetic_dataset()
+        tested = ds.trial_sets[0].patent_number
+        kept = without_patents(ds, [tested])
+        assert list(kept.patents) == [n for n in ds.patents if n != tested]
+        assert kept.trial_sets == [ts for ts in ds.trial_sets if ts.patent_number != tested]
+
+    def test_field_tests_stay(self):
+        ds = synthetic_dataset()
+        kept = without_patents(ds, ds.patents)
+        assert (kept.patents, kept.trial_sets) == ({}, [])
+        assert ds.field_tests and kept.field_tests == ds.field_tests
+
+    def test_input_unchanged(self):
+        ds = synthetic_dataset()
+        before = copy.deepcopy(ds)
+        without_patents(ds, list(ds.patents)[:5])
+        assert ds == before
+
+    def test_unknown_numbers_ignored(self):
+        ds = synthetic_dataset()
+        assert without_patents(ds, ["no-such-patent", ""]) == ds
 
 
 class TestInferMissingYear:

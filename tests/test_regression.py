@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cornrate.core_data import without_patents
 from cornrate.regression import (MODEL_SPECS, Family, RegressionError,
                                  RegressionResult, build_analysis_table,
                                  fit_negative_binomial, fit_ols, fit_poisson,
@@ -244,10 +245,10 @@ class TestRunModel:
         assert (fit.dispersion is None) is (family is not Family.NEGATIVE_BINOMIAL)
 
     def test_all_excluded_raises(self):
-        # build_analysis_table applies the exclusions; run_model refuses what is left.
+        # Excluding every patent leaves no rows; run_model refuses what is left.
         from tests.synthetic import synthetic_dataset
         ds = synthetic_dataset()
-        rows = build_analysis_table(ds, exclusions=ds.patents)
+        rows = build_analysis_table(without_patents(ds, ds.patents))
         assert rows == []
         with pytest.raises(RegressionError, match="no data rows"):
             run_model(4, Family.OLS, rows)
@@ -294,8 +295,9 @@ class TestAnalysisTable:
         ds = synthetic_dataset()
         rows = build_analysis_table(ds)
         some = rows[0]["patent_number"]
-        reduced = build_analysis_table(ds, exclusions=(some,))
+        reduced = build_analysis_table(without_patents(ds, (some,)))
         assert some not in {r["patent_number"] for r in reduced}
+        assert len(reduced) == len(rows) - 1
 
 
 def exact_ols_std_errors(y, X):
