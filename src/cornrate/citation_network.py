@@ -12,33 +12,40 @@ i. Both follow Batagelj's linear-time path-count recursion
 (arXiv cs/0309023): P_down(i) = sum over cited c of (1 + P_down(c)),
 and P_up likewise over the citing patents.
 
-Layout. Patents are numbered by their position in application_years and
-every edge becomes a (citing, cited) pair of those numbers; the
-constructor takes the pairs as patent-number strings or as an (m, 2)
-integer array of positions. CitationNetwork.from_files reads a CSV
-straight into int64 arrays when it qualifies: after the header (a
-byte-order mark dropped, its names matched under the rules of
-core_data.read_table) the bytes hold only ASCII digits, commas and LF or
-CRLF line ends, every row has the header's width, and every field has 1
-to 18 digits and no leading zero, so it is the str() of its value. Such
-a body is parsed by one np.fromstring call. A repeated node id is an
-IngestError. When every edge end is a node id, the ends become node
-numbers through one lookup: a direct table when the ids span at most 4
-values per node, else a binary search in the sorted ids. Every other
-file (quotes, spaces, signs, blank lines, non-ASCII digits) and every
-edge file naming an unknown node id is read with string ids by
-core_data.read_table, which also names a bad row's file and line; the
-two paths give the same network or the same error. Validation
-(self-citations, duplicates, unknown endpoints, year order) is done on
-the pairs and reports the first bad edge in file order. One
-level-synchronous pass of Kahn's algorithm then gives every node a
-level: level 0 holds the uncited patents, and a node's level is one more
-than the deepest patent citing it. A node left without a level lies on a
-cycle. Nodes are renumbered in level order, so each level is a range of
-consecutive numbers, and the edges are stored twice as CSR arrays in
-that numbering: grouped by citing node (out-edges, the cited patents)
-and by cited node (in-edges). The out-edges of a level are then one
-slice of the out-edge array, and likewise for in-edges.
+Layout. Patents are numbered (node numbers) by their position in the
+node listing, and every edge becomes a (citing, cited) pair of node
+numbers. The constructor takes the nodes as a patent number -> year
+mapping or as an (n, 2) int64 array of (id, year) rows, and the edges as
+patent-number pairs or as an (m, 2) array of node numbers.
+CitationNetwork.from_files reads a CSV straight into int64 arrays when it
+qualifies: after the header (a byte-order mark dropped, its names matched
+under the rules of core_data.read_table) the bytes hold only ASCII
+digits, commas and LF or CRLF line ends, every row has the header's
+width, and every field has 1 to 18 digits and no leading zero, so it is
+the str() of its value. Such a body is parsed by one np.fromstring call.
+A repeated node id is an IngestError. When every edge end is a node id,
+the ends become node numbers through one lookup: a direct table when the
+ids span at most 4 values per node, else a binary search in the sorted
+ids. A network read this way keeps its ids and years as arrays and makes
+patent numbers only when asked for them (application_years,
+cited_patents, compute_spnp's dict, error messages); a patent number
+names one of its nodes only if it is the str() of the node's id, so it
+matches the same nodes as on the string path. Every other file (quotes,
+spaces, signs, blank lines, non-ASCII digits) and every edge file naming
+an unknown node id is read with string ids by core_data.read_table,
+which also names a bad row's file and line; the two paths give the same
+network or the same error. Validation (self-citations, duplicates,
+unknown endpoints, year order) is done on the pairs and reports the
+first bad edge in file order. One level-synchronous pass of Kahn's
+algorithm over a CSR of the out-edges then gives every node a level:
+level 0 holds the uncited patents, and a node's level is one more than
+the deepest patent citing it. A node left without a level lies on a
+cycle. Nodes are ranked in level order, so each level is a range of
+consecutive ranks, and the edges are stored twice as CSR arrays over the
+ranks: grouped by citing node (out-edges, the cited patents; a gather of
+Kahn's CSR in level order) and by cited node (in-edges). The out-edges of
+a level are then one slice of the out-edge array, and likewise for
+in-edges.
 
 Kernel. compute_spnp sweeps the levels once per direction: deepest
 first for P_down over out-edges, level 0 first for P_up over in-edges.
@@ -49,15 +56,20 @@ set of array operations per level. Path counts grow exponentially with
 network size, so the exact mode holds them as Python integers in an
 object array and SPNP is the product of the two sweeps' entries. The log
 mode runs the same sweep on log(1 + P) with np.logaddexp.reduceat and
-adds the two sweeps; near-ties may rank differently there.
+adds the two sweeps; near-ties may rank differently there. compute_spnp
+returns a dict keyed by patent number, or the array itself.
 
-Downstream, in evaluate_k2 (the call behind `predict k2`):
-per-application-year mid-rank percentiles of SPNP, the domain centrality
-(mean over domain patents of the mean percentile of their cited
-patents), the growth rate Z of the domain's highly cited patents (those
-whose application-year cohort percentile of forward citations is >= a
-threshold in (0, 1), constants.DEFAULT_HIGHLY_CITED_THRESHOLD unless the
-run configuration sets highly_cited_threshold), and
+Downstream, in evaluate_k2 (the call behind `predict k2`): the
+per-application-year mid-rank percentiles of the exact SPNP array,
+ranked on arrays by _midranks (a sort by float64 value, then the exact
+integers inside runs of equal floats) with the arithmetic of
+ranking.midrank_percentiles, so no percentile bit differs from it; the
+domain centrality (mean over domain patents of the mean percentile of
+their cited patents); the growth rate Z of the domain's highly cited
+patents (those whose application-year cohort percentile of forward
+citations is >= a threshold in (0, 1),
+constants.DEFAULT_HIGHLY_CITED_THRESHOLD unless the run configuration
+sets highly_cited_threshold); and
 
     K2 = exp(5.0575 * Centrality + 10.1261 * Z - 5.8486).
 
@@ -73,7 +85,8 @@ from __future__ import annotations
 
 import csv
 import math
-from itertools import accumulate, chain
+from functools import cached_property
+from itertools import accumulate, chain, compress
 from typing import Iterable, Mapping
 
 from . import _lazy_module, constants
@@ -100,13 +113,26 @@ class _Numbering(dict):
 class CitationNetwork:
     """Directed acyclic citation graph; edges point citing -> cited."""
 
-    def __init__(self, application_years: Mapping[str, int],
+    def __init__(self, application_years: Mapping[str, int] | np.ndarray,
                  edges: Iterable[tuple[str, str]] | np.ndarray):
-        """edges: (citing, cited) pairs of patent numbers, or an (m, 2) integer
-        array of (citing, cited) positions in application_years."""
-        self.application_years = dict(application_years)
-        n = len(self.application_years)
-        numbering = _Numbering(zip(self.application_years, range(n)))
+        """application_years: patent number -> application year, or an (n, 2)
+        integer array of (id, application year) rows whose distinct,
+        non-negative ids stand for the patent numbers str(id); edges:
+        (citing, cited) pairs of patent numbers, or an (m, 2) integer array
+        of (citing, cited) node numbers (positions in application_years)."""
+        if isinstance(application_years, np.ndarray) and not isinstance(edges, np.ndarray):
+            application_years = dict(zip(map(str, application_years[:, 0].tolist()),
+                                         application_years[:, 1].tolist()))
+        if isinstance(application_years, np.ndarray):
+            self._ids = application_years[:, 0].astype(np.int64)
+            self._years = application_years[:, 1].astype(np.int64)
+        else:
+            self._ids = None
+            self.application_years = dict(application_years)
+            self._years = np.fromiter(self.application_years.values(), dtype=np.int64,
+                                      count=len(self.application_years))
+            self._index = _Numbering(zip(self.application_years, range(len(self._years))))
+        n = len(self._years)
         if isinstance(edges, np.ndarray):
             if edges.ndim != 2 or edges.shape[1] != 2:
                 raise ValueError(f"edge array must have shape (m, 2), not {edges.shape}")
@@ -114,31 +140,67 @@ class CitationNetwork:
             if ends.size and (ends.min() < 0 or ends.max() >= n):
                 raise ValueError(f"edge array holds a position outside 0..{n - 1}")
         else:
-            ends = np.fromiter(map(numbering.__getitem__, chain.from_iterable(edges)),
+            ends = np.fromiter(map(self._index.__getitem__, chain.from_iterable(edges)),
                                dtype=np.int64)
+        if self._ids is None:
+            self._names = list(self._index)   # unknown endpoints, if any, are numbered from n up
         src, dst = ends[0::2], ends[1::2]
-        names = list(numbering)   # unknown endpoints, if any, are numbered from n up
-        years = np.fromiter(self.application_years.values(), dtype=np.int64, count=n)
-        _check_edges(names, src, dst, years, n)
+        _check_edges(src, dst, self._years, n, self._names_of)
 
-        order, self._bounds = _kahn_levels(src, dst, n)
-        self._index = numbering   # patent number -> node number
-        # rank[i]: position of node i in level order; names_by_rank inverts it.
+        order, self._bounds, ptr, cited = _kahn_levels(src, dst, n)
+        # order[r]: the node of rank r (its position in level order); rank inverts it.
+        self._order = order
         self._rank = np.empty(n, dtype=np.int64)
         self._rank[order] = np.arange(n)
-        self._names_by_rank = [names[i] for i in order.tolist()]
-        citing, cited = self._rank[src], self._rank[dst]
-        self._out_ptr, self._out = _csr(citing, cited, n)
-        self._in_ptr, self._in = _csr(cited, citing, n)
+        self._out_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.diff(ptr)[order], out=self._out_ptr[1:])
+        self._out = self._rank[cited[_segments(ptr, order)]].astype(np.int32)
+        self._in_ptr, self._in = _csr(self._rank[dst], self._rank[src], n)
+
+    @cached_property
+    def application_years(self) -> dict[str, int]:
+        """Patent number -> application year, in node order."""
+        return dict(zip(self._names, self._years.tolist()))
+
+    @cached_property
+    def _names(self) -> list[str]:
+        """The patent number of every node, in node order."""
+        return list(map(str, self._ids.tolist()))
+
+    def _names_of(self, nodes: list[int]) -> list[str]:
+        if self._ids is None:
+            return [self._names[i] for i in nodes]
+        return list(map(str, self._ids[nodes].tolist()))
+
+    @cached_property
+    def _sorted_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        order = np.argsort(self._ids)
+        return self._ids[order], order
+
+    def _nodes(self, numbers: list[str]) -> np.ndarray:
+        """The node number of each patent number; -1 for one that names no node."""
+        if self._ids is None:
+            return np.fromiter((self._index.get(s, -1) for s in numbers), dtype=np.int64,
+                               count=len(numbers))
+        keys = np.fromiter((int(s) if _is_int_name(s) else -1 for s in numbers),
+                           dtype=np.int64, count=len(numbers))
+        return _search(*self._sorted_ids, keys)
+
+    def _application_years_of(self, numbers: list[str]) -> dict[str, int]:
+        """The application year of each of the patent numbers that names a node."""
+        nodes = self._nodes(numbers)
+        found = nodes >= 0
+        return dict(zip(compress(numbers, found.tolist()), self._years[nodes[found]].tolist()))
+
+    def _cited(self, node: int) -> list[int]:
+        """The nodes cited by a node, in edge-file order."""
+        r = self._rank[node]
+        return self._order[self._out[self._out_ptr[r]:self._out_ptr[r + 1]]].tolist()
 
     def cited_patents(self, patent: str) -> list[str]:
         """Patents cited by patent, in edge-file order; [] for an unknown patent."""
-        i = self._index.get(patent)
-        if i is None:
-            return []
-        r = self._rank[i]
-        names = self._names_by_rank
-        return [names[c] for c in self._out[self._out_ptr[r]:self._out_ptr[r + 1]].tolist()]
+        node = int(self._nodes([patent])[0])
+        return [] if node < 0 else self._names_of(self._cited(node))
 
     @classmethod
     def from_files(cls, node_csv, edge_csv) -> "CitationNetwork":
@@ -149,38 +211,51 @@ class CitationNetwork:
         any other file, and edges whose ends are not all node ids, go through
         core_data.read_table, which also names a bad row's file and line.
         """
-        application_years, nodes = _read_nodes(node_csv)
-        if nodes is not None:
+        nodes = _read_nodes(node_csv)
+        if isinstance(nodes, np.ndarray):
             ends = _read_int_columns(edge_csv, EDGE_COLUMNS)
             positions = None if ends is None else _positions(nodes[:, 0], ends)
             if positions is not None:
-                return cls(application_years, positions)
-        return cls(application_years, read_table(
+                return cls(nodes, positions)
+        return cls(nodes, read_table(
             edge_csv, lambda header: _column_positions(header, EDGE_COLUMNS, edge_csv),
             lambda citing, cited: (citing.strip(), cited.strip())))
 
 
-def _read_nodes(path) -> tuple[dict[str, int], np.ndarray | None]:
-    """The application year of each patent number in a node CSV, and the file's
-    rows as an array if the integer path reads it; a repeated number is an IngestError."""
+def _first_repeat(keys: np.ndarray, none: int) -> int:
+    """The first position whose key occurs at an earlier position; none if no key repeats."""
+    by_key = np.argsort(keys, kind="stable")
+    return int(by_key[1:][keys[by_key[1:]] == keys[by_key[:-1]]].min(initial=none))
+
+
+def _read_nodes(path) -> np.ndarray | dict[str, int]:
+    """The rows of a node CSV: an (n, 2) int64 array of (id, application
+    year) if the integer path reads the file, else patent number ->
+    application year; a repeated number is an IngestError."""
     nodes = _read_int_columns(path, NODE_COLUMNS)
-    if nodes is None:
-        rows = list(read_table(path, lambda header: _column_positions(header, NODE_COLUMNS, path),
-                               lambda number, year: (number.strip(), int(year))))
-        numbers = [number for number, _ in rows]
-    else:
-        numbers = list(map(str, nodes[:, 0].tolist()))
-        rows = zip(numbers, nodes[:, 1].tolist())
+    if nodes is not None:
+        repeat = _first_repeat(nodes[:, 0], len(nodes))
+        if repeat < len(nodes):
+            raise IngestError(f"{path}: duplicate patent_number {nodes[repeat, 0]}")
+        return nodes
+    rows = list(read_table(path, lambda header: _column_positions(header, NODE_COLUMNS, path),
+                           lambda number, year: (number.strip(), int(year))))
     application_years = dict(rows)
-    if len(application_years) < len(numbers):
+    if len(application_years) < len(rows):
         seen: set[str] = set()
-        repeat = next(n for n in numbers if n in seen or seen.add(n))
+        repeat = next(n for n, _ in rows if n in seen or seen.add(n))
         raise IngestError(f"{path}: duplicate patent_number {repeat}")
-    return application_years, nodes
+    return application_years
 
 
 # A field of the integer path has at most this many digits, so it fits an int64.
 MAX_INT_DIGITS = 18
+
+
+def _is_int_name(number: str) -> bool:
+    """Whether number is the str() of an id the integer path can read."""
+    return (0 < len(number) <= MAX_INT_DIGITS and number.isascii() and number.isdigit()
+            and (number[0] != "0" or len(number) == 1))
 
 
 def _read_int_columns(path, names: list[str]) -> np.ndarray | None:
@@ -224,6 +299,15 @@ def _read_int_columns(path, names: list[str]) -> np.ndarray | None:
     return values.reshape(-1, width)[:, columns]
 
 
+def _search(ordered: np.ndarray, order: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Position of each key among some ids, given the sorted ids and their
+    argsort order; -1 for a key that is no id."""
+    if not ordered.size:
+        return np.full(keys.shape, -1, dtype=np.int64)
+    at = np.minimum(np.searchsorted(ordered, keys), ordered.size - 1)
+    return np.where(ordered[at] == keys, order[at], -1)
+
+
 def _positions(ids: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
     """Position in ids (which are distinct) of every entry of ends; None if one is missing.
 
@@ -240,20 +324,20 @@ def _positions(ids: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
         table = np.full(hi - lo + 1, -1, dtype=np.int64)
         table[ids - lo] = np.arange(ids.size)
         found = table[offset]
-        return None if (found < 0).any() else found
-    order = np.argsort(ids)
-    ordered = ids[order]
-    at = np.minimum(np.searchsorted(ordered, ends), ids.size - 1)
-    return order[at] if (ordered[at] == ends).all() else None
+    else:
+        order = np.argsort(ids)
+        found = _search(ids[order], order, ends)
+    return None if (found < 0).any() else found
 
 
-def _check_edges(names: list[str], src: np.ndarray, dst: np.ndarray, years: np.ndarray,
-                 n: int) -> None:
+def _check_edges(src: np.ndarray, dst: np.ndarray, years: np.ndarray, n: int,
+                 names_of) -> None:
     """Raise the NetworkError of the first bad edge in edge order.
 
     Each edge is checked for, in this order: self-citation, a repeat of an
-    earlier edge, an endpoint outside the n nodes (a number >= n, named
-    by names) and a cited patent applied after the citing one.
+    earlier edge, an endpoint outside the n nodes (a number >= n) and a
+    cited patent applied after the citing one. names_of(nodes) gives the
+    patent numbers that name the edge's ends in the message.
     """
     none = len(src)
 
@@ -264,14 +348,11 @@ def _check_edges(names: list[str], src: np.ndarray, dst: np.ndarray, years: np.n
     unknown = first((src >= n) | (dst >= n))
     # Duplicates and years are only checked on the edges before the first unknown endpoint.
     s, d = src[:unknown], dst[:unknown]
-    key = s * n + d
-    by_key = np.argsort(key, kind="stable")
-    repeats = by_key[1:][key[by_key[1:]] == key[by_key[:-1]]]
-    at, kind = min((first(src == dst), 0), (int(repeats.min(initial=none)), 1),
+    at, kind = min((first(src == dst), 0), (_first_repeat(s * n + d, none), 1),
                    (unknown, 2), (first(years[d] > years[s]), 3))
     if at == none:
         return
-    citing, cited = names[src[at]], names[dst[at]]
+    citing, cited = names_of([int(src[at]), int(dst[at])])
     if kind == 0:
         raise NetworkError(f"self-citation on {citing}")
     if kind == 1:
@@ -293,16 +374,21 @@ def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.nda
     """Row pointers and int32 column array; entries of a row keep their input order."""
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
-    return ptr, cols[np.argsort(rows, kind="stable")].astype(np.int32)
+    # Distinct keys that order each row's entries by position, so the faster
+    # unstable sort gives the stable order. They stay below n * len(rows),
+    # far below 2**63 for any network that fits in memory.
+    return ptr, cols[np.argsort(rows * len(rows) + np.arange(len(rows)))].astype(np.int32)
 
 
 def _kahn_levels(src: np.ndarray, dst: np.ndarray,
-                 n: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+                 n: int) -> tuple[np.ndarray, list[tuple[int, int]], np.ndarray, np.ndarray]:
     """Kahn's algorithm over citing -> cited, one level at a time.
 
     Level 0 is the nodes nothing cites; removing a level frees the next.
-    Returns the node numbers in level order and the [start, stop) of each
-    level within them. A node that never gets a level lies on a cycle.
+    Returns the node numbers in level order, the [start, stop) of each
+    level within them, and the CSR of the out-edges it walked (row
+    pointers and cited nodes, by citing node in edge order). A node that
+    never gets a level lies on a cycle.
     """
     ptr, cited = _csr(src, dst, n)
     waiting = np.bincount(dst, minlength=n)   # citing edges not yet removed
@@ -317,7 +403,8 @@ def _kahn_levels(src: np.ndarray, dst: np.ndarray,
         level = hit[waiting[hit] == 0]
     if start != n:
         raise NetworkError("citation network contains a cycle")
-    return (np.concatenate(levels) if levels else np.zeros(0, dtype=np.int64)), bounds
+    order = np.concatenate(levels) if levels else np.zeros(0, dtype=np.int64)
+    return order, bounds, ptr, cited
 
 
 def _sweep(bounds: Iterable[tuple[int, int]], ptr: np.ndarray, adj: np.ndarray,
@@ -348,13 +435,17 @@ def _add_log_path_counts(gathered: np.ndarray, starts: np.ndarray) -> np.ndarray
     return np.logaddexp(0.0, np.logaddexp.reduceat(gathered, starts))
 
 
-def compute_spnp(net: CitationNetwork, approximate: bool = False) -> dict:
+def compute_spnp(net: CitationNetwork, approximate: bool = False,
+                 as_array: bool = False) -> dict | np.ndarray:
     """Exact SPNP per node; with approximate=True, natural-log values.
 
-    The log-space mode is for networks whose path counts overflow any
-    practical exact computation; near-ties may rank differently there.
+    Returned as a dict keyed by patent number, or with as_array=True as
+    one array in node order (exact: an object array of Python ints),
+    which makes no patent number. The log-space mode is for networks
+    whose path counts overflow any practical exact computation; near-ties
+    may rank differently there.
     """
-    n = len(net.application_years)
+    n = len(net._years)
     if approximate:
         combine, start = _add_log_path_counts, np.zeros(n)
     else:
@@ -363,25 +454,80 @@ def compute_spnp(net: CitationNetwork, approximate: bool = False) -> dict:
     up = _sweep(net._bounds, net._in_ptr, net._in, start, combine)
     # Entries hold 1 + P_down and 1 + P_up (log mode: their logs), so SPNP is
     # their product (log mode: their sum).
-    spnp = down + up if approximate else down * up
-    return dict(zip(net.application_years, spnp[net._rank].tolist()))
+    spnp = (down + up if approximate else down * up)[net._rank]
+    return spnp if as_array else dict(zip(net._names, spnp.tolist()))
+
+
+# Every integer below 2**53 is a float64, so equal floats below it are equal integers.
+EXACT_FLOAT_LIMIT = 2.0 ** 53
+# Integers of 2**1024 or more overflow float64; _midranks shifts them to this many bits.
+SHIFTED_BITS = 1000
+
+
+def _midranks(values: np.ndarray, cohort: np.ndarray) -> np.ndarray:
+    """The mid-rank percentile of each value within its cohort, bit for bit
+    as ranking.midrank_percentiles gives it: (number below + 0.5 * number
+    equal) / cohort size.
+
+    values (exact SPNP: Python ints in an object array) are sorted by
+    their float64, which is monotone in the integer because int -> float64
+    rounds correctly; each run of equal floats of EXACT_FLOAT_LIMIT or
+    more in one cohort is then sorted by the exact integers. If an integer
+    overflows float64, all are first shifted right until the largest has
+    SHIFTED_BITS bits, and every run of equal floats is sorted exactly.
+    """
+    if not values.size:
+        return np.zeros(0)
+    try:
+        key, limit = values.astype(np.float64), EXACT_FLOAT_LIMIT
+    except OverflowError:
+        shift = int(values.max()).bit_length() - SHIFTED_BITS
+        key, limit = (values >> shift).astype(np.float64), -math.inf
+    order = np.lexsort((key, cohort))
+    key, cohort = key[order], cohort[order]
+    # tie[k]: sorted entries k and k + 1 are equal and in one cohort.
+    tie = (key[1:] == key[:-1]) & (cohort[1:] == cohort[:-1])
+    unsettled = np.flatnonzero(np.diff(tie & (key[1:] >= limit), prepend=False, append=False))
+    for lo, hi in unsettled.reshape(-1, 2).tolist():
+        run = sorted(order[lo:hi + 1].tolist(), key=values.__getitem__)
+        order[lo:hi + 1] = run
+        tie[lo:hi] = [values[a] == values[b] for a, b in zip(run, run[1:])]
+    start = np.flatnonzero(np.concatenate(([True], ~tie)))   # first entry of each tie group
+    stop = np.append(start[1:], values.size)
+    first = np.flatnonzero(np.concatenate(([True], cohort[1:] != cohort[:-1])))
+    size = np.diff(np.append(first, values.size))
+    group_cohort = np.searchsorted(first, start, side="right") - 1
+    i, j = start - first[group_cohort], stop - first[group_cohort]
+    percentile = np.empty(values.size)
+    percentile[order] = np.repeat((i + 0.5 * (j - i)) / size[group_cohort], stop - start)
+    return percentile
 
 
 def domain_centrality(domain_patents: Iterable[str], net: CitationNetwork,
-                      rank_percentile: Mapping[str, float]) -> dict:
+                      rank_percentile: Mapping[str, float] | np.ndarray) -> dict:
     """Mean over domain patents of the mean percentile of their cited patents.
 
-    Returned as "centrality", with two tallies: patents citing nothing
-    contribute nothing (1/CB_i undefined) and are counted in
-    "n_excluded_no_citations"; cited patents without a percentile (outside
-    the scored corpus) are skipped and counted in "n_skipped_unknown_cited".
+    rank_percentile maps patent numbers to percentiles, or is an array of
+    every node's percentile in node order. Returned as "centrality", with
+    two tallies: patents citing nothing contribute nothing (1/CB_i
+    undefined) and are counted in "n_excluded_no_citations"; cited patents
+    without a percentile (outside the scored corpus) are skipped and
+    counted in "n_skipped_unknown_cited".
     """
+    if isinstance(rank_percentile, np.ndarray):
+        score = rank_percentile.tolist()
+    else:
+        score = [None] * len(net._years)
+        for node, value in zip(net._nodes(list(rank_percentile)).tolist(),
+                               rank_percentile.values()):
+            if node >= 0:
+                score[node] = value
     inner_means = []
     excluded = 0
     skipped = 0
-    for patent in sorted(set(domain_patents)):
-        cited = net.cited_patents(patent)
-        scored = [rank_percentile[c] for c in cited if c in rank_percentile]
+    for node in net._nodes(sorted(set(domain_patents))).tolist():
+        cited = net._cited(node) if node >= 0 else []
+        scored = [score[c] for c in cited if score[c] is not None]
         skipped += len(cited) - len(scored)
         if not scored:
             excluded += 1
@@ -426,26 +572,29 @@ def evaluate_k2(net: CitationNetwork, patents: Mapping[str, PatentRecord],
                 domain: Iterable[PatentRecord], threshold: float) -> dict:
     """K2 and its inputs for the domain patents in the network.
 
-    Centrality comes from the cohort SPNP percentiles of the whole network
-    (domain_centrality, whose tallies are reported with it). The citation
-    percentiles rank the forward-citation counts of the collection's
-    patents in the network by application-year cohort, so an excluded
-    patent, dropped from the collection, stays a node but is not ranked.
-    A domain patent is highly cited when its percentile is >= threshold,
-    which must lie in (0, 1), and those patents drive Z.
+    Centrality comes from the cohort percentiles of the whole network's
+    exact SPNP (domain_centrality, whose tallies are reported with it),
+    ranked on arrays. The citation percentiles rank the forward-citation
+    counts of the collection's patents in the network by application-year
+    cohort, so an excluded patent, dropped from the collection, stays a
+    node but is not ranked. A domain patent is highly cited when its
+    percentile is >= threshold, which must lie in (0, 1), and those
+    patents drive Z.
     """
     if not 0 < threshold < 1:
         raise ValueError("threshold must be in (0, 1)")
-    numbers = sorted(p.patent_number for p in domain if p.patent_number in net.application_years)
+    numbers = sorted(p.patent_number for p in domain)
+    years = net._application_years_of(numbers)
+    numbers = [n for n in numbers if n in years]
     if not numbers:
         raise NetworkError("no domain patents present in the network")
+    cohort = net._application_years_of(list(patents))
     citation_percentiles = midrank_percentiles(
-        {n: p.forward_citation_count for n, p in patents.items() if n in net.application_years},
-        net.application_years)
-    percentile = midrank_percentiles(compute_spnp(net), net.application_years)
+        {n: patents[n].forward_citation_count for n in cohort}, cohort)
+    percentile = _midranks(compute_spnp(net, as_array=True), net._years)
     centrality = domain_centrality(numbers, net, percentile)
     flags = {n: v >= threshold for n, v in citation_percentiles.items()}
-    z = compute_z(numbers, flags, net.application_years)
+    z = compute_z(numbers, flags, years)
     return {"n_domain": len(numbers), **centrality, "z": z,
             "k2": predict_k2(centrality["centrality"], z),
             "n_highly_cited": sum(1 for n in numbers if flags.get(n, False)),

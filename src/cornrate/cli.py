@@ -10,7 +10,9 @@ Each command takes only the options it reads. Figures are data only.
 predict and regress drop the patents of the --config exclusion_list from
 the loaded dataset (core_data.without_patents) before their library call;
 the citation network keeps them as nodes. Without that list, predict
-excludes constants.HIGHLY_CITED_EXCLUSIONS and regress nothing.
+excludes constants.HIGHLY_CITED_EXCLUSIONS and regress nothing. predict
+passes the list to core_data.select_domain too, so a domain that only
+the exclusions empty is an error saying so.
 
 Exit codes: 0 success, 2 input error, 3 data/precondition error, 4
 numeric failure. The exception that stops a command sets the code: a
@@ -179,8 +181,9 @@ def cmd_trend(args) -> int:
 
 def cmd_predict(args) -> int:
     exclusions, threshold = _load_config(args)
-    dataset = without_patents(_require_dataset(args), exclusions)
-    domain = select_domain(dataset, args.kind, args.filed_until)
+    dataset = _require_dataset(args)
+    domain = select_domain(dataset, args.kind, args.filed_until, exclusions)
+    dataset = without_patents(dataset, exclusions)
     selection = {"kind": args.kind, "filed_until": args.filed_until}
     if args.model == "k1":
         payload = citation_metrics.domain_citation_stats(dataset.patents, domain)

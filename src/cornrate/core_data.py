@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Collection, Iterable, Iterator, Optional
 
 SCHEMA_VERSION = 1
 
@@ -573,15 +573,20 @@ def without_patents(dataset: Dataset, numbers: Iterable[str]) -> Dataset:
         field_tests=list(dataset.field_tests))
 
 
-def select_domain(dataset: Dataset, kind: str,
-                  filed_until: Optional[int] = None) -> list[PatentRecord]:
+def select_domain(dataset: Dataset, kind: str, filed_until: Optional[int] = None,
+                  excluded: Collection[str] = ()) -> list[PatentRecord]:
     """The patents of one kind ("hybrid", "inbred" or "both") filed up to
-    filed_until (None: no bound), in store order; the domain of K1 and K2.
+    filed_until (None: no bound) and not excluded, in store order; the
+    domain of K1 and K2. An empty selection and a selection that the
+    exclusions empty are ValueErrors with different messages.
     """
-    domain = [p for p in dataset.patents.values() if p.kind in _KINDS[kind]
-              and (filed_until is None or p.filed_year <= filed_until)]
-    if not domain:
+    selected = [p for p in dataset.patents.values() if p.kind in _KINDS[kind]
+                and (filed_until is None or p.filed_year <= filed_until)]
+    if not selected:
         raise ValueError("no patents match the kind/filed-until selection")
+    domain = [p for p in selected if p.patent_number not in excluded]
+    if not domain:
+        raise ValueError("the exclusion list excludes every patent of the domain")
     return domain
 
 

@@ -479,6 +479,70 @@ class TestSpnp:
                 assert approx[n] == pytest.approx(math.log(exact[n]), abs=1e-9)
 
 
+def array_midranks(values, cohorts):
+    """citation_network._midranks on lists, as a dict like midrank_percentiles gives."""
+    percentile = citation_network._midranks(np.array(values, dtype=object),
+                                            np.array(cohorts, dtype=np.int64))
+    return dict(enumerate(percentile.tolist()))
+
+
+def oracle_midranks(values, cohorts):
+    return midrank_percentiles(dict(enumerate(values)), dict(enumerate(cohorts)))
+
+
+def bits(percentiles):
+    return {k: v.hex() for k, v in percentiles.items()}
+
+
+class TestArrayMidranks:
+    """The array mid-rank of evaluate_k2 against ranking.midrank_percentiles."""
+
+    def test_equal_floats_ordered_by_exact_ints(self):
+        # 2**60 and 2**60 + 1 are one float64; only the exact order separates them.
+        big = 2 ** 60
+        assert float(big) == float(big + 1)
+        values = [big + 1, big, 5, big + 1, big, big + 2, 3 * 2 ** 70, 3 * 2 ** 70 + 1]
+        cohorts = [2000] * 6 + [2001] * 2
+        pct = array_midranks(values, cohorts)
+        assert bits(pct) == bits(oracle_midranks(values, cohorts))
+        assert pct[1] == pct[4] < pct[0] == pct[3] < pct[5]
+        assert pct[6] < pct[7]
+
+    def test_counts_past_float_range(self):
+        # Counts of 2**1024 and more overflow float64; they must still rank
+        # exactly, also the small counts that the shift makes equal.
+        huge = 2 ** 1100
+        values = [huge + 1, huge, 2 ** 1024, 2 ** 1024 - 1, 1, 2, huge, 7, 2 ** 1024 - 1]
+        cohorts = [1990] * 6 + [1991] * 3
+        with pytest.raises(OverflowError):
+            np.array(values, dtype=object).astype(np.float64)
+        pct = array_midranks(values, cohorts)
+        assert bits(pct) == bits(oracle_midranks(values, cohorts))
+        assert pct[4] < pct[5] < pct[3] < pct[2] < pct[1] < pct[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(
+        st.one_of(st.integers(1, 4),
+                  st.sampled_from([2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 ** 53 + 2]),
+                  st.integers(2 ** 60, 2 ** 60 + 3),
+                  st.integers(2 ** 200, 2 ** 200 + 2),
+                  st.integers(2 ** 1100 - 2, 2 ** 1100 + 2),
+                  st.integers(1, 2 ** 1100)),
+        st.integers(1998, 2001)), min_size=1, max_size=40))
+    def test_same_bits_as_midrank_percentiles(self, rows):
+        values, cohorts = map(list, zip(*rows))
+        assert bits(array_midranks(values, cohorts)) == bits(oracle_midranks(values, cohorts))
+
+    def test_exact_spnp_of_a_large_dag(self):
+        years, edges = large_random_dag(5, 3000)
+        net = CitationNetwork(years, edges)
+        spnp = compute_spnp(net)
+        assert max(spnp.values()).bit_length() > 64
+        expected = midrank_percentiles(spnp, years)
+        percentile = citation_network._midranks(compute_spnp(net, as_array=True), net._years)
+        assert bits(dict(zip(years, percentile.tolist()))) == bits(expected)
+
+
 class TestCentrality:
     def test_excludes_patents_without_citations(self):
         net = diamond_network()

@@ -319,7 +319,10 @@ class TestPredict:
         config.write_text(json.dumps({"exclusion_list": sorted(load_dataset(dataset_dir).patents)}))
         assert main(["predict", "k1", "--dataset", str(dataset_dir),
                      "--config", str(config)]) == 3
-        assert capsys.readouterr().out == ""
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "the exclusion list excludes every patent of the domain", "exit_code": 3}
 
     def test_kind_filter(self, dataset_dir, capsys):
         code, hybrid = run_json(capsys, [
@@ -332,9 +335,11 @@ class TestPredict:
         assert code == 0
         assert hybrid["spc"] < both["spc"]
 
-    def test_filed_until_empty_exit_3(self, dataset_dir):
+    def test_filed_until_empty_exit_3(self, dataset_dir, capsys):
         assert main(["predict", "k1", "--dataset", str(dataset_dir),
                      "--filed-until", "1900"]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == \
+            "no patents match the kind/filed-until selection"
 
 
 class TestRegress:
