@@ -22,7 +22,12 @@ qualifies: after the header (a byte-order mark dropped, its names matched
 under the rules of core_data.read_table) the bytes hold only ASCII
 digits, commas and LF or CRLF line ends, every row has the header's
 width, and every field has 1 to 18 digits and no leading zero, so it is
-the str() of its value. Such a body is parsed by one np.fromstring call.
+the str() of its value. The file is read as bytes and only its header
+is decoded, and the body is copied to drop CRs only when it holds one.
+When every row has the first row's length and separator places, as in
+files of fixed-width ids, the body is a 2-D byte grid checked and parsed
+one digit place at a time (_read_fixed_rows); any other body is parsed
+by one np.fromstring call.
 A repeated node id is an IngestError. When every edge end is a node id,
 the ends become node numbers through one lookup: a direct table when the
 ids span at most 4 values per node, else a binary search in the sorted
@@ -39,25 +44,34 @@ unknown endpoints, year order) is done on the pairs and reports the
 first bad edge in file order. One level-synchronous pass of Kahn's
 algorithm over a CSR of the out-edges then gives every node a level:
 level 0 holds the uncited patents, and a node's level is one more than
-the deepest patent citing it. A node left without a level lies on a
-cycle. Nodes are ranked in level order, so each level is a range of
+the deepest patent citing it. Each level's edges decrement the counts
+of citing edges left (np.subtract.at), and only the nodes they free are
+sorted and deduplicated into the next level. A node left without a level
+lies on a cycle. Nodes are ranked in level order, so each level is a range of
 consecutive ranks, and the edges are stored twice as CSR arrays over the
 ranks: grouped by citing node (out-edges, the cited patents; a gather of
 Kahn's CSR in level order) and by cited node (in-edges). The out-edges of
 a level are then one slice of the out-edge array, and likewise for
-in-edges.
+in-edges; each row of both CSRs keeps edge-file order. Each direction's
+level plan is built once per network (_level_plan): for every level with
+edges, the ranks of its nodes with neighbours, their reduceat starts,
+the largest neighbour count and the level's [first, last) edge range.
 
 Kernel. compute_spnp sweeps the levels once per direction: deepest
 first for P_down over out-edges, level 0 first for P_up over in-edges.
-Each node holds 1 + P, starting at 1; a level's entries come from one
-gather of its neighbours' entries and one sum of each node's CSR segment
-(np.add.reduceat), plus 1, so the work is linear in the edges with one
-set of array operations per level. Path counts grow exponentially with
-network size, so the exact mode holds them as Python integers in an
-object array and SPNP is the product of the two sweeps' entries. The log
-mode runs the same sweep on log(1 + P) with np.logaddexp.reduceat and
-adds the two sweeps; near-ties may rank differently there. compute_spnp
-returns a dict keyed by patent number, or the array itself.
+Each node holds 1 + P, starting at 1; by the level plan, a level's
+entries come from one gather of its neighbours' entries, one sum of each
+node's CSR segment (np.add.reduceat), plus 1, and one scatter, so the
+work is linear in the edges with one set of array operations per level.
+Path counts grow exponentially with network size. The exact mode sums
+in int64 while a level provably fits: its largest gathered entry times
+its largest neighbour count, plus 1, is below 2**63. From the first
+level where that fails, the rest of the sweep runs on Python integers in
+an object array; SPNP is the product of the two sweeps' entries, taken
+on Python integers. The log mode runs the same sweep on log(1 + P) with
+np.logaddexp.reduceat and adds the two sweeps; near-ties may rank
+differently there. compute_spnp returns a dict keyed by patent number,
+or the array itself.
 
 Downstream, in evaluate_k2 (the call behind `predict k2`): the
 per-application-year mid-rank percentiles of the exact SPNP array,
@@ -91,7 +105,7 @@ from typing import Iterable, Mapping
 
 from . import _lazy_module, constants
 from .core_data import (EDGE_COLUMNS, NODE_COLUMNS, CornrateError, IngestError, PatentRecord,
-                        _column_positions, read_table, read_text)
+                        _column_positions, read_bytes, read_table)
 from .ranking import midrank_percentiles
 from .trend import TrendSeries, fit_exponential
 
@@ -147,7 +161,7 @@ class CitationNetwork:
         src, dst = ends[0::2], ends[1::2]
         _check_edges(src, dst, self._years, n, self._names_of)
 
-        order, self._bounds, ptr, cited = _kahn_levels(src, dst, n)
+        order, self._starts, ptr, cited = _kahn_levels(src, dst, n)
         # order[r]: the node of rank r (its position in level order); rank inverts it.
         self._order = order
         self._rank = np.empty(n, dtype=np.int64)
@@ -156,6 +170,14 @@ class CitationNetwork:
         np.cumsum(np.diff(ptr)[order], out=self._out_ptr[1:])
         self._out = self._rank[cited[_segments(ptr, order)]].astype(np.int32)
         self._in_ptr, self._in = _csr(self._rank[dst], self._rank[src], n)
+
+    @cached_property
+    def _out_plan(self) -> list[tuple]:
+        return _level_plan(self._out_ptr, self._starts)
+
+    @cached_property
+    def _in_plan(self) -> list[tuple]:
+        return _level_plan(self._in_ptr, self._starts)
 
     @cached_property
     def application_years(self) -> dict[str, int]:
@@ -261,34 +283,42 @@ def _is_int_name(number: str) -> bool:
 def _read_int_columns(path, names: list[str]) -> np.ndarray | None:
     """The named columns of a CSV file of plain integers, as an int64 array.
 
-    Returns one row per data row and one column per name, or None when the
-    body does not qualify: it may hold only ASCII digits, commas and line
-    ends (LF, or CRLF), and every row must have the header's width of
-    fields of 1 to MAX_INT_DIGITS digits without a leading zero, so each
-    field is the str() of its value. The file is read by read_text and
-    its header as read_table reads it, so a missing or undecodable file or
-    a missing column is an IngestError; a header with a quote or a bare
-    carriage return also gives None, and the caller then reads the file
-    with read_table.
+    Returns one row per data row and one column per name, or None when
+    the body does not qualify: it may hold only ASCII digits, commas and
+    line ends (LF, or CRLF), and every row must have the header's width
+    of fields of 1 to MAX_INT_DIGITS digits without a leading zero, so
+    each field is the str() of its value. The file's bytes come from
+    read_bytes, and only its header is decoded, split as read_table
+    splits it; a missing file or a missing column in a qualifying file
+    is an IngestError. A body of one row layout is read by
+    _read_fixed_rows. A header with a quote, a bare carriage return or a
+    byte that is not UTF-8 also gives None, and the caller then reads
+    the file with read_table, which gives a file that does not decode
+    its error.
     """
-    head, _, body = read_text(path).encode().partition(b"\n")
+    head, _, body = read_bytes(path).partition(b"\n")
     head = head[:-1] if head.endswith(b"\r") else head
     if b'"' in head or b"\r" in head:
         return None
     try:
         header = next(csv.reader([head.decode()]), [])
-    except csv.Error:
+    except (csv.Error, UnicodeDecodeError):
         return None
-    columns = _column_positions(header, names, path)
-    body = body.replace(b"\r\n", b"\n")
+    if b"\r" in body:
+        body = body.replace(b"\r\n", b"\n")
     if body and not body.endswith(b"\n"):
         body += b"\n"
-    if body.translate(None, b"0123456789,\n"):
-        return None
-    width = len(header)
     text = np.frombuffer(body, dtype=np.uint8)
-    ends = np.flatnonzero(text < ord("0"))   # the comma or line end after each field
+    if text.max(initial=0) > ord("9"):
+        return None
+    columns = _column_positions(header, names, path)
+    width = len(header)
     row_layout = np.array([ord(",")] * (width - 1) + [ord("\n")], dtype=np.uint8)
+    fixed = _read_fixed_rows(body, row_layout, columns)
+    if fixed is not None:
+        return fixed
+    # The comma or line end after each field; any other byte below "0" breaks the row layout.
+    ends = np.flatnonzero(text < ord("0"))
     if ends.size % width or (text[ends].reshape(-1, width) != row_layout).any():
         return None
     length = np.diff(ends, prepend=-1) - 1
@@ -297,6 +327,39 @@ def _read_int_columns(path, names: list[str]) -> np.ndarray | None:
         return None
     values = np.fromstring(body.replace(b"\n", b","), dtype=np.int64, sep=",")
     return values.reshape(-1, width)[:, columns]
+
+
+def _read_fixed_rows(body: bytes, row_layout: np.ndarray, columns: list[int]) -> np.ndarray | None:
+    """The given columns of a body that qualifies for _read_int_columns and
+    whose rows all have the first row's length and separator places, read
+    one digit place at a time; None for any other body, which the general
+    parse then judges.
+    """
+    size = body.find(b"\n") + 1
+    if not size or len(body) % size:
+        return None
+    grid = np.frombuffer(body, dtype=np.uint8).reshape(-1, size)
+    ends = np.flatnonzero(grid[0] < ord("0"))
+    if ends.size != row_layout.size:
+        return None
+    starts = np.append(0, ends[:-1] + 1)
+    length = ends - starts
+    digit = np.ones(size, dtype=bool)
+    digit[ends] = False
+    if (length.min() < 1 or length.max() > MAX_INT_DIGITS
+            or (grid[:, ends] != row_layout).any() or (grid[:, digit] < ord("0")).any()
+            or (grid[:, starts[length > 1]] == ord("0")).any()):
+        return None
+    values = np.empty((len(grid), len(columns)), dtype=np.int64)
+    for k, (start, end) in enumerate(zip(starts[columns].tolist(), ends[columns].tolist())):
+        # Horner's rule on the bytes, then the "0" of every place subtracted at
+        # once; the sum is at most 57 * (10**18 - 1) / 9 < 2**63.
+        value = grid[:, start].astype(np.int64)
+        for place in range(start + 1, end):
+            value *= 10
+            value += grid[:, place]
+        values[:, k] = value - ord("0") * ((10 ** (end - start) - 1) // 9)
+    return values
 
 
 def _search(ordered: np.ndarray, order: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -366,62 +429,84 @@ def _segments(ptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Positions, in a CSR array with row pointers ptr, of all entries of rows."""
     lo = ptr[rows]
     size = ptr[rows + 1] - lo
-    ends = np.cumsum(size)
-    return np.repeat(lo - (ends - size), size) + np.arange(ends[-1] if ends.size else 0)
+    ends = size.cumsum()   # array methods skip numpy's Python wrappers, once per Kahn level
+    return (lo - (ends - size)).repeat(size) + np.arange(ends[-1] if ends.size else 0)
 
 
 def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row pointers and int32 column array; entries of a row keep their input order."""
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
-    # Distinct keys that order each row's entries by position, so the faster
-    # unstable sort gives the stable order. They stay below n * len(rows),
-    # far below 2**63 for any network that fits in memory.
-    return ptr, cols[np.argsort(rows * len(rows) + np.arange(len(rows)))].astype(np.int32)
+    m = len(rows)
+    if (rows[1:] < rows[:-1]).any():
+        # Distinct keys that order each row's entries by position, so sorting
+        # the keys themselves (faster than an argsort) gives the stable order,
+        # and a sorted key mod m is its entry's position. They stay below
+        # n * m, far below 2**63 for any network that fits in memory.
+        cols = cols[np.sort(rows * m + np.arange(m)) % m]
+    return ptr, cols.astype(np.int32)
 
 
 def _kahn_levels(src: np.ndarray, dst: np.ndarray,
-                 n: int) -> tuple[np.ndarray, list[tuple[int, int]], np.ndarray, np.ndarray]:
+                 n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Kahn's algorithm over citing -> cited, one level at a time.
 
     Level 0 is the nodes nothing cites; removing a level frees the next.
-    Returns the node numbers in level order, the [start, stop) of each
-    level within them, and the CSR of the out-edges it walked (row
+    Returns the node numbers in level order, the start of each level within
+    them followed by n, and the CSR of the out-edges it walked (row
     pointers and cited nodes, by citing node in edge order). A node that
     never gets a level lies on a cycle.
     """
     ptr, cited = _csr(src, dst, n)
     waiting = np.bincount(dst, minlength=n)   # citing edges not yet removed
     level = np.flatnonzero(waiting == 0)
-    levels, bounds, start = [], [], 0
+    levels, starts = [], [0]
     while level.size:
         levels.append(level)
-        bounds.append((start, start + level.size))
-        start += level.size
-        hit, count = np.unique(cited[_segments(ptr, level)], return_counts=True)
-        waiting[hit] -= count
-        level = hit[waiting[hit] == 0]
-    if start != n:
+        starts.append(starts[-1] + level.size)
+        hit = cited[_segments(ptr, level)]
+        np.subtract.at(waiting, hit, 1)
+        freed = hit[waiting[hit] == 0]   # each freed node once per edge from the level
+        freed.sort()
+        level = np.concatenate((freed[:1], freed[1:][freed[1:] != freed[:-1]]))
+    if starts[-1] != n:
         raise NetworkError("citation network contains a cycle")
     order = np.concatenate(levels) if levels else np.zeros(0, dtype=np.int64)
-    return order, bounds, ptr, cited
+    return order, np.array(starts), ptr, cited
 
 
-def _sweep(bounds: Iterable[tuple[int, int]], ptr: np.ndarray, adj: np.ndarray,
-           values: np.ndarray, combine) -> np.ndarray:
+def _level_plan(ptr: np.ndarray, starts: np.ndarray) -> list[tuple]:
+    """The sweep plan of a CSR over ranks whose levels begin at starts.
+
+    One entry per level with at least one edge, in level order: the ranks
+    of the level's nodes with neighbours, where each one's neighbours begin
+    within the level's edges (its reduceat start), the largest number of
+    neighbours of one node, and the [first, last) range of the level's
+    edges in the CSR array.
+    """
+    degree = np.diff(ptr)
+    rows = np.flatnonzero(degree)                  # the ranks with neighbours
+    cut = np.searchsorted(rows, starts).tolist()   # level k holds rows[cut[k]:cut[k + 1]]
+    edge = ptr[starts].tolist()                    # and the edges edge[k]:edge[k + 1]
+    levels = [k for k in range(len(cut) - 1) if cut[k] < cut[k + 1]]
+    if not levels:
+        return []
+    longest = np.maximum.reduceat(degree[rows], [cut[k] for k in levels]).tolist()
+    begin = ptr[rows]
+    return [(rows[cut[k]:cut[k + 1]], begin[cut[k]:cut[k + 1]] - edge[k], most,
+             edge[k], edge[k + 1]) for k, most in zip(levels, longest)]
+
+
+def _sweep(plan: Iterable[tuple], adj: np.ndarray, values: np.ndarray, combine) -> np.ndarray:
     """Fill values level by level from each node's neighbours' values.
 
-    values has one entry per node (in level order); combine(gathered,
-    starts) reduces the gathered neighbour entries of every node in a
-    level with at least one neighbour, each node's run beginning at its
-    entry of starts. Nodes without neighbours keep their entry.
+    values has one entry per node (in rank order); for each level of the
+    plan, combine(gathered, starts) reduces the gathered neighbour entries
+    of every node of the level with a neighbour, each node's run beginning
+    at its entry of starts. Nodes without neighbours keep their entry.
     """
-    for lo, hi in bounds:
-        first, last = ptr[lo], ptr[hi]
-        if first == last:
-            continue
-        used = np.flatnonzero(ptr[lo + 1:hi + 1] - ptr[lo:hi])
-        values[lo + used] = combine(values[adj[first:last]], ptr[lo + used] - first)
+    for rows, starts, _, first, last in plan:
+        values[rows] = combine(values[adj[first:last]], starts)
     return values
 
 
@@ -435,6 +520,28 @@ def _add_log_path_counts(gathered: np.ndarray, starts: np.ndarray) -> np.ndarray
     return np.logaddexp(0.0, np.logaddexp.reduceat(gathered, starts))
 
 
+# Every int64 is below this; exact sums stay int64 only while they provably do.
+INT64_LIMIT = 2 ** 63
+
+
+def _path_counts(plan: list[tuple], adj: np.ndarray, n: int) -> np.ndarray:
+    """1 + P for every node (in rank order) by an exact sweep, as an object
+    array of Python ints.
+
+    Levels are summed in int64 while a level's sums provably fit: each is
+    at most its largest gathered entry times the level's largest neighbour
+    count, plus 1, and that must stay below INT64_LIMIT. From the first
+    level where the bound fails, the sweep goes on in Python ints.
+    """
+    values = np.ones(n, dtype=np.int64)
+    for k, (rows, starts, longest, first, last) in enumerate(plan):
+        gathered = values[adj[first:last]]
+        if int(gathered.max()) * longest + 1 >= INT64_LIMIT:
+            return _sweep(plan[k:], adj, values.astype(object), _add_path_counts)
+        values[rows] = _add_path_counts(gathered, starts)
+    return values.astype(object)
+
+
 def compute_spnp(net: CitationNetwork, approximate: bool = False,
                  as_array: bool = False) -> dict | np.ndarray:
     """Exact SPNP per node; with approximate=True, natural-log values.
@@ -446,15 +553,15 @@ def compute_spnp(net: CitationNetwork, approximate: bool = False,
     may rank differently there.
     """
     n = len(net._years)
-    if approximate:
-        combine, start = _add_log_path_counts, np.zeros(n)
-    else:
-        combine, start = _add_path_counts, np.ones(n, dtype=object)
-    down = _sweep(reversed(net._bounds), net._out_ptr, net._out, start.copy(), combine)
-    up = _sweep(net._bounds, net._in_ptr, net._in, start, combine)
     # Entries hold 1 + P_down and 1 + P_up (log mode: their logs), so SPNP is
     # their product (log mode: their sum).
-    spnp = (down + up if approximate else down * up)[net._rank]
+    if approximate:
+        spnp = (_sweep(net._out_plan[::-1], net._out, np.zeros(n), _add_log_path_counts)
+                + _sweep(net._in_plan, net._in, np.zeros(n), _add_log_path_counts))
+    else:
+        spnp = (_path_counts(net._out_plan[::-1], net._out, n)
+                * _path_counts(net._in_plan, net._in, n))
+    spnp = spnp[net._rank]
     return spnp if as_array else dict(zip(net._names, spnp.tolist()))
 
 
@@ -483,7 +590,9 @@ def _midranks(values: np.ndarray, cohort: np.ndarray) -> np.ndarray:
     except OverflowError:
         shift = int(values.max()).bit_length() - SHIFTED_BITS
         key, limit = (values >> shift).astype(np.float64), -math.inf
-    order = np.lexsort((key, cohort))
+    # By value, then stably by cohort; the order within a tie does not change a percentile.
+    order = np.argsort(key)
+    order = order[np.argsort(cohort[order], kind="stable")]
     key, cohort = key[order], cohort[order]
     # tie[k]: sorted entries k and k + 1 are equal and in one cohort.
     tie = (key[1:] == key[:-1]) & (cohort[1:] == cohort[:-1])

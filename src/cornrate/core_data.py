@@ -5,7 +5,8 @@ trial tables transcribed from patent documents, and state field-test
 rows. Ingestion never drops rows silently: every input data row ends up
 either as a record, as a row-indexed error, or in the skip tally.
 
-Every CSV file and the run configuration are decoded by read_text, and
+Every CSV file and the run configuration are decoded by read_text (the
+network's integer path reads the bytes of read_bytes instead), and
 every CSV is split by read_table, which passes each row's fields to one
 parse function. Store, network, series and prefix-table files stop at
 the first bad row; the ingest loaders record each bad row as a row
@@ -18,6 +19,7 @@ select the K1/K2 domain and describe a dataset for the report command.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import datetime
 import io
@@ -213,21 +215,28 @@ def write_csv(path, header: list[str], rows: Iterable) -> None:
         w.writerows(rows)
 
 
+def read_bytes(path, error: type[Exception] = IngestError) -> bytes:
+    """The bytes of a file, a leading UTF-8 byte-order mark dropped; a
+    missing file is an error naming it."""
+    path = Path(path)
+    if not path.is_file():
+        raise error(f"missing file: {path}")
+    data = path.read_bytes()
+    return data[len(codecs.BOM_UTF8):] if data.startswith(codecs.BOM_UTF8) else data
+
+
 def read_text(path, error: type[Exception] = IngestError) -> str:
     """The text of a UTF-8 file, a leading byte-order mark dropped.
 
     A missing file, or a byte that is not UTF-8, is an error naming the file
     (and the line of the bad byte).
     """
-    path = Path(path)
-    if not path.is_file():
-        raise error(f"missing file: {path}")
     try:
-        return path.read_bytes().decode("utf-8-sig")
+        return read_bytes(path, error).decode("utf-8")
     except UnicodeDecodeError as exc:
         # exc.start counts from after a byte-order mark, as exc.object does.
         line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise error(f"{path}, line {line}: {exc}") from None
+        raise error(f"{Path(path)}, line {line}: {exc}") from None
 
 
 def _column_positions(header: list[str], names: list[str], path) -> list[int]:

@@ -47,6 +47,13 @@ MAX_ITER = 100
 # (the last fixture steps are 1e-11 to 3e-10). IRLS converges quadratically, so a
 # step under 1e-8 leaves an error far below that floor.
 COEF_TOL = 1e-8
+# Where cond * eps itself passes COEF_TOL, that rule is met only by chance, so
+# IRLS stops at max(COEF_TOL, NOISE_FACTOR * kappa * eps), with kappa =
+# ||R||_F ||R^-1||_F from the QR of sqrt(W) X (between the 2-norm condition
+# number and p times it). c = NOISE_FACTOR = 10 covers the noise of the p
+# coefficients adding up in one step; on the fixture c * kappa * eps stays
+# below 2e-9, so COEF_TOL still rules there.
+NOISE_FACTOR = 10.0
 # Stopping rule on |d log theta| between NB passes. The profile likelihood is flat
 # at its maximum, so float noise in it moves the maximiser by up to ~4e-7 in
 # log theta from pass to pass; a tighter rule is met only by chance.
@@ -140,8 +147,9 @@ def _check_counts(y: np.ndarray, allow_noninteger: bool) -> None:
         raise RegressionError("count response must be integer-valued")
 
 
-def _weighted_ls(X: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimiser of sum w (y - X beta)^2, and R^-1, from one QR of sqrt(w) [X y].
+def _weighted_ls(X: np.ndarray, y: np.ndarray,
+                 w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minimiser of sum w (y - X beta)^2, R^-1 and R, from one QR of sqrt(w) [X y].
 
     X'WX is never formed, and (X'WX)^-1 = R^-1 R^-T. QR leaves about eps ||R_:j||
     = eps ||sqrt(w) x_j|| in a column that depends on the others, so the design is
@@ -153,13 +161,13 @@ def _weighted_ls(X: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarra
     if any(abs(col[j]) <= tol * math.hypot(*col) for j, col in enumerate(zip(*r[:, :p].tolist()))):
         raise RegressionError("design matrix is rank deficient")
     r_inv = np.linalg.inv(r[:, :p])
-    return r_inv @ r[:, p], r_inv
+    return r_inv @ r[:, p], r_inv, r[:, :p]
 
 
 def fit_ols(y, X, terms: Optional[Sequence[str]] = None) -> RegressionResult:
     y, X, terms = _as_design(y, X, terms)
     n, p = X.shape
-    beta, r_inv = _weighted_ls(X, y, np.ones(n))
+    beta, r_inv, _ = _weighted_ls(X, y, np.ones(n))
     resid = y - X @ beta
     sse = float(resid @ resid)
     df = n - p
@@ -207,26 +215,31 @@ def _report_clipping(result: RegressionResult, clipped: int) -> None:
 
 
 def _irls(y: np.ndarray, X: np.ndarray, theta: Optional[float]) -> tuple[np.ndarray, bool]:
-    """IRLS for log-link Poisson (theta None) or NB2 with known theta."""
+    """IRLS for log-link Poisson (theta None) or NB2 with known theta.
+
+    Stops once a step is below COEF_TOL or, on a worse-conditioned design,
+    below the rounding floor NOISE_FACTOR * kappa * eps of that step's QR.
+    """
     mu = y + np.mean(y) * 0.1 + 0.1
     eta = np.log(mu)
     beta = np.zeros(X.shape[1])
     converged = False
     for _ in range(MAX_ITER):
         w = mu if theta is None else mu / (1.0 + mu / theta)
-        beta_new, _ = _weighted_ls(X, eta + (y - mu) / mu, w)
+        beta_new, r_inv, r = _weighted_ls(X, eta + (y - mu) / mu, w)
         delta = _step(beta_new, beta)
+        kappa = float(np.linalg.norm(r) * np.linalg.norm(r_inv))
         beta = beta_new
         eta, _ = _linear_predictor(X, beta)
         mu = np.exp(eta)
-        if delta < COEF_TOL:
+        if delta < max(COEF_TOL, NOISE_FACTOR * kappa * np.finfo(float).eps):
             converged = True
             break
     return beta, converged
 
 
 def _wald(X: np.ndarray, beta: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    _, r_inv = _weighted_ls(X, np.zeros(len(w)), w)
+    _, r_inv, _ = _weighted_ls(X, np.zeros(len(w)), w)
     se = np.sqrt(np.sum(r_inv ** 2, axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, beta / se, 0.0)

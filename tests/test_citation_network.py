@@ -28,6 +28,17 @@ def diamond_network():
                            [("A", "B"), ("A", "C"), ("B", "D"), ("C", "D")])
 
 
+def past_int64_network():
+    """A ladder whose rungs X_i, Y_i (i < 64) each cite both rungs X_i+1,
+    Y_i+1, so 1 + P_down = 2**(64 - i) - 1 and rung 1 holds 2**63 - 1, the
+    largest int64; and five nodes W0..W4 that also cite X1 and Y1."""
+    years = {f"{rung}{i}": 2100 - i for i in range(64) for rung in "XY"}
+    edges = [(f"{a}{i}", f"{b}{i + 1}") for i in range(63) for a in "XY" for b in "XY"]
+    years.update({f"W{k}": 2100 for k in range(5)})
+    edges += [(f"W{k}", f"{rung}1") for k in range(5) for rung in "XY"]
+    return years, edges
+
+
 def brute_force_spnp(years, edges):
     """Oracle: enumerate every directed path (single nodes included) and
     count, per node, how many paths contain it."""
@@ -206,11 +217,12 @@ def network_outcome(nodes, edges):
 
 
 def both_paths(directory, nodes_text, edges_text):
-    """Write the two files; return which of them the integer path reads (None
-    when reading the header raises) and the outcome of from_files on each path."""
+    """Write the two files (text as UTF-8, or bytes as they are); return which
+    of them the integer path reads (None when reading the header raises) and
+    the outcome of from_files on each path."""
     nodes, edges = directory / "nodes.csv", directory / "edges.csv"
-    nodes.write_bytes(nodes_text.encode("utf-8"))
-    edges.write_bytes(edges_text.encode("utf-8"))
+    for path, content in [(nodes, nodes_text), (edges, edges_text)]:
+        path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
     try:
         qualifies = tuple(citation_network._read_int_columns(path, columns) is not None
                           for path, columns in [(nodes, NODE_COLUMNS), (edges, EDGE_COLUMNS)])
@@ -241,6 +253,19 @@ FROM_FILES_CASES = {
     "crlf": (NODES.replace("\n", "\r\n"), EDGES.replace("\n", "\r\n"), (True, True)),
     "no-final-newline": (NODES.rstrip("\n"), EDGES.rstrip("\n"), (True, True)),
     "bare-cr": (NODES.replace("\n", "\r"), EDGES, (False, True)),
+    "mixed-line-ends": (NODES, EDGES.replace("1001\n", "1001\r\n"), (True, True)),
+    "bare-cr-in-edges": (NODES, EDGES.replace("1001\n", "1001\r"), (True, False)),
+    "bom-crlf-no-final-newline": ("\ufeff" + NODES.replace("\n", "\r\n").rstrip(),
+                                  "\ufeff" + EDGES.replace("\n", "\r\n").rstrip(),
+                                  (True, True)),
+    # Rows of one layout: the same rules hold when every row has the same width.
+    "fixed-width-leading-zero": (NODES, EDGES.replace(",1000", ",0100"), (True, False)),
+    "fixed-width-19-digits": (NODES.replace("\n100", "\n" + "9" * 15 + "100"),
+                              EDGES.replace("100", "9" * 15 + "100"), (False, False)),
+    "dot-separator": (NODES.replace("1001,", "1001."), EDGES, (False, True)),
+    "non-utf-8-edge-row": (NODES, EDGES.encode() + b"1003,10\xff0\n", (True, False)),
+    "non-utf-8-header": (NODES, b"citing_patent,cited\xff\n" + EDGES.encode()[27:],
+                         (True, False)),
     "blank-line": (NODES.replace("1990\n", "1990\n\n"), EDGES + "\n", (False, False)),
     "quoted-id": (NODES.replace("1001,", '"1001",'), EDGES.replace("\n1001,", '\n"1001",'),
                   (False, False)),
@@ -310,6 +335,20 @@ class TestFromFilesFastPath:
         assert qualifies == (True, True)
         assert fast == slow == (IngestError,
                                 f"{tmp_path / 'nodes.csv'}: duplicate patent_number 1001")
+
+    def test_fixed_rows_read_only_bodies_of_one_row_layout(self):
+        layout = np.array([ord(","), ord("\n")], dtype=np.uint8)
+        read = citation_network._read_fixed_rows
+        assert read(b"10,1990\n11,1991\n", layout, [1, 0]).tolist() == [[1990, 10], [1991, 11]]
+        assert read(b"10,1990\n9,1991\n", layout, [0, 1]) is None
+        assert read(b"10,1990\n1,11991\n", layout, [0, 1]) is None
+
+    def test_undecodable_byte_names_its_line(self, tmp_path):
+        # The integer path leaves the file to read_table, whose error names the line.
+        _, fast, slow = both_paths(tmp_path, NODES, EDGES.encode() + b"1003,10\xff0\n")
+        assert fast == slow
+        assert fast[0] is IngestError
+        assert fast[1].startswith(f"{tmp_path / 'edges.csv'}, line 6: 'utf-8' codec")
 
     def test_plain_files_build(self, tmp_path):
         _, fast, _ = both_paths(tmp_path, NODES, EDGES)
@@ -393,6 +432,35 @@ class TestSpnp:
     def test_values_are_exact_ints(self):
         for v in compute_spnp(diamond_network()).values():
             assert type(v) is int
+
+    def test_int64_sums_switch_to_python_ints_before_they_overflow(self):
+        # Rung 1 sums to 2**63 - 1 in int64. Level 0 (X0, Y0, W0..W4) sums
+        # fourteen such entries in one reduceat, so the sweep must switch there.
+        years, edges = past_int64_network()
+        spnp = compute_spnp(CitationNetwork(years, edges))
+        assert spnp == dict_spnp(years, edges)
+        assert {spnp[p] for p in ["X0", "Y0"] + [f"W{k}" for k in range(5)]} == {2 ** 64 - 1}
+        assert spnp["X1"] == (2 ** 63 - 1) * 8   # cited by X0, Y0 and W0..W4
+
+    @pytest.mark.parametrize("network", [diamond_network, past_int64_network])
+    def test_exact_values_are_python_ints(self, network):
+        # The diamond sums in int64 only; the other switches to Python ints.
+        net = network() if network is diamond_network else CitationNetwork(*network())
+        assert all(type(v) is int for v in compute_spnp(net).values())
+        array = compute_spnp(net, as_array=True)
+        assert array.dtype == object
+        assert all(type(v) is int for v in array.tolist())
+
+    def test_chain_from_arrays(self):
+        # Node i cites node i - 1, so P_down(i) = i, P_up(i) = k - 1 - i and
+        # SPNP(i) = (i + 1)(k - i); every level holds one node.
+        k = 5000
+        net = CitationNetwork(np.column_stack([np.arange(k), np.arange(1000, 1000 + k)]),
+                              np.column_stack([np.arange(1, k), np.arange(k - 1)]))
+        expected = [(i + 1) * (k - i) for i in range(k)]
+        assert compute_spnp(net, as_array=True).tolist() == expected
+        approx = compute_spnp(net, approximate=True, as_array=True)
+        assert np.abs(approx - np.log(expected)).max() < 1e-9
 
     def test_matches_brute_force_on_random_dags(self):
         rng = random.Random(20160826)

@@ -104,6 +104,24 @@ class TestPoisson:
         assert fit.coefficients["x"] == pytest.approx(0.3, abs=0.05)
         assert fit.converged
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_converges_at_the_rounding_floor(self, seed):
+        # Columns t and t + d u are nearly collinear (cond 3.5e10), so a step at
+        # the solution is float noise of about cond * eps, far above COEF_TOL.
+        rng = np.random.default_rng(seed)
+        t, u = rng.uniform(0, 10, size=30), rng.normal(size=30)
+        y = rng.poisson(np.exp(0.3 + 0.15 * t))
+        base = np.column_stack([np.ones(30), t, t + 1e-9 * u])
+        d = 1e-9 * np.linalg.cond(base) / 3.5e10
+        X = np.column_stack([np.ones(30), t, t + d * u])
+        assert np.linalg.cond(X) == pytest.approx(3.5e10, rel=0.01)
+        fit = fit_poisson(y, X, terms=["intercept", "t", "t_du"])
+        assert fit.converged
+        assert not fit.warnings
+        # At the rounding floor: the score X'(y - mu) is noise against X'y.
+        mu = np.exp(X @ np.array(list(fit.coefficients.values())))
+        assert np.abs(X.T @ (y - mu)).max() < 1e-5 * np.abs(X.T @ y).max()
+
     def test_all_zero_boundary(self):
         fit = fit_poisson([0, 0, 0, 0], design([[0.1], [0.2], [0.3], [0.4]]))
         assert fit.coefficients[fit.terms[0]] == -math.inf
