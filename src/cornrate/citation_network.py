@@ -12,50 +12,53 @@ i. Both follow Batagelj's linear-time path-count recursion
 (arXiv cs/0309023): P_down(i) = sum over cited c of (1 + P_down(c)),
 and P_up likewise over the citing patents.
 
-Layout. Patents are numbered (node numbers) by their position in the
-node listing, and every edge becomes a (citing, cited) pair of node
-numbers. The constructor takes the nodes as a patent number -> year
-mapping or as an (n, 2) int64 array of (id, year) rows, and the edges as
-patent-number pairs or as an (m, 2) array of node numbers.
-CitationNetwork.from_files reads a CSV straight into int64 arrays when it
-qualifies: after the header (a byte-order mark dropped, its names matched
-under the rules of core_data.read_table) the bytes hold only ASCII
-digits, commas and LF or CRLF line ends, every row has the header's
-width, and every field has 1 to 18 digits and no leading zero, so it is
-the str() of its value. The file is read as bytes and only its header
-is decoded, and the body is copied to drop CRs only when it holds one.
-When every row has the first row's length and separator places, as in
-files of fixed-width ids, the body is a 2-D byte grid checked and parsed
-one digit place at a time (_read_fixed_rows); any other body is parsed
-by one np.fromstring call.
-A repeated node id is an IngestError. When every edge end is a node id,
-the ends become node numbers through one lookup: a direct table when the
-ids span at most 4 values per node, else a binary search in the sorted
-ids. A network read this way keeps its ids and years as arrays and makes
-patent numbers only when asked for them (application_years,
-cited_patents, compute_spnp's dict, error messages); a patent number
-names one of its nodes only if it is the str() of the node's id, so it
-matches the same nodes as on the string path. Every other file (quotes,
-spaces, signs, blank lines, non-ASCII digits) and every edge file naming
-an unknown node id is read with string ids by core_data.read_table,
-which also names a bad row's file and line; the two paths give the same
-network or the same error. Validation (self-citations, duplicates,
-unknown endpoints, year order) is done on the pairs and reports the
-first bad edge in file order. One level-synchronous pass of Kahn's
-algorithm over a CSR of the out-edges then gives every node a level:
-level 0 holds the uncited patents, and a node's level is one more than
-the deepest patent citing it. Each level's edges decrement the counts
-of citing edges left (np.subtract.at), and only the nodes they free are
-sorted and deduplicated into the next level. A node left without a level
-lies on a cycle. Nodes are ranked in level order, so each level is a range of
-consecutive ranks, and the edges are stored twice as CSR arrays over the
-ranks: grouped by citing node (out-edges, the cited patents; a gather of
-Kahn's CSR in level order) and by cited node (in-edges). The out-edges of
-a level are then one slice of the out-edge array, and likewise for
-in-edges; each row of both CSRs keeps edge-file order. Each direction's
-level plan is built once per network (_level_plan): for every level with
-edges, the ranks of its nodes with neighbours, their reduceat starts,
-the largest neighbour count and the level's [first, last) edge range.
+Layout. A network holds one id per node, in node-listing order: int64
+ids when both its inputs are integer arrays (as from two files of plain
+integers), else patent-number strings, kept as Python str in an object
+array (a fixed-width numpy string drops a trailing NUL). Nodes are
+numbered (node numbers) by position in that listing, and every edge
+becomes a (citing, cited) pair of node numbers. The constructor takes
+the nodes as a patent number -> year mapping or as an (n, 2) array of
+(id, year) rows, and the edges as patent-number pairs or as an (m, 2)
+array of ids. One lookup, _positions, gives the node number of an id, -1
+for an id that names no node: a dict for strings; for integers a direct
+table when the ids span at most 4 values per node, else a binary search.
+An integer network makes patent numbers only when asked for them
+(application_years, cited_patents, compute_spnp's dict, error messages),
+and a patent number names its node only if it is the str() of the node's
+id, as in a network of strings. CitationNetwork.from_files parses each
+file once. A CSV is read straight into int64 arrays when it qualifies:
+after the header (a byte-order mark dropped, its names matched under the
+rules of core_data.read_table) the bytes hold only ASCII digits, commas
+and LF or CRLF line ends, every row has the header's width, and every
+field has 1 to 18 digits and no leading zero, so it is the str() of its
+value. The file is read as bytes and only its header is decoded, and the
+body is copied to drop CRs only when it holds one. When every row has
+the first row's length and separator places, as in files of fixed-width
+ids, the body is a 2-D byte grid checked and parsed one digit place at a
+time (_read_fixed_rows); any other body is parsed by one np.fromstring
+call. Every other file (quotes, spaces, signs, blank lines, non-ASCII
+digits, prefixed ids such as US6000038) is read into strings by
+core_data.read_table, which also names a bad row's file and line; both
+readers give the same network or the same error. A repeated node id is
+an IngestError. Validation (self-citations, duplicates, ends that name
+no node, year order) is done on the node numbers and reports the first
+bad edge in file order, named by the ids it was given. One
+level-synchronous pass of Kahn's algorithm over a CSR of the out-edges
+then gives every node a level: level 0 holds the uncited patents, and a
+node's level is one more than the deepest patent citing it. Each level's
+edges decrement the counts of citing edges left (np.subtract.at), and
+only the nodes they free are sorted and deduplicated into the next
+level. A node left without a level lies on a cycle. Nodes are ranked in
+level order, so each level is a range of consecutive ranks, and the
+edges are stored twice as CSR arrays over the ranks: grouped by citing
+node (out-edges, the cited patents; a gather of Kahn's CSR in level
+order) and by cited node (in-edges). The out-edges of a level are then
+one slice of the out-edge array, and likewise for in-edges; each row of
+both CSRs keeps edge-file order. Each direction's level plan is built
+once per network (_level_plan): for every level with edges, the ranks of
+its nodes with neighbours, their reduceat starts, the largest neighbour
+count and the level's [first, last) edge range.
 
 Kernel. compute_spnp sweeps the levels once per direction: deepest
 first for P_down over out-edges, level 0 first for P_up over in-edges.
@@ -100,8 +103,8 @@ from __future__ import annotations
 import csv
 import math
 from functools import cached_property
-from itertools import accumulate, chain, compress
-from typing import Iterable, Mapping
+from itertools import accumulate, chain, compress, repeat
+from typing import Callable, Iterable, Mapping
 
 from . import _lazy_module, constants
 from .core_data import (EDGE_COLUMNS, NODE_COLUMNS, CornrateError, IngestError, PatentRecord,
@@ -116,50 +119,33 @@ class NetworkError(CornrateError):
     """Malformed network: cycle, self-edge, duplicate or year violation."""
 
 
-class _Numbering(dict):
-    """Patent number -> node number; a number not yet seen gets the next one."""
-
-    def __missing__(self, name: str) -> int:
-        self[name] = number = len(self)
-        return number
-
-
 class CitationNetwork:
     """Directed acyclic citation graph; edges point citing -> cited."""
 
     def __init__(self, application_years: Mapping[str, int] | np.ndarray,
                  edges: Iterable[tuple[str, str]] | np.ndarray):
         """application_years: patent number -> application year, or an (n, 2)
-        integer array of (id, application year) rows whose distinct,
-        non-negative ids stand for the patent numbers str(id); edges:
-        (citing, cited) pairs of patent numbers, or an (m, 2) integer array
-        of (citing, cited) node numbers (positions in application_years)."""
-        if isinstance(application_years, np.ndarray) and not isinstance(edges, np.ndarray):
-            application_years = dict(zip(map(str, application_years[:, 0].tolist()),
-                                         application_years[:, 1].tolist()))
-        if isinstance(application_years, np.ndarray):
-            self._ids = application_years[:, 0].astype(np.int64)
-            self._years = application_years[:, 1].astype(np.int64)
-        else:
-            self._ids = None
-            self.application_years = dict(application_years)
-            self._years = np.fromiter(self.application_years.values(), dtype=np.int64,
-                                      count=len(self.application_years))
-            self._index = _Numbering(zip(self.application_years, range(len(self._years))))
+        array of (id, application year) rows with distinct ids; edges:
+        (citing, cited) pairs of patent numbers, or an (m, 2) array of
+        (citing, cited) ids. An id is a patent-number string (in an object
+        array) or a non-negative integer standing for the patent number
+        str(id); where either side holds strings, integer ids become their
+        str()."""
+        if not isinstance(application_years, np.ndarray):
+            application_years = _object_rows(application_years.items())
+        ends = edges if isinstance(edges, np.ndarray) else _object_rows(edges)
+        if ends.ndim != 2 or ends.shape[1] != 2:
+            raise ValueError(f"edge array must have shape (m, 2), not {ends.shape}")
+        self._ids = application_years[:, 0]
+        if object in (self._ids.dtype, ends.dtype):
+            self._ids, ends = _as_strings(self._ids), _as_strings(ends)
+        self._years = application_years[:, 1].astype(np.int64)
         n = len(self._years)
-        if isinstance(edges, np.ndarray):
-            if edges.ndim != 2 or edges.shape[1] != 2:
-                raise ValueError(f"edge array must have shape (m, 2), not {edges.shape}")
-            ends = edges.astype(np.int64, copy=False).reshape(-1)
-            if ends.size and (ends.min() < 0 or ends.max() >= n):
-                raise ValueError(f"edge array holds a position outside 0..{n - 1}")
-        else:
-            ends = np.fromiter(map(self._index.__getitem__, chain.from_iterable(edges)),
-                               dtype=np.int64)
-        if self._ids is None:
-            self._names = list(self._index)   # unknown endpoints, if any, are numbered from n up
-        src, dst = ends[0::2], ends[1::2]
-        _check_edges(src, dst, self._years, n, self._names_of)
+        # The node number of every id of an array; -1 for one that names no node.
+        self._lookup = _positions(self._ids)
+        nodes = self._lookup(ends)
+        src, dst = nodes[:, 0], nodes[:, 1]
+        _check_edges(src, dst, self._years, ends)
 
         order, self._starts, ptr, cited = _kahn_levels(src, dst, n)
         # order[r]: the node of rank r (its position in level order); rank inverts it.
@@ -189,24 +175,15 @@ class CitationNetwork:
         """The patent number of every node, in node order."""
         return list(map(str, self._ids.tolist()))
 
-    def _names_of(self, nodes: list[int]) -> list[str]:
-        if self._ids is None:
-            return [self._names[i] for i in nodes]
-        return list(map(str, self._ids[nodes].tolist()))
-
-    @cached_property
-    def _sorted_ids(self) -> tuple[np.ndarray, np.ndarray]:
-        order = np.argsort(self._ids)
-        return self._ids[order], order
-
     def _nodes(self, numbers: list[str]) -> np.ndarray:
         """The node number of each patent number; -1 for one that names no node."""
-        if self._ids is None:
-            return np.fromiter((self._index.get(s, -1) for s in numbers), dtype=np.int64,
-                               count=len(numbers))
-        keys = np.fromiter((int(s) if _is_int_name(s) else -1 for s in numbers),
-                           dtype=np.int64, count=len(numbers))
-        return _search(*self._sorted_ids, keys)
+        if self._ids.dtype == object:
+            keys = np.array(numbers, dtype=object)
+        else:
+            # An integer id is named by its str() only; no id is -1.
+            keys = np.fromiter((int(s) if _is_int_name(s) else -1 for s in numbers),
+                               dtype=np.int64, count=len(numbers))
+        return self._lookup(keys)
 
     def _application_years_of(self, numbers: list[str]) -> dict[str, int]:
         """The application year of each of the patent numbers that names a node."""
@@ -222,26 +199,20 @@ class CitationNetwork:
     def cited_patents(self, patent: str) -> list[str]:
         """Patents cited by patent, in edge-file order; [] for an unknown patent."""
         node = int(self._nodes([patent])[0])
-        return [] if node < 0 else self._names_of(self._cited(node))
+        return [] if node < 0 else list(map(str, self._ids[self._cited(node)].tolist()))
 
     @classmethod
     def from_files(cls, node_csv, edge_csv) -> "CitationNetwork":
         """The network in a node CSV (patent_number, application_year) and an
         edge CSV (citing_patent, cited_patent).
 
-        Files of plain integers are parsed as arrays (_read_int_columns);
-        any other file, and edges whose ends are not all node ids, go through
-        core_data.read_table, which also names a bad row's file and line.
+        Each file is parsed once: into an int64 array if it is a file of
+        plain integers (_read_int_columns), else into patent-number strings
+        by core_data.read_table, which also names a bad row's file and line.
         """
-        nodes = _read_nodes(node_csv)
-        if isinstance(nodes, np.ndarray):
-            ends = _read_int_columns(edge_csv, EDGE_COLUMNS)
-            positions = None if ends is None else _positions(nodes[:, 0], ends)
-            if positions is not None:
-                return cls(nodes, positions)
-        return cls(nodes, read_table(
-            edge_csv, lambda header: _column_positions(header, EDGE_COLUMNS, edge_csv),
-            lambda citing, cited: (citing.strip(), cited.strip())))
+        return cls(_read_nodes(node_csv),
+                   _read_pairs(edge_csv, EDGE_COLUMNS,
+                               lambda citing, cited: (citing.strip(), cited.strip())))
 
 
 def _first_repeat(keys: np.ndarray, none: int) -> int:
@@ -250,24 +221,38 @@ def _first_repeat(keys: np.ndarray, none: int) -> int:
     return int(by_key[1:][keys[by_key[1:]] == keys[by_key[:-1]]].min(initial=none))
 
 
-def _read_nodes(path) -> np.ndarray | dict[str, int]:
-    """The rows of a node CSV: an (n, 2) int64 array of (id, application
-    year) if the integer path reads the file, else patent number ->
-    application year; a repeated number is an IngestError."""
-    nodes = _read_int_columns(path, NODE_COLUMNS)
-    if nodes is not None:
-        repeat = _first_repeat(nodes[:, 0], len(nodes))
-        if repeat < len(nodes):
-            raise IngestError(f"{path}: duplicate patent_number {nodes[repeat, 0]}")
-        return nodes
-    rows = list(read_table(path, lambda header: _column_positions(header, NODE_COLUMNS, path),
-                           lambda number, year: (number.strip(), int(year))))
-    application_years = dict(rows)
-    if len(application_years) < len(rows):
-        seen: set[str] = set()
-        repeat = next(n for n, _ in rows if n in seen or seen.add(n))
-        raise IngestError(f"{path}: duplicate patent_number {repeat}")
-    return application_years
+def _object_rows(pairs: Iterable[tuple]) -> np.ndarray:
+    """The pairs as the rows of an (m, 2) object array."""
+    return np.fromiter(chain.from_iterable(pairs), dtype=object).reshape(-1, 2)
+
+
+def _as_strings(ids: np.ndarray) -> np.ndarray:
+    """ids as patent-number strings in an object array; an integer id becomes its str()."""
+    if ids.dtype == object:
+        return ids
+    return np.array(list(map(str, ids.ravel().tolist())), dtype=object).reshape(ids.shape)
+
+
+def _read_pairs(path, names: list[str], parse) -> np.ndarray:
+    """The two named columns of a CSV file, one row per data row: an int64
+    array if _read_int_columns reads the file, else an object array of the
+    pairs parse makes of each row, read by core_data.read_table."""
+    rows = _read_int_columns(path, names)
+    if rows is None:
+        rows = _object_rows(read_table(
+            path, lambda header: _column_positions(header, names, path), parse))
+    return rows
+
+
+def _read_nodes(path) -> np.ndarray:
+    """The (id, application year) rows of a node CSV, as _read_pairs reads
+    them; a repeated id is an IngestError."""
+    nodes = _read_pairs(path, NODE_COLUMNS, lambda number, year: (number.strip(), int(year)))
+    ids = nodes[:, 0]
+    at = _first_repeat(_positions(ids)(ids), len(nodes))
+    if at < len(nodes):
+        raise IngestError(f"{path}: duplicate patent_number {ids[at]}")
+    return nodes
 
 
 # A field of the integer path has at most this many digits, so it fits an int64.
@@ -362,45 +347,50 @@ def _read_fixed_rows(body: bytes, row_layout: np.ndarray, columns: list[int]) ->
     return values
 
 
-def _search(ordered: np.ndarray, order: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Position of each key among some ids, given the sorted ids and their
-    argsort order; -1 for a key that is no id."""
-    if not ordered.size:
-        return np.full(keys.shape, -1, dtype=np.int64)
-    at = np.minimum(np.searchsorted(ordered, keys), ordered.size - 1)
-    return np.where(ordered[at] == keys, order[at], -1)
+def _positions(ids: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The lookup of ids: a function giving the position in ids of every
+    entry of an array, in its shape, and -1 for an entry that is no id.
+    Ids are distinct but for the check that finds a repeated one, which
+    relies on every copy of an id getting the same one of its positions.
 
-
-def _positions(ids: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
-    """Position in ids (which are distinct) of every entry of ends; None if one is missing.
-
-    Ids spanning at most 4 * len(ids) values are looked up in a direct
-    table, others by binary search in the sorted ids.
+    Patent-number strings are looked up in a dict. Integer ids spanning at
+    most 4 * len(ids) values are looked up in a direct table, others by
+    binary search in the sorted ids.
     """
+    if ids.dtype == object:
+        index = dict(zip(ids.tolist(), range(ids.size)))
+        return lambda ends: np.fromiter(map(index.get, ends.ravel().tolist(), repeat(-1)),
+                                        dtype=np.int64, count=ends.size).reshape(ends.shape)
     if not ids.size:
-        return None if ends.size else ends
-    lo, hi = int(ids.min()), int(ids.max())
-    if hi - lo < 4 * ids.size:
-        offset = ends - lo
-        if ends.size and (offset.min() < 0 or offset.max() > hi - lo):
-            return None
-        table = np.full(hi - lo + 1, -1, dtype=np.int64)
+        return lambda ends: np.full(ends.shape, -1, dtype=np.int64)
+    lo, span = int(ids.min()), int(ids.max()) - int(ids.min()) + 1
+    if span <= 4 * ids.size:
+        table = np.full(span + 1, -1, dtype=np.int64)   # its last entry stands for no id
         table[ids - lo] = np.arange(ids.size)
-        found = table[offset]
-    else:
-        order = np.argsort(ids)
-        found = _search(ids[order], order, ends)
-    return None if (found < 0).any() else found
+
+        def direct(ends: np.ndarray) -> np.ndarray:
+            offset = ends - lo
+            offset[(offset < 0) | (offset >= span)] = span
+            return table[offset]
+        return direct
+    order = np.argsort(ids)
+    ordered = ids[order]
+
+    def search(ends: np.ndarray) -> np.ndarray:
+        at = np.minimum(np.searchsorted(ordered, ends), ids.size - 1)
+        return np.where(ordered[at] == ends, order[at], -1)
+    return search
 
 
-def _check_edges(src: np.ndarray, dst: np.ndarray, years: np.ndarray, n: int,
-                 names_of) -> None:
+def _check_edges(src: np.ndarray, dst: np.ndarray, years: np.ndarray,
+                 ends: np.ndarray) -> None:
     """Raise the NetworkError of the first bad edge in edge order.
 
-    Each edge is checked for, in this order: self-citation, a repeat of an
-    earlier edge, an endpoint outside the n nodes (a number >= n) and a
-    cited patent applied after the citing one. names_of(nodes) gives the
-    patent numbers that name the edge's ends in the message.
+    src and dst hold the node numbers of the edges' ends, -1 for an end
+    that names no node, and the (m, 2) ids ends name the bad edge's
+    patents in the message. Each edge is checked for, in this order:
+    self-citation, a repeat of an earlier edge, an end that names no node
+    and a cited patent applied after the citing one.
     """
     none = len(src)
 
@@ -408,20 +398,20 @@ def _check_edges(src: np.ndarray, dst: np.ndarray, years: np.ndarray, n: int,
         hits = np.flatnonzero(mask)
         return int(hits[0]) if hits.size else none
 
-    unknown = first((src >= n) | (dst >= n))
-    # Duplicates and years are only checked on the edges before the first unknown endpoint.
+    unknown = first((src < 0) | (dst < 0))
+    # The other checks need the nodes of both ends, so they stop at the first unknown end.
     s, d = src[:unknown], dst[:unknown]
-    at, kind = min((first(src == dst), 0), (_first_repeat(s * n + d, none), 1),
+    at, kind = min((first(s == d), 0), (_first_repeat(s * len(years) + d, none), 1),
                    (unknown, 2), (first(years[d] > years[s]), 3))
     if at == none:
         return
-    citing, cited = names_of([int(src[at]), int(dst[at])])
-    if kind == 0:
+    citing, cited = map(str, ends[at].tolist())
+    if kind == 0 or citing == cited:   # an unknown id citing itself is a self-citation too
         raise NetworkError(f"self-citation on {citing}")
     if kind == 1:
         raise NetworkError(f"duplicate edge {citing} -> {cited}")
     if kind == 2:
-        raise NetworkError(f"edge endpoint {citing if src[at] >= n else cited} not in node set")
+        raise NetworkError(f"edge endpoint {citing if src[at] < 0 else cited} not in node set")
     raise NetworkError(f"cited patent {cited} applied after citing patent {citing}")
 
 

@@ -214,11 +214,14 @@ def _report_clipping(result: RegressionResult, clipped: int) -> None:
                                f"{result.n} rows; estimates are not the MLE")
 
 
-def _irls(y: np.ndarray, X: np.ndarray, theta: Optional[float]) -> tuple[np.ndarray, bool]:
+def _irls(y: np.ndarray, X: np.ndarray,
+          theta: Optional[float]) -> tuple[np.ndarray, bool, float]:
     """IRLS for log-link Poisson (theta None) or NB2 with known theta.
 
     Stops once a step is below COEF_TOL or, on a worse-conditioned design,
     below the rounding floor NOISE_FACTOR * kappa * eps of that step's QR.
+    Returns the coefficients, whether it stopped so, and the last step's
+    tolerance, max(COEF_TOL, that floor).
     """
     mu = y + np.mean(y) * 0.1 + 0.1
     eta = np.log(mu)
@@ -229,13 +232,14 @@ def _irls(y: np.ndarray, X: np.ndarray, theta: Optional[float]) -> tuple[np.ndar
         beta_new, r_inv, r = _weighted_ls(X, eta + (y - mu) / mu, w)
         delta = _step(beta_new, beta)
         kappa = float(np.linalg.norm(r) * np.linalg.norm(r_inv))
+        tol = max(COEF_TOL, NOISE_FACTOR * kappa * np.finfo(float).eps)
         beta = beta_new
         eta, _ = _linear_predictor(X, beta)
         mu = np.exp(eta)
-        if delta < max(COEF_TOL, NOISE_FACTOR * kappa * np.finfo(float).eps):
+        if delta < tol:
             converged = True
             break
-    return beta, converged
+    return beta, converged, tol
 
 
 def _wald(X: np.ndarray, beta: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -265,7 +269,7 @@ def fit_poisson(y, X, terms: Optional[Sequence[str]] = None,
             converged=False,
             warnings=["boundary estimate: all-zero response"],
         )
-    beta, converged = _irls(y, X, theta=None)
+    beta, converged, _ = _irls(y, X, theta=None)
     eta, clipped = _linear_predictor(X, beta)
     mu = np.exp(eta)
     se, p_values = _wald(X, beta, mu)
@@ -308,7 +312,7 @@ def fit_negative_binomial(y, X, terms: Optional[Sequence[str]] = None,
         return result
 
     # Moment start for theta from the Poisson fit.
-    beta, _ = _irls(y, X, theta=None)
+    beta, _, _ = _irls(y, X, theta=None)
     mu = np.exp(_linear_predictor(X, beta)[0])
     excess = float(np.mean((y - mu) ** 2 - mu))
     theta = float(np.mean(mu ** 2) / excess) if excess > 0 else POISSON_EQUIVALENT_THETA
@@ -316,7 +320,7 @@ def fit_negative_binomial(y, X, terms: Optional[Sequence[str]] = None,
     lgamma_y1 = lgamma(y + 1.0)
     converged = False
     for _ in range(50):
-        beta_new, inner_ok = _irls(y, X, theta=theta)
+        beta_new, inner_ok, tol = _irls(y, X, theta=theta)
         eta, clipped = _linear_predictor(X, beta_new)
         mu = np.exp(eta)
         theta_new = math.exp(minimize_bounded(
@@ -328,7 +332,8 @@ def fit_negative_binomial(y, X, terms: Optional[Sequence[str]] = None,
             # fit; report it with the theta it was fitted at.
             beta, converged = beta_new, True
             break
-        settled = (_step(beta_new, beta) < COEF_TOL
+        # beta settles at the rounding floor of the inner IRLS, as each IRLS does.
+        settled = (_step(beta_new, beta) < tol
                    and abs(math.log(theta_new) - math.log(theta)) < THETA_TOL)
         beta, theta = beta_new, theta_new
         if inner_ok and settled:

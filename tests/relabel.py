@@ -10,9 +10,10 @@ and every ;-separated cited_patents entry of patents.csv, the
 patent_number of trials.csv and nodes.csv, and both columns of
 edges.csv. An empty field stays empty. With --seed, the data rows of all
 five files are shuffled by random.Random(seed). Relabelled ids that are
-not plain integers send CitationNetwork.from_files to its string path,
-so `predict k2` on OUT_DIR checks that path against the integer path on
-SRC_DIR: both must print the same report.
+not plain integers make CitationNetwork.from_files read both network
+files with read_table into patent-number strings, so `predict k2` on
+OUT_DIR checks that reader against the integer reader on SRC_DIR: both
+must print the same report.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 import bisect
 import math
 import random
+import sys
 from collections import deque
 from unittest import mock
 
@@ -315,6 +316,11 @@ FROM_FILES_CASES = {
     "empty-edges": (NODES, "", None),
     "sparse-ids": (sparse(NODES), sparse(EDGES), (True, True)),
     "sparse-unknown-endpoint": (sparse(NODES), sparse(EDGES) + "70,5\n", (True, True)),
+    # Python 3.11's csv reads a NUL, and "1000\x00" is then a node of its own;
+    # on 3.10 both paths raise the csv error.
+    "nul-suffixed-id": (NODES + "1000\x00,1989\n", EDGES + "1000,1000\x00\n", (False, False)),
+    "us-prefixed-edges": (NODES, EDGES.replace("\n1", "\nUS1").replace(",1", ",US1"),
+                          (True, False)),
 }
 
 
@@ -335,6 +341,22 @@ class TestFromFilesFastPath:
         assert qualifies == (True, True)
         assert fast == slow == (IngestError,
                                 f"{tmp_path / 'nodes.csv'}: duplicate patent_number 1001")
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="csv reads NUL from Python 3.11")
+    def test_nul_suffixed_id_is_another_node(self, tmp_path):
+        nodes_text, edges_text, _ = FROM_FILES_CASES["nul-suffixed-id"]
+        _, fast, _ = both_paths(tmp_path, nodes_text, edges_text)
+        years, cited, _ = fast
+        assert years[-1] == ("1000\x00", 1989)
+        assert cited["1000"] == ["1000\x00"]
+
+    def test_unknown_integer_end_is_not_read_again(self, tmp_path):
+        # Both files are integers, so the error comes without read_table.
+        (tmp_path / "nodes.csv").write_text(NODES)
+        (tmp_path / "edges.csv").write_text(EDGES + "1003,1009\n")
+        with mock.patch.object(citation_network, "read_table", side_effect=AssertionError):
+            with pytest.raises(NetworkError, match="^edge endpoint 1009 not in node set$"):
+                CitationNetwork.from_files(tmp_path / "nodes.csv", tmp_path / "edges.csv")
 
     def test_fixed_rows_read_only_bodies_of_one_row_layout(self):
         layout = np.array([ord(","), ord("\n")], dtype=np.uint8)
@@ -361,13 +383,23 @@ class TestFromFilesFastPath:
                              ids=["dense", "sparse"])
     def test_positions_both_lookups(self, step, dense):
         # Ids spanning at most 4 per id take the direct table, others the
-        # binary search; 101 lies inside the span but is no id.
+        # binary search; 101 lies inside the span but is no id, and -1 is
+        # the key of a patent number that is no integer id.
         ids = np.arange(100, 100 + 40 * step, step)
         assert (ids.max() - ids.min() < 4 * ids.size) == dense
         ends = ids[[[3, 0], [39, 3]]]
-        assert citation_network._positions(ids[::-1], ends).tolist() == [[36, 39], [0, 36]]
-        for missing in (99, 101, ids.max() + 1):
-            assert citation_network._positions(ids, np.array([[ids[0], missing]])) is None
+        assert citation_network._positions(ids[::-1])(ends).tolist() == [[36, 39], [0, 36]]
+        for missing in (-1, 99, 101, ids.max() + 1):
+            found = citation_network._positions(ids)(np.array([[ids[0], missing]]))
+            assert found.tolist() == [[0, -1]]
+
+    def test_positions_of_strings(self):
+        # Patent-number strings are kept as Python str, so a trailing NUL
+        # still makes another id (a fixed-width numpy string would drop it).
+        ids = np.array(["A", "A\x00", "US7"], dtype=object)
+        ends = np.array([["A\x00", "A"], ["US7", "7"]], dtype=object)
+        assert citation_network._positions(ids)(ends).tolist() == [[1, 0], [2, -1]]
+        assert citation_network._positions(ids[:0])(ends).tolist() == [[-1, -1], [-1, -1]]
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

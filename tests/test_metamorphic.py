@@ -9,21 +9,29 @@ from unittest import mock
 import pytest
 
 from cornrate import citation_network
+from cornrate.citation_network import CitationNetwork, compute_spnp
 from cornrate.cli import main
 from tests.relabel import FILES, relabel
+from tests.test_citation_network import large_random_dag, past_int64_network
 
 FIXTURE = Path(str(resources.files("cornrate.data") / "synthetic"))
+GOLDEN = Path(__file__).parent / "golden"
 # predict k2 on the fixture, with the integer ids of its network files.
-FIXTURE_K2 = (Path(__file__).parent / "golden" / "predict_k2.json").read_text(encoding="utf-8")
+FIXTURE_K2 = (GOLDEN / "predict_k2.json").read_text(encoding="utf-8")
 
 
-def predict_k2(capsys, inputs: Path, store: Path) -> str:
-    """Ingest the five CSVs in inputs into store; `predict k2`'s stdout."""
+def ingest(capsys, inputs: Path, store: Path) -> None:
+    """Ingest the patent, trial and field-test CSVs in inputs into store."""
     assert main(["ingest", "--patents", str(inputs / "patents.csv"),
                  "--trials", str(inputs / "trials.csv"),
                  "--fieldtests", str(inputs / "fieldtests.csv"), "--schema", "illinois",
                  "--out", str(store), "--no-timestamp"]) == 0
     capsys.readouterr()
+
+
+def predict_k2(capsys, inputs: Path, store: Path) -> str:
+    """Ingest the five CSVs in inputs into store; `predict k2`'s stdout."""
+    ingest(capsys, inputs, store)
     assert main(["predict", "k2", "--dataset", str(store), "--nodes", str(inputs / "nodes.csv"),
                  "--edges", str(inputs / "edges.csv"), "--no-timestamp"]) == 0
     return capsys.readouterr().out
@@ -32,12 +40,34 @@ def predict_k2(capsys, inputs: Path, store: Path) -> str:
 @pytest.mark.parametrize("seed", [None, 1, 2])
 def test_relabelled_shuffled_ids_give_the_same_k2(tmp_path, capsys, seed):
     # US-prefixed ids are no integers, so from_files reads both network files
-    # on its string path.
+    # with read_table into patent-number strings.
     relabel(FIXTURE, tmp_path / "us", seed=seed)
     for name, columns in [("nodes.csv", citation_network.NODE_COLUMNS),
                           ("edges.csv", citation_network.EDGE_COLUMNS)]:
         assert citation_network._read_int_columns(tmp_path / "us" / name, columns) is None
     assert predict_k2(capsys, tmp_path / "us", tmp_path / "ds") == FIXTURE_K2
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_relabelled_shuffled_ids_give_the_same_k1(tmp_path, capsys, seed):
+    # K1 reads only the store, which must not depend on the spelling or order of ids.
+    relabel(FIXTURE, tmp_path / "us", seed=seed)
+    ingest(capsys, tmp_path / "us", tmp_path / "ds")
+    assert main(["predict", "k1", "--dataset", str(tmp_path / "ds"), "--no-timestamp"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "predict_k1.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("network", ["large_random_dag", "past_int64_network"])
+def test_reversed_time_keeps_every_spnp(network):
+    # Reversing every edge and negating every year swaps P_down and P_up, so
+    # (1 + P_down) * (1 + P_up) stays the same exact integer for every node.
+    years, edges = large_random_dag(5, 3000) if network == "large_random_dag" \
+        else past_int64_network()
+    reversed_years = {patent: -year for patent, year in years.items()}
+    reversed_edges = [(cited, citing) for citing, cited in edges]
+    spnp = compute_spnp(CitationNetwork(years, edges))
+    assert max(spnp.values()).bit_length() > 64
+    assert compute_spnp(CitationNetwork(reversed_years, reversed_edges)) == spnp
 
 
 def test_leading_zero_patent_number_matches_no_node(tmp_path, capsys):

@@ -24,6 +24,21 @@ def design(rows):
     return [[1.0, *r] for r in rows]
 
 
+def near_collinear(seed, cond, mixing=None):
+    """30 Poisson counts of rate exp(0.3 + 0.15 t), each rate times a draw of
+    mixing(rng) if given, and the design [1, t, t + d u] of condition number
+    cond, where t ~ U(0, 10) and u ~ N(0, 1)."""
+    rng = np.random.default_rng(seed)
+    t, u = rng.uniform(0, 10, size=30), rng.normal(size=30)
+    rate = np.exp(0.3 + 0.15 * t)
+    y = rng.poisson(rate if mixing is None else rate * mixing(rng))
+    base = np.column_stack([np.ones(30), t, t + 1e-9 * u])
+    d = 1e-9 * np.linalg.cond(base) / cond
+    X = np.column_stack([np.ones(30), t, t + d * u])
+    assert np.linalg.cond(X) == pytest.approx(cond, rel=0.01)
+    return y, X
+
+
 class TestOls:
     def test_matches_normal_equations(self):
         rng = np.random.default_rng(11)
@@ -108,13 +123,7 @@ class TestPoisson:
     def test_converges_at_the_rounding_floor(self, seed):
         # Columns t and t + d u are nearly collinear (cond 3.5e10), so a step at
         # the solution is float noise of about cond * eps, far above COEF_TOL.
-        rng = np.random.default_rng(seed)
-        t, u = rng.uniform(0, 10, size=30), rng.normal(size=30)
-        y = rng.poisson(np.exp(0.3 + 0.15 * t))
-        base = np.column_stack([np.ones(30), t, t + 1e-9 * u])
-        d = 1e-9 * np.linalg.cond(base) / 3.5e10
-        X = np.column_stack([np.ones(30), t, t + d * u])
-        assert np.linalg.cond(X) == pytest.approx(3.5e10, rel=0.01)
+        y, X = near_collinear(seed, 3.5e10)
         fit = fit_poisson(y, X, terms=["intercept", "t", "t_du"])
         assert fit.converged
         assert not fit.warnings
@@ -186,6 +195,20 @@ class TestNegativeBinomial:
         w = mu_hat / (1.0 + mu_hat / fit.dispersion)
         score = X.T @ ((y - mu_hat) / mu_hat * w)
         assert np.all(np.abs(score) < 1e-6)
+
+    @pytest.mark.parametrize("cond", [1.1e9, 3.5e10], ids=["cond-1.1e9", "cond-3.5e10"])
+    def test_converges_at_the_rounding_floor(self, cond):
+        # Overdispersed counts on a nearly collinear design: the alternation
+        # must stop at the rounding floor of its inner IRLS, as that IRLS does.
+        y, X = near_collinear(2, cond, mixing=lambda rng: rng.gamma(2, 0.5, size=30))
+        fit = fit_negative_binomial(y, X, terms=["intercept", "t", "t_du"])
+        assert fit.converged
+        assert not fit.warnings
+        assert 1 < fit.dispersion < 100
+        mu = np.exp(X @ np.array(list(fit.coefficients.values())))
+        w = mu / (1.0 + mu / fit.dispersion)
+        score = X.T @ ((y - mu) / mu * w)
+        assert np.abs(score).max() < 1e-5 * np.abs(X.T @ y).max()
 
     def test_underdispersed_flagged_poisson_equivalent(self):
         # A constant response has zero variance, so the NB likelihood
