@@ -2,9 +2,10 @@
 
 The Poisson and NB2 fitters use iteratively reweighted least squares
 with a hand-rolled, fixed iteration order so that identical inputs give
-bit-identical results. NB2 means variance = mu + mu^2/theta; theta is
-profiled out by one-dimensional likelihood maximization between IRLS
-passes. All fitters report Wald standard errors and two-sided tests.
+bit-identical results. NB2 means variance = mu + mu^2/theta; between IRLS
+passes theta is the root of its profile score at the current mu (Lawless,
+Can. J. Statist. 15(3), 1987; MASS theta.ml). All fitters report Wald
+standard errors and two-sided tests.
 
 Every least-squares problem (OLS, each IRLS step, each Wald covariance) is
 one QR in _weighted_ls (Bjorck 1996, ch. 2; Green, JRSS-B 1984), which also
@@ -17,9 +18,9 @@ Model specs (intercept always included):
     3: cite3_rank_percentile ~ performance_ratio + filed_year
     4: cite_forward          ~ performance_ratio
 
-p-values, log-likelihoods and the NB dispersion search use the special
-functions of cornrate.special (t_sf, norm_sf, lgamma, minimize_bounded);
-their tolerances against SciPy are listed there.
+p-values, log-likelihoods and the NB theta score use the special functions
+of cornrate.special (t_sf, norm_sf, lgamma, digamma); their tolerances
+against SciPy are listed there.
 
 numpy is bound lazily (cornrate._lazy_module): it is imported by the first
 array operation. The binding stays at module level rather than in each
@@ -36,7 +37,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from . import _lazy_module
 from .core_data import CornrateError, IngestError
-from .special import lgamma, minimize_bounded, norm_sf, t_sf
+from .special import digamma, lgamma, norm_sf, t_sf
 
 np = _lazy_module("numpy")
 
@@ -54,12 +55,10 @@ COEF_TOL = 1e-8
 # coefficients adding up in one step; on the fixture c * kappa * eps stays
 # below 2e-9, so COEF_TOL still rules there.
 NOISE_FACTOR = 10.0
-# Stopping rule on |d log theta| between NB passes. The profile likelihood is flat
-# at its maximum, so float noise in it moves the maximiser by up to ~4e-7 in
-# log theta from pass to pass; a tighter rule is met only by chance.
-THETA_TOL = 1e-6
-THETA_BOUND = 1e8        # optimizer search bound for the NB dispersion
-POISSON_EQUIVALENT_THETA = 1e6  # above this, NB is reported as Poisson-equivalent
+# Upper end of the NB theta search; a fit that reaches it is reported as
+# Poisson-equivalent. Further out the score (~n / theta^2) sinks below the
+# rounding noise of digamma(y + theta) - digamma(theta) (~n eps log theta).
+POISSON_EQUIVALENT_THETA = 1e6
 
 
 class RegressionError(CornrateError):
@@ -292,16 +291,55 @@ def fit_poisson(y, X, terms: Optional[Sequence[str]] = None,
     return result
 
 
-def _nb_loglik(y: np.ndarray, mu: np.ndarray, theta: float, lgamma_y1: np.ndarray) -> float:
-    """NB2 log-likelihood; lgamma_y1 = lgamma(y + 1), which does not depend on theta."""
+def _nb_loglik(y: np.ndarray, mu: np.ndarray, theta: float) -> float:
+    """NB2 log-likelihood."""
     return float(np.sum(
-        lgamma(y + theta) - math.lgamma(theta) - lgamma_y1
+        lgamma(y + theta) - math.lgamma(theta) - lgamma(y + 1.0)
         + theta * np.log(theta / (theta + mu)) + y * np.log(mu / (theta + mu))))
+
+
+def _nb_theta(y: np.ndarray, mu: np.ndarray, theta: float, tol: float) -> float:
+    """Root in [1e-4, POISSON_EQUIVALENT_THETA] of the NB2 profile score in theta at mu.
+
+    Secant steps in log theta from the start theta, kept inside a bracket on
+    which the score changes sign; a step that leaves the bracket (or none,
+    where two scores tie) bisects it. Two steps in a row below tol end the
+    search, as a step below tol ends each IRLS; so does a bracket shrunk to
+    rounding. A score >= 0 at the upper end returns that end.
+    """
+    def score(log_theta: float) -> float:
+        # Times theta^2, which leaves the root and tends to -sum((y - mu)^2 - y) / 2
+        # as theta grows, where the score itself fades like 1/theta^2: chords
+        # towards the upper end then still point at the root.
+        t = math.exp(log_theta)
+        return t * t * float(np.sum(digamma(y + t) - digamma(t) - np.log1p(mu / t)
+                                    + (mu - y) / (t + mu)))
+
+    lo, hi = math.log(1e-4), math.log(POISSON_EQUIVALENT_THETA)
+    x_old, g_old = hi, score(hi)
+    if g_old >= 0.0:
+        return POISSON_EQUIVALENT_THETA
+    x = math.log(theta)
+    for _ in range(MAX_ITER):
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        g = score(x)
+        if g > 0.0:
+            lo = x
+        else:
+            hi = x
+        x_new = x - g * (x - x_old) / (g - g_old) if g != g_old else math.nan
+        if max(abs(x_new - x), abs(x - x_old)) < tol:
+            return math.exp(x_new)
+        if hi - lo <= 4.0 * np.finfo(float).eps * max(1.0, abs(x)):
+            return math.exp(x)
+        x_old, g_old, x = x, g, x_new
+    return math.exp(x_old)
 
 
 def fit_negative_binomial(y, X, terms: Optional[Sequence[str]] = None,
                           allow_noninteger: bool = False) -> RegressionResult:
-    """NB2 fit alternating IRLS for beta with profile maximization of theta."""
+    """NB2 fit alternating IRLS for beta with the score root for theta."""
     y, X, terms = _as_design(y, X, terms)
     _check_counts(y, allow_noninteger)
     n, p = X.shape
@@ -311,37 +349,23 @@ def fit_negative_binomial(y, X, terms: Optional[Sequence[str]] = None,
         result.dispersion = math.inf
         return result
 
-    # Moment start for theta from the Poisson fit.
-    beta, _, _ = _irls(y, X, theta=None)
-    mu = np.exp(_linear_predictor(X, beta)[0])
-    excess = float(np.mean((y - mu) ** 2 - mu))
-    theta = float(np.mean(mu ** 2) / excess) if excess > 0 else POISSON_EQUIVALENT_THETA
-
-    lgamma_y1 = lgamma(y + 1.0)
+    # Start at the Poisson end of the theta range.
+    beta, theta = np.zeros(p), POISSON_EQUIVALENT_THETA
     converged = False
     for _ in range(50):
         beta_new, inner_ok, tol = _irls(y, X, theta=theta)
         eta, clipped = _linear_predictor(X, beta_new)
         mu = np.exp(eta)
-        theta_new = math.exp(minimize_bounded(
-            lambda log_theta: -_nb_loglik(y, mu, math.exp(log_theta), lgamma_y1),
-            math.log(1e-4), math.log(THETA_BOUND), xatol=1e-10))
-        if inner_ok and min(theta, theta_new) >= POISSON_EQUIVALENT_THETA:
-            # The likelihood is flat in theta out here, so the search lands anywhere
-            # up to THETA_BOUND and theta never settles. beta is already the Poisson
-            # fit; report it with the theta it was fitted at.
-            beta, converged = beta_new, True
-            break
-        # beta settles at the rounding floor of the inner IRLS, as each IRLS does.
-        settled = (_step(beta_new, beta) < tol
-                   and abs(math.log(theta_new) - math.log(theta)) < THETA_TOL)
+        theta_new = _nb_theta(y, mu, theta, tol)
+        # beta and log theta settle at the rounding floor of the inner IRLS, as each IRLS does.
+        settled = max(_step(beta_new, beta), abs(math.log(theta_new / theta))) < tol
         beta, theta = beta_new, theta_new
         if inner_ok and settled:
             converged = True
             break
 
     se, p_values = _wald(X, beta, mu / (1.0 + mu / theta))
-    log_lik = _nb_loglik(y, mu, theta, lgamma_y1)
+    log_lik = _nb_loglik(y, mu, theta)
     result = RegressionResult(
         family=Family.NEGATIVE_BINOMIAL,
         terms=terms,
@@ -358,7 +382,7 @@ def fit_negative_binomial(y, X, terms: Optional[Sequence[str]] = None,
         result.dispersion = math.inf
         result.warnings.append("no overdispersion detected: Poisson-equivalent "
                                "(theta at upper bound)")
-    if not converged and theta < POISSON_EQUIVALENT_THETA:
+    if not converged:
         result.warnings.append("NB alternation did not converge; reporting last iterate")
     _report_clipping(result, clipped)
     return result

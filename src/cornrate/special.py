@@ -1,9 +1,9 @@
-"""Special functions: Student-t and normal tails, log Gamma, a bounded minimiser.
+"""Special functions: Student-t and normal tails, log Gamma and digamma.
 
 These stand in for SciPy's stats.t.sf, stats.norm.sf, special.gammaln and
-optimize.minimize_scalar, because importing SciPy took longer than any
-command's own work. SciPy stays the test oracle (tests/test_special.py),
-and these are the tolerances held against it:
+special.digamma, because importing SciPy took longer than any command's own
+work. SciPy stays the test oracle (tests/test_special.py), and these are the
+tolerances held against it:
 
     t_sf             Student-t upper tail 0.5 * I_x(df/2, 1/2) with
                      x = df/(df + t^2), by the incomplete-beta continued
@@ -13,11 +13,11 @@ and these are the tolerances held against it:
     norm_sf          0.5 * erfc(z / sqrt 2); 1e-12 relative for z in [0, 37]
     lgamma           vectorised Stirling series, arguments below 8 shifted
                      up by 8; 1e-13
-    minimize_bounded Brent's bounded minimiser, the same iteration as
-                     minimize_scalar(method="bounded")
+    digamma          the derivative of lgamma's series, with the same
+                     shift by 8; 1e-13 relative to max(1, |psi|)
 
-Only lgamma does array math; numpy is bound lazily (cornrate._lazy_module),
-so trend, which uses t_sf alone, never imports it.
+Only lgamma and digamma do array math; numpy is bound lazily
+(cornrate._lazy_module), so trend, which uses t_sf alone, never imports it.
 """
 
 from __future__ import annotations
@@ -53,6 +53,22 @@ def lgamma(x) -> np.ndarray:
     z = np.where(small, x + 8.0, x)
     return ((z - 0.5) * np.log(z) - z + _HALF_LOG_2PI + _stirling_tail(z)
             - np.where(small, np.log(rising), 0.0))
+
+
+def digamma(x) -> np.ndarray:
+    """psi(x) = d/dx log Gamma(x) elementwise for x > 0."""
+    x = np.asarray(x, dtype=float)
+    small = x < 8.0
+    xs = np.where(small, x, 1.0)
+    shift = 1.0 / xs          # 1/x + 1/(x+1) + ... + 1/(x+7) = psi(x+8) - psi(x)
+    for k in range(1, 8):
+        shift += 1.0 / (xs + k)
+    z = np.where(small, x + 8.0, x)
+    r = 1.0 / (z * z)
+    tail = 0.0                # d/dz of _stirling_tail(z)
+    for k, c in reversed(list(enumerate(_STIRLING, 1))):
+        tail = (tail + (1 - 2 * k) * c) * r
+    return np.log(z) - 0.5 / z + tail - np.where(small, shift, 0.0)
 
 
 def _log_beta_half(a: float) -> float:
@@ -102,71 +118,3 @@ def t_sf(t: float, df: float) -> float:
 def norm_sf(z: float) -> float:
     """Upper tail P(Z > z) of the standard normal."""
     return 0.5 * math.erfc(z / math.sqrt(2.0))
-
-
-def minimize_bounded(func, lower: float, upper: float, xatol: float) -> float:
-    """Minimiser of func on [lower, upper]: golden section with parabolic steps.
-
-    Brent's fmin; the iteration and the stopping rule (xatol on the
-    minimiser's position) follow SciPy's method="bounded" step for step.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lower, upper
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = func(xf)
-    calls = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:
-            # Parabola through the three best points.
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = p / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-        x = xf + (max(abs(rat), tol1) if rat >= 0 else -max(abs(rat), tol1))
-        fu = func(x)
-        calls += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if calls >= 500:
-            break
-    return xf

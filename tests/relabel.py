@@ -8,12 +8,14 @@ SRC_DIR holds patents.csv, trials.csv, fieldtests.csv, nodes.csv and
 edges.csv. Each patent number becomes PREFIX + number: the patent_number
 and every ;-separated cited_patents entry of patents.csv, the
 patent_number of trials.csv and nodes.csv, and both columns of
-edges.csv. An empty field stays empty. With --seed, the data rows of all
-five files are shuffled by random.Random(seed). Relabelled ids that are
-not plain integers make CitationNetwork.from_files read both network
-files with read_table into patent-number strings, so `predict k2` on
-OUT_DIR checks that reader against the integer reader on SRC_DIR: both
-must print the same report.
+edges.csv. An empty field stays empty. relabel() also takes a mapping,
+applied to each number before the prefix; a number it does not hold stays
+as it is, so a permutation of any set of numbers relabels bijectively.
+With --seed, the data rows of all five files are shuffled by
+random.Random(seed). Relabelled ids that are not plain integers make
+CitationNetwork.from_files read both network files with read_table into
+patent-number strings, so `predict k2` on OUT_DIR checks that reader
+against the integer reader on SRC_DIR: both must print the same report.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import argparse
 import csv
 import random
 from pathlib import Path
+from typing import Mapping
 
 FILES = ("patents.csv", "trials.csv", "fieldtests.csv", "nodes.csv", "edges.csv")
 # File -> the columns holding patent numbers; "cited_patents" holds a ;-separated list.
@@ -31,13 +34,16 @@ PATENT_COLUMNS = {"patents.csv": ("patent_number", "cited_patents"),
                   "edges.csv": ("citing_patent", "cited_patent")}
 
 
-def relabel(src: Path, out: Path, prefix: str = "US", seed: int | None = None) -> None:
+def relabel(src: Path, out: Path, prefix: str = "US", seed: int | None = None,
+            mapping: Mapping[str, str] | None = None) -> None:
     """Write the relabelled (and, given a seed, shuffled) copies of src's five CSVs to out."""
     rng = random.Random(seed)
     out.mkdir(parents=True, exist_ok=True)
+    mapping = mapping or {}
 
     def label(field: str) -> str:
-        return ";".join(prefix + n.strip() if n.strip() else n for n in field.split(";"))
+        return ";".join(prefix + mapping.get(n.strip(), n.strip()) if n.strip() else n
+                        for n in field.split(";"))
 
     for name in FILES:
         with open(src / name, newline="", encoding="utf-8") as f:

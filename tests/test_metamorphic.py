@@ -1,7 +1,9 @@
 """Metamorphic relations: a report must not change under an input change it
 does not depend on."""
 
+import csv
 import json
+import random
 from importlib import resources
 from pathlib import Path
 from unittest import mock
@@ -18,6 +20,7 @@ FIXTURE = Path(str(resources.files("cornrate.data") / "synthetic"))
 GOLDEN = Path(__file__).parent / "golden"
 # predict k2 on the fixture, with the integer ids of its network files.
 FIXTURE_K2 = (GOLDEN / "predict_k2.json").read_text(encoding="utf-8")
+USDA = Path(str(resources.files("cornrate.data") / "usda_us_corn_yield.csv"))
 
 
 def ingest(capsys, inputs: Path, store: Path) -> None:
@@ -86,3 +89,50 @@ def test_leading_zero_patent_number_matches_no_node(tmp_path, capsys):
         string_path = predict_k2(capsys, inputs, tmp_path / "b")
     assert integer_path == string_path
     assert json.loads(integer_path)["n_domain"] == json.loads(FIXTURE_K2)["n_domain"] - 1
+
+
+def assert_close(got, want, rel: float) -> None:
+    """got equals the JSON value want, except that each float may differ by rel, relative."""
+    if isinstance(want, float):
+        assert got == pytest.approx(want, rel=rel, abs=0)
+    elif isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert_close(got[key], want[key], rel)
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_close(g, w, rel)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_permuted_shuffled_patents_give_the_same_regress(tmp_path, capsys, seed):
+    # A random bijection of the patent numbers reorders the analysis table's
+    # rows and with them every sum in the fits, so figures agree to rounding only.
+    with open(FIXTURE / "patents.csv", newline="", encoding="utf-8") as f:
+        numbers = [row["patent_number"] for row in csv.DictReader(f)]
+    rng = random.Random(seed)
+    permutation = dict(zip(numbers, rng.sample(numbers, len(numbers))))
+    relabel(FIXTURE, tmp_path / "perm", prefix="", seed=seed, mapping=permutation)
+    ingest(capsys, tmp_path / "perm", tmp_path / "ds")
+    assert main(["regress", "--dataset", str(tmp_path / "ds"), "--family", "ols,poisson,negbin",
+                 "--no-timestamp"]) == 0
+    assert_close(json.loads(capsys.readouterr().out),
+                 json.loads((GOLDEN / "regress.json").read_text(encoding="utf-8")), rel=1e-10)
+
+
+@pytest.mark.parametrize("d", [-1930, 100, 5000])
+def test_shifted_years_shift_only_t0(tmp_path, capsys, d):
+    # The trend is fitted on year - mean(year); the series' mean year (1972.5)
+    # and its shifts are exact in floating point, so only t0 moves, to the last bit.
+    header, *lines = USDA.read_text(encoding="utf-8").splitlines()
+    shifted = tmp_path / "usda.csv"
+    shifted.write_text("\n".join([header, *(f"{int(year) + d},{value}" for year, value in
+                                             (line.split(",") for line in lines))]) + "\n",
+                       encoding="utf-8")
+    want = (GOLDEN / "trend_usda-file.json").read_text(encoding="utf-8")
+    assert want.count('"t0": 1930\n') == 1
+    assert main(["trend", "--series", "usda-file", "--input", str(shifted), "--no-timestamp"]) == 0
+    assert capsys.readouterr().out == want.replace('"t0": 1930\n', f'"t0": {1930 + d}\n')

@@ -224,6 +224,29 @@ class TestNegativeBinomial:
         assert fit.coefficients["intercept"] == pytest.approx(
             pois.coefficients["intercept"], abs=1e-5)
 
+    def test_fixture_theta_is_the_scipy_score_root(self):
+        # Oracle: SciPy's digamma and brentq on the same profile score at the fit's mu.
+        from scipy import optimize, special
+        from tests.synthetic import synthetic_dataset
+        rows = build_analysis_table(synthetic_dataset())
+        finite = 0
+        for model, spec in MODEL_SPECS.items():
+            fit = run_model(model, Family.NEGATIVE_BINOMIAL, rows)
+            if not math.isfinite(fit.dispersion):
+                continue
+            y = np.array([float(r[spec.dependent]) for r in rows])
+            X = np.array([[1.0] + [float(r[c]) for c in spec.independents] for r in rows])
+            mu = np.exp(X @ np.array([fit.coefficients[t] for t in fit.terms]))
+
+            def score(theta):
+                return np.sum(special.digamma(y + theta) - special.digamma(theta)
+                              - np.log1p(mu / theta) + (mu - y) / (theta + mu))
+
+            root = optimize.brentq(score, 1e-4, 1e6, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+            assert fit.dispersion == pytest.approx(root, rel=1e-12, abs=0), model
+            finite += 1
+        assert finite
+
     def test_all_zero_boundary(self):
         fit = fit_negative_binomial([0, 0, 0], design([[0.0], [1.0], [2.0]]))
         assert fit.family is Family.NEGATIVE_BINOMIAL
