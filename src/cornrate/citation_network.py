@@ -77,14 +77,13 @@ differently there. compute_spnp returns a dict keyed by patent number,
 or the array itself.
 
 Downstream, in evaluate_k2 (the call behind `predict k2`): the
-per-application-year mid-rank percentiles of the exact SPNP array,
-ranked on arrays by _midranks (a sort by float64 value, then the exact
-integers inside runs of equal floats) with the arithmetic of
-ranking.midrank_percentiles, so no percentile bit differs from it; the
-domain centrality (mean over domain patents of the mean percentile of
-their cited patents); the growth rate Z of the domain's highly cited
-patents (those whose application-year cohort percentile of forward
-citations is >= a threshold in (0, 1),
+per-application-year mid-rank percentiles of the exact SPNP array, by
+ranking.midranks (a sort by float64 value, then the exact integers
+inside runs of equal floats); the domain centrality (mean over domain
+patents of the mean percentile of their cited patents); the growth rate
+Z of the domain's highly cited patents (those whose application-year
+cohort percentile of forward citations, by ranking.midrank_percentiles,
+is >= a threshold in (0, 1),
 constants.DEFAULT_HIGHLY_CITED_THRESHOLD unless the run configuration
 sets highly_cited_threshold); and
 
@@ -109,7 +108,7 @@ from typing import Callable, Iterable, Mapping
 from . import _lazy_module, constants
 from .core_data import (EDGE_COLUMNS, NODE_COLUMNS, CornrateError, IngestError, PatentRecord,
                         _column_positions, read_bytes, read_table)
-from .ranking import midrank_percentiles
+from .ranking import midrank_percentiles, midranks
 from .trend import TrendSeries, fit_exponential
 
 np = _lazy_module("numpy")
@@ -555,53 +554,6 @@ def compute_spnp(net: CitationNetwork, approximate: bool = False,
     return spnp if as_array else dict(zip(net._names, spnp.tolist()))
 
 
-# Every integer below 2**53 is a float64, so equal floats below it are equal integers.
-EXACT_FLOAT_LIMIT = 2.0 ** 53
-# Integers of 2**1024 or more overflow float64; _midranks shifts them to this many bits.
-SHIFTED_BITS = 1000
-
-
-def _midranks(values: np.ndarray, cohort: np.ndarray) -> np.ndarray:
-    """The mid-rank percentile of each value within its cohort, bit for bit
-    as ranking.midrank_percentiles gives it: (number below + 0.5 * number
-    equal) / cohort size.
-
-    values (exact SPNP: Python ints in an object array) are sorted by
-    their float64, which is monotone in the integer because int -> float64
-    rounds correctly; each run of equal floats of EXACT_FLOAT_LIMIT or
-    more in one cohort is then sorted by the exact integers. If an integer
-    overflows float64, all are first shifted right until the largest has
-    SHIFTED_BITS bits, and every run of equal floats is sorted exactly.
-    """
-    if not values.size:
-        return np.zeros(0)
-    try:
-        key, limit = values.astype(np.float64), EXACT_FLOAT_LIMIT
-    except OverflowError:
-        shift = int(values.max()).bit_length() - SHIFTED_BITS
-        key, limit = (values >> shift).astype(np.float64), -math.inf
-    # By value, then stably by cohort; the order within a tie does not change a percentile.
-    order = np.argsort(key)
-    order = order[np.argsort(cohort[order], kind="stable")]
-    key, cohort = key[order], cohort[order]
-    # tie[k]: sorted entries k and k + 1 are equal and in one cohort.
-    tie = (key[1:] == key[:-1]) & (cohort[1:] == cohort[:-1])
-    unsettled = np.flatnonzero(np.diff(tie & (key[1:] >= limit), prepend=False, append=False))
-    for lo, hi in unsettled.reshape(-1, 2).tolist():
-        run = sorted(order[lo:hi + 1].tolist(), key=values.__getitem__)
-        order[lo:hi + 1] = run
-        tie[lo:hi] = [values[a] == values[b] for a, b in zip(run, run[1:])]
-    start = np.flatnonzero(np.concatenate(([True], ~tie)))   # first entry of each tie group
-    stop = np.append(start[1:], values.size)
-    first = np.flatnonzero(np.concatenate(([True], cohort[1:] != cohort[:-1])))
-    size = np.diff(np.append(first, values.size))
-    group_cohort = np.searchsorted(first, start, side="right") - 1
-    i, j = start - first[group_cohort], stop - first[group_cohort]
-    percentile = np.empty(values.size)
-    percentile[order] = np.repeat((i + 0.5 * (j - i)) / size[group_cohort], stop - start)
-    return percentile
-
-
 def domain_centrality(domain_patents: Iterable[str], net: CitationNetwork,
                       rank_percentile: Mapping[str, float] | np.ndarray) -> dict:
     """Mean over domain patents of the mean percentile of their cited patents.
@@ -690,7 +642,7 @@ def evaluate_k2(net: CitationNetwork, patents: Mapping[str, PatentRecord],
     cohort = net._application_years_of(list(patents))
     citation_percentiles = midrank_percentiles(
         {n: patents[n].forward_citation_count for n in cohort}, cohort)
-    percentile = _midranks(compute_spnp(net, as_array=True), net._years)
+    percentile = midranks(compute_spnp(net, as_array=True), net._years)
     centrality = domain_centrality(numbers, net, percentile)
     flags = {n: v >= threshold for n, v in citation_percentiles.items()}
     z = compute_z(numbers, flags, years)

@@ -1,34 +1,78 @@
-"""Cohort mid-rank percentile normalization.
+"""Cohort mid-rank percentiles, on one code path.
 
-Used to strip year effects from citation counts and path-count
-centralities: within each cohort (typically a publication or application
-year), percentile = (count strictly below + 0.5 * count equal) / size.
-Percentiles within any cohort average to exactly 0.5.
+Within each cohort (typically a publication or application year),
+percentile = (count strictly below + 0.5 * count equal) / size, so any
+cohort's percentiles average to exactly 0.5; this strips year effects
+from citation counts and path-count centralities. midranks ranks arrays
+(evaluate_k2's exact SPNP), and midrank_percentiles runs it on mappings
+(the Cite3 and forward-citation percentiles). numpy is bound lazily
+(cornrate._lazy_module): `predict k1` executes this module but ranks
+nothing, so it never imports numpy.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Hashable, Mapping, TypeVar
 
+from . import _lazy_module
+
+np = _lazy_module("numpy")
+
 K = TypeVar("K", bound=Hashable)
+
+# Every integer below 2**53 is a float64, so equal floats below it are equal integers.
+EXACT_FLOAT_LIMIT = 2.0 ** 53
+# Integers of 2**1024 or more overflow float64; midranks shifts them to this many bits.
+SHIFTED_BITS = 1000
+
+
+def midranks(values: np.ndarray, cohort: np.ndarray) -> np.ndarray:
+    """The mid-rank percentile of each value within its cohort: (number
+    below + 0.5 * number equal) / cohort size.
+
+    values (floats, or Python ints in an object array, of any size when
+    all are ints, as the exact SPNP is) are sorted by their float64, which
+    is monotone in the number because int -> float64 rounds correctly;
+    each run of equal floats of EXACT_FLOAT_LIMIT or more in one cohort is
+    then sorted by the exact values. If an integer overflows float64, all
+    are first shifted right until the largest has SHIFTED_BITS bits, and
+    every run of equal floats is sorted exactly.
+    """
+    if not values.size:
+        return np.zeros(0)
+    try:
+        key, limit = values.astype(np.float64), EXACT_FLOAT_LIMIT
+    except OverflowError:
+        shift = int(values.max()).bit_length() - SHIFTED_BITS
+        key, limit = (values >> shift).astype(np.float64), -math.inf
+    # By value, then stably by cohort; the order within a tie does not change a percentile.
+    order = np.argsort(key)
+    order = order[np.argsort(cohort[order], kind="stable")]
+    key, cohort = key[order], cohort[order]
+    # tie[k]: sorted entries k and k + 1 are equal and in one cohort.
+    tie = (key[1:] == key[:-1]) & (cohort[1:] == cohort[:-1])
+    unsettled = np.flatnonzero(np.diff(tie & (key[1:] >= limit), prepend=False, append=False))
+    for lo, hi in unsettled.reshape(-1, 2).tolist():
+        run = sorted(order[lo:hi + 1].tolist(), key=values.__getitem__)
+        order[lo:hi + 1] = run
+        tie[lo:hi] = [values[a] == values[b] for a, b in zip(run, run[1:])]
+    start = np.flatnonzero(np.concatenate(([True], ~tie)))   # first entry of each tie group
+    stop = np.append(start[1:], values.size)
+    first = np.flatnonzero(np.concatenate(([True], cohort[1:] != cohort[:-1])))
+    size = np.diff(np.append(first, values.size))
+    group_cohort = np.searchsorted(first, start, side="right") - 1
+    i, j = start - first[group_cohort], stop - first[group_cohort]
+    percentile = np.empty(values.size)
+    percentile[order] = np.repeat((i + 0.5 * (j - i)) / size[group_cohort], stop - start)
+    return percentile
 
 
 def midrank_percentiles(values: Mapping[K, float],
                         cohort_of: Mapping[K, Hashable]) -> dict[K, float]:
-    cohorts: dict[Hashable, list[K]] = {}
-    for key in values:
-        cohorts.setdefault(cohort_of[key], []).append(key)
-    result: dict[K, float] = {}
-    for members in cohorts.values():
-        size = len(members)
-        ordered = sorted(members, key=lambda m: values[m])
-        i = 0
-        while i < size:
-            j = i
-            while j < size and values[ordered[j]] == values[ordered[i]]:
-                j += 1
-            percentile = (i + 0.5 * (j - i)) / size
-            for m in ordered[i:j]:
-                result[m] = percentile
-            i = j
-    return result
+    """midranks of a mapping: each key's percentile among the keys of its cohort_of
+    cohort. Cohorts are numbered by first appearance, so any hashable names one."""
+    numbers: dict[Hashable, int] = {}
+    cohort = np.array([numbers.setdefault(cohort_of[k], len(numbers)) for k in values], np.int64)
+    percentile = midranks(np.array(list(values.values()), dtype=object), cohort)
+    return dict(zip(values, percentile.tolist()))

@@ -312,8 +312,8 @@ def _nb_theta(y: np.ndarray, mu: np.ndarray, theta: float, tol: float) -> float:
         # as theta grows, where the score itself fades like 1/theta^2: chords
         # towards the upper end then still point at the root.
         t = math.exp(log_theta)
-        return t * t * float(np.sum(digamma(y + t) - digamma(t) - np.log1p(mu / t)
-                                    + (mu - y) / (t + mu)))
+        d = digamma(np.append(y + t, t))   # psi(y + t) and, last, psi(t): one call
+        return t * t * float(np.sum(d[:-1] - d[-1] - np.log1p(mu / t) + (mu - y) / (t + mu)))
 
     lo, hi = math.log(1e-4), math.log(POISSON_EQUIVALENT_THETA)
     x_old, g_old = hi, score(hi)

@@ -15,7 +15,7 @@ from cornrate.citation_network import (CitationNetwork, NetworkError, compute_sp
                                        predict_k2)
 from cornrate.core_data import (EDGE_COLUMNS, NODE_COLUMNS, Dataset, IngestError, PatentRecord,
                                 without_patents)
-from cornrate.ranking import midrank_percentiles
+from cornrate.ranking import midrank_percentiles, midranks
 
 
 def chain_network():
@@ -120,6 +120,28 @@ def dict_spnp(years, edges, approximate=False):
     for node in order:
         p_up[node] = sum(1 + p_up[citing] for citing in into[node])
     return {n: (1 + p_down[n]) * (1 + p_up[n]) for n in years}
+
+
+def loop_midrank_percentiles(values, cohort_of):
+    """Oracle: ranking.midrank_percentiles by a per-cohort sort and scan over
+    Python values, each run of equal values sharing its mid-rank."""
+    cohorts = {}
+    for key in values:
+        cohorts.setdefault(cohort_of[key], []).append(key)
+    result = {}
+    for members in cohorts.values():
+        size = len(members)
+        ordered = sorted(members, key=lambda m: values[m])
+        i = 0
+        while i < size:
+            j = i
+            while j < size and values[ordered[j]] == values[ordered[i]]:
+                j += 1
+            percentile = (i + 0.5 * (j - i)) / size
+            for m in ordered[i:j]:
+                result[m] = percentile
+            i = j
+    return result
 
 
 def large_random_dag(seed, n, mean_cited=3, mean_lag=50):
@@ -580,14 +602,13 @@ class TestSpnp:
 
 
 def array_midranks(values, cohorts):
-    """citation_network._midranks on lists, as a dict like midrank_percentiles gives."""
-    percentile = citation_network._midranks(np.array(values, dtype=object),
-                                            np.array(cohorts, dtype=np.int64))
+    """ranking.midranks on lists, as a dict like midrank_percentiles gives."""
+    percentile = midranks(np.array(values, dtype=object), np.array(cohorts, dtype=np.int64))
     return dict(enumerate(percentile.tolist()))
 
 
 def oracle_midranks(values, cohorts):
-    return midrank_percentiles(dict(enumerate(values)), dict(enumerate(cohorts)))
+    return loop_midrank_percentiles(dict(enumerate(values)), dict(enumerate(cohorts)))
 
 
 def bits(percentiles):
@@ -595,7 +616,7 @@ def bits(percentiles):
 
 
 class TestArrayMidranks:
-    """The array mid-rank of evaluate_k2 against ranking.midrank_percentiles."""
+    """ranking.midranks against the loop oracle."""
 
     def test_equal_floats_ordered_by_exact_ints(self):
         # 2**60 and 2**60 + 1 are one float64; only the exact order separates them.
@@ -638,9 +659,43 @@ class TestArrayMidranks:
         net = CitationNetwork(years, edges)
         spnp = compute_spnp(net)
         assert max(spnp.values()).bit_length() > 64
-        expected = midrank_percentiles(spnp, years)
-        percentile = citation_network._midranks(compute_spnp(net, as_array=True), net._years)
+        expected = loop_midrank_percentiles(spnp, years)
+        percentile = midranks(compute_spnp(net, as_array=True), net._years)
         assert bits(dict(zip(years, percentile.tolist()))) == bits(expected)
+
+
+class TestMidrankPercentilesAdapter:
+    """ranking.midrank_percentiles, which ranks mappings by midranks, against the loop oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(
+        st.one_of(st.floats(0.0, 200.0),
+                  st.sampled_from([2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2, 2.0 ** 60,
+                                   2.0 ** 60 + 2 ** 8, 2.0 ** 1000, 1e308])),
+        st.sampled_from([1998, 1999, "2000", None])), min_size=1, max_size=40))
+    def test_floats_same_bits_as_the_loop(self, rows):
+        # Floats as log SPNP gives them, ties at and above 2**53 among them, and
+        # cohorts of any hashable.
+        values = {f"P{k}": v for k, (v, _) in enumerate(rows)}
+        cohort_of = {f"P{k}": c for k, (_, c) in enumerate(rows)}
+        assert bits(midrank_percentiles(values, cohort_of)) == \
+            bits(loop_midrank_percentiles(values, cohort_of))
+
+    def test_log_spnp_of_a_large_dag(self):
+        years, edges = large_random_dag(5, 3000)
+        logs = compute_spnp(CitationNetwork(years, edges), approximate=True)
+        assert len(set(logs.values())) < len(logs)
+        assert bits(midrank_percentiles(logs, years)) == \
+            bits(loop_midrank_percentiles(logs, years))
+
+    def test_empty_mapping(self):
+        assert midrank_percentiles({}, {}) == {}
+
+    def test_one_member_cohorts(self):
+        values, cohort_of = {"A": 2 ** 1100, "B": 3, "C": 7}, {"A": 1990, "B": 1991, "C": 1992}
+        ranks = midrank_percentiles(values, cohort_of)
+        assert ranks == loop_midrank_percentiles(values, cohort_of)
+        assert ranks == {"A": 0.5, "B": 0.5, "C": 0.5}
 
 
 class TestCentrality:

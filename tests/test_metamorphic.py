@@ -9,10 +9,12 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cornrate import citation_network
 from cornrate.citation_network import CitationNetwork, compute_spnp
 from cornrate.cli import main
+from cornrate.ranking import midrank_percentiles
 from tests.relabel import FILES, relabel
 from tests.test_citation_network import large_random_dag, past_int64_network
 
@@ -136,3 +138,49 @@ def test_shifted_years_shift_only_t0(tmp_path, capsys, d):
     assert want.count('"t0": 1930\n') == 1
     assert main(["trend", "--series", "usda-file", "--input", str(shifted), "--no-timestamp"]) == 0
     assert capsys.readouterr().out == want.replace('"t0": 1930\n', f'"t0": {1930 + d}\n')
+
+
+# Cohort-ranked values: small counts and counts near 2**53, 2**60 and past float64's range.
+RANKED_ROWS = st.lists(st.tuples(
+    st.one_of(st.integers(0, 5),
+              st.integers(2 ** 53 - 2, 2 ** 53 + 2),
+              st.integers(2 ** 60, 2 ** 60 + 3),
+              st.integers(2 ** 1100 - 2, 2 ** 1100 + 2)),
+    st.integers(1998, 2001)), min_size=1, max_size=40)
+
+
+def percentile_bits(values, cohort_of) -> dict:
+    return {k: v.hex() for k, v in midrank_percentiles(values, cohort_of).items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(RANKED_ROWS, st.randoms(use_true_random=False))
+def test_midranks_follow_a_bijection_of_keys_in_any_order(rows, rng):
+    # A percentile belongs to its value and cohort, not to the key's name or place.
+    keys = list(range(len(rows)))
+    names = {k: f"US{n}" for k, n in zip(keys, rng.sample(range(10 ** 6), len(keys)))}
+    rng.shuffle(keys)
+    want = percentile_bits(dict(enumerate(v for v, _ in rows)),
+                           dict(enumerate(c for _, c in rows)))
+    got = percentile_bits({names[k]: rows[k][0] for k in keys},
+                          {names[k]: rows[k][1] for k in keys})
+    assert got == {names[k]: bits for k, bits in want.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(RANKED_ROWS)
+def test_midranks_keep_under_an_increasing_map(rows):
+    # a * v + b with a > 0 keeps the order of exact integers, also past 2**53
+    # and 2**1024, though it merges and splits their float64 roundings.
+    cohort_of = {k: c for k, (_, c) in enumerate(rows)}
+    want = percentile_bits({k: v for k, (v, _) in enumerate(rows)}, cohort_of)
+    for a, b in [(3, 7), (1, 2 ** 53), (2 ** 70 + 1, -5)]:
+        assert percentile_bits({k: a * v + b for k, (v, _) in enumerate(rows)}, cohort_of) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(RANKED_ROWS, st.integers(-10 ** 6, 10 ** 6))
+def test_midranks_keep_under_shifted_cohort_years(rows, d):
+    values = {k: v for k, (v, _) in enumerate(rows)}
+    assert percentile_bits(values, {k: c + d for k, (_, c) in enumerate(rows)}) == \
+        percentile_bits(values, {k: c for k, (_, c) in enumerate(rows)})
