@@ -23,7 +23,7 @@ K = TypeVar("K", bound=Hashable)
 
 # Every integer below 2**53 is a float64, so equal floats below it are equal integers.
 EXACT_FLOAT_LIMIT = 2.0 ** 53
-# Integers of 2**1024 or more overflow float64; midranks shifts them to this many bits.
+# Integers of 2**1024 or more overflow float64; midranks scales them to this many bits.
 SHIFTED_BITS = 1000
 
 
@@ -35,9 +35,10 @@ def midranks(values: np.ndarray, cohort: np.ndarray) -> np.ndarray:
     all are ints, as the exact SPNP is) are sorted by their float64, which
     is monotone in the number because int -> float64 rounds correctly;
     each run of equal floats of EXACT_FLOAT_LIMIT or more in one cohort is
-    then sorted by the exact values. If an integer overflows float64, all
-    are first shifted right until the largest has SHIFTED_BITS bits, and
-    every run of equal floats is sorted exactly.
+    then sorted by the exact values. If an integer overflows float64, the
+    key is each value over the power of two that leaves the largest
+    SHIFTED_BITS bits, correctly rounded (int division, ldexp), which is
+    monotone across ints and floats; every run of equal keys is sorted exactly.
     """
     if not values.size:
         return np.zeros(0)
@@ -45,7 +46,8 @@ def midranks(values: np.ndarray, cohort: np.ndarray) -> np.ndarray:
         key, limit = values.astype(np.float64), EXACT_FLOAT_LIMIT
     except OverflowError:
         shift = int(values.max()).bit_length() - SHIFTED_BITS
-        key, limit = (values >> shift).astype(np.float64), -math.inf
+        key, limit = np.array([math.ldexp(v, -shift) if isinstance(v, float) else v / (1 << shift)
+                               for v in values.tolist()]), -math.inf
     # By value, then stably by cohort; the order within a tie does not change a percentile.
     order = np.argsort(key)
     order = order[np.argsort(cohort[order], kind="stable")]

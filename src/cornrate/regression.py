@@ -1,11 +1,13 @@
 """OLS, Poisson and negative binomial fitters plus the four model specs.
 
 The Poisson and NB2 fitters use iteratively reweighted least squares
-with a hand-rolled, fixed iteration order so that identical inputs give
-bit-identical results. NB2 means variance = mu + mu^2/theta; between IRLS
-passes theta is the root of its profile score at the current mu (Lawless,
-Can. J. Statist. 15(3), 1987; MASS theta.ml). All fitters report Wald
-standard errors and two-sided tests.
+with a hand-rolled, fixed iteration order, so identical inputs give
+bit-identical results on one set of kernels: numpy's SIMD exp and log, the
+OpenBLAS kernel and, at 5x10^4 patents, the BLAS thread count move the
+last bits. NB2 means variance = mu + mu^2/theta; between IRLS passes theta
+is the root of its profile score at the current mu (Lawless, Can. J.
+Statist. 15(3), 1987; MASS theta.ml). All fitters report Wald standard
+errors and two-sided tests.
 
 Every least-squares problem (OLS, each IRLS step, each Wald covariance) is
 one QR in _weighted_ls (Bjorck 1996, ch. 2; Green, JRSS-B 1984), which also
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from . import _lazy_module
 from .core_data import CornrateError, IngestError
@@ -388,52 +390,42 @@ def fit_negative_binomial(y, X, terms: Optional[Sequence[str]] = None,
     return result
 
 
-def build_analysis_table(dataset) -> list[dict]:
-    """Per-patent analysis rows for run_model, one per patent with a trial set.
+def build_analysis_table(dataset) -> dict:
+    """run_model's table: patent_number, the patents with a trial set in number
+    order, and a float64 column over them for each variable of MODEL_SPECS.
 
     Citation windows use only the citations between the dataset's
     patents, so an excluded patent (core_data.without_patents) neither
-    gets a row nor cites; Cite3 rank percentiles are cohorted by grant year.
+    gets an entry nor cites; Cite3 rank percentiles are cohorted by grant year.
     """
     from .citation_metrics import per_patent_cite3
     from .yield_metrics import performance_ratio
 
     patents = dataset.patents
     cite3, percentile = per_patent_cite3(patents)
-    trial_by_patent = {ts.patent_number: ts for ts in dataset.trial_sets}
-    rows = []
-    for number in sorted(patents):
-        if number not in trial_by_patent:
-            continue
-        patent = patents[number]
-        rows.append({
-            "patent_number": number,
-            "cite_forward": patent.forward_citation_count,
-            "cite3": cite3[number],
-            "cite3_rank_percentile": percentile[number],
-            "performance_ratio": performance_ratio(trial_by_patent[number]),
-            "filed_year": patent.filed_year,
-        })
-    return rows
+    trials = {ts.patent_number: ts for ts in dataset.trial_sets}
+    numbers = [n for n in sorted(patents) if n in trials]
+    return {
+        "patent_number": numbers,
+        "cite_forward": np.array([patents[n].forward_citation_count for n in numbers], float),
+        "cite3": np.array([cite3[n] for n in numbers], float),
+        "cite3_rank_percentile": np.array([percentile[n] for n in numbers], float),
+        "performance_ratio": np.array([performance_ratio(trials[n]) for n in numbers], float),
+        "filed_year": np.array([patents[n].filed_year for n in numbers], float),
+    }
 
 
-def run_model(model: int, family: Family,
-              data: Iterable[Mapping[str, float]]) -> RegressionResult:
-    """Fit the MODEL_SPECS model of an id on a per-patent analysis table.
+def run_model(model: int, family: Family, table: Mapping[str, np.ndarray]) -> RegressionResult:
+    """Fit the MODEL_SPECS model of an id on the columns of build_analysis_table.
 
-    Rows are mappings with keys cite_forward, cite3, cite3_rank_percentile,
-    performance_ratio, filed_year, as build_analysis_table gives them.
+    y is the spec's dependent column, and X a column of ones followed by its
+    independent columns.
     """
     spec = MODEL_SPECS[model]
-    rows = list(data)
-    if not rows:
+    y = table[spec.dependent]
+    if not len(y):
         raise RegressionError("no data rows")
-    for column in (spec.dependent, *spec.independents):
-        for r in rows:
-            if column not in r:
-                raise RegressionError(f"missing column {column!r} in analysis table")
-    y = [float(r[spec.dependent]) for r in rows]
-    X = [[1.0] + [float(r[c]) for c in spec.independents] for r in rows]
+    X = np.column_stack([np.ones(len(y)), *(table[c] for c in spec.independents)])
     terms = ["intercept", *spec.independents]
     # Rank percentiles are not counts; fitted quasi-style with a warning.
     bounded = spec.dependent in BOUNDED_RESPONSES
@@ -469,21 +461,21 @@ def _model_id(entry: str) -> int:
 def fit_models(dataset, models: str, families: str) -> dict:
     """Every model of a comma-separated id list, fitted in every family of another.
 
-    The rows are build_analysis_table(dataset), of a dataset from which
-    any excluded patents are already dropped; no row is a ValueError. A
-    family that is not a Family value is a ValueError, a model that is not
-    a MODEL_SPECS id an IngestError naming it. Each fit is reported with
-    its model id, and the coefficient table gives every term's
-    coefficient in every fit, keyed model<id>_<family>.
+    Every fit runs on one build_analysis_table(dataset), of a dataset from
+    which any excluded patents are already dropped; n_rows is its number of
+    patents, and none is a ValueError. A family that is not a Family value
+    is a ValueError, a model that is not a MODEL_SPECS id an IngestError
+    naming it. Each fit is reported with its model id, and the coefficient
+    table gives every term's coefficient in every fit, keyed model<id>_<family>.
     """
-    rows = build_analysis_table(dataset)
-    if not rows:
+    columns = build_analysis_table(dataset)
+    if not columns["patent_number"]:
         raise ValueError("analysis table is empty: no patent has a trial set")
     family_list = [Family(f) for f in families.split(",")]
     model_ids = [_model_id(m) for m in models.split(",")]
-    fits = [{"model": model, **run_model(model, family, rows).as_dict()}
+    fits = [{"model": model, **run_model(model, family, columns).as_dict()}
             for model in model_ids for family in family_list]
     terms = sorted({t for f in fits for t in f["terms"]})
     table = {term: {f"model{f['model']}_{f['family']}": f["coefficients"].get(term)
                     for f in fits} for term in terms}
-    return {"n_rows": len(rows), "fits": fits, "coefficient_table": table}
+    return {"n_rows": len(columns["patent_number"]), "fits": fits, "coefficient_table": table}

@@ -654,6 +654,20 @@ class TestArrayMidranks:
         values, cohorts = map(list, zip(*rows))
         assert bits(array_midranks(values, cohorts)) == bits(oracle_midranks(values, cohorts))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2 ** 1024, 2 ** 1100 + 2), st.lists(st.tuples(
+        st.one_of(st.integers(0, 8),
+                  st.integers(2 ** 1024 - 2, 2 ** 1024 + 2),
+                  st.integers(0, 2 ** 2100),
+                  st.floats(0.0, 8.0),
+                  st.sampled_from([2.0 ** 53, 2.0 ** 60, 2.0 ** 1000, 1e308, 5e-324])),
+        st.integers(1998, 2000)), max_size=40))
+    def test_ints_past_float_range_among_floats(self, huge, rows):
+        # An int that overflows float64, ranked with floats: small ints and floats
+        # that the scaling brings together must still rank exactly.
+        values, cohorts = map(list, zip((huge, 1998), *rows))
+        assert bits(array_midranks(values, cohorts)) == bits(oracle_midranks(values, cohorts))
+
     def test_exact_spnp_of_a_large_dag(self):
         years, edges = large_random_dag(5, 3000)
         net = CitationNetwork(years, edges)
@@ -690,6 +704,14 @@ class TestMidrankPercentilesAdapter:
 
     def test_empty_mapping(self):
         assert midrank_percentiles({}, {}) == {}
+
+    def test_int_past_float_range_among_floats(self):
+        # 7 > 6.5, although 7 >> shift is 0 and 6.5 / 2**shift is not.
+        values = {"A": 2 ** 1100, "B": 6.5, "C": 7, "D": 0.25}
+        cohort_of = dict.fromkeys(values, 1990)
+        ranks = midrank_percentiles(values, cohort_of)
+        assert ranks == loop_midrank_percentiles(values, cohort_of)
+        assert ranks["D"] < ranks["B"] < ranks["C"] < ranks["A"]
 
     def test_one_member_cohorts(self):
         values, cohort_of = {"A": 2 ** 1100, "B": 3, "C": 7}, {"A": 1990, "B": 1991, "C": 1992}

@@ -1,12 +1,17 @@
+import contextlib
+import importlib.util
+import io
 import math
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cornrate.core_data import without_patents
+from cornrate.cli import main
+from cornrate.core_data import load_dataset, without_patents
 from cornrate.regression import (MODEL_SPECS, Family, RegressionError,
                                  RegressionResult, build_analysis_table,
                                  fit_negative_binomial, fit_ols, fit_poisson,
@@ -22,6 +27,51 @@ def normal_equations(y, X):
 
 def design(rows):
     return [[1.0, *r] for r in rows]
+
+
+FIELDS = ("cite_forward", "cite3", "cite3_rank_percentile", "performance_ratio", "filed_year")
+
+
+def row_analysis_table(dataset) -> list[dict]:
+    """Oracle: build_analysis_table as one dict per patent with a trial set,
+    in patent-number order, built row by row."""
+    from cornrate.citation_metrics import per_patent_cite3
+    from cornrate.yield_metrics import performance_ratio
+
+    patents = dataset.patents
+    cite3, percentile = per_patent_cite3(patents)
+    trial_by_patent = {ts.patent_number: ts for ts in dataset.trial_sets}
+    rows = []
+    for number in sorted(patents):
+        if number not in trial_by_patent:
+            continue
+        patent = patents[number]
+        rows.append({
+            "patent_number": number,
+            "cite_forward": patent.forward_citation_count,
+            "cite3": cite3[number],
+            "cite3_rank_percentile": percentile[number],
+            "performance_ratio": performance_ratio(trial_by_patent[number]),
+            "filed_year": patent.filed_year,
+        })
+    return rows
+
+
+@pytest.fixture(scope="module")
+def network_dataset(tmp_path_factory):
+    """The dataset store that `cornrate ingest` makes of the benchmark's network seed 11."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("perfbench_generate", path)
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    raw, store = tmp_path_factory.mktemp("net11"), tmp_path_factory.mktemp("net11-store")
+    generate.generate_network(11, raw)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["ingest", "--patents", str(raw / "patents.csv"),
+                     "--trials", str(raw / "trials.csv"), "--fieldtests",
+                     str(raw / "fieldtests.csv"), "--schema", "illinois",
+                     "--out", str(store), "--no-timestamp"]) == 0
+    return load_dataset(store)
 
 
 def near_collinear(seed, cond, mixing=None):
@@ -228,14 +278,14 @@ class TestNegativeBinomial:
         # Oracle: SciPy's digamma and brentq on the same profile score at the fit's mu.
         from scipy import optimize, special
         from tests.synthetic import synthetic_dataset
-        rows = build_analysis_table(synthetic_dataset())
+        table = build_analysis_table(synthetic_dataset())
         finite = 0
         for model, spec in MODEL_SPECS.items():
-            fit = run_model(model, Family.NEGATIVE_BINOMIAL, rows)
+            fit = run_model(model, Family.NEGATIVE_BINOMIAL, table)
             if not math.isfinite(fit.dispersion):
                 continue
-            y = np.array([float(r[spec.dependent]) for r in rows])
-            X = np.array([[1.0] + [float(r[c]) for c in spec.independents] for r in rows])
+            y = table[spec.dependent]
+            X = np.column_stack([np.ones(len(y)), *(table[c] for c in spec.independents)])
             mu = np.exp(X @ np.array([fit.coefficients[t] for t in fit.terms]))
 
             def score(theta):
@@ -279,31 +329,31 @@ class TestResultSerialization:
 
 
 class TestRunModel:
-    def _rows(self, n=24):
+    def _table(self, n=24):
         rng = np.random.default_rng(6)
         rows = []
         for i in range(n):
             perf = 1.0 + rng.uniform(-0.05, 0.10)
             year = 1990 + (i % 12)
-            rows.append({
-                "patent_number": str(5000000 + i),
-                "cite_forward": int(rng.poisson(math.exp(1.0 + 2.0 * (perf - 1.0)))),
-                "cite3": int(rng.poisson(1.0)),
-                "cite3_rank_percentile": (i % 10 + 0.5) / 10,
-                "performance_ratio": perf,
-                "filed_year": year,
-            })
-        return rows
+            rows.append((str(5000000 + i),
+                         int(rng.poisson(math.exp(1.0 + 2.0 * (perf - 1.0)))),
+                         int(rng.poisson(1.0)),
+                         (i % 10 + 0.5) / 10,
+                         perf,
+                         year))
+        numbers, *columns = zip(*rows)
+        return {"patent_number": list(numbers),
+                **{name: np.array(column, float) for name, column in zip(FIELDS, columns)}}
 
     def test_spec_lookup_and_terms(self):
-        fit = run_model(1, Family.OLS, self._rows())
+        fit = run_model(1, Family.OLS, self._table())
         assert fit.terms == ["intercept", "performance_ratio", "filed_year"]
-        fit4 = run_model(4, Family.POISSON, self._rows())
+        fit4 = run_model(4, Family.POISSON, self._table())
         assert fit4.terms == ["intercept", "performance_ratio"]
 
     @pytest.mark.parametrize("family", list(Family))
     def test_family_dispatch(self, family):
-        fit = run_model(1, family, self._rows())
+        fit = run_model(1, family, self._table())
         assert fit.family is family
         assert (fit.r_squared is None) is (family is not Family.OLS)
         assert (fit.dispersion is None) is (family is not Family.NEGATIVE_BINOMIAL)
@@ -312,18 +362,13 @@ class TestRunModel:
         # Excluding every patent leaves no rows; run_model refuses what is left.
         from tests.synthetic import synthetic_dataset
         ds = synthetic_dataset()
-        rows = build_analysis_table(without_patents(ds, ds.patents))
-        assert rows == []
+        table = build_analysis_table(without_patents(ds, ds.patents))
+        assert table["patent_number"] == []
         with pytest.raises(RegressionError, match="no data rows"):
-            run_model(4, Family.OLS, rows)
-
-    def test_missing_column_raises(self):
-        rows = [{"patent_number": "1", "performance_ratio": 1.0}] * 5
-        with pytest.raises(RegressionError, match="missing column"):
-            run_model(4, Family.OLS, rows)
+            run_model(4, Family.OLS, table)
 
     def test_bounded_response_warns(self):
-        fit = run_model(3, Family.POISSON, self._rows())
+        fit = run_model(3, Family.POISSON, self._table())
         assert any("bounded in [0, 1]" in w for w in fit.warnings)
 
     def test_model_specs_table(self):
@@ -335,33 +380,58 @@ class TestAnalysisTable:
     def test_from_synthetic_dataset(self):
         from tests.synthetic import synthetic_dataset
         ds = synthetic_dataset()
-        rows = build_analysis_table(ds)
-        assert rows
-        numbers = {r["patent_number"] for r in rows}
+        table = build_analysis_table(ds)
+        assert table["patent_number"]
+        numbers = set(table["patent_number"])
         trialed = {ts.patent_number for ts in ds.trial_sets}
         assert numbers <= trialed
-        for r in rows:
-            assert 0.0 <= r["cite3_rank_percentile"] <= 1.0
-            assert r["cite3"] >= 0
-            assert r["performance_ratio"] > 0
+        assert np.all((0.0 <= table["cite3_rank_percentile"])
+                      & (table["cite3_rank_percentile"] <= 1.0))
+        assert np.all(table["cite3"] >= 0)
+        assert np.all(table["performance_ratio"] > 0)
+
+    def test_holds_every_model_column(self):
+        from tests.synthetic import synthetic_dataset
+        table = build_analysis_table(synthetic_dataset())
+        n = len(table["patent_number"])
+        for spec in MODEL_SPECS.values():
+            for column in (spec.dependent, *spec.independents):
+                assert table[column].dtype == np.float64
+                assert table[column].shape == (n,)
+
+    @pytest.mark.parametrize("dataset", ["synthetic", "network_seed_11"])
+    def test_columns_are_the_row_oracle_bit_for_bit(self, dataset, request):
+        if dataset == "synthetic":
+            from tests.synthetic import synthetic_dataset
+            ds = synthetic_dataset()
+        else:
+            ds = request.getfixturevalue("network_dataset")
+        table = build_analysis_table(ds)
+        rows = row_analysis_table(ds)
+        assert len(rows) > 60
+        assert table["patent_number"] == [r["patent_number"] for r in rows]
+        for column in FIELDS:
+            assert table[column].dtype == np.float64
+            assert ([v.hex() for v in table[column].tolist()]
+                    == [float(r[column]).hex() for r in rows]), column
 
     def test_every_count_fit_converges(self):
         # filed_year near 2000 makes X'WX ill-conditioned (cond ~1e11); the
         # stopping rule must still be reachable in floating point.
         from tests.synthetic import synthetic_dataset
-        rows = build_analysis_table(synthetic_dataset())
+        table = build_analysis_table(synthetic_dataset())
         for model in MODEL_SPECS:
             for family in (Family.POISSON, Family.NEGATIVE_BINOMIAL):
-                assert run_model(model, family, rows).converged, (model, family)
+                assert run_model(model, family, table).converged, (model, family)
 
     def test_exclusions_flow_through(self):
         from tests.synthetic import synthetic_dataset
         ds = synthetic_dataset()
-        rows = build_analysis_table(ds)
-        some = rows[0]["patent_number"]
+        table = build_analysis_table(ds)
+        some = table["patent_number"][0]
         reduced = build_analysis_table(without_patents(ds, (some,)))
-        assert some not in {r["patent_number"] for r in reduced}
-        assert len(reduced) == len(rows) - 1
+        assert some not in set(reduced["patent_number"])
+        assert len(reduced["patent_number"]) == len(table["patent_number"]) - 1
 
 
 def exact_ols_std_errors(y, X):
@@ -408,9 +478,10 @@ def one_filing_year():
     exact zero, so the rank rule must be scaled by the column, not by max |R_jj|.
     """
     from tests.synthetic import synthetic_dataset
-    rows = build_analysis_table(synthetic_dataset())
-    return ([r["cite_forward"] for r in rows],
-            [[1.0, r["performance_ratio"], 1990.0] for r in rows])
+    table = build_analysis_table(synthetic_dataset())
+    n = len(table["patent_number"])
+    return (table["cite_forward"],
+            np.column_stack([np.ones(n), table["performance_ratio"], np.full(n, 1990.0)]))
 
 
 class TestIllConditionedDesigns:
