@@ -57,8 +57,8 @@ order) and by cited node (in-edges). The out-edges of a level are then
 one slice of the out-edge array, and likewise for in-edges; each row of
 both CSRs keeps edge-file order. Each direction's level plan is built
 once per network (_level_plan): for every level with edges, the ranks of
-its nodes with neighbours, their reduceat starts, the largest neighbour
-count and the level's [first, last) edge range.
+its nodes with neighbours, their reduceat starts and the level's
+[first, last) edge range.
 
 Kernel. compute_spnp sweeps the levels once per direction: deepest
 first for P_down over out-edges, level 0 first for P_up over in-edges.
@@ -66,15 +66,12 @@ Each node holds 1 + P, starting at 1; by the level plan, a level's
 entries come from one gather of its neighbours' entries, one sum of each
 node's CSR segment (np.add.reduceat), plus 1, and one scatter, so the
 work is linear in the edges with one set of array operations per level.
-Path counts grow exponentially with network size. The exact mode sums
-in int64 while a level provably fits: its largest gathered entry times
-its largest neighbour count, plus 1, is below 2**63. From the first
-level where that fails, the rest of the sweep runs on Python integers in
-an object array; SPNP is the product of the two sweeps' entries, taken
-on Python integers. The log mode runs the same sweep on log(1 + P) with
-np.logaddexp.reduceat and adds the two sweeps; near-ties may rank
-differently there. compute_spnp returns a dict keyed by patent number,
-or the array itself.
+Path counts grow exponentially with network size, so the exact mode
+sweeps an object array of Python integers, whose sums never round or
+wrap, and SPNP is the product of the two sweeps' entries. The log mode
+runs the same sweep on log(1 + P) with np.logaddexp.reduceat and adds
+the two sweeps; near-ties may rank differently there. compute_spnp
+returns a dict keyed by patent number, or the array itself.
 
 Downstream, in evaluate_k2 (the call behind `predict k2`): the
 per-application-year mid-rank percentiles of the exact SPNP array, by
@@ -469,21 +466,15 @@ def _level_plan(ptr: np.ndarray, starts: np.ndarray) -> list[tuple]:
 
     One entry per level with at least one edge, in level order: the ranks
     of the level's nodes with neighbours, where each one's neighbours begin
-    within the level's edges (its reduceat start), the largest number of
-    neighbours of one node, and the [first, last) range of the level's
-    edges in the CSR array.
+    within the level's edges (its reduceat start), and the [first, last)
+    range of the level's edges in the CSR array.
     """
-    degree = np.diff(ptr)
-    rows = np.flatnonzero(degree)                  # the ranks with neighbours
+    rows = np.flatnonzero(np.diff(ptr))            # the ranks with neighbours
     cut = np.searchsorted(rows, starts).tolist()   # level k holds rows[cut[k]:cut[k + 1]]
     edge = ptr[starts].tolist()                    # and the edges edge[k]:edge[k + 1]
-    levels = [k for k in range(len(cut) - 1) if cut[k] < cut[k + 1]]
-    if not levels:
-        return []
-    longest = np.maximum.reduceat(degree[rows], [cut[k] for k in levels]).tolist()
     begin = ptr[rows]
-    return [(rows[cut[k]:cut[k + 1]], begin[cut[k]:cut[k + 1]] - edge[k], most,
-             edge[k], edge[k + 1]) for k, most in zip(levels, longest)]
+    return [(rows[cut[k]:cut[k + 1]], begin[cut[k]:cut[k + 1]] - edge[k], edge[k], edge[k + 1])
+            for k in range(len(cut) - 1) if cut[k] < cut[k + 1]]
 
 
 def _sweep(plan: Iterable[tuple], adj: np.ndarray, values: np.ndarray, combine) -> np.ndarray:
@@ -494,7 +485,7 @@ def _sweep(plan: Iterable[tuple], adj: np.ndarray, values: np.ndarray, combine) 
     of every node of the level with a neighbour, each node's run beginning
     at its entry of starts. Nodes without neighbours keep their entry.
     """
-    for rows, starts, _, first, last in plan:
+    for rows, starts, first, last in plan:
         values[rows] = combine(values[adj[first:last]], starts)
     return values
 
@@ -509,28 +500,6 @@ def _add_log_path_counts(gathered: np.ndarray, starts: np.ndarray) -> np.ndarray
     return np.logaddexp(0.0, np.logaddexp.reduceat(gathered, starts))
 
 
-# Every int64 is below this; exact sums stay int64 only while they provably do.
-INT64_LIMIT = 2 ** 63
-
-
-def _path_counts(plan: list[tuple], adj: np.ndarray, n: int) -> np.ndarray:
-    """1 + P for every node (in rank order) by an exact sweep, as an object
-    array of Python ints.
-
-    Levels are summed in int64 while a level's sums provably fit: each is
-    at most its largest gathered entry times the level's largest neighbour
-    count, plus 1, and that must stay below INT64_LIMIT. From the first
-    level where the bound fails, the sweep goes on in Python ints.
-    """
-    values = np.ones(n, dtype=np.int64)
-    for k, (rows, starts, longest, first, last) in enumerate(plan):
-        gathered = values[adj[first:last]]
-        if int(gathered.max()) * longest + 1 >= INT64_LIMIT:
-            return _sweep(plan[k:], adj, values.astype(object), _add_path_counts)
-        values[rows] = _add_path_counts(gathered, starts)
-    return values.astype(object)
-
-
 def compute_spnp(net: CitationNetwork, approximate: bool = False,
                  as_array: bool = False) -> dict | np.ndarray:
     """Exact SPNP per node; with approximate=True, natural-log values.
@@ -542,15 +511,14 @@ def compute_spnp(net: CitationNetwork, approximate: bool = False,
     may rank differently there.
     """
     n = len(net._years)
-    # Entries hold 1 + P_down and 1 + P_up (log mode: their logs), so SPNP is
-    # their product (log mode: their sum).
-    if approximate:
-        spnp = (_sweep(net._out_plan[::-1], net._out, np.zeros(n), _add_log_path_counts)
-                + _sweep(net._in_plan, net._in, np.zeros(n), _add_log_path_counts))
-    else:
-        spnp = (_path_counts(net._out_plan[::-1], net._out, n)
-                * _path_counts(net._in_plan, net._in, n))
-    spnp = spnp[net._rank]
+    # Entries hold 1 + P_down and 1 + P_up as Python ints, so no sum is rounded
+    # or wraps, and SPNP is their product; in log mode they hold the logs, and
+    # SPNP is their sum.
+    start, combine = ((np.zeros(n), _add_log_path_counts) if approximate
+                      else (np.ones(n, dtype=object), _add_path_counts))
+    down = _sweep(net._out_plan[::-1], net._out, start.copy(), combine)
+    up = _sweep(net._in_plan, net._in, start, combine)
+    spnp = (down + up if approximate else down * up)[net._rank]
     return spnp if as_array else dict(zip(net._names, spnp.tolist()))
 
 

@@ -21,40 +21,43 @@ np = _lazy_module("numpy")
 
 K = TypeVar("K", bound=Hashable)
 
-# Every integer below 2**53 is a float64, so equal floats below it are equal integers.
+# Every integer of magnitude below 2**53 is a float64, so equal keys below it are equal values.
 EXACT_FLOAT_LIMIT = 2.0 ** 53
-# Integers of 2**1024 or more overflow float64; midranks scales them to this many bits.
-SHIFTED_BITS = 1000
+
+
+def _float_key(value) -> float:
+    """value as a float64; an int that overflows float64 becomes inf of its sign."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def midranks(values: np.ndarray, cohort: np.ndarray) -> np.ndarray:
     """The mid-rank percentile of each value within its cohort: (number
     below + 0.5 * number equal) / cohort size.
 
-    values (floats, or Python ints in an object array, of any size when
-    all are ints, as the exact SPNP is) are sorted by their float64, which
-    is monotone in the number because int -> float64 rounds correctly;
-    each run of equal floats of EXACT_FLOAT_LIMIT or more in one cohort is
-    then sorted by the exact values. If an integer overflows float64, the
-    key is each value over the power of two that leaves the largest
-    SHIFTED_BITS bits, correctly rounded (int division, ldexp), which is
-    monotone across ints and floats; every run of equal keys is sorted exactly.
+    values (floats, or Python ints of any size in an object array, as the
+    exact SPNP is, floats among them or not) are sorted by their float64,
+    which is monotone in the number because int -> float64 rounds
+    correctly; an int that overflows float64 sorts as inf of its sign
+    (_float_key). Each run of equal floats of magnitude EXACT_FLOAT_LIMIT
+    or more (inf included) in one cohort is then sorted by the exact values.
     """
     if not values.size:
         return np.zeros(0)
     try:
-        key, limit = values.astype(np.float64), EXACT_FLOAT_LIMIT
+        key = values.astype(np.float64)
     except OverflowError:
-        shift = int(values.max()).bit_length() - SHIFTED_BITS
-        key, limit = np.array([math.ldexp(v, -shift) if isinstance(v, float) else v / (1 << shift)
-                               for v in values.tolist()]), -math.inf
+        key = np.array([_float_key(v) for v in values.tolist()])
     # By value, then stably by cohort; the order within a tie does not change a percentile.
     order = np.argsort(key)
     order = order[np.argsort(cohort[order], kind="stable")]
     key, cohort = key[order], cohort[order]
     # tie[k]: sorted entries k and k + 1 are equal and in one cohort.
     tie = (key[1:] == key[:-1]) & (cohort[1:] == cohort[:-1])
-    unsettled = np.flatnonzero(np.diff(tie & (key[1:] >= limit), prepend=False, append=False))
+    unsettled = np.flatnonzero(np.diff(tie & (np.abs(key[1:]) >= EXACT_FLOAT_LIMIT),
+                                       prepend=False, append=False))
     for lo, hi in unsettled.reshape(-1, 2).tolist():
         run = sorted(order[lo:hi + 1].tolist(), key=values.__getitem__)
         order[lo:hi + 1] = run

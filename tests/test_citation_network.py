@@ -32,7 +32,8 @@ def diamond_network():
 def past_int64_network():
     """A ladder whose rungs X_i, Y_i (i < 64) each cite both rungs X_i+1,
     Y_i+1, so 1 + P_down = 2**(64 - i) - 1 and rung 1 holds 2**63 - 1, the
-    largest int64; and five nodes W0..W4 that also cite X1 and Y1."""
+    largest int64; and five nodes W0..W4 that also cite X1 and Y1, so one
+    level sums fourteen such entries, past what an int64 holds."""
     years = {f"{rung}{i}": 2100 - i for i in range(64) for rung in "XY"}
     edges = [(f"{a}{i}", f"{b}{i + 1}") for i in range(63) for a in "XY" for b in "XY"]
     years.update({f"W{k}": 2100 for k in range(5)})
@@ -488,8 +489,8 @@ class TestSpnp:
             assert type(v) is int
 
     def test_int64_sums_switch_to_python_ints_before_they_overflow(self):
-        # Rung 1 sums to 2**63 - 1 in int64. Level 0 (X0, Y0, W0..W4) sums
-        # fourteen such entries in one reduceat, so the sweep must switch there.
+        # Rung 1 holds 2**63 - 1, the largest int64. Level 0 (X0, Y0, W0..W4)
+        # sums fourteen such entries in one reduceat, which must not wrap.
         years, edges = past_int64_network()
         spnp = compute_spnp(CitationNetwork(years, edges))
         assert spnp == dict_spnp(years, edges)
@@ -498,7 +499,7 @@ class TestSpnp:
 
     @pytest.mark.parametrize("network", [diamond_network, past_int64_network])
     def test_exact_values_are_python_ints(self, network):
-        # The diamond sums in int64 only; the other switches to Python ints.
+        # Counts below and past the int64 range alike are Python ints.
         net = network() if network is diamond_network else CitationNetwork(*network())
         assert all(type(v) is int for v in compute_spnp(net).values())
         array = compute_spnp(net, as_array=True)
@@ -512,7 +513,9 @@ class TestSpnp:
         net = CitationNetwork(np.column_stack([np.arange(k), np.arange(1000, 1000 + k)]),
                               np.column_stack([np.arange(1, k), np.arange(k - 1)]))
         expected = [(i + 1) * (k - i) for i in range(k)]
-        assert compute_spnp(net, as_array=True).tolist() == expected
+        exact = compute_spnp(net, as_array=True).tolist()
+        assert exact == expected
+        assert all(type(v) is int for v in exact)
         approx = compute_spnp(net, approximate=True, as_array=True)
         assert np.abs(approx - np.log(expected)).max() < 1e-9
 
@@ -628,10 +631,13 @@ class TestArrayMidranks:
         assert bits(pct) == bits(oracle_midranks(values, cohorts))
         assert pct[1] == pct[4] < pct[0] == pct[3] < pct[5]
         assert pct[6] < pct[7]
+        # So are equal floats of negative ints.
+        assert midrank_percentiles({"A": -big, "B": -big - 1}, {"A": 1, "B": 1}) == \
+            {"A": 0.75, "B": 0.25}
 
     def test_counts_past_float_range(self):
-        # Counts of 2**1024 and more overflow float64; they must still rank
-        # exactly, also the small counts that the shift makes equal.
+        # Counts of 2**1024 and more overflow float64 and share the key inf;
+        # they must still rank exactly, among each other and above the rest.
         huge = 2 ** 1100
         values = [huge + 1, huge, 2 ** 1024, 2 ** 1024 - 1, 1, 2, huge, 7, 2 ** 1024 - 1]
         cohorts = [1990] * 6 + [1991] * 3
@@ -648,7 +654,10 @@ class TestArrayMidranks:
                   st.integers(2 ** 60, 2 ** 60 + 3),
                   st.integers(2 ** 200, 2 ** 200 + 2),
                   st.integers(2 ** 1100 - 2, 2 ** 1100 + 2),
-                  st.integers(1, 2 ** 1100)),
+                  st.integers(1, 2 ** 1100),
+                  st.sampled_from([-(2 ** 53) + 1, -(2 ** 53), -(2 ** 53) - 1, -(2 ** 53) - 2]),
+                  st.integers(-(2 ** 60) - 3, -(2 ** 60)),
+                  st.integers(-(2 ** 1100) - 2, -(2 ** 1100) + 2)),
         st.integers(1998, 2001)), min_size=1, max_size=40))
     def test_same_bits_as_midrank_percentiles(self, rows):
         values, cohorts = map(list, zip(*rows))
@@ -659,12 +668,14 @@ class TestArrayMidranks:
         st.one_of(st.integers(0, 8),
                   st.integers(2 ** 1024 - 2, 2 ** 1024 + 2),
                   st.integers(0, 2 ** 2100),
-                  st.floats(0.0, 8.0),
-                  st.sampled_from([2.0 ** 53, 2.0 ** 60, 2.0 ** 1000, 1e308, 5e-324])),
+                  st.integers(-(2 ** 2100), -(2 ** 1024)),
+                  st.floats(-8.0, 8.0),
+                  st.sampled_from([2.0 ** 53, 2.0 ** 60, 2.0 ** 1000, 1e308, 5e-324, math.inf,
+                                   -(2.0 ** 53), -(2.0 ** 1000), -1e308, -5e-324, -math.inf])),
         st.integers(1998, 2000)), max_size=40))
     def test_ints_past_float_range_among_floats(self, huge, rows):
-        # An int that overflows float64, ranked with floats: small ints and floats
-        # that the scaling brings together must still rank exactly.
+        # Ints that overflow float64, ranked with floats: they share the key inf
+        # of their sign with the infinities and must still rank exactly.
         values, cohorts = map(list, zip((huge, 1998), *rows))
         assert bits(array_midranks(values, cohorts)) == bits(oracle_midranks(values, cohorts))
 
@@ -683,9 +694,11 @@ class TestMidrankPercentilesAdapter:
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(
-        st.one_of(st.floats(0.0, 200.0),
+        st.one_of(st.floats(-200.0, 200.0),
                   st.sampled_from([2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2, 2.0 ** 60,
-                                   2.0 ** 60 + 2 ** 8, 2.0 ** 1000, 1e308])),
+                                   2.0 ** 60 + 2 ** 8, 2.0 ** 1000, 1e308]),
+                  st.sampled_from([-(2.0 ** 53) + 1, -(2.0 ** 53), -(2.0 ** 53) - 2, -(2.0 ** 60),
+                                   -(2.0 ** 60) - 2 ** 8, -(2.0 ** 1000), -1e308])),
         st.sampled_from([1998, 1999, "2000", None])), min_size=1, max_size=40))
     def test_floats_same_bits_as_the_loop(self, rows):
         # Floats as log SPNP gives them, ties at and above 2**53 among them, and
@@ -706,12 +719,17 @@ class TestMidrankPercentilesAdapter:
         assert midrank_percentiles({}, {}) == {}
 
     def test_int_past_float_range_among_floats(self):
-        # 7 > 6.5, although 7 >> shift is 0 and 6.5 / 2**shift is not.
+        # Small ints and floats keep their order beside an int that overflows float64.
         values = {"A": 2 ** 1100, "B": 6.5, "C": 7, "D": 0.25}
         cohort_of = dict.fromkeys(values, 1990)
         ranks = midrank_percentiles(values, cohort_of)
         assert ranks == loop_midrank_percentiles(values, cohort_of)
         assert ranks["D"] < ranks["B"] < ranks["C"] < ranks["A"]
+        # Likewise below -2**1024.
+        values = {"A": -(2 ** 1100), "B": 6.5, "C": 7, "D": 0.25}
+        ranks = midrank_percentiles(values, cohort_of)
+        assert ranks == loop_midrank_percentiles(values, cohort_of)
+        assert ranks["A"] < ranks["D"] < ranks["B"] < ranks["C"]
 
     def test_one_member_cohorts(self):
         values, cohort_of = {"A": 2 ** 1100, "B": 3, "C": 7}, {"A": 1990, "B": 1991, "C": 1992}
