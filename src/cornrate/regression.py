@@ -1,13 +1,16 @@
 """OLS, Poisson and negative binomial fitters plus the four model specs.
 
-The Poisson and NB2 fitters use iteratively reweighted least squares
-with a hand-rolled, fixed iteration order, so identical inputs give
-bit-identical results on one set of kernels: numpy's SIMD exp and log, the
-OpenBLAS kernel and, at 5x10^4 patents, the BLAS thread count move the
-last bits. NB2 means variance = mu + mu^2/theta; between IRLS passes theta
-is the root of its profile score at the current mu (Lawless, Can. J.
-Statist. 15(3), 1987; MASS theta.ml). All fitters report Wald standard
-errors and two-sided tests.
+Both count families come from one fitter, _fit_counts. NB2 means variance
+= mu + mu^2/theta, and Poisson is its theta = inf case (Cameron & Trivedi,
+Regression Analysis of Count Data, 2nd ed., 2013, ch. 3): the IRLS and
+Wald weight mu / (1 + mu/theta) is mu bit for bit at theta = inf, so
+Poisson is one IRLS at that theta. For NB2, between IRLS passes theta is
+the root of its profile score at the current mu (Lawless, Can. J.
+Statist. 15(3), 1987; MASS theta.ml). IRLS runs in a hand-rolled, fixed
+iteration order, so identical inputs give bit-identical results on one
+set of kernels: numpy's SIMD exp and log, the OpenBLAS kernel and, at
+5x10^4 patents, the BLAS thread count move the last bits. All fitters
+report Wald standard errors and two-sided tests.
 
 Every least-squares problem (OLS, each IRLS step, each Wald covariance) is
 one QR in _weighted_ls (Bjorck 1996, ch. 2; Green, JRSS-B 1984), which also
@@ -33,7 +36,7 @@ profiler, the benchmark's tracer) finds them all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
@@ -108,21 +111,11 @@ class RegressionResult:
     warnings: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "family": self.family.value,
-            "terms": self.terms,
-            "coefficients": self.coefficients,
-            "std_errors": self.std_errors,
-            "p_values": self.p_values,
-            "n": self.n,
-            "log_likelihood": self.log_likelihood,
-            "r_squared": self.r_squared,
-            "aic": self.aic,
-            "dispersion": (None if self.dispersion is None
-                           else (self.dispersion if math.isfinite(self.dispersion) else "inf")),
-            "converged": self.converged,
-            "warnings": self.warnings,
-        }
+        d = asdict(self)
+        d["family"] = self.family.value
+        if self.dispersion is not None and not math.isfinite(self.dispersion):
+            d["dispersion"] = "inf"
+        return d
 
 
 def _as_design(y, X, terms: Optional[Sequence[str]]) -> tuple[np.ndarray, np.ndarray, list[str]]:
@@ -165,6 +158,14 @@ def _weighted_ls(X: np.ndarray, y: np.ndarray,
     return r_inv @ r[:, p], r_inv, r[:, :p]
 
 
+def _two_sided(beta: np.ndarray, se: np.ndarray, tail) -> list[float]:
+    """Two-sided p-values 2 tail(|beta| / se). As in trend.fit_exponential, a zero
+    standard error gives 0 for a nonzero coefficient and 1 for a zero one."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stats = np.where(beta != 0.0, np.abs(beta) / se, 0.0)
+    return [2.0 * tail(v) for v in stats.tolist()]
+
+
 def fit_ols(y, X, terms: Optional[Sequence[str]] = None) -> RegressionResult:
     y, X, terms = _as_design(y, X, terms)
     n, p = X.shape
@@ -174,9 +175,7 @@ def fit_ols(y, X, terms: Optional[Sequence[str]] = None) -> RegressionResult:
     df = n - p
     sigma2 = sse / df
     se = np.sqrt(sigma2 * np.sum(r_inv ** 2, axis=1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_stats = np.where(se > 0, beta / se, 0.0)
-    p_values = np.array([2.0 * t_sf(abs(t), df) for t in t_stats.tolist()])
+    p_values = _two_sided(beta, se, lambda t: t_sf(t, df))
     centered = y - y.mean()
     sst = float(centered @ centered)
     r_squared = 1.0 - sse / sst if sst > 0 else 0.0
@@ -186,7 +185,7 @@ def fit_ols(y, X, terms: Optional[Sequence[str]] = None) -> RegressionResult:
         terms=terms,
         coefficients=dict(zip(terms, beta.tolist())),
         std_errors=dict(zip(terms, se.tolist())),
-        p_values=dict(zip(terms, p_values.tolist())),
+        p_values=dict(zip(terms, p_values)),
         n=n,
         log_likelihood=log_lik,
         r_squared=r_squared,
@@ -207,17 +206,8 @@ def _linear_predictor(X: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, int]
     return np.clip(eta, -30.0, 30.0), int(np.count_nonzero(np.abs(eta) > 30.0))
 
 
-def _report_clipping(result: RegressionResult, clipped: int) -> None:
-    """A clipped linear predictor means the reported fit is not the MLE."""
-    if clipped:
-        result.converged = False
-        result.warnings.append(f"linear predictor clipped to [-30, 30] in {clipped} of "
-                               f"{result.n} rows; estimates are not the MLE")
-
-
-def _irls(y: np.ndarray, X: np.ndarray,
-          theta: Optional[float]) -> tuple[np.ndarray, bool, float]:
-    """IRLS for log-link Poisson (theta None) or NB2 with known theta.
+def _irls(y: np.ndarray, X: np.ndarray, theta: float) -> tuple[np.ndarray, bool, float]:
+    """IRLS for log-link NB2 with known theta; theta = inf is Poisson.
 
     Stops once a step is below COEF_TOL or, on a worse-conditioned design,
     below the rounding floor NOISE_FACTOR * kappa * eps of that step's QR.
@@ -229,7 +219,7 @@ def _irls(y: np.ndarray, X: np.ndarray,
     beta = np.zeros(X.shape[1])
     converged = False
     for _ in range(MAX_ITER):
-        w = mu if theta is None else mu / (1.0 + mu / theta)
+        w = mu / (1.0 + mu / theta)
         beta_new, r_inv, r = _weighted_ls(X, eta + (y - mu) / mu, w)
         delta = _step(beta_new, beta)
         kappa = float(np.linalg.norm(r) * np.linalg.norm(r_inv))
@@ -241,56 +231,6 @@ def _irls(y: np.ndarray, X: np.ndarray,
             converged = True
             break
     return beta, converged, tol
-
-
-def _wald(X: np.ndarray, beta: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    _, r_inv, _ = _weighted_ls(X, np.zeros(len(w)), w)
-    se = np.sqrt(np.sum(r_inv ** 2, axis=1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(se > 0, beta / se, 0.0)
-    return se, np.array([2.0 * norm_sf(abs(v)) for v in z.tolist()])
-
-
-def fit_poisson(y, X, terms: Optional[Sequence[str]] = None,
-                allow_noninteger: bool = False) -> RegressionResult:
-    y, X, terms = _as_design(y, X, terms)
-    _check_counts(y, allow_noninteger)
-    n, p = X.shape
-    if np.all(y == 0):
-        # MLE at the boundary: mean zero, intercept -> -inf.
-        return RegressionResult(
-            family=Family.POISSON,
-            terms=terms,
-            coefficients={t: (-math.inf if t == terms[0] else 0.0) for t in terms},
-            std_errors={t: math.inf for t in terms},
-            p_values={t: 1.0 for t in terms},
-            n=n,
-            log_likelihood=0.0,
-            aic=2.0 * p,
-            converged=False,
-            warnings=["boundary estimate: all-zero response"],
-        )
-    beta, converged, _ = _irls(y, X, theta=None)
-    eta, clipped = _linear_predictor(X, beta)
-    mu = np.exp(eta)
-    se, p_values = _wald(X, beta, mu)
-    log_lik = _poisson_loglik(y, mu)
-    result = RegressionResult(
-        family=Family.POISSON,
-        terms=terms,
-        coefficients=dict(zip(terms, beta.tolist())),
-        std_errors=dict(zip(terms, se.tolist())),
-        p_values=dict(zip(terms, p_values.tolist())),
-        n=n,
-        log_likelihood=log_lik,
-        aic=2.0 * p - 2.0 * log_lik,
-    )
-    if not converged:
-        result.converged = False
-        result.warnings.append(f"IRLS did not converge in {MAX_ITER} iterations; "
-                               "reporting last iterate")
-    _report_clipping(result, clipped)
-    return result
 
 
 def _nb_loglik(y: np.ndarray, mu: np.ndarray, theta: float) -> float:
@@ -339,55 +279,93 @@ def _nb_theta(y: np.ndarray, mu: np.ndarray, theta: float, tol: float) -> float:
     return math.exp(x_old)
 
 
-def fit_negative_binomial(y, X, terms: Optional[Sequence[str]] = None,
-                          allow_noninteger: bool = False) -> RegressionResult:
-    """NB2 fit alternating IRLS for beta with the score root for theta."""
+def _fit_counts(family: Family, y, X, terms: Optional[Sequence[str]],
+                allow_noninteger: bool) -> RegressionResult:
+    """Poisson or NB2 fit, with Poisson as NB2 at theta = inf.
+
+    Poisson is one IRLS; NB2 alternates IRLS for beta with the score root for
+    theta, starting at the Poisson end of the theta range.
+    """
     y, X, terms = _as_design(y, X, terms)
     _check_counts(y, allow_noninteger)
     n, p = X.shape
+    negbin = family is Family.NEGATIVE_BINOMIAL
     if np.all(y == 0):
-        result = fit_poisson(y, X, terms)
-        result.family = Family.NEGATIVE_BINOMIAL
-        result.dispersion = math.inf
-        return result
+        # MLE at the boundary: mean zero, intercept -> -inf.
+        return RegressionResult(
+            family=family,
+            terms=terms,
+            coefficients={t: (-math.inf if t == terms[0] else 0.0) for t in terms},
+            std_errors={t: math.inf for t in terms},
+            p_values={t: 1.0 for t in terms},
+            n=n,
+            log_likelihood=0.0,
+            aic=2.0 * p,
+            dispersion=math.inf if negbin else None,
+            converged=False,
+            warnings=["boundary estimate: all-zero response"],
+        )
 
-    # Start at the Poisson end of the theta range.
-    beta, theta = np.zeros(p), POISSON_EQUIVALENT_THETA
-    converged = False
-    for _ in range(50):
-        beta_new, inner_ok, tol = _irls(y, X, theta=theta)
-        eta, clipped = _linear_predictor(X, beta_new)
+    if not negbin:
+        theta = math.inf
+        beta, converged, _ = _irls(y, X, theta)
+        eta, clipped = _linear_predictor(X, beta)
         mu = np.exp(eta)
-        theta_new = _nb_theta(y, mu, theta, tol)
-        # beta and log theta settle at the rounding floor of the inner IRLS, as each IRLS does.
-        settled = max(_step(beta_new, beta), abs(math.log(theta_new / theta))) < tol
-        beta, theta = beta_new, theta_new
-        if inner_ok and settled:
-            converged = True
-            break
+        failure = f"IRLS did not converge in {MAX_ITER} iterations; reporting last iterate"
+    else:
+        beta, theta, converged = np.zeros(p), POISSON_EQUIVALENT_THETA, False
+        for _ in range(50):
+            beta_new, inner_ok, tol = _irls(y, X, theta)
+            eta, clipped = _linear_predictor(X, beta_new)
+            mu = np.exp(eta)
+            theta_new = _nb_theta(y, mu, theta, tol)
+            # beta and log theta settle at the rounding floor of the inner IRLS, as each IRLS does.
+            settled = max(_step(beta_new, beta), abs(math.log(theta_new / theta))) < tol
+            beta, theta = beta_new, theta_new
+            if inner_ok and settled:
+                converged = True
+                break
+        failure = "NB alternation did not converge; reporting last iterate"
 
-    se, p_values = _wald(X, beta, mu / (1.0 + mu / theta))
-    log_lik = _nb_loglik(y, mu, theta)
+    _, r_inv, _ = _weighted_ls(X, np.zeros(n), mu / (1.0 + mu / theta))
+    se = np.sqrt(np.sum(r_inv ** 2, axis=1))
+    log_lik = _nb_loglik(y, mu, theta) if negbin else _poisson_loglik(y, mu)
+    poisson_equivalent = negbin and theta >= POISSON_EQUIVALENT_THETA
     result = RegressionResult(
-        family=Family.NEGATIVE_BINOMIAL,
+        family=family,
         terms=terms,
         coefficients=dict(zip(terms, beta.tolist())),
         std_errors=dict(zip(terms, se.tolist())),
-        p_values=dict(zip(terms, p_values.tolist())),
+        p_values=dict(zip(terms, _two_sided(beta, se, norm_sf))),
         n=n,
         log_likelihood=log_lik,
-        aic=2.0 * (p + 1) - 2.0 * log_lik,
-        dispersion=theta,
+        aic=2.0 * (p + negbin) - 2.0 * log_lik,
+        dispersion=(math.inf if poisson_equivalent else theta) if negbin else None,
         converged=converged,
     )
-    if theta >= POISSON_EQUIVALENT_THETA:
-        result.dispersion = math.inf
+    if poisson_equivalent:
         result.warnings.append("no overdispersion detected: Poisson-equivalent "
                                "(theta at upper bound)")
     if not converged:
-        result.warnings.append("NB alternation did not converge; reporting last iterate")
-    _report_clipping(result, clipped)
+        result.warnings.append(failure)
+    if clipped:
+        # A clipped linear predictor means the reported fit is not the MLE.
+        result.converged = False
+        result.warnings.append(f"linear predictor clipped to [-30, 30] in {clipped} of "
+                               f"{n} rows; estimates are not the MLE")
     return result
+
+
+def fit_poisson(y, X, terms: Optional[Sequence[str]] = None,
+                allow_noninteger: bool = False) -> RegressionResult:
+    """Log-link Poisson fit by IRLS."""
+    return _fit_counts(Family.POISSON, y, X, terms, allow_noninteger)
+
+
+def fit_negative_binomial(y, X, terms: Optional[Sequence[str]] = None,
+                          allow_noninteger: bool = False) -> RegressionResult:
+    """NB2 fit alternating IRLS for beta with the score root for theta."""
+    return _fit_counts(Family.NEGATIVE_BINOMIAL, y, X, terms, allow_noninteger)
 
 
 def build_analysis_table(dataset) -> dict:
@@ -415,12 +393,14 @@ def build_analysis_table(dataset) -> dict:
     }
 
 
-def run_model(model: int, family: Family, table: Mapping[str, np.ndarray]) -> RegressionResult:
+def run_model(model: int, family: Family | str, table: Mapping[str, np.ndarray]) -> RegressionResult:
     """Fit the MODEL_SPECS model of an id on the columns of build_analysis_table.
 
     y is the spec's dependent column, and X a column of ones followed by its
-    independent columns.
+    independent columns. family is a Family or its value; any other name is
+    a ValueError.
     """
+    family = Family(family)
     spec = MODEL_SPECS[model]
     y = table[spec.dependent]
     if not len(y):

@@ -9,7 +9,9 @@ tolerances held against it:
                      x = df/(df + t^2), by the incomplete-beta continued
                      fraction (Abramowitz & Stegun 26.5.8, 26.7); 1e-12
                      relative for integer df 1-200 and 1e-10 up to 1e4,
-                     for p >= 1e-300
+                     for p >= 1e-300; past t ~ 1.34e154, where t^2
+                     overflows, from log x = log df - 2 log t, and 0 at
+                     t = inf
     norm_sf          0.5 * erfc(z / sqrt 2); 1e-12 relative for z in [0, 37]
     lgamma           vectorised Stirling series, arguments below 8 shifted
                      up by 8; 1e-13
@@ -100,15 +102,22 @@ def _beta_cf(a: float, b: float, x: float) -> float:
 
 
 def t_sf(t: float, df: float) -> float:
-    """Upper tail P(T > t) of Student's t with df degrees of freedom, for t >= 0."""
+    """Upper tail P(T > t) of Student's t with df degrees of freedom, for t >= 0 (inf gives 0)."""
     if t == 0.0:
         return 0.5
+    if t == math.inf:
+        return 0.0
     # P(T > t) = I_x(df/2, 1/2) / 2 with x = df/(df + t^2); y = 1 - x is formed
     # directly so that neither x nor y loses digits to a subtraction.
     a, b = 0.5 * df, 0.5
-    x, y = df / (df + t * t), t * t / (df + t * t)
-    log_x = math.log1p(-y) if y < 0.5 else math.log(x)
-    log_y = math.log1p(-x) if x < 0.5 else math.log(y)
+    if t * t < math.inf:
+        x, y = df / (df + t * t), t * t / (df + t * t)
+        log_x = math.log1p(-y) if y < 0.5 else math.log(x)
+        log_y = math.log1p(-x) if x < 0.5 else math.log(y)
+    else:
+        # t^2 overflows (t >= ~1.34e154): x = df / t^2 to double precision, y = 1.
+        log_x, log_y = math.log(df) - 2.0 * math.log(t), 0.0
+        x, y = math.exp(log_x), 1.0
     front = math.exp(a * log_x + b * log_y - _log_beta_half(a))
     if x < (a + 1.0) / (a + b + 2.0):
         return 0.5 * front * _beta_cf(a, b, x) / a

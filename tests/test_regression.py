@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cornrate import regression
 from cornrate.cli import main
 from cornrate.core_data import load_dataset, without_patents
 from cornrate.regression import (MODEL_SPECS, Family, RegressionError,
@@ -111,6 +112,15 @@ class TestOls:
         assert fit.p_values["x"] == pytest.approx(ref.pvalue, abs=1e-12)
         assert fit.r_squared == pytest.approx(ref.rvalue ** 2, abs=1e-12)
 
+    @pytest.mark.parametrize("value, p_value", [(5.0, 0.0), (0.0, 1.0)])
+    def test_zero_standard_error(self, value, p_value):
+        # A constant response fits exactly: as in trend.fit_exponential, a zero
+        # standard error gives p 0 for a nonzero coefficient and 1 for a zero one.
+        fit = fit_ols([value] * 4, [[1.0]] * 4, ["intercept"])
+        assert fit.coefficients["intercept"] == value
+        assert fit.std_errors["intercept"] == 0.0
+        assert fit.p_values["intercept"] == p_value
+
     def test_rank_deficiency_rejected(self):
         X = [[1.0, 2.0, 4.0], [1.0, 3.0, 6.0], [1.0, 5.0, 10.0], [1.0, 7.0, 14.0]]
         with pytest.raises(RegressionError, match="rank deficient"):
@@ -180,12 +190,6 @@ class TestPoisson:
         # At the rounding floor: the score X'(y - mu) is noise against X'y.
         mu = np.exp(X @ np.array(list(fit.coefficients.values())))
         assert np.abs(X.T @ (y - mu)).max() < 1e-5 * np.abs(X.T @ y).max()
-
-    def test_all_zero_boundary(self):
-        fit = fit_poisson([0, 0, 0, 0], design([[0.1], [0.2], [0.3], [0.4]]))
-        assert fit.coefficients[fit.terms[0]] == -math.inf
-        assert not fit.converged
-        assert any("all-zero" in w for w in fit.warnings)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(RegressionError, match="nonnegative"):
@@ -297,12 +301,6 @@ class TestNegativeBinomial:
             finite += 1
         assert finite
 
-    def test_all_zero_boundary(self):
-        fit = fit_negative_binomial([0, 0, 0], design([[0.0], [1.0], [2.0]]))
-        assert fit.family is Family.NEGATIVE_BINOMIAL
-        assert fit.dispersion == math.inf
-        assert fit.coefficients[fit.terms[0]] == -math.inf
-
     def test_nb_loglik_beats_poisson_when_overdispersed(self):
         rng = np.random.default_rng(8)
         n = 1000
@@ -312,6 +310,40 @@ class TestNegativeBinomial:
         po = fit_poisson(y, X, terms=["intercept"])
         assert nb.log_likelihood > po.log_likelihood
         assert nb.aic < po.aic
+
+
+class TestCountFamilies:
+    """Poisson and NB2 come from one fitter; Poisson is NB2 at theta = inf."""
+
+    FITTERS = {Family.POISSON: fit_poisson, Family.NEGATIVE_BINOMIAL: fit_negative_binomial}
+
+    @pytest.mark.parametrize("family", list(FITTERS), ids=lambda f: f.value)
+    @pytest.mark.parametrize("y, X", [([0, 0, 0, 0], design([[0.1], [0.2], [0.3], [0.4]])),
+                                      ([0, 0, 0], design([[0.0], [1.0], [2.0]]))],
+                             ids=["4-rows", "3-rows"])
+    def test_all_zero_boundary(self, family, y, X):
+        fit = self.FITTERS[family](y, X)
+        assert fit.family is family
+        assert fit.coefficients[fit.terms[0]] == -math.inf
+        assert not fit.converged
+        assert any("all-zero" in w for w in fit.warnings)
+        assert fit.aic == 2.0 * len(fit.terms)
+        # NB2 is the Poisson result field for field, but for its family and theta.
+        expected = {**vars(fit_poisson(y, X)), "family": family,
+                    "dispersion": math.inf if family is Family.NEGATIVE_BINOMIAL else None}
+        assert vars(fit) == expected
+
+    @pytest.mark.parametrize("family, warning", [
+        (Family.POISSON, "IRLS did not converge in 1 iterations; reporting last iterate"),
+        (Family.NEGATIVE_BINOMIAL, "NB alternation did not converge; reporting last iterate"),
+    ], ids=["poisson", "negbin"])
+    def test_nonconvergence_reported(self, family, warning, monkeypatch):
+        rng = np.random.default_rng(8)
+        y = rng.poisson(rng.gamma(0.8, 3.0 / 0.8, size=200))
+        monkeypatch.setattr(regression, "MAX_ITER", 1)
+        fit = self.FITTERS[family](y, [[1.0]] * len(y), ["intercept"])
+        assert not fit.converged
+        assert fit.warnings == [warning]
 
 
 class TestResultSerialization:
@@ -357,6 +389,14 @@ class TestRunModel:
         assert fit.family is family
         assert (fit.r_squared is None) is (family is not Family.OLS)
         assert (fit.dispersion is None) is (family is not Family.NEGATIVE_BINOMIAL)
+
+    def test_family_by_name(self):
+        for family in Family:
+            fit = run_model(1, family.value, self._table())
+            assert fit.family is family
+            assert vars(fit) == vars(run_model(1, family, self._table()))
+        with pytest.raises(ValueError):
+            run_model(1, "logit", self._table())
 
     def test_all_excluded_raises(self):
         # Excluding every patent leaves no rows; run_model refuses what is left.

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import special, stats
 
 import cornrate
 from cornrate.special import digamma, lgamma, norm_sf, t_sf
@@ -50,6 +50,25 @@ class TestStudentT:
 
     def test_zero(self):
         assert t_sf(0.0, 7) == 0.5
+
+    @pytest.mark.parametrize("df", [0.5, 1, 1.5, 2, 7.3, 200])
+    def test_infinite_and_huge_t(self, df):
+        assert t_sf(math.inf, df) == 0.0
+        # From t ~ 1.34e154 on, t^2 overflows, in SciPy too (its tail reads 0 there);
+        # past that the oracle is the leading term c df^((df - 1) / 2) t^-df of
+        # the tail, with c the density's constant; the next term is smaller by a
+        # factor of about df / t^2.
+        log_c = (math.lgamma((df + 1) / 2) - math.lgamma(df / 2) - 0.5 * math.log(df * math.pi)
+                 + (df - 1) / 2 * math.log(df))
+        for t in np.geomspace(1e20, 1.7e308, 200).tolist() + [1.34e154, 1.35e154]:
+            got = t_sf(t, df)
+            ref = stats.t.sf(t, df)
+            if t * t == math.inf:
+                ref = math.exp(log_c - df * math.log(t))
+            if ref >= 1e-300:
+                assert got == pytest.approx(ref, rel=1e-12, abs=0), t
+            else:
+                assert 0.0 <= got < 1e-290, t
 
 
 def test_normal_tail():
