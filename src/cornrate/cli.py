@@ -116,7 +116,8 @@ def cmd_ingest(args) -> int:
     trials_report = load_trial_sets(args.trials)
     prefix_table = (title_parser.PrefixTable.load(args.prefix_table)
                     if args.prefix_table else None)
-    unmatched_titles = title_parser.annotate_patents(patents_report.records, prefix_table)
+    annotated, unmatched_titles = title_parser.annotate_patents(patents_report.records,
+                                                                prefix_table)
 
     field_reports = {}
     field_tests = []
@@ -127,7 +128,7 @@ def cmd_ingest(args) -> int:
         field_reports["fieldtests"] = report.as_dict()
         field_tests = report.records
 
-    patents = {p.patent_number: p for p in patents_report.records}
+    patents = {p.patent_number: p for p in annotated}
     trial_sets = [ts for ts in trials_report.records if ts.patent_number in patents]
     dropped_trials = len(trials_report.records) - len(trial_sets)
     dataset = Dataset(patents=patents, trial_sets=trial_sets, field_tests=field_tests)

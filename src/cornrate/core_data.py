@@ -5,10 +5,17 @@ trial tables transcribed from patent documents, and state field-test
 rows. Ingestion never drops rows silently: every input data row ends up
 either as a record, as a row-indexed error, or in the skip tally.
 
+The records are typing.NamedTuple classes: immutable, so a changed
+record is a copy (_replace), and cheap to import and build. Their row
+rules (_check_patent, _check_comparison, _check_field_test) are each
+defined once, for validate() (which the ingest loaders run) and for
+load_dataset.
+
 Every CSV file and the run configuration are decoded by read_text (the
-network's integer path reads the bytes of read_bytes instead), and
-every CSV is split by read_table, which passes each row's fields to one
-parse function. Store, network, series and prefix-table files stop at
+network's integer path reads the bytes of read_bytes instead). Every
+CSV but a store file is split by read_table, which passes each row's
+fields to one parse function; load_dataset reads each store file in one
+loop of its own. Store, network, series and prefix-table files stop at
 the first bad row; the ingest loaders record each bad row as a row
 error and read on.
 
@@ -22,6 +29,7 @@ from __future__ import annotations
 import codecs
 import csv
 import datetime
+import gc
 import io
 import json
 import math
@@ -30,11 +38,10 @@ import os
 import tempfile
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
+from functools import partial, wraps
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Iterator, Optional
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional
 
 SCHEMA_VERSION = 1
 
@@ -78,34 +85,82 @@ class FieldTestSchema(str, Enum):
     KENTUCKY_LIKE = "kentucky"
 
 
-def _finite(*values: Optional[float]) -> bool:
-    """True when no value is NaN or infinite; None (an unset optional field) passes."""
-    return all(math.isfinite(v) for v in values if v is not None)
+def _fresh_defaults(record: type) -> type:
+    """Give a NamedTuple class a new empty list or dict for each field whose
+    default is one, in every instance that leaves the field out.
+
+    A NamedTuple default is evaluated once, so without this every such
+    instance would share one container.
+    """
+    fresh = [(record._fields.index(name), name, type(default))
+             for name, default in record._field_defaults.items() if type(default) in (list, dict)]
+    make = record.__new__
+
+    @wraps(make)
+    def __new__(cls, *args, **kwargs):
+        for index, name, container in fresh:
+            if index >= len(args) and name not in kwargs:
+                kwargs[name] = container()
+        return make(cls, *args, **kwargs)
+
+    record.__new__ = staticmethod(__new__)
+    return record
 
 
-@dataclass
-class PatentRecord:
+# The row rules of the three record types, each defined once: the records'
+# validate(), which the ingest loaders run on each record, and load_dataset
+# call them. A broken rule is a ValueError naming it. math.isfinite rejects
+# NaN and both infinities; an unset optional value (None) passes.
+
+def _check_patent(number: str, filed_year: int, granted_year: int,
+                  forward_citation_count: int) -> None:
+    if not number:
+        raise ValueError("empty patent_number")
+    if filed_year > granted_year:
+        raise ValueError("year order violated")
+    if forward_citation_count < 0:
+        raise ValueError("negative forward citation count")
+
+
+def _check_comparison(patented_yield: float, control_yield: float,
+                      patented_moisture: Optional[float],
+                      control_moisture: Optional[float]) -> None:
+    if not (math.isfinite(patented_yield) and math.isfinite(control_yield)
+            and (patented_moisture is None or math.isfinite(patented_moisture))
+            and (control_moisture is None or math.isfinite(control_moisture))):
+        raise ValueError("non-finite value")
+    if patented_yield <= 0 or control_yield <= 0:
+        raise ValueError("nonpositive yield")
+
+
+def _check_field_test(yield_value: float, moisture: float, stand: Optional[float]) -> None:
+    if not (math.isfinite(yield_value) and math.isfinite(moisture)
+            and (stand is None or math.isfinite(stand))):
+        raise ValueError("non-finite value")
+    if yield_value <= 0:
+        raise ValueError("nonpositive yield")
+    if not 0 <= moisture <= 100:
+        raise ValueError("moisture out of range")
+
+
+@_fresh_defaults
+class PatentRecord(NamedTuple):
     patent_number: str
     title: str
     assignee: str
     filed_year: int
     granted_year: int
-    cited_patents: list[str] = field(default_factory=list)
+    cited_patents: list[str] = []
     forward_citation_count: int = 0
     variety_name: Optional[str] = None
     kind: Optional[PatentKind] = None
 
     def validate(self) -> None:
-        if not self.patent_number:
-            raise ValueError("empty patent_number")
-        if self.filed_year > self.granted_year:
-            raise ValueError("year order violated")
-        if self.forward_citation_count < 0:
-            raise ValueError("negative forward citation count")
+        _check_patent(self.patent_number, self.filed_year, self.granted_year,
+                      self.forward_citation_count)
 
 
-@dataclass
-class TrialComparison:
+class TrialComparison(NamedTuple):
     patented_yield: float
     control_yield: float
     control_name: str
@@ -113,15 +168,11 @@ class TrialComparison:
     control_moisture: Optional[float] = None
 
     def validate(self) -> None:
-        if not _finite(self.patented_yield, self.control_yield, self.patented_moisture,
-                       self.control_moisture):
-            raise ValueError("non-finite value")
-        if self.patented_yield <= 0 or self.control_yield <= 0:
-            raise ValueError("nonpositive yield")
+        _check_comparison(self.patented_yield, self.control_yield, self.patented_moisture,
+                          self.control_moisture)
 
 
-@dataclass
-class PatentTrialSet:
+class PatentTrialSet(NamedTuple):
     patent_number: str
     comparisons: list[TrialComparison]
 
@@ -136,8 +187,7 @@ class PatentTrialSet:
             c.validate()
 
 
-@dataclass
-class FieldTestRecord:
+class FieldTestRecord(NamedTuple):
     state: str
     year: int
     region: str
@@ -150,27 +200,22 @@ class FieldTestRecord:
     significant: bool = False  # Kentucky trailing-asterisk marker
 
     def validate(self) -> None:
-        if not _finite(self.yield_value, self.moisture, self.stand):
-            raise ValueError("non-finite value")
-        if self.yield_value <= 0:
-            raise ValueError("nonpositive yield")
-        if not 0 <= self.moisture <= 100:
-            raise ValueError("moisture out of range")
+        _check_field_test(self.yield_value, self.moisture, self.stand)
 
 
-@dataclass
-class Dataset:
-    patents: dict[str, PatentRecord] = field(default_factory=dict)
-    trial_sets: list[PatentTrialSet] = field(default_factory=list)
-    field_tests: list[FieldTestRecord] = field(default_factory=list)
+@_fresh_defaults
+class Dataset(NamedTuple):
+    patents: dict[str, PatentRecord] = {}
+    trial_sets: list[PatentTrialSet] = []
+    field_tests: list[FieldTestRecord] = []
 
 
-@dataclass
-class LoadReport:
+@_fresh_defaults
+class LoadReport(NamedTuple):
     """Result of one ingestion call with full row accounting."""
 
     records: list
-    row_errors: list[tuple[int, str]] = field(default_factory=list)
+    row_errors: list[tuple[int, str]] = []
     skipped: int = 0
 
     def as_dict(self) -> dict:
@@ -253,6 +298,13 @@ def _column_positions(header: list[str], names: list[str], path) -> list[int]:
     return [position[name.lower()] for name in names]
 
 
+def _check_width(row: list[str], width: int) -> None:
+    """A ValueError for a row of other than width fields; a blank row (no fields) passes,
+    as every CSV reader here skips it."""
+    if row and len(row) != width:
+        raise ValueError(f"expected {width} fields, found {len(row)}")
+
+
 def read_table(path, columns: Callable[[list[str]], Iterable[int]],
                parse: Callable[..., object], error: type[Exception] = IngestError,
                row_errors: Optional[list[tuple[int, str]]] = None) -> Iterator:
@@ -277,8 +329,7 @@ def read_table(path, columns: Callable[[list[str]], Iterable[int]],
         width = len(header)
         for index, row in enumerate(row for row in reader if row):
             try:
-                if len(row) != width:
-                    raise ValueError(f"expected {width} fields, found {len(row)}")
+                _check_width(row, width)
                 record = parse(*pick(row))
             except ValueError as exc:
                 if row_errors is None:
@@ -290,12 +341,6 @@ def read_table(path, columns: Callable[[list[str]], Iterable[int]],
         raise error(f"{path}, line {reader.line_num}: {exc}") from None
     except csv.Error as exc:
         raise unreadable(f"{path}, line {reader.line_num}: {exc}") from None
-
-
-def _valid(record):
-    """record, once its validate() has passed."""
-    record.validate()
-    return record
 
 
 def _load(path, names: list[str], parse: Callable[..., object]) -> LoadReport:
@@ -315,7 +360,7 @@ def load_patents(path) -> LoadReport:
         number = number.strip()
         if number in seen:
             raise IngestError(f"duplicate patent_number {number} in {path}")
-        record = _valid(PatentRecord(
+        record = PatentRecord(
             patent_number=number,
             title=title.strip(),
             assignee=assignee.strip(),
@@ -323,7 +368,8 @@ def load_patents(path) -> LoadReport:
             granted_year=int(granted_year),
             cited_patents=[c.strip() for c in cited_patents.split(";") if c.strip()],
             forward_citation_count=int(forward_citations),
-        ))
+        )
+        record.validate()
         seen.add(number)
         return record
 
@@ -332,7 +378,7 @@ def load_patents(path) -> LoadReport:
 
 def _illinois_row(state, year, region, brand, hybrid, yield_text, moisture) -> FieldTestRecord:
     yield_value, significant = _parse_yield(yield_text)
-    return _valid(FieldTestRecord(
+    record = FieldTestRecord(
         state=state,
         year=int(year),
         region=region.strip(),
@@ -341,13 +387,15 @@ def _illinois_row(state, year, region, brand, hybrid, yield_text, moisture) -> F
         yield_value=yield_value,
         moisture=_parse_number(moisture),
         significant=significant,
-    ))
+    )
+    record.validate()
+    return record
 
 
 def _kentucky_row(state, maturity, year, brand, hybrid, yield_text, moisture,
                   stand) -> FieldTestRecord:
     yield_value, significant = _parse_yield(yield_text)
-    return _valid(FieldTestRecord(
+    record = FieldTestRecord(
         state=state,
         year=int(year),
         region="STATE_AVG",
@@ -358,7 +406,9 @@ def _kentucky_row(state, maturity, year, brand, hybrid, yield_text, moisture,
         maturity=Maturity(maturity.strip().lower()),
         stand=_parse_number(stand) if stand.strip() else None,
         significant=significant,
-    ))
+    )
+    record.validate()
+    return record
 
 
 def load_field_tests(path, schema: FieldTestSchema | str, state: str = "") -> LoadReport:
@@ -377,11 +427,13 @@ def _trial_row(number, patented_variety, control, patented_yield,
     control = control.strip()
     if control == "AVG":
         return number.strip(), None
-    return number.strip(), _valid(TrialComparison(
+    comparison = TrialComparison(
         patented_yield=_parse_number(patented_yield),
         control_yield=_parse_number(control_yield),
         control_name=control,
-    ))
+    )
+    comparison.validate()
+    return number.strip(), comparison
 
 
 def load_trial_sets(path) -> LoadReport:
@@ -442,7 +494,18 @@ def save_dataset(dataset: Dataset, directory) -> None:
     All four are written to a temporary directory inside directory, then the
     old manifest is removed and each file moved over its old one, the manifest
     last: a failed write leaves the old store, a failed move leaves no manifest.
+
+    A patent that the store would load back changed is a DatasetError naming
+    it, raised before anything is written: the store joins cited numbers with
+    ";" and drops empty ones, and it reads an empty variety name as none.
     """
+    for p in dataset.patents.values():
+        if "" in p.cited_patents or ";" in "".join(p.cited_patents):
+            raise DatasetError(f"patent {p.patent_number!r}: a cited patent number is empty "
+                               f"or holds ';', which the store cannot hold: {p.cited_patents!r}")
+        if p.variety_name == "":
+            raise DatasetError(f"patent {p.patent_number!r}: an empty variety_name, which the "
+                               "store reads back as none")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=directory) as temporary:
@@ -468,72 +531,28 @@ def save_dataset(dataset: Dataset, directory) -> None:
             os.replace(staging / name, directory / name)
 
 
-def _read_store(path: Path, layout: list[str], parse: Callable[..., object]) -> Iterator:
-    """Yield parse(*fields) for each data row of a store CSV (read_table).
-
-    A header other than the store layout's, a row of the wrong width or a
-    value parse rejects (each parser also runs the record's validate()) is
-    a DatasetError naming the file, and the line for a row.
-    """
-    def columns(header: list[str]) -> range:
-        if header != layout:
-            raise DatasetError(f"{path}: header {header} is not the store layout {layout}")
-        return range(len(layout))
-
-    return read_table(path, columns, parse, DatasetError)
-
-
-def _patent_from_store(patents: dict[str, PatentRecord], number, title, assignee, filed_year,
-                       granted_year, forward_citations, cited_patents, variety_name,
-                       kind) -> PatentRecord:
-    if number in patents:
-        raise ValueError(f"duplicate patent_number {number}")
-    return _valid(PatentRecord(
-        patent_number=number,
-        title=title,
-        assignee=assignee,
-        filed_year=int(filed_year),
-        granted_year=int(granted_year),
-        cited_patents=[c for c in cited_patents.split(";") if c],
-        forward_citation_count=int(forward_citations),
-        variety_name=variety_name or None,
-        kind=PatentKind(kind) if kind else None,
-    ))
-
-
-def _trial_from_store(patents: dict[str, PatentRecord], number, control_name, patented_yield,
-                      control_yield, patented_moisture,
-                      control_moisture) -> tuple[str, TrialComparison]:
-    if number not in patents:
-        raise ValueError(f"trial set for unknown patent {number}")
-    return number, _valid(TrialComparison(
-        patented_yield=float(patented_yield),
-        control_yield=float(control_yield),
-        control_name=control_name,
-        patented_moisture=float(patented_moisture) if patented_moisture else None,
-        control_moisture=float(control_moisture) if control_moisture else None,
-    ))
-
-
-def _field_test_from_store(state, year, region, brand, hybrid, yield_value, moisture, maturity,
-                           stand, significant) -> FieldTestRecord:
-    return _valid(FieldTestRecord(
-        state=state,
-        year=int(year),
-        region=region,
-        brand=brand,
-        hybrid=hybrid,
-        yield_value=float(yield_value),
-        moisture=float(moisture),
-        maturity=Maturity(maturity) if maturity else None,
-        stand=float(stand) if stand else None,
-        significant=significant == "1",
-    ))
+def _store_reader(path: Path, layout: list[str]):
+    """A csv reader over a store file, past its header, which must be the store layout."""
+    reader = csv.reader(io.StringIO(read_text(path, DatasetError), newline=""))
+    try:
+        header = next(reader, [])
+    except csv.Error as exc:
+        raise DatasetError(f"{path}, line {reader.line_num}: {exc}") from None
+    if header != layout:
+        raise DatasetError(f"{path}: header {header} is not the store layout {layout}")
+    return reader
 
 
 def load_dataset(directory) -> Dataset:
-    """The dataset in a store directory. A repeated patent, or a trial row for a patent
-    not in patents.csv, is a DatasetError naming the file and line."""
+    """The dataset in a store directory.
+
+    Each store file is read in one pass that parses and checks every row
+    under the record rules (_check_patent, _check_comparison,
+    _check_field_test). A row of the wrong width, a value that does not
+    parse or breaks a rule, a repeated patent, or a trial row for a patent
+    not in patents.csv is a DatasetError naming the file and line; so is a
+    header other than the store layout's, naming the file.
+    """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():
@@ -549,21 +568,69 @@ def load_dataset(directory) -> Dataset:
             f"schema version mismatch: found {manifest.get('schema_version')!r}, "
             f"expected {SCHEMA_VERSION}")
 
-    # Each patent is stored before the next row is parsed, so duplicates are caught.
     patents: dict[str, PatentRecord] = {}
-    for record in _read_store(directory / "patents.csv", _PATENT_HEADER,
-                              partial(_patent_from_store, patents)):
-        patents[record.patent_number] = record
     groups: dict[str, list[TrialComparison]] = {}
-    for number, comparison in _read_store(directory / "trials.csv", _TRIAL_HEADER,
-                                          partial(_trial_from_store, patents)):
-        groups.setdefault(number, []).append(comparison)
-    return Dataset(
-        patents=patents,
-        trial_sets=[PatentTrialSet(n, comparisons) for n, comparisons in groups.items()],
-        field_tests=list(_read_store(directory / "fieldtests.csv", _FIELDTEST_HEADER,
-                                     _field_test_from_store)),
-    )
+    field_tests: list[FieldTestRecord] = []
+    # The records hold no reference cycles, so the cyclic collector, which
+    # would otherwise walk the growing heap again and again, pauses.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        # Values are parsed in column order and then checked, so a row with
+        # several faults reports its first bad value.
+        path, width = directory / "patents.csv", len(_PATENT_HEADER)
+        reader = _store_reader(path, _PATENT_HEADER)
+        for row in reader:
+            if len(row) != width:
+                _check_width(row, width)
+                continue
+            number, title, assignee, filed, granted, forward, cited, variety, kind = row
+            if number in patents:
+                raise ValueError(f"duplicate patent_number {number}")
+            filed, granted, forward = int(filed), int(granted), int(forward)
+            kind = PatentKind(kind) if kind else None
+            _check_patent(number, filed, granted, forward)
+            patents[number] = PatentRecord._make((
+                number, title, assignee, filed, granted, [c for c in cited.split(";") if c],
+                forward, variety or None, kind))
+
+        path, width = directory / "trials.csv", len(_TRIAL_HEADER)
+        reader = _store_reader(path, _TRIAL_HEADER)
+        for row in reader:
+            if len(row) != width:
+                _check_width(row, width)
+                continue
+            number, control_name, patented, control, patented_moisture, control_moisture = row
+            if number not in patents:
+                raise ValueError(f"trial set for unknown patent {number}")
+            patented, control = float(patented), float(control)
+            patented_moisture = float(patented_moisture) if patented_moisture else None
+            control_moisture = float(control_moisture) if control_moisture else None
+            _check_comparison(patented, control, patented_moisture, control_moisture)
+            groups.setdefault(number, []).append(TrialComparison._make((
+                patented, control, control_name, patented_moisture, control_moisture)))
+
+        path, width = directory / "fieldtests.csv", len(_FIELDTEST_HEADER)
+        reader = _store_reader(path, _FIELDTEST_HEADER)
+        for row in reader:
+            if len(row) != width:
+                _check_width(row, width)
+                continue
+            state, year, region, brand, hybrid, yield_value, moisture, maturity, stand, \
+                significant = row
+            year, yield_value, moisture = int(year), float(yield_value), float(moisture)
+            maturity = Maturity(maturity) if maturity else None
+            stand = float(stand) if stand else None
+            _check_field_test(yield_value, moisture, stand)
+            field_tests.append(FieldTestRecord._make((
+                state, year, region, brand, hybrid, yield_value, moisture, maturity, stand,
+                significant == "1")))
+    except (ValueError, csv.Error) as exc:
+        raise DatasetError(f"{path}, line {reader.line_num}: {exc}") from None
+    finally:
+        if collecting:
+            gc.enable()
+    return Dataset(patents, [PatentTrialSet(n, c) for n, c in groups.items()], field_tests)
 
 
 # --- dataset views ---------------------------------------------------------

@@ -10,7 +10,9 @@ Statist. 15(3), 1987; MASS theta.ml). IRLS runs in a hand-rolled, fixed
 iteration order, so identical inputs give bit-identical results on one
 set of kernels: numpy's SIMD exp and log, the OpenBLAS kernel and, at
 5x10^4 patents, the BLAS thread count move the last bits. All fitters
-report Wald standard errors and two-sided tests.
+report Wald standard errors and two-sided tests, each as one immutable
+RegressionResult (a typing.NamedTuple), built once its warnings and
+convergence are known; run_model adds a warning through _replace.
 
 Every least-squares problem (OLS, each IRLS step, each Wald covariance) is
 one QR in _weighted_ls (Bjorck 1996, ch. 2; Green, JRSS-B 1984), which also
@@ -36,12 +38,11 @@ profiler, the benchmark's tracer) finds them all.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import _lazy_module
-from .core_data import CornrateError, IngestError
+from .core_data import CornrateError, IngestError, _fresh_defaults
 from .special import digamma, lgamma, norm_sf, t_sf
 
 np = _lazy_module("numpy")
@@ -78,8 +79,7 @@ class Family(str, Enum):
     NEGATIVE_BINOMIAL = "negbin"
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(NamedTuple):
     id: int
     dependent: str
     independents: tuple[str, ...]
@@ -95,8 +95,8 @@ MODEL_SPECS: dict[int, ModelSpec] = {
 BOUNDED_RESPONSES = {"cite3_rank_percentile"}
 
 
-@dataclass
-class RegressionResult:
+@_fresh_defaults
+class RegressionResult(NamedTuple):
     family: Family
     terms: list[str]
     coefficients: dict[str, float]
@@ -108,10 +108,10 @@ class RegressionResult:
     aic: Optional[float] = None                # GLM families
     dispersion: Optional[float] = None         # NB theta
     converged: bool = True
-    warnings: list[str] = field(default_factory=list)
+    warnings: list[str] = []
 
     def as_dict(self) -> dict:
-        d = asdict(self)
+        d = self._asdict()
         d["family"] = self.family.value
         if self.dispersion is not None and not math.isfinite(self.dispersion):
             d["dispersion"] = "inf"
@@ -331,7 +331,18 @@ def _fit_counts(family: Family, y, X, terms: Optional[Sequence[str]],
     se = np.sqrt(np.sum(r_inv ** 2, axis=1))
     log_lik = _nb_loglik(y, mu, theta) if negbin else _poisson_loglik(y, mu)
     poisson_equivalent = negbin and theta >= POISSON_EQUIVALENT_THETA
-    result = RegressionResult(
+    warnings = []
+    if poisson_equivalent:
+        warnings.append("no overdispersion detected: Poisson-equivalent "
+                        "(theta at upper bound)")
+    if not converged:
+        warnings.append(failure)
+    if clipped:
+        # A clipped linear predictor means the reported fit is not the MLE.
+        converged = False
+        warnings.append(f"linear predictor clipped to [-30, 30] in {clipped} of "
+                        f"{n} rows; estimates are not the MLE")
+    return RegressionResult(
         family=family,
         terms=terms,
         coefficients=dict(zip(terms, beta.tolist())),
@@ -342,18 +353,8 @@ def _fit_counts(family: Family, y, X, terms: Optional[Sequence[str]],
         aic=2.0 * (p + negbin) - 2.0 * log_lik,
         dispersion=(math.inf if poisson_equivalent else theta) if negbin else None,
         converged=converged,
+        warnings=warnings,
     )
-    if poisson_equivalent:
-        result.warnings.append("no overdispersion detected: Poisson-equivalent "
-                               "(theta at upper bound)")
-    if not converged:
-        result.warnings.append(failure)
-    if clipped:
-        # A clipped linear predictor means the reported fit is not the MLE.
-        result.converged = False
-        result.warnings.append(f"linear predictor clipped to [-30, 30] in {clipped} of "
-                               f"{n} rows; estimates are not the MLE")
-    return result
 
 
 def fit_poisson(y, X, terms: Optional[Sequence[str]] = None,
@@ -420,9 +421,9 @@ def run_model(model: int, family: Family | str, table: Mapping[str, np.ndarray])
         # LinAlgError is a ValueError, which the CLI maps to a data error.
         raise RegressionError(f"model {spec.id} ({family.value}): {exc}") from exc
     if bounded:
-        result.warnings.append(
-            "dependent variable is bounded in [0, 1]; OLS/Poisson families are "
-            "ill-suited to it")
+        result = result._replace(warnings=[
+            *result.warnings, "dependent variable is bounded in [0, 1]; OLS/Poisson "
+            "families are ill-suited to it"])
     return result
 
 

@@ -5,15 +5,17 @@ NP2073", "Hybrid maize variety X13088", ...). A user-editable pattern
 table strips the boilerplate; whatever remains is the variety
 designation. Titles no pattern applies to are flagged for manual review,
 never guessed at.
+
+Patent records are immutable, so annotate_patents returns annotated
+copies (PatentRecord._replace) along with the numbers needing review.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .core_data import IngestError, PatentKind, PatentRecord, _column_positions, read_table
 
@@ -24,8 +26,7 @@ class PatternPosition(str, Enum):
     INFIX = "infix"
 
 
-@dataclass(frozen=True)
-class PrefixEntry:
+class PrefixEntry(NamedTuple):
     pattern: str
     position: PatternPosition
 
@@ -108,16 +109,18 @@ def classify_patent_kind(title: str) -> PatentKind:
 
 
 def annotate_patents(patents: Iterable[PatentRecord],
-                     table: Optional[PrefixTable] = None) -> list[str]:
-    """Fill variety_name and kind in place; returns numbers needing review."""
+                     table: Optional[PrefixTable] = None) -> tuple[list[PatentRecord], list[str]]:
+    """Copies of the patents with variety_name and kind filled, in input order,
+    and the numbers of the patents whose titles need review."""
     if table is None:
         table = PrefixTable.default()
-    unmatched = []
+    annotated, unmatched = [], []
     for patent in patents:
         variety, matched = extract_variety_name(patent.title, table)
-        patent.variety_name = variety or None   # a title that is only a pattern names no variety
-        patent.kind = classify_patent_kind(patent.title)
+        # A title that is only a pattern names no variety.
+        annotated.append(patent._replace(variety_name=variety or None,
+                                         kind=classify_patent_kind(patent.title)))
         if not matched:
             unmatched.append(patent.patent_number)
-    return unmatched
+    return annotated, unmatched
 

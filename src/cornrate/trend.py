@@ -9,13 +9,16 @@ multiplicative weather/soil factor shared within the region and year.
 Without a named control, default_control picks the variety with the
 region's longest run of consecutive tested years, of at least
 DEFAULT_CONTROL_MIN_YEARS.
+
+TrendSeries and FitResult are immutable typing.NamedTuple records. A
+TrendSeries checks its points when it is constructed, so every series
+in hand has strictly increasing years and positive, finite values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .constants import DEFAULT_CONTROL_MIN_YEARS
 from .core_data import (CornrateError, FieldTestRecord, _column_positions, _parse_number,
@@ -27,17 +30,24 @@ class TrendError(CornrateError):
     """Bad series or unmet precondition (e.g. control absent in region)."""
 
 
-@dataclass(frozen=True)
-class TrendSeries:
+class _Points(NamedTuple):
     points: tuple[tuple[int, float], ...]
 
-    def __post_init__(self):
-        years = [y for y, _ in self.points]
+
+class TrendSeries(_Points):
+    """(year, value) points, checked on construction: years strictly
+    increasing, values positive and finite."""
+
+    __slots__ = ()
+
+    def __new__(cls, points: tuple[tuple[int, float], ...]) -> "TrendSeries":
+        years = [y for y, _ in points]
         if any(b <= a for a, b in zip(years, years[1:])):
             raise TrendError("years must be strictly increasing")
         # Written so that NaN fails too: every comparison with NaN is false.
-        if not all(0 < v < math.inf for _, v in self.points):
+        if not all(0 < v < math.inf for _, v in points):
             raise TrendError("values must be positive and finite")
+        return super().__new__(cls, points)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, float]]) -> "TrendSeries":
@@ -72,8 +82,7 @@ class TrendSeries:
             lambda year, value: (int(year), _parse_number(value)), TrendError))
 
 
-@dataclass
-class FitResult:
+class FitResult(NamedTuple):
     k: float                      # per-year improvement rate (log-space slope)
     q0: float                     # fitted value at the reference year
     t0: int                       # reference year (first year of the series)

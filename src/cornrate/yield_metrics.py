@@ -15,15 +15,13 @@ summarize validates its set once, and load_dataset every set of a store.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core_data import FieldTestRecord, PatentTrialSet
 from .trend import TrendSeries
 
 
-@dataclass(frozen=True)
-class YieldSummary:
+class YieldSummary(NamedTuple):
     patent_number: str
     yield_a: float
     yield_b: float

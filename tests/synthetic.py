@@ -83,7 +83,8 @@ def synthetic_dataset(seed: int = DEFAULT_SEED, n_patents: int = 70) -> Dataset:
             ))
         trial_sets.append(PatentTrialSet(number, comparisons))
 
-    annotate_patents(patents.values())
+    annotated, _ = annotate_patents(patents.values())
+    patents = {p.patent_number: p for p in annotated}
 
     field_tests: list[FieldTestRecord] = []
     varieties = {region: [f"FT{region[0]}{j}" for j in range(6)] for region in _REGIONS}

@@ -484,7 +484,20 @@ class TestStoreValidation:
     @pytest.mark.parametrize("name, row, message", [
         ("patents.csv", 1, "duplicate patent_number"),
         ("trials.csv", "9999999,c9,100.0,99.0,,", "trial set for unknown patent 9999999"),
-    ], ids=["duplicate-patent", "unknown-trial-patent"])
+        ("patents.csv", ",T,A,1990,1992,0,,,", "empty patent_number"),
+        ("patents.csv", "9999999,T,A,1993,1992,0,,,", "year order violated"),
+        ("patents.csv", "9999999,T,A,1990,1992,-1,,,", "negative forward citation count"),
+        ("patents.csv", "9999999,T,A,1990,1992,0,,,weird", "'weird' is not a valid PatentKind"),
+        ("trials.csv", "5000000,c9,0,99.0,,", "nonpositive yield"),
+        ("trials.csv", "5000000,c9,100.0,99.0,inf,", "non-finite value"),
+        ("fieldtests.csv", ",1995,North,B,H,120.0,101,,,0", "moisture out of range"),
+        ("fieldtests.csv", ",1995,North,B,H,120.0,15,weird,,0",
+         "'weird' is not a valid Maturity"),
+        ("fieldtests.csv", ",1995,North,B,H,120.0,15,,inf,0", "non-finite value"),
+    ], ids=["duplicate-patent", "unknown-trial-patent", "empty-patent-number",
+            "filed-after-granted", "negative-forward-citations", "unknown-kind",
+            "nonpositive-trial-yield", "inf-trial-moisture", "moisture-101",
+            "unknown-maturity", "inf-stand"])
     def test_inconsistent_store_row_exit_2(self, dataset_dir, tmp_path, capsys, name, row,
                                            message):
         # A row is appended; an int names the existing row to repeat.

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cornrate.core_data import (Dataset, FieldTestSchema, IngestError, DatasetError,
-                                Maturity, PatentKind, PatentRecord, PatentTrialSet,
+                                LoadReport, Maturity, PatentKind, PatentRecord, PatentTrialSet,
                                 TrialComparison, FieldTestRecord,
                                 infer_missing_year_average, load_dataset,
                                 load_field_tests, load_patents, load_trial_sets,
@@ -214,7 +214,7 @@ class TestLoadFieldTests:
     @pytest.mark.parametrize("field", ["yield_value", "moisture", "stand"])
     def test_validate_rejects_nonfinite(self, field):
         rec = FieldTestRecord("IL", 1995, "N", "B", "X", 158.0, 19.8, stand=96.0)
-        setattr(rec, field, math.nan)
+        rec = rec._replace(**{field: math.nan})
         with pytest.raises(ValueError, match="non-finite"):
             rec.validate()
 
@@ -303,9 +303,9 @@ def _or_numpy(values, numpy_type):
 # Any UTF-8 text but NUL, which csv cannot read before Python 3.11.
 _CHAR = st.characters(codec="utf-8", exclude_characters="\x00")
 _TEXT = st.text(_CHAR, max_size=10)
-_NAME = st.text(_CHAR, min_size=1, max_size=10)
-# Cited patent numbers are stored joined by ";".
-_NUMBER = st.text(_CHAR.filter(lambda c: c != ";"), min_size=1, max_size=8)
+# Cited patent numbers are stored joined by ";", so save_dataset refuses a
+# cited number that holds one or is empty; ";" is drawn often to reach that.
+_NUMBER = st.text(_CHAR | st.just(";"), min_size=1, max_size=8)
 _YEAR = _or_numpy(st.integers(1900, 2100), np.int64)
 _FINITE = _or_numpy(st.floats(allow_nan=False, allow_infinity=False), np.float64)
 _POSITIVE = _or_numpy(st.floats(min_value=0, exclude_min=True, allow_infinity=False),
@@ -318,9 +318,15 @@ def _patent(draw, number):
     return PatentRecord(
         patent_number=number, title=draw(_TEXT), assignee=draw(_TEXT), filed_year=filed,
         granted_year=filed + draw(_or_numpy(st.integers(0, 5), np.int64)),
-        cited_patents=draw(st.lists(_NUMBER, max_size=3)),
+        cited_patents=draw(st.lists(_NUMBER | st.just(""), max_size=3)),
         forward_citation_count=draw(_or_numpy(st.integers(0, 10 ** 6), np.int64)),
-        variety_name=draw(st.none() | _NAME), kind=draw(st.none() | st.sampled_from(PatentKind)))
+        variety_name=draw(st.none() | _TEXT), kind=draw(st.none() | st.sampled_from(PatentKind)))
+
+
+def _unstorable(dataset) -> bool:
+    """Whether a patent holds a value the store would load back changed."""
+    return any(p.variety_name == "" or any(c == "" or ";" in c for c in p.cited_patents)
+               for p in dataset.patents.values())
 
 
 _COMPARISON = st.builds(TrialComparison, _POSITIVE, _POSITIVE, _TEXT,
@@ -333,8 +339,9 @@ _FIELD_TEST = st.builds(
 
 @st.composite
 def datasets(draw):
-    """Datasets the store can hold: records that pass validate(), and trial
-    sets of distinct patents in the dataset with at least one comparison."""
+    """Datasets of records that pass validate(), and trial sets of distinct
+    patents in the dataset with at least one comparison: all the store can
+    hold, and patents it refuses (_unstorable)."""
     numbers = draw(st.lists(_NUMBER, max_size=5, unique=True))
     patents = {n: draw(_patent(n)) for n in numbers}
     tested = draw(st.lists(st.sampled_from(numbers), unique=True)) if numbers else []
@@ -376,9 +383,26 @@ class TestDatasetStore:
     @settings(max_examples=80, deadline=None)
     @given(dataset=datasets())
     def test_round_trip_any_dataset(self, tmp_path_factory, dataset):
+        # The store loads back the dataset it saved, or refuses to save it.
         directory = tmp_path_factory.mktemp("ds")
-        save_dataset(dataset, directory)
-        assert load_dataset(directory) == dataset
+        if _unstorable(dataset):
+            with pytest.raises(DatasetError, match="^patent "):
+                save_dataset(dataset, directory)
+        else:
+            save_dataset(dataset, directory)
+            assert load_dataset(directory) == dataset
+
+    @pytest.mark.parametrize("change", [{"cited_patents": ["9;8"]}, {"cited_patents": [""]},
+                                        {"variety_name": ""}],
+                             ids=["semicolon", "empty-cited", "empty-variety"])
+    def test_unstorable_patent_keeps_old_store(self, tmp_path, change):
+        save_dataset(self._dataset(), tmp_path / "ds")
+        dataset = self._dataset()
+        dataset.patents["2"] = dataset.patents["2"]._replace(**change)
+        with pytest.raises(DatasetError, match="^patent '2': "):
+            save_dataset(dataset, tmp_path / "ds")
+        assert load_dataset(tmp_path / "ds") == self._dataset()
+        assert sorted(f.name for f in (tmp_path / "ds").iterdir()) == STORE_FILES
 
     def test_round_trip_empty(self, tmp_path):
         save_dataset(Dataset(), tmp_path / "ds")
@@ -489,6 +513,15 @@ class TestDatasetStore:
         manifest = tmp_path / "ds" / "manifest.json"
         manifest.write_text('{"schema_version": 1, "citation_cutoff_year": 2015}')
         assert load_dataset(tmp_path / "ds") == self._dataset()
+
+
+def test_container_defaults_are_not_shared():
+    # A NamedTuple default is one object: each record that leaves out a list
+    # or dict field needs its own, or a change to one would show in all.
+    assert all(a is not b for a, b in zip(Dataset(), Dataset()))
+    assert (PatentRecord("1", "t", "a", 1990, 1992).cited_patents
+            is not PatentRecord("2", "t", "a", 1990, 1992).cited_patents)
+    assert LoadReport([]).row_errors is not LoadReport([]).row_errors
 
 
 class TestWithoutPatents:

@@ -102,6 +102,9 @@ def test_output_matches_golden(stem, outputs):
 def test_numpy_loads_only_for_array_commands(stem, store, outputs, tmp_path):
     # numpy itself is in sys.modules as a lazy stub from the start; a numpy
     # submodule (numpy._core among them) is there only once numpy has run.
+    # The records are NamedTuples, so no command loads dataclasses; inspect,
+    # which dataclasses imported and which costs each start-up several
+    # milliseconds, is loaded only by numpy.
     argv = commands(tmp_path / "dataset" if stem == "ingest" else store)[stem]
     src = str(Path(cornrate.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -109,10 +112,14 @@ def test_numpy_loads_only_for_array_commands(stem, store, outputs, tmp_path):
             "import cornrate.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = cornrate.cli.main({argv!r})\n"
-            "print(code, any(m.startswith('numpy.') for m in sys.modules))\n")
+            "print(code, any(m.startswith('numpy.') for m in sys.modules),\n"
+            "      'dataclasses' in sys.modules, 'inspect' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout
-    assert out.split() == ["0", str(stem in ARRAY_COMMANDS)]
+    array = stem in ARRAY_COMMANDS
+    exit_code, numpy_loaded, dataclasses_loaded, inspect_loaded = out.split()
+    assert [exit_code, numpy_loaded, dataclasses_loaded] == ["0", str(array), "False"]
+    assert array or inspect_loaded == "False"
 
 
 def _run_python(code: str) -> str:

@@ -329,9 +329,9 @@ class TestCountFamilies:
         assert any("all-zero" in w for w in fit.warnings)
         assert fit.aic == 2.0 * len(fit.terms)
         # NB2 is the Poisson result field for field, but for its family and theta.
-        expected = {**vars(fit_poisson(y, X)), "family": family,
+        expected = {**fit_poisson(y, X)._asdict(), "family": family,
                     "dispersion": math.inf if family is Family.NEGATIVE_BINOMIAL else None}
-        assert vars(fit) == expected
+        assert fit._asdict() == expected
 
     @pytest.mark.parametrize("family, warning", [
         (Family.POISSON, "IRLS did not converge in 1 iterations; reporting last iterate"),
@@ -358,6 +358,10 @@ class TestResultSerialization:
                     "n", "log_likelihood", "r_squared", "aic", "dispersion",
                     "converged", "warnings"):
             assert key in d
+
+    def test_warnings_default_not_shared(self):
+        fits = [RegressionResult(Family.OLS, [], {}, {}, {}, n) for n in (1, 2)]
+        assert fits[0].warnings == [] and fits[0].warnings is not fits[1].warnings
 
 
 class TestRunModel:
@@ -394,7 +398,7 @@ class TestRunModel:
         for family in Family:
             fit = run_model(1, family.value, self._table())
             assert fit.family is family
-            assert vars(fit) == vars(run_model(1, family, self._table()))
+            assert fit._asdict() == run_model(1, family, self._table())._asdict()
         with pytest.raises(ValueError):
             run_model(1, "logit", self._table())
 

@@ -91,7 +91,7 @@ def test_annotate_patents_flags_unmatched():
         PatentRecord("1", "Inbred corn line NP2073", "A", 1990, 1992),
         PatentRecord("2", "Method of making popcorn", "A", 1990, 1992),
     ]
-    unmatched = annotate_patents(patents)
+    patents, unmatched = annotate_patents(patents)
     assert unmatched == ["2"]
     assert patents[0].variety_name == "NP2073"
     assert patents[0].kind is PatentKind.INBRED
@@ -101,7 +101,8 @@ def test_annotate_patents_flags_unmatched():
 def test_title_that_is_only_a_pattern_round_trips(tmp_path):
     table = PrefixTable([PrefixEntry("Hybrid corn", PatternPosition.PREFIX)])
     patents = [PatentRecord("1", "Hybrid corn", "A", 1990, 1992)]
-    assert annotate_patents(patents, table) == []
+    patents, unmatched = annotate_patents(patents, table)
+    assert unmatched == []
     assert patents[0].variety_name is None
     dataset = Dataset(patents={"1": patents[0]})
     save_dataset(dataset, tmp_path / "ds")
