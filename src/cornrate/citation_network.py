@@ -16,13 +16,16 @@ Layout. A network holds one id per node, in node-listing order: int64
 ids when both its inputs are integer arrays (as from two files of plain
 integers), else patent-number strings, kept as Python str in an object
 array (a fixed-width numpy string drops a trailing NUL). Nodes are
-numbered (node numbers) by position in that listing, and every edge
-becomes a (citing, cited) pair of node numbers. The constructor takes
-the nodes as a patent number -> year mapping or as an (n, 2) array of
-(id, year) rows, and the edges as patent-number pairs or as an (m, 2)
+numbered (node numbers, int32) by position in that listing, and every
+edge becomes a (citing, cited) pair of node numbers. The constructor
+takes the nodes as a patent number -> year mapping or as an (n, 2) array
+of (id, year) rows, and the edges as patent-number pairs or as an (m, 2)
 array of ids. One lookup, _positions, gives the node number of an id, -1
 for an id that names no node: a dict for strings; for integers a direct
-table when the ids span at most 4 values per node, else a binary search.
+int32 table when the ids span at most 4 values per node, else a binary
+search. The constructor looks up the citing and the cited column one at
+a time, so the edges become two int32 arrays of node numbers, and every
+later stage (the checks, Kahn's pass, both CSRs) works on those.
 An integer network makes patent numbers only when asked for them
 (application_years, cited_patents, compute_spnp's dict, error messages),
 and a patent number names its node only if it is the str() of the node's
@@ -32,13 +35,17 @@ after the header (a byte-order mark dropped, its names matched under the
 rules of core_data.read_table) the bytes hold only ASCII digits, commas
 and LF or CRLF line ends, every row has the header's width, and every
 field has 1 to 18 digits and no leading zero, so it is the str() of its
-value. The file is read as bytes and only its header is decoded, and the
-body is copied to drop CRs only when it holds one. When every row has
-the first row's length and separator places, as in files of fixed-width
-ids, the body is a 2-D byte grid checked and parsed one digit place at a
-time (_read_fixed_rows); any other body is parsed by one np.fromstring
-call. Every other file (quotes, spaces, signs, blank lines, non-ASCII
-digits, prefixed ids such as US6000038) is read into strings by
+value. The file is read as bytes and only its header is decoded. The
+body is read where it lies in those bytes, by np.frombuffer at its
+offset, and copied only to drop CRs or to end its last row with a line
+end. When every row has the first row's length and separator places, as
+in files of fixed-width ids, the body is a 2-D byte grid, a view of
+those bytes: each field's digit places and separator are checked on
+views of the grid, column by column, and each read column is parsed one
+digit place at a time into its own contiguous row of the result
+(_read_fixed_rows); any other body is parsed by one np.fromstring call.
+Every other file (quotes, spaces, signs, blank lines, non-ASCII digits,
+prefixed ids such as US6000038) is read into strings by
 core_data.read_table, which also names a bad row's file and line; both
 readers give the same network or the same error. A repeated node id is
 an IngestError. Validation (self-citations, duplicates, ends that name
@@ -68,16 +75,19 @@ node's CSR segment (np.add.reduceat), plus 1, and one scatter, so the
 work is linear in the edges with one set of array operations per level.
 Path counts grow exponentially with network size, so the exact mode
 sweeps an object array of Python integers, whose sums never round or
-wrap, and SPNP is the product of the two sweeps' entries. The log mode
-runs the same sweep on log(1 + P) with np.logaddexp.reduceat and adds
-the two sweeps; near-ties may rank differently there. compute_spnp
-returns a dict keyed by patent number, or the array itself.
+wrap, and SPNP is the product of the two sweeps' entries, formed in
+place in the down sweep's array so that the up sweep's integers are let
+go as it ends and no third set is made. The log mode runs the same sweep
+on log(1 + P) with np.logaddexp.reduceat and adds the two sweeps in
+place; near-ties may rank differently there. compute_spnp returns a dict
+keyed by patent number, or the array itself.
 
 Downstream, in evaluate_k2 (the call behind `predict k2`): the
 per-application-year mid-rank percentiles of the exact SPNP array, by
 ranking.midranks (a sort by float64 value, then the exact integers
 inside runs of equal floats); the domain centrality (mean over domain
-patents of the mean percentile of their cited patents); the growth rate
+patents of the mean percentile of their cited patents, which are the
+only percentiles made Python floats); the growth rate
 Z of the domain's highly cited patents (those whose application-year
 cohort percentile of forward citations, by ranking.midrank_percentiles,
 is >= a threshold in (0, 1),
@@ -98,7 +108,7 @@ from __future__ import annotations
 
 import csv
 import math
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, chain, compress, repeat
 from typing import Callable, Iterable, Mapping
 
@@ -137,20 +147,20 @@ class CitationNetwork:
             self._ids, ends = _as_strings(self._ids), _as_strings(ends)
         self._years = application_years[:, 1].astype(np.int64)
         n = len(self._years)
-        # The node number of every id of an array; -1 for one that names no node.
+        # The int32 node number of every id of an array; -1 for one that names no node.
         self._lookup = _positions(self._ids)
-        nodes = self._lookup(ends)
-        src, dst = nodes[:, 0], nodes[:, 1]
+        src, dst = self._lookup(ends[:, 0]), self._lookup(ends[:, 1])
         _check_edges(src, dst, self._years, ends)
 
         order, self._starts, ptr, cited = _kahn_levels(src, dst, n)
         # order[r]: the node of rank r (its position in level order); rank inverts it.
         self._order = order
-        self._rank = np.empty(n, dtype=np.int64)
+        self._rank = np.empty(n, dtype=np.int32)
         self._rank[order] = np.arange(n)
         self._out_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.diff(ptr)[order], out=self._out_ptr[1:])
-        self._out = self._rank[cited[_segments(ptr, order)]].astype(np.int32)
+        self._out = self._rank[cited[_segments(ptr, order)]]
+        del ptr, cited   # let go before the in-edge CSR, where the build peaks
         self._in_ptr, self._in = _csr(self._rank[dst], self._rank[src], n)
 
     @cached_property
@@ -213,8 +223,11 @@ class CitationNetwork:
 
 def _first_repeat(keys: np.ndarray, none: int) -> int:
     """The first position whose key occurs at an earlier position; none if no key repeats."""
+    ordered = np.sort(keys)   # faster than the stable argsort, which only a repeat needs
+    if not (ordered[1:] == ordered[:-1]).any():
+        return none
     by_key = np.argsort(keys, kind="stable")
-    return int(by_key[1:][keys[by_key[1:]] == keys[by_key[:-1]]].min(initial=none))
+    return int(by_key[1:][keys[by_key[1:]] == keys[by_key[:-1]]].min())
 
 
 def _object_rows(pairs: Iterable[tuple]) -> np.ndarray:
@@ -271,31 +284,35 @@ def _read_int_columns(path, names: list[str]) -> np.ndarray | None:
     each field is the str() of its value. The file's bytes come from
     read_bytes, and only its header is decoded, split as read_table
     splits it; a missing file or a missing column in a qualifying file
-    is an IngestError. A body of one row layout is read by
-    _read_fixed_rows. A header with a quote, a bare carriage return or a
-    byte that is not UTF-8 also gives None, and the caller then reads
-    the file with read_table, which gives a file that does not decode
-    its error.
+    is an IngestError. The body is read where it lies in those bytes,
+    which are copied only to drop CRs or to end the last row with a line
+    end. A body of one row layout is read by _read_fixed_rows. A header
+    with a quote, a bare carriage return or a byte that is not UTF-8 also
+    gives None, and the caller then reads the file with read_table, which
+    gives a file that does not decode its error.
     """
-    head, _, body = read_bytes(path).partition(b"\n")
-    head = head[:-1] if head.endswith(b"\r") else head
+    data = read_bytes(path)
+    end = data.find(b"\n")
+    head, start = (data, len(data)) if end < 0 else (data[:end], end + 1)
+    head = head.removesuffix(b"\r")
     if b'"' in head or b"\r" in head:
         return None
     try:
         header = next(csv.reader([head.decode()]), [])
     except (csv.Error, UnicodeDecodeError):
         return None
-    if b"\r" in body:
-        body = body.replace(b"\r\n", b"\n")
-    if body and not body.endswith(b"\n"):
-        body += b"\n"
-    text = np.frombuffer(body, dtype=np.uint8)
+    if data.find(b"\r", start) >= 0:
+        data = data.replace(b"\r\n", b"\n")
+        start = data.find(b"\n") + 1   # a CR in the header can only have ended it
+    if start < len(data) and not data.endswith(b"\n"):
+        data += b"\n"
+    text = np.frombuffer(data, dtype=np.uint8, offset=start)
     if text.max(initial=0) > ord("9"):
         return None
     columns = _column_positions(header, names, path)
     width = len(header)
     row_layout = np.array([ord(",")] * (width - 1) + [ord("\n")], dtype=np.uint8)
-    fixed = _read_fixed_rows(body, row_layout, columns)
+    fixed = _read_fixed_rows(data, start, row_layout, columns)
     if fixed is not None:
         return fixed
     # The comma or line end after each field; any other byte below "0" breaks the row layout.
@@ -306,41 +323,46 @@ def _read_int_columns(path, names: list[str]) -> np.ndarray | None:
     if ends.size and (length.min() < 1 or length.max() > MAX_INT_DIGITS
                       or ((text[ends - length] == ord("0")) & (length > 1)).any()):
         return None
-    values = np.fromstring(body.replace(b"\n", b","), dtype=np.int64, sep=",")
+    values = np.fromstring(data[start:].replace(b"\n", b","), dtype=np.int64, sep=",")
     return values.reshape(-1, width)[:, columns]
 
 
-def _read_fixed_rows(body: bytes, row_layout: np.ndarray, columns: list[int]) -> np.ndarray | None:
-    """The given columns of a body that qualifies for _read_int_columns and
-    whose rows all have the first row's length and separator places, read
-    one digit place at a time; None for any other body, which the general
-    parse then judges.
+def _read_fixed_rows(data: bytes, start: int, row_layout: np.ndarray,
+                     columns: list[int]) -> np.ndarray | None:
+    """The given columns of the body that begins at data[start], which
+    qualifies for _read_int_columns, when its rows all have the first row's
+    length and separator places, read where it lies, one digit place at a
+    time; None for any other body, which the general parse then judges.
     """
-    size = body.find(b"\n") + 1
-    if not size or len(body) % size:
+    first_end = data.find(b"\n", start)
+    size = first_end + 1 - start
+    if first_end < 0 or (len(data) - start) % size:
         return None
-    grid = np.frombuffer(body, dtype=np.uint8).reshape(-1, size)
+    grid = np.frombuffer(data, dtype=np.uint8, offset=start).reshape(-1, size)
     ends = np.flatnonzero(grid[0] < ord("0"))
     if ends.size != row_layout.size:
         return None
     starts = np.append(0, ends[:-1] + 1)
     length = ends - starts
-    digit = np.ones(size, dtype=bool)
-    digit[ends] = False
-    if (length.min() < 1 or length.max() > MAX_INT_DIGITS
-            or (grid[:, ends] != row_layout).any() or (grid[:, digit] < ord("0")).any()
-            or (grid[:, starts[length > 1]] == ord("0")).any()):
+    if length.min() < 1 or length.max() > MAX_INT_DIGITS:
         return None
-    values = np.empty((len(grid), len(columns)), dtype=np.int64)
-    for k, (start, end) in enumerate(zip(starts[columns].tolist(), ends[columns].tolist())):
-        # Horner's rule on the bytes, then the "0" of every place subtracted at
-        # once; the sum is at most 57 * (10**18 - 1) / 9 < 2**63.
-        value = grid[:, start].astype(np.int64)
-        for place in range(start + 1, end):
+    # Column by column, on views of the grid: every row has the separator, a
+    # digit (no byte is above "9") at each place of the field, and no leading zero.
+    for lo, hi, separator in zip(starts.tolist(), ends.tolist(), row_layout.tolist()):
+        if ((grid[:, hi] != separator).any() or grid[:, lo:hi].min() < ord("0")
+                or (hi - lo > 1 and grid[:, lo].min() == ord("0"))):
+            return None
+    # One contiguous row per column, returned transposed: Horner's rule on the
+    # bytes runs in place there, then the "0" of every place is subtracted at
+    # once; the sum is at most 57 * (10**18 - 1) / 9 < 2**63.
+    values = np.empty((len(columns), len(grid)), dtype=np.int64)
+    for value, lo, hi in zip(values, starts[columns].tolist(), ends[columns].tolist()):
+        value[:] = grid[:, lo]
+        for place in range(lo + 1, hi):
             value *= 10
             value += grid[:, place]
-        values[:, k] = value - ord("0") * ((10 ** (end - start) - 1) // 9)
-    return values
+        value -= ord("0") * ((10 ** (hi - lo) - 1) // 9)
+    return values.T
 
 
 def _positions(ids: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -349,32 +371,33 @@ def _positions(ids: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     Ids are distinct but for the check that finds a repeated one, which
     relies on every copy of an id getting the same one of its positions.
 
-    Patent-number strings are looked up in a dict. Integer ids spanning at
-    most 4 * len(ids) values are looked up in a direct table, others by
-    binary search in the sorted ids.
+    Positions are int32. Patent-number strings are looked up in a dict.
+    Integer ids spanning at most 4 * len(ids) values are looked up in a
+    direct int32 table, others by binary search in the sorted ids.
     """
     if ids.dtype == object:
         index = dict(zip(ids.tolist(), range(ids.size)))
         return lambda ends: np.fromiter(map(index.get, ends.ravel().tolist(), repeat(-1)),
-                                        dtype=np.int64, count=ends.size).reshape(ends.shape)
+                                        dtype=np.int32, count=ends.size).reshape(ends.shape)
     if not ids.size:
-        return lambda ends: np.full(ends.shape, -1, dtype=np.int64)
+        return lambda ends: np.full(ends.shape, -1, dtype=np.int32)
     lo, span = int(ids.min()), int(ids.max()) - int(ids.min()) + 1
     if span <= 4 * ids.size:
-        table = np.full(span + 1, -1, dtype=np.int64)   # its last entry stands for no id
+        table = np.full(span + 1, -1, dtype=np.int32)   # its last entry stands for no id
         table[ids - lo] = np.arange(ids.size)
 
         def direct(ends: np.ndarray) -> np.ndarray:
+            # An end outside the span is clipped to index -1 or span: both the last entry.
             offset = ends - lo
-            offset[(offset < 0) | (offset >= span)] = span
-            return table[offset]
+            return table[np.clip(offset, -1, span, out=offset)]
         return direct
     order = np.argsort(ids)
     ordered = ids[order]
+    order = order.astype(np.int32)
 
     def search(ends: np.ndarray) -> np.ndarray:
         at = np.minimum(np.searchsorted(ordered, ends), ids.size - 1)
-        return np.where(ordered[at] == ends, order[at], -1)
+        return np.where(ordered[at] == ends, order[at], np.int32(-1))
     return search
 
 
@@ -382,8 +405,8 @@ def _check_edges(src: np.ndarray, dst: np.ndarray, years: np.ndarray,
                  ends: np.ndarray) -> None:
     """Raise the NetworkError of the first bad edge in edge order.
 
-    src and dst hold the node numbers of the edges' ends, -1 for an end
-    that names no node, and the (m, 2) ids ends name the bad edge's
+    src and dst hold the int32 node numbers of the edges' ends, -1 for an
+    end that names no node, and the (m, 2) ids ends name the bad edge's
     patents in the message. Each edge is checked for, in this order:
     self-citation, a repeat of an earlier edge, an end that names no node
     and a cited patent applied after the citing one.
@@ -397,7 +420,8 @@ def _check_edges(src: np.ndarray, dst: np.ndarray, years: np.ndarray,
     unknown = first((src < 0) | (dst < 0))
     # The other checks need the nodes of both ends, so they stop at the first unknown end.
     s, d = src[:unknown], dst[:unknown]
-    at, kind = min((first(s == d), 0), (_first_repeat(s * len(years) + d, none), 1),
+    pair = s.astype(np.int64) * len(years) + d   # one key per edge, up to n * n: int64
+    at, kind = min((first(s == d), 0), (_first_repeat(pair, none), 1),
                    (unknown, 2), (first(years[d] > years[s]), 3))
     if at == none:
         return
@@ -420,7 +444,8 @@ def _segments(ptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row pointers and int32 column array; entries of a row keep their input order."""
+    """Row pointers and the column array (cols itself when rows are sorted);
+    entries of a row keep their input order."""
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
     m = len(rows)
@@ -429,8 +454,8 @@ def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.nda
         # the keys themselves (faster than an argsort) gives the stable order,
         # and a sorted key mod m is its entry's position. They stay below
         # n * m, far below 2**63 for any network that fits in memory.
-        cols = cols[np.sort(rows * m + np.arange(m)) % m]
-    return ptr, cols.astype(np.int32)
+        cols = cols[np.sort(rows.astype(np.int64) * m + np.arange(m)) % m]
+    return ptr, cols
 
 
 def _kahn_levels(src: np.ndarray, dst: np.ndarray,
@@ -514,11 +539,14 @@ def compute_spnp(net: CitationNetwork, approximate: bool = False,
     # Entries hold 1 + P_down and 1 + P_up as Python ints, so no sum is rounded
     # or wraps, and SPNP is their product; in log mode they hold the logs, and
     # SPNP is their sum.
-    start, combine = ((np.zeros(n), _add_log_path_counts) if approximate
-                      else (np.ones(n, dtype=object), _add_path_counts))
-    down = _sweep(net._out_plan[::-1], net._out, start.copy(), combine)
-    up = _sweep(net._in_plan, net._in, start, combine)
-    spnp = (down + up if approximate else down * up)[net._rank]
+    start, combine, join = ((np.zeros, _add_log_path_counts, np.add) if approximate
+                            else (partial(np.ones, dtype=object), _add_path_counts,
+                                  np.multiply))
+    down = _sweep(net._out_plan[::-1], net._out, start(n), combine)
+    # The up sweep's entries are let go once joined into down, in place, so
+    # no third set of Python ints is ever made beside the two sweeps'.
+    join(down, _sweep(net._in_plan, net._in, start(n), combine), out=down)
+    spnp = down[net._rank]
     return spnp if as_array else dict(zip(net._names, spnp.tolist()))
 
 
@@ -533,20 +561,20 @@ def domain_centrality(domain_patents: Iterable[str], net: CitationNetwork,
     without a percentile (outside the scored corpus) are skipped and
     counted in "n_skipped_unknown_cited".
     """
+    cited_by = [net._cited(node) if node >= 0 else []
+                for node in net._nodes(sorted(set(domain_patents))).tolist()]
     if isinstance(rank_percentile, np.ndarray):
-        score = rank_percentile.tolist()
+        # Only the cited nodes' percentiles become Python floats.
+        cited = sorted(set(chain.from_iterable(cited_by)))
+        score = dict(zip(cited, rank_percentile[cited].tolist()))
     else:
-        score = [None] * len(net._years)
-        for node, value in zip(net._nodes(list(rank_percentile)).tolist(),
-                               rank_percentile.values()):
-            if node >= 0:
-                score[node] = value
+        score = {node: value for node, value in zip(net._nodes(list(rank_percentile)).tolist(),
+                                                     rank_percentile.values()) if node >= 0}
     inner_means = []
     excluded = 0
     skipped = 0
-    for node in net._nodes(sorted(set(domain_patents))).tolist():
-        cited = net._cited(node) if node >= 0 else []
-        scored = [score[c] for c in cited if score[c] is not None]
+    for cited in cited_by:
+        scored = [value for value in map(score.get, cited) if value is not None]
         skipped += len(cited) - len(scored)
         if not scored:
             excluded += 1

@@ -17,7 +17,8 @@ CSV but a store file is split by read_table, which passes each row's
 fields to one parse function; load_dataset reads each store file in one
 loop of its own. Store, network, series and prefix-table files stop at
 the first bad row; the ingest loaders record each bad row as a row
-error and read on.
+error and read on. The three ingest loaders and load_dataset run with
+the cyclic garbage collector paused (_without_gc).
 
 CornrateError is the base of every cornrate error and carries the CLI's
 exit code. The dataset views at the end drop a run's excluded patents,
@@ -343,6 +344,22 @@ def read_table(path, columns: Callable[[list[str]], Iterable[int]],
         raise unreadable(f"{path}, line {reader.line_num}: {exc}") from None
 
 
+def _without_gc(load: Callable) -> Callable:
+    """load, run with the cyclic collector paused and then restored, on return
+    or raise. The records a loader builds hold no reference cycles, so the
+    collector would only walk the growing heap again and again."""
+    @wraps(load)
+    def paused(*args, **kwargs):
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return load(*args, **kwargs)
+        finally:
+            if collecting:
+                gc.enable()
+    return paused
+
+
 def _load(path, names: list[str], parse: Callable[..., object]) -> LoadReport:
     """The records parse makes of the named columns of an ingest CSV, and its row errors."""
     errors: list[tuple[int, str]] = []
@@ -351,6 +368,7 @@ def _load(path, names: list[str], parse: Callable[..., object]) -> LoadReport:
     return LoadReport(records, errors)
 
 
+@_without_gc
 def load_patents(path) -> LoadReport:
     """Load the patent CSV; variety_name/kind stay unset for the title parser."""
     seen: set[str] = set()
@@ -411,6 +429,7 @@ def _kentucky_row(state, maturity, year, brand, hybrid, yield_text, moisture,
     return record
 
 
+@_without_gc
 def load_field_tests(path, schema: FieldTestSchema | str, state: str = "") -> LoadReport:
     """Load one state's field-test CSV in the Illinois- or Kentucky-like layout."""
     if schema == FieldTestSchema.ILLINOIS_LIKE:   # a str enum: equal to its value
@@ -436,6 +455,7 @@ def _trial_row(number, patented_variety, control, patented_yield,
     return number.strip(), comparison
 
 
+@_without_gc
 def load_trial_sets(path) -> LoadReport:
     """Load per-patent trial comparisons; summary 'AVG' rows are skipped."""
     rows = _load(path, TRIAL_COLUMNS, _trial_row)
@@ -495,17 +515,36 @@ def save_dataset(dataset: Dataset, directory) -> None:
     old manifest is removed and each file moved over its old one, the manifest
     last: a failed write leaves the old store, a failed move leaves no manifest.
 
-    A patent that the store would load back changed is a DatasetError naming
-    it, raised before anything is written: the store joins cited numbers with
-    ";" and drops empty ones, and it reads an empty variety name as none.
+    A dataset that the store would load back changed, or not at all, is a
+    DatasetError naming the patent, raised before anything is written. The
+    store keys each patent by its number, joins cited numbers with ";" and
+    drops empty ones, and reads an empty variety name as none. It loads a
+    trial set only for a patent it holds, and a patent's trial rows as one
+    set, which a set without comparisons does not appear in.
     """
-    for p in dataset.patents.values():
+    for key, p in dataset.patents.items():
+        if key != p.patent_number:
+            raise DatasetError(f"patent {p.patent_number!r}: held under the key {key!r}, and "
+                               "the store keys each patent by its number")
         if "" in p.cited_patents or ";" in "".join(p.cited_patents):
             raise DatasetError(f"patent {p.patent_number!r}: a cited patent number is empty "
                                f"or holds ';', which the store cannot hold: {p.cited_patents!r}")
         if p.variety_name == "":
             raise DatasetError(f"patent {p.patent_number!r}: an empty variety_name, which the "
                                "store reads back as none")
+    tested: set[str] = set()
+    for ts in dataset.trial_sets:
+        number = ts.patent_number
+        if number not in dataset.patents:
+            raise DatasetError(f"patent {number!r}: a trial set for a patent not in the "
+                               "dataset, which the store cannot load")
+        if not ts.comparisons:
+            raise DatasetError(f"patent {number!r}: a trial set without comparisons, which "
+                               "the store loads back as none")
+        if number in tested:
+            raise DatasetError(f"patent {number!r}: a second trial set, which the store "
+                               "loads back joined with the first")
+        tested.add(number)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=directory) as temporary:
@@ -543,6 +582,7 @@ def _store_reader(path: Path, layout: list[str]):
     return reader
 
 
+@_without_gc
 def load_dataset(directory) -> Dataset:
     """The dataset in a store directory.
 
@@ -571,10 +611,6 @@ def load_dataset(directory) -> Dataset:
     patents: dict[str, PatentRecord] = {}
     groups: dict[str, list[TrialComparison]] = {}
     field_tests: list[FieldTestRecord] = []
-    # The records hold no reference cycles, so the cyclic collector, which
-    # would otherwise walk the growing heap again and again, pauses.
-    collecting = gc.isenabled()
-    gc.disable()
     try:
         # Values are parsed in column order and then checked, so a row with
         # several faults reports its first bad value.
@@ -627,9 +663,6 @@ def load_dataset(directory) -> Dataset:
                 significant == "1")))
     except (ValueError, csv.Error) as exc:
         raise DatasetError(f"{path}, line {reader.line_num}: {exc}") from None
-    finally:
-        if collecting:
-            gc.enable()
     return Dataset(patents, [PatentTrialSet(n, c) for n, c in groups.items()], field_tests)
 
 

@@ -1,18 +1,20 @@
 import codecs
 import copy
+import gc
 import math
 import os
 import re
 from pathlib import Path
 from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cornrate.core_data import (Dataset, FieldTestSchema, IngestError, DatasetError,
-                                LoadReport, Maturity, PatentKind, PatentRecord, PatentTrialSet,
-                                TrialComparison, FieldTestRecord,
+from cornrate.core_data import (CornrateError, Dataset, FieldTestSchema, IngestError,
+                                DatasetError, LoadReport, Maturity, PatentKind, PatentRecord,
+                                PatentTrialSet, TrialComparison, FieldTestRecord,
                                 infer_missing_year_average, load_dataset,
                                 load_field_tests, load_patents, load_trial_sets,
                                 read_table, save_dataset, without_patents)
@@ -404,6 +406,32 @@ class TestDatasetStore:
         assert load_dataset(tmp_path / "ds") == self._dataset()
         assert sorted(f.name for f in (tmp_path / "ds").iterdir()) == STORE_FILES
 
+    # case: (how the dataset changes, the refusal's message)
+    UNLOADABLE = {
+        "unknown-patent": (lambda d: d.trial_sets.append(
+            PatentTrialSet("4", [TrialComparison(70.0, 71.0, "c4")])),
+            "^patent '4': a trial set for a patent not in the dataset"),
+        "no-comparisons": (lambda d: d.trial_sets.append(PatentTrialSet("3", [])),
+                           "^patent '3': a trial set without comparisons"),
+        "two-sets": (lambda d: d.trial_sets.append(
+            PatentTrialSet("1", [TrialComparison(60.0, 61.0, "c5")])),
+            "^patent '1': a second trial set"),
+        "key-not-number": (lambda d: d.patents.update({"7": d.patents.pop("3")}),
+                           "^patent '3': held under the key '7'"),
+    }
+
+    @pytest.mark.parametrize("case", UNLOADABLE)
+    def test_unloadable_dataset_keeps_old_store(self, tmp_path, case):
+        # Each dataset would load back changed, or fail every load.
+        change, message = self.UNLOADABLE[case]
+        save_dataset(self._dataset(), tmp_path / "ds")
+        dataset = self._dataset()
+        change(dataset)
+        with pytest.raises(DatasetError, match=message):
+            save_dataset(dataset, tmp_path / "ds")
+        assert load_dataset(tmp_path / "ds") == self._dataset()
+        assert sorted(f.name for f in (tmp_path / "ds").iterdir()) == STORE_FILES
+
     def test_round_trip_empty(self, tmp_path):
         save_dataset(Dataset(), tmp_path / "ds")
         assert load_dataset(tmp_path / "ds") == Dataset()
@@ -522,6 +550,25 @@ def test_container_defaults_are_not_shared():
     assert (PatentRecord("1", "t", "a", 1990, 1992).cited_patents
             is not PatentRecord("2", "t", "a", 1990, 1992).cited_patents)
     assert LoadReport([]).row_errors is not LoadReport([]).row_errors
+
+
+@pytest.mark.parametrize("load", [load_patents, load_trial_sets,
+                                  lambda path: load_field_tests(path, "illinois"), load_dataset],
+                         ids=["patents", "trials", "fieldtests", "store"])
+def test_loaders_pause_the_collector(tmp_path, load):
+    # Each loader reads with the cyclic collector off, and turns it back on after a raise too.
+    save_dataset(Dataset(), tmp_path)   # a manifest, for load_dataset
+    states = []
+
+    def unreadable(path, error):
+        states.append(gc.isenabled())
+        raise error(f"unreadable {path}")
+
+    with mock.patch("cornrate.core_data.read_text", unreadable):
+        with pytest.raises(CornrateError, match="^unreadable "):
+            load(tmp_path if load is load_dataset else tmp_path / "patents.csv")
+    assert states == [False]
+    assert gc.isenabled()
 
 
 class TestWithoutPatents:
