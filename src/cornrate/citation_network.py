@@ -106,6 +106,7 @@ tracer) finds them all.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 from functools import cached_property, partial
@@ -247,10 +248,7 @@ def _read_pairs(path, names: list[str], parse) -> np.ndarray:
     array if _read_int_columns reads the file, else an object array of the
     pairs parse makes of each row, read by core_data.read_table."""
     rows = _read_int_columns(path, names)
-    if rows is None:
-        rows = _object_rows(read_table(
-            path, lambda header: _column_positions(header, names, path), parse))
-    return rows
+    return _object_rows(read_table(path, names, parse)) if rows is None else rows
 
 
 def _read_nodes(path) -> np.ndarray:
@@ -282,18 +280,20 @@ def _read_int_columns(path, names: list[str]) -> np.ndarray | None:
     line ends (LF, or CRLF), and every row must have the header's width
     of fields of 1 to MAX_INT_DIGITS digits without a leading zero, so
     each field is the str() of its value. The file's bytes come from
-    read_bytes, and only its header is decoded, split as read_table
-    splits it; a missing file or a missing column in a qualifying file
-    is an IngestError. The body is read where it lies in those bytes,
-    which are copied only to drop CRs or to end the last row with a line
-    end. A body of one row layout is read by _read_fixed_rows. A header
-    with a quote, a bare carriage return or a byte that is not UTF-8 also
-    gives None, and the caller then reads the file with read_table, which
-    gives a file that does not decode its error.
+    read_bytes, and only its header, past a byte-order mark, is decoded,
+    split as read_table splits it; a missing file or a missing column in
+    a qualifying file is an IngestError. The body is read where it lies
+    in those bytes, which are copied only to drop CRs or to end the last
+    row with a line end. A body of one row layout is read by
+    _read_fixed_rows. A header with a quote, a bare carriage return or a
+    byte that is not UTF-8 also gives None, and the caller then reads the
+    file with read_table, which gives a file that does not decode its
+    error.
     """
     data = read_bytes(path)
-    end = data.find(b"\n")
-    head, start = (data, len(data)) if end < 0 else (data[:end], end + 1)
+    skip = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    end = data.find(b"\n", skip)
+    head, start = (data[skip:], len(data)) if end < 0 else (data[skip:end], end + 1)
     head = head.removesuffix(b"\r")
     if b'"' in head or b"\r" in head:
         return None

@@ -11,14 +11,16 @@ rules (_check_patent, _check_comparison, _check_field_test) are each
 defined once, for validate() (which the ingest loaders run) and for
 load_dataset.
 
-Every CSV file and the run configuration are decoded by read_text (the
-network's integer path reads the bytes of read_bytes instead). Every
-CSV but a store file is split by read_table, which passes each row's
-fields to one parse function; load_dataset reads each store file in one
-loop of its own. Store, network, series and prefix-table files stop at
-the first bad row; the ingest loaders record each bad row as a row
-error and read on. The three ingest loaders and load_dataset run with
-the cyclic garbage collector paused (_without_gc).
+Every CSV file is opened by _csv_reader, which decodes and splits it as
+its rows are consumed and names the file and line of a fault (the
+network's integer path reads read_bytes instead; read_text decodes the
+run configuration). read_table passes the named fields of each row of a
+CSV but a store file to one parse function; load_dataset reads each
+store file, past _store_reader's layout check, in one loop of its own.
+Store, network, series and prefix-table files stop at the first bad row;
+the ingest loaders record each bad row as a row error and read on. The
+three ingest loaders and load_dataset run with the cyclic garbage
+collector paused (_without_gc).
 
 CornrateError is the base of every cornrate error and carries the CLI's
 exit code. The dataset views at the end drop a run's excluded patents,
@@ -27,11 +29,9 @@ select the K1/K2 domain and describe a dataset for the report command.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import datetime
 import gc
-import io
 import json
 import math
 import operator
@@ -39,6 +39,7 @@ import os
 import tempfile
 import warnings
 from collections import Counter
+from contextlib import contextmanager
 from enum import Enum
 from functools import partial, wraps
 from pathlib import Path
@@ -262,13 +263,11 @@ def write_csv(path, header: list[str], rows: Iterable) -> None:
 
 
 def read_bytes(path, error: type[Exception] = IngestError) -> bytes:
-    """The bytes of a file, a leading UTF-8 byte-order mark dropped; a
-    missing file is an error naming it."""
+    """The bytes of a file, a byte-order mark kept; a missing file is an error naming it."""
     path = Path(path)
     if not path.is_file():
         raise error(f"missing file: {path}")
-    data = path.read_bytes()
-    return data[len(codecs.BOM_UTF8):] if data.startswith(codecs.BOM_UTF8) else data
+    return path.read_bytes()
 
 
 def read_text(path, error: type[Exception] = IngestError) -> str:
@@ -278,11 +277,29 @@ def read_text(path, error: type[Exception] = IngestError) -> str:
     (and the line of the bad byte).
     """
     try:
-        return read_bytes(path, error).decode("utf-8")
+        return read_bytes(path, error).decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         # exc.start counts from after a byte-order mark, as exc.object does.
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise error(f"{Path(path)}, line {line}: {exc}") from None
+
+
+@contextmanager
+def _csv_reader(path, error: type[Exception]) -> Iterator[Iterator[list[str]]]:
+    """A csv reader over a UTF-8 file (a byte-order mark dropped) that reads rows as
+    they are consumed. A missing file, a byte that is not UTF-8 (by read_text), and a
+    csv.Error or ValueError in the with block are an error naming the file (and line)."""
+    if not Path(path).is_file():
+        raise error(f"missing file: {Path(path)}")
+    with open(path, encoding="utf-8-sig", newline="") as f:
+        reader = csv.reader(f)
+        try:
+            yield reader
+        except UnicodeDecodeError:
+            read_text(path, error)
+            raise
+        except (csv.Error, ValueError) as exc:
+            raise error(f"{path}, line {reader.line_num}: {exc}") from None
 
 
 def _column_positions(header: list[str], names: list[str], path) -> list[int]:
@@ -306,27 +323,22 @@ def _check_width(row: list[str], width: int) -> None:
         raise ValueError(f"expected {width} fields, found {len(row)}")
 
 
-def read_table(path, columns: Callable[[list[str]], Iterable[int]],
-               parse: Callable[..., object], error: type[Exception] = IngestError,
+def read_table(path, names: list[str], parse: Callable[..., object],
+               error: type[Exception] = IngestError,
                row_errors: Optional[list[tuple[int, str]]] = None) -> Iterator:
     """Yield parse(*fields) for each data row of a CSV file, in file order.
 
-    columns(header) gives the positions of the two or more fields passed to
-    parse, or raises for a header it rejects. Blank lines are skipped. A row
-    of the wrong width, or a ValueError from parse, is an error of class
-    error naming the file and line; given a row_errors list, it is appended
-    there as (index, message) instead, the index counting data rows from 0
-    without blank lines, and reading goes on. A read_text failure, or text
-    the csv module cannot split (a NUL byte before Python 3.11, a quoted
-    field over its size limit), is a DatasetError for a store file, else an
-    IngestError. Rows are parsed as they are consumed, so the rows of a
-    large file are never all held at once.
+    The named columns, two or more, found under the ingest header rules
+    (_column_positions), give the fields passed to parse. Blank lines are
+    skipped. A row of the wrong width, or a ValueError from parse, is an
+    error of class error naming the file and line; given a row_errors list,
+    it is appended there as (index, message) instead, the index counting
+    data rows from 0 without blank lines, and reading goes on. The file is
+    read by _csv_reader, whose errors are IngestErrors.
     """
-    unreadable = DatasetError if error is DatasetError else IngestError
-    reader = csv.reader(io.StringIO(read_text(path, unreadable), newline=""))
-    try:
+    with _csv_reader(path, IngestError) as reader:
         header = next(reader, [])
-        pick = operator.itemgetter(*columns(header))
+        pick = operator.itemgetter(*_column_positions(header, names, path))
         width = len(header)
         for index, row in enumerate(row for row in reader if row):
             try:
@@ -334,14 +346,10 @@ def read_table(path, columns: Callable[[list[str]], Iterable[int]],
                 record = parse(*pick(row))
             except ValueError as exc:
                 if row_errors is None:
-                    raise
+                    raise error(f"{path}, line {reader.line_num}: {exc}") from None
                 row_errors.append((index, str(exc)))
             else:
                 yield record
-    except ValueError as exc:
-        raise error(f"{path}, line {reader.line_num}: {exc}") from None
-    except csv.Error as exc:
-        raise unreadable(f"{path}, line {reader.line_num}: {exc}") from None
 
 
 def _without_gc(load: Callable) -> Callable:
@@ -363,8 +371,7 @@ def _without_gc(load: Callable) -> Callable:
 def _load(path, names: list[str], parse: Callable[..., object]) -> LoadReport:
     """The records parse makes of the named columns of an ingest CSV, and its row errors."""
     errors: list[tuple[int, str]] = []
-    records = list(read_table(path, lambda header: _column_positions(header, names, path),
-                              parse, row_errors=errors))
+    records = list(read_table(path, names, parse, row_errors=errors))
     return LoadReport(records, errors)
 
 
@@ -570,16 +577,13 @@ def save_dataset(dataset: Dataset, directory) -> None:
             os.replace(staging / name, directory / name)
 
 
-def _store_reader(path: Path, layout: list[str]):
-    """A csv reader over a store file, past its header, which must be the store layout."""
-    reader = csv.reader(io.StringIO(read_text(path, DatasetError), newline=""))
-    try:
-        header = next(reader, [])
-    except csv.Error as exc:
-        raise DatasetError(f"{path}, line {reader.line_num}: {exc}") from None
-    if header != layout:
-        raise DatasetError(f"{path}: header {header} is not the store layout {layout}")
-    return reader
+@contextmanager
+def _store_reader(path: Path, layout: list[str]) -> Iterator[Iterator[list[str]]]:
+    """_csv_reader over a store file, past its header, which must be the store layout."""
+    with _csv_reader(path, DatasetError) as reader:
+        if (header := next(reader, [])) != layout:
+            raise DatasetError(f"{path}: header {header} is not the store layout {layout}")
+        yield reader
 
 
 @_without_gc
@@ -611,11 +615,10 @@ def load_dataset(directory) -> Dataset:
     patents: dict[str, PatentRecord] = {}
     groups: dict[str, list[TrialComparison]] = {}
     field_tests: list[FieldTestRecord] = []
-    try:
-        # Values are parsed in column order and then checked, so a row with
-        # several faults reports its first bad value.
-        path, width = directory / "patents.csv", len(_PATENT_HEADER)
-        reader = _store_reader(path, _PATENT_HEADER)
+    # Values are parsed in column order and then checked, so a row with
+    # several faults reports its first bad value.
+    width = len(_PATENT_HEADER)
+    with _store_reader(directory / "patents.csv", _PATENT_HEADER) as reader:
         for row in reader:
             if len(row) != width:
                 _check_width(row, width)
@@ -630,8 +633,8 @@ def load_dataset(directory) -> Dataset:
                 number, title, assignee, filed, granted, [c for c in cited.split(";") if c],
                 forward, variety or None, kind))
 
-        path, width = directory / "trials.csv", len(_TRIAL_HEADER)
-        reader = _store_reader(path, _TRIAL_HEADER)
+    width = len(_TRIAL_HEADER)
+    with _store_reader(directory / "trials.csv", _TRIAL_HEADER) as reader:
         for row in reader:
             if len(row) != width:
                 _check_width(row, width)
@@ -646,8 +649,8 @@ def load_dataset(directory) -> Dataset:
             groups.setdefault(number, []).append(TrialComparison._make((
                 patented, control, control_name, patented_moisture, control_moisture)))
 
-        path, width = directory / "fieldtests.csv", len(_FIELDTEST_HEADER)
-        reader = _store_reader(path, _FIELDTEST_HEADER)
+    width = len(_FIELDTEST_HEADER)
+    with _store_reader(directory / "fieldtests.csv", _FIELDTEST_HEADER) as reader:
         for row in reader:
             if len(row) != width:
                 _check_width(row, width)
@@ -661,8 +664,6 @@ def load_dataset(directory) -> Dataset:
             field_tests.append(FieldTestRecord._make((
                 state, year, region, brand, hybrid, yield_value, moisture, maturity, stand,
                 significant == "1")))
-    except (ValueError, csv.Error) as exc:
-        raise DatasetError(f"{path}, line {reader.line_num}: {exc}") from None
     return Dataset(patents, [PatentTrialSet(n, c) for n, c in groups.items()], field_tests)
 
 

@@ -17,7 +17,7 @@ from enum import Enum
 from importlib import resources
 from typing import Iterable, NamedTuple, Optional
 
-from .core_data import IngestError, PatentKind, PatentRecord, _column_positions, read_table
+from .core_data import IngestError, PatentKind, PatentRecord, read_table
 
 
 class PatternPosition(str, Enum):
@@ -48,9 +48,7 @@ class PrefixTable:
         A file without pattern rows, or a row with an empty pattern, is an
         IngestError naming it.
         """
-        entries = list(read_table(
-            path, lambda header: _column_positions(header, ["pattern", "position"], path),
-            _prefix_entry))
+        entries = list(read_table(path, ["pattern", "position"], _prefix_entry))
         if not entries:
             raise IngestError(f"no pattern rows in prefix table {path}")
         return cls(entries)

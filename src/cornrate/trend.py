@@ -21,8 +21,7 @@ import math
 from typing import Iterable, NamedTuple, Optional
 
 from .constants import DEFAULT_CONTROL_MIN_YEARS
-from .core_data import (CornrateError, FieldTestRecord, _column_positions, _parse_number,
-                        read_table, write_csv)
+from .core_data import CornrateError, FieldTestRecord, _parse_number, read_table, write_csv
 from .special import t_sf
 
 
@@ -78,8 +77,8 @@ class TrendSeries(_Points):
         a bad row is a TrendError.
         """
         return cls.from_pairs(read_table(
-            path, lambda header: _column_positions(header, ["year", "value"], path),
-            lambda year, value: (int(year), _parse_number(value)), TrendError))
+            path, ["year", "value"], lambda year, value: (int(year), _parse_number(value)),
+            TrendError))
 
 
 class FitResult(NamedTuple):

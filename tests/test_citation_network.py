@@ -223,7 +223,7 @@ class TestNetworkValidation:
         assert net.cited_patents("A") == ["B"]
 
     def test_from_files_missing(self, tmp_path):
-        # A missing file is the IngestError of core_data.read_text, as for every input.
+        # A missing file is an IngestError of core_data (read_bytes), as for every input.
         nodes, edges = tmp_path / "nodes.csv", tmp_path / "edges.csv"
         with pytest.raises(IngestError, match="missing file: .*nodes.csv"):
             CitationNetwork.from_files(nodes, edges)

@@ -661,10 +661,16 @@ def bundled(name):
         return Path(path).read_bytes()
 
 
-def spoil_line_3(data: bytes, bom: bool) -> bytes:
-    """data with a byte that is not UTF-8 at the start of its third line."""
+# A line past the first 8 KiB of the fixture's trials.csv, raw and in the store:
+# a reader that decodes a file in blocks meets its bad byte in a later block.
+LATE_LINE = 300
+
+
+def spoil_line(data: bytes, bom: bool, line: int) -> bytes:
+    """data with a byte that is not UTF-8 at the start of the numbered line."""
     lines = data.split(b"\n")
-    lines[2] = b"\xff" + lines[2]
+    assert line == 3 or len(b"\n".join(lines[:line - 1])) > 8192
+    lines[line - 1] = b"\xff" + lines[line - 1]
     return (b"\xef\xbb\xbf" if bom else b"") + b"\n".join(lines)
 
 
@@ -676,15 +682,17 @@ class TestCsvInputRules:
                 "--input": "trend", "--nodes": "k2", "--edges": "k2",
                 "--prefix-table": "ingest"}
 
-    @pytest.mark.parametrize("flag", COMMANDS)
+    @pytest.mark.parametrize("flag, line", [*((flag, 3) for flag in COMMANDS),
+                                            ("--trials", LATE_LINE)],
+                             ids=[*COMMANDS, f"--trials-line-{LATE_LINE}"])
     @pytest.mark.parametrize("bom", [False, True], ids=["plain", "bom"])
     def test_non_utf8_input_names_file_and_line(self, raw_dir, dataset_dir, tmp_path, capsys,
-                                                flag, bom):
+                                                flag, line, bom):
         inputs = {f"--{name}": (raw_dir / f"{name}.csv").read_bytes()
                   for name in ("patents", "trials", "fieldtests", "nodes", "edges")}
         inputs.update({"--input": bundled("usda_us_corn_yield.csv"),
                        "--prefix-table": bundled("title_prefixes.csv")})
-        inputs[flag] = spoil_line_3(inputs[flag], bom)
+        inputs[flag] = spoil_line(inputs[flag], bom, line)
         paths = {f: tmp_path / f"{f[2:]}.csv" for f in inputs}
         for f, data in inputs.items():
             paths[f].write_bytes(data)
@@ -699,23 +707,26 @@ class TestCsvInputRules:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert json.loads(captured.err)["error"].startswith(f"{paths[flag]}, line 3: ")
+        assert json.loads(captured.err)["error"].startswith(f"{paths[flag]}, line {line}: ")
 
-    @pytest.mark.parametrize("name", ["patents.csv", "trials.csv", "fieldtests.csv"])
+    @pytest.mark.parametrize("name, line", [("patents.csv", 3), ("trials.csv", 3),
+                                            ("fieldtests.csv", 3), ("trials.csv", LATE_LINE)],
+                             ids=["patents.csv", "trials.csv", "fieldtests.csv",
+                                  f"trials.csv-line-{LATE_LINE}"])
     @pytest.mark.parametrize("bom", [False, True], ids=["plain", "bom"])
-    def test_non_utf8_store_file(self, dataset_dir, tmp_path, capsys, name, bom):
+    def test_non_utf8_store_file(self, dataset_dir, tmp_path, capsys, name, line, bom):
         store = tmp_path / "ds"
         store.mkdir()
         for f in dataset_dir.iterdir():
             (store / f.name).write_bytes(f.read_bytes())
         path = store / name
-        path.write_bytes(spoil_line_3(path.read_bytes(), bom))
-        with pytest.raises(DatasetError, match=rf"^{re.escape(str(path))}, line 3: "):
+        path.write_bytes(spoil_line(path.read_bytes(), bom, line))
+        with pytest.raises(DatasetError, match=rf"^{re.escape(str(path))}, line {line}: "):
             load_dataset(store)
         assert main(["report", "--dataset", str(store)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert json.loads(captured.err)["error"].startswith(f"{path}, line 3: ")
+        assert json.loads(captured.err)["error"].startswith(f"{path}, line {line}: ")
 
     @pytest.mark.parametrize("spelling", ["bom", "capitalised"])
     def test_prefix_table_header_spellings(self, raw_dir, tmp_path, capsys, spelling):

@@ -70,7 +70,7 @@ class TestTrendSeries:
             TrendSeries.read_csv(path)
 
     def test_read_missing_file(self, tmp_path):
-        # The IngestError of core_data.read_text, as for every input file.
+        # The IngestError of core_data._csv_reader, as for every input file.
         with pytest.raises(IngestError, match="missing file"):
             TrendSeries.read_csv(tmp_path / "nope.csv")
 
