@@ -1,11 +1,14 @@
 """Command-line front end: ingest, trend, predict, regress, report.
 
 Each command parses its arguments, loads its inputs, makes one library
-call that returns its report, and emits that report: strict JSON on
-stdout (stable key order) and, with --out, the same JSON plus the
-command's series or table CSVs in that directory. ingest's --out is the
-dataset store it writes instead, and its report goes to stdout only.
-Each command takes only the options it reads. Figures are data only.
+call that returns its report (ingest.ingest_files, trend.trend_report,
+citation_metrics.domain_citation_stats, citation_network.evaluate_k2,
+regression.fit_models, core_data.describe_dataset), and emits that
+report: strict JSON on stdout (stable key order) and, with --out, the
+same JSON plus the command's series or table CSVs in that directory.
+ingest's --out is the dataset store it writes instead, and its report
+goes to stdout only. Each command takes only the options it reads.
+Figures are data only.
 
 predict and regress drop the patents of the --config exclusion_list from
 the loaded dataset (core_data.without_patents) before their library call;
@@ -21,33 +24,35 @@ maps the builtin exceptions.
 
 The modules off a command's path are bound through cornrate._lazy_module
 and never run. Every command runs cli, constants and core_data, and report
-nothing else; ingest adds title_parser; trend adds trend and special, plus
-yield_metrics for the patent and state series; predict k1 adds
-citation_metrics and ranking; predict k2 adds citation_network, ranking,
-trend and special; regress adds regression and what its analysis table
-needs. Only predict k2 and regress import numpy.
+nothing else; ingest adds ingest and title_parser; trend adds trend and
+special, plus yield_metrics for the patent and state series; predict k1
+adds citation_metrics and ranking; predict k2 adds citation_network,
+ranking, trend and special; regress adds regression and what its
+analysis table needs. Only predict k2 and regress import numpy; cornrate
+imports datetime only for ingest's store manifest and a report's
+timestamp. main parses and runs the command with the cyclic garbage
+collector paused (core_data._without_gc).
 """
 
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import sys
-from importlib import resources
 from operator import itemgetter
 from pathlib import Path
 
 from . import _lazy_module, constants
 from .core_data import (REPORT_TABLES, CornrateError, Dataset, FieldTestSchema, IngestError,
-                        describe_dataset, load_dataset, load_field_tests, load_patents,
-                        load_trial_sets, read_text, save_dataset, select_domain,
+                        _without_gc, describe_dataset, load_dataset, read_text, select_domain,
                         without_patents, write_csv)
 
 # Executed on first use, so that each command runs only the modules on its path.
-# ranking is bound too, though not called here, so that importing cli binds every module.
+# ranking, title_parser and yield_metrics are bound too, though not called here,
+# so that importing cli binds every module.
 citation_metrics = _lazy_module("cornrate.citation_metrics")
 citation_network = _lazy_module("cornrate.citation_network")
+ingest = _lazy_module("cornrate.ingest")
 ranking = _lazy_module("cornrate.ranking")
 regression = _lazy_module("cornrate.regression")
 title_parser = _lazy_module("cornrate.title_parser")
@@ -69,6 +74,7 @@ def _emit(payload: dict, command: str, args) -> None:
     payload["command"] = command
     payload["constants"] = constants.provenance()
     if not args.no_timestamp:
+        import datetime
         payload["created_utc"] = datetime.datetime.now(
             datetime.timezone.utc).isoformat()
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
@@ -112,66 +118,18 @@ def _require_dataset(args) -> Dataset:
 def cmd_ingest(args) -> int:
     if not args.store:
         raise IngestError("--out dataset directory is required")
-    patents_report = load_patents(args.patents)
-    trials_report = load_trial_sets(args.trials)
-    prefix_table = (title_parser.PrefixTable.load(args.prefix_table)
-                    if args.prefix_table else None)
-    annotated, unmatched_titles = title_parser.annotate_patents(patents_report.records,
-                                                                prefix_table)
-
-    field_reports = {}
-    field_tests = []
-    if args.fieldtests:
-        if not args.schema:
-            raise IngestError("--schema is required with --fieldtests")
-        report = load_field_tests(args.fieldtests, args.schema, state=args.state or "")
-        field_reports["fieldtests"] = report.as_dict()
-        field_tests = report.records
-
-    patents = {p.patent_number: p for p in annotated}
-    trial_sets = [ts for ts in trials_report.records if ts.patent_number in patents]
-    dropped_trials = len(trials_report.records) - len(trial_sets)
-    dataset = Dataset(patents=patents, trial_sets=trial_sets, field_tests=field_tests)
-    save_dataset(dataset, args.store)
-    _emit({
-        "dataset_dir": str(args.store),
-        "patents": patents_report.as_dict(),
-        "trials": trials_report.as_dict(),
-        "trial_sets_without_patent": dropped_trials,
-        "titles_needing_review": unmatched_titles,
-        **field_reports,
-    }, "ingest", args)
+    _emit(ingest.ingest_files(args.patents, args.trials, args.store, args.fieldtests,
+                              args.schema, args.state, args.prefix_table),
+          "ingest", args)
     return 0
 
 
 # --- trend -----------------------------------------------------------------
 
-def _trend_series(args, payload: dict) -> trend.TrendSeries:
-    if args.series == "usda-file":
-        if args.input:
-            return trend.TrendSeries.read_csv(args.input)
-        ref = resources.files("cornrate.data") / "usda_us_corn_yield.csv"
-        with resources.as_file(ref) as path:
-            return trend.TrendSeries.read_csv(path)
-    dataset = _require_dataset(args)
-    if args.series == "patent-yearly-max":
-        return yield_metrics.yearly_max_yield(
-            (dataset.patents[ts.patent_number].filed_year, yield_metrics.summarize(ts))
-            for ts in dataset.trial_sets)
-    if args.series == "state-average":
-        return yield_metrics.state_yearly_average(dataset.field_tests)
-    if not args.region:
-        raise IngestError("--region is required for weather-corrected series")
-    control = args.control
-    if not control:
-        control = payload["control"] = trend.default_control(dataset.field_tests, args.region)
-    return trend.weather_corrected_series(dataset.field_tests, args.region, control)
-
-
 def cmd_trend(args) -> int:
-    payload = {"series": args.series}
-    series = _trend_series(args, payload).restrict(args.year_from, args.year_to)
-    payload.update(trend.fit_exponential(series).as_dict())
+    dataset = None if args.series == "usda-file" else _require_dataset(args)
+    payload, series = trend.trend_report(args.series, dataset, args.input, args.region,
+                                         args.control, args.year_from, args.year_to)
     if args.out:
         series.write_csv(_out_dir(args) / f"series_{args.series}.csv")
     _emit(payload, "trend", args)
@@ -282,6 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The collector stays paused for the whole command, numpy's import included; a
+# command's heap is mostly acyclic records, which reference counts free.
+@_without_gc
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:

@@ -1,9 +1,14 @@
-"""Domain types, CSV ingestion and the on-disk dataset store.
+"""Domain types, the CSV primitives and the on-disk dataset store.
 
 Three data families come in as CSV: granted patents, the head-to-head
 trial tables transcribed from patent documents, and state field-test
-rows. Ingestion never drops rows silently: every input data row ends up
-either as a record, as a row-indexed error, or in the skip tally.
+rows. cornrate.ingest loads them into the records defined here and
+writes the store (save_dataset); load_dataset reads it back. Every
+command but ingest starts from a store, so only ingest executes that
+module. The public names it took from here (LoadReport, load_patents,
+load_trial_sets, load_field_tests, save_dataset and
+infer_missing_year_average) are still found here, through the module
+__getattr__ at the end.
 
 The records are typing.NamedTuple classes: immutable, so a changed
 record is a copy (_replace), and cheap to import and build. Their row
@@ -18,30 +23,26 @@ run configuration). read_table passes the named fields of each row of a
 CSV but a store file to one parse function; load_dataset reads each
 store file, past _store_reader's layout check, in one loop of its own.
 Store, network, series and prefix-table files stop at the first bad row;
-the ingest loaders record each bad row as a row error and read on. The
-three ingest loaders and load_dataset run with the cyclic garbage
-collector paused (_without_gc).
+the ingest loaders record each bad row as a row error and read on.
+load_dataset, the ingest loaders and cli.main run with the cyclic
+garbage collector paused (_without_gc).
 
 CornrateError is the base of every cornrate error and carries the CLI's
-exit code. The dataset views at the end drop a run's excluded patents,
-select the K1/K2 domain and describe a dataset for the report command.
+exit code. The dataset views drop a run's excluded patents, select the
+K1/K2 domain and describe a dataset for the report command.
 """
 
 from __future__ import annotations
 
 import csv
-import datetime
 import gc
 import json
 import math
 import operator
-import os
-import tempfile
-import warnings
 from collections import Counter
 from contextlib import contextmanager
 from enum import Enum
-from functools import partial, wraps
+from functools import wraps
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional
 
@@ -212,35 +213,12 @@ class Dataset(NamedTuple):
     field_tests: list[FieldTestRecord] = []
 
 
-@_fresh_defaults
-class LoadReport(NamedTuple):
-    """Result of one ingestion call with full row accounting."""
-
-    records: list
-    row_errors: list[tuple[int, str]] = []
-    skipped: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "records": len(self.records),
-            "row_errors": [{"row": r, "error": m} for r, m in self.row_errors],
-            "skipped": self.skipped,
-        }
-
-
 def _parse_number(text: str) -> float:
     # Decimal comma accepted ("99,7" in the source snapshots).
     value = float(text.strip().replace(",", "."))
     if not math.isfinite(value):
         raise ValueError(f"non-finite number {text.strip()!r}")
     return value
-
-
-def _parse_yield(text: str) -> tuple[float, bool]:
-    # Kentucky reports flag significance with a trailing asterisk ("190.3*").
-    text = text.strip()
-    significant = text.endswith("*")
-    return _parse_number(text.rstrip("*")), significant
 
 
 # Raw ingestion layouts: the columns the loaders and CitationNetwork.from_files
@@ -368,133 +346,6 @@ def _without_gc(load: Callable) -> Callable:
     return paused
 
 
-def _load(path, names: list[str], parse: Callable[..., object]) -> LoadReport:
-    """The records parse makes of the named columns of an ingest CSV, and its row errors."""
-    errors: list[tuple[int, str]] = []
-    records = list(read_table(path, names, parse, row_errors=errors))
-    return LoadReport(records, errors)
-
-
-@_without_gc
-def load_patents(path) -> LoadReport:
-    """Load the patent CSV; variety_name/kind stay unset for the title parser."""
-    seen: set[str] = set()
-
-    def patent(number, title, assignee, filed_year, granted_year, forward_citations,
-               cited_patents) -> PatentRecord:
-        number = number.strip()
-        if number in seen:
-            raise IngestError(f"duplicate patent_number {number} in {path}")
-        record = PatentRecord(
-            patent_number=number,
-            title=title.strip(),
-            assignee=assignee.strip(),
-            filed_year=int(filed_year),
-            granted_year=int(granted_year),
-            cited_patents=[c.strip() for c in cited_patents.split(";") if c.strip()],
-            forward_citation_count=int(forward_citations),
-        )
-        record.validate()
-        seen.add(number)
-        return record
-
-    return _load(path, PATENT_COLUMNS, patent)
-
-
-def _illinois_row(state, year, region, brand, hybrid, yield_text, moisture) -> FieldTestRecord:
-    yield_value, significant = _parse_yield(yield_text)
-    record = FieldTestRecord(
-        state=state,
-        year=int(year),
-        region=region.strip(),
-        brand=brand.strip(),
-        hybrid=hybrid.strip(),
-        yield_value=yield_value,
-        moisture=_parse_number(moisture),
-        significant=significant,
-    )
-    record.validate()
-    return record
-
-
-def _kentucky_row(state, maturity, year, brand, hybrid, yield_text, moisture,
-                  stand) -> FieldTestRecord:
-    yield_value, significant = _parse_yield(yield_text)
-    record = FieldTestRecord(
-        state=state,
-        year=int(year),
-        region="STATE_AVG",
-        brand=brand.strip(),
-        hybrid=hybrid.strip(),
-        yield_value=yield_value,
-        moisture=_parse_number(moisture),
-        maturity=Maturity(maturity.strip().lower()),
-        stand=_parse_number(stand) if stand.strip() else None,
-        significant=significant,
-    )
-    record.validate()
-    return record
-
-
-@_without_gc
-def load_field_tests(path, schema: FieldTestSchema | str, state: str = "") -> LoadReport:
-    """Load one state's field-test CSV in the Illinois- or Kentucky-like layout."""
-    if schema == FieldTestSchema.ILLINOIS_LIKE:   # a str enum: equal to its value
-        return _load(path, ILLINOIS_COLUMNS, partial(_illinois_row, state))
-    if schema == FieldTestSchema.KENTUCKY_LIKE:
-        return _load(path, ["Maturity", "Year", "Brand", "Hybrid", "Yield", "Moist", "Stand"],
-                     partial(_kentucky_row, state))
-    raise IngestError(f"unknown schema: {schema!r}")
-
-
-def _trial_row(number, patented_variety, control, patented_yield,
-               control_yield) -> tuple[str, Optional[TrialComparison]]:
-    """(patent number, comparison), or (patent number, None) for a summary 'AVG' row."""
-    control = control.strip()
-    if control == "AVG":
-        return number.strip(), None
-    comparison = TrialComparison(
-        patented_yield=_parse_number(patented_yield),
-        control_yield=_parse_number(control_yield),
-        control_name=control,
-    )
-    comparison.validate()
-    return number.strip(), comparison
-
-
-@_without_gc
-def load_trial_sets(path) -> LoadReport:
-    """Load per-patent trial comparisons; summary 'AVG' rows are skipped."""
-    rows = _load(path, TRIAL_COLUMNS, _trial_row)
-    groups: dict[str, list[TrialComparison]] = {}
-    for number, comparison in rows.records:
-        group = groups.setdefault(number, [])
-        if comparison is not None:
-            group.append(comparison)
-    records = [PatentTrialSet(number, group) for number, group in groups.items() if group]
-    rows.row_errors.extend((-1, f"no comparisons for patent {number}")
-                           for number, group in groups.items() if not group)
-    skipped = sum(comparison is None for _, comparison in rows.records)
-    return LoadReport(records, rows.row_errors, skipped)
-
-
-def infer_missing_year_average(summary_mean: float, known_year_means: list[float],
-                               m: int) -> float:
-    """Back out the one missing annual mean from an m-year summary mean.
-
-    The summary mean is the arithmetic mean over all m years, so the
-    missing year is m*summary - sum(known), the unique consistent value.
-    """
-    if m < 2:
-        raise ValueError("summary must cover at least 2 years")
-    if len(known_year_means) != m - 1:
-        raise ValueError(f"expected {m - 1} known year means, got {len(known_year_means)}")
-    inferred = m * summary_mean - sum(known_year_means)
-    if inferred <= 0:
-        warnings.warn(f"inferred nonpositive year mean {inferred:.4g}; check inputs")
-    return inferred
-
-
 # --- dataset store ---------------------------------------------------------
 
 _PATENT_HEADER = PATENT_COLUMNS + ["variety_name", "kind"]
@@ -502,79 +353,6 @@ _TRIAL_HEADER = ["patent_number", "control_name", "patented_yield", "control_yie
                  "patented_moisture", "control_moisture"]
 _FIELDTEST_HEADER = ["state", "year", "region", "brand", "hybrid", "yield", "moisture",
                      "maturity", "stand", "significant"]
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, Enum):
-        return value.value
-    # float() first: repr of a numpy float64 is "np.float64(98.3)" under numpy 2.
-    return repr(float(value)) if isinstance(value, float) else str(value)
-
-
-def save_dataset(dataset: Dataset, directory) -> None:
-    """Write the dataset's three CSVs and its manifest into directory.
-
-    All four are written to a temporary directory inside directory, then the
-    old manifest is removed and each file moved over its old one, the manifest
-    last: a failed write leaves the old store, a failed move leaves no manifest.
-
-    A dataset that the store would load back changed, or not at all, is a
-    DatasetError naming the patent, raised before anything is written. The
-    store keys each patent by its number, joins cited numbers with ";" and
-    drops empty ones, and reads an empty variety name as none. It loads a
-    trial set only for a patent it holds, and a patent's trial rows as one
-    set, which a set without comparisons does not appear in.
-    """
-    for key, p in dataset.patents.items():
-        if key != p.patent_number:
-            raise DatasetError(f"patent {p.patent_number!r}: held under the key {key!r}, and "
-                               "the store keys each patent by its number")
-        if "" in p.cited_patents or ";" in "".join(p.cited_patents):
-            raise DatasetError(f"patent {p.patent_number!r}: a cited patent number is empty "
-                               f"or holds ';', which the store cannot hold: {p.cited_patents!r}")
-        if p.variety_name == "":
-            raise DatasetError(f"patent {p.patent_number!r}: an empty variety_name, which the "
-                               "store reads back as none")
-    tested: set[str] = set()
-    for ts in dataset.trial_sets:
-        number = ts.patent_number
-        if number not in dataset.patents:
-            raise DatasetError(f"patent {number!r}: a trial set for a patent not in the "
-                               "dataset, which the store cannot load")
-        if not ts.comparisons:
-            raise DatasetError(f"patent {number!r}: a trial set without comparisons, which "
-                               "the store loads back as none")
-        if number in tested:
-            raise DatasetError(f"patent {number!r}: a second trial set, which the store "
-                               "loads back joined with the first")
-        tested.add(number)
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(dir=directory) as temporary:
-        staging = Path(temporary)
-        write_csv(staging / "patents.csv", _PATENT_HEADER, (
-            [p.patent_number, p.title, p.assignee, p.filed_year, p.granted_year,
-             p.forward_citation_count, ";".join(p.cited_patents), _fmt(p.variety_name),
-             _fmt(p.kind)]
-            for p in dataset.patents.values()))
-        write_csv(staging / "trials.csv", _TRIAL_HEADER, (
-            [ts.patent_number, c.control_name, _fmt(c.patented_yield), _fmt(c.control_yield),
-             _fmt(c.patented_moisture), _fmt(c.control_moisture)]
-            for ts in dataset.trial_sets for c in ts.comparisons))
-        write_csv(staging / "fieldtests.csv", _FIELDTEST_HEADER, (
-            [t.state, t.year, t.region, t.brand, t.hybrid, _fmt(t.yield_value),
-             _fmt(t.moisture), _fmt(t.maturity), _fmt(t.stand), _fmt(bool(t.significant))]
-            for t in dataset.field_tests))
-        manifest = {"schema_version": SCHEMA_VERSION,
-                    "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat()}
-        (staging / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-        (directory / "manifest.json").unlink(missing_ok=True)
-        for name in ("patents.csv", "trials.csv", "fieldtests.csv", "manifest.json"):
-            os.replace(staging / name, directory / name)
 
 
 @contextmanager
@@ -738,3 +516,15 @@ def describe_dataset(dataset: Dataset) -> dict:
             "n_field_tests": len(dataset.field_tests),
             **{name: [dict(zip(REPORT_TABLES[name], row)) for row in rows[name]]
                for name in REPORT_TABLES}}
+
+
+# The public names that moved to cornrate.ingest, which this module does not import.
+_INGEST_NAMES = {"LoadReport", "load_patents", "load_trial_sets", "load_field_tests",
+                 "save_dataset", "infer_missing_year_average"}
+
+
+def __getattr__(name: str):
+    if name in _INGEST_NAMES:
+        from . import ingest
+        return getattr(ingest, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,6 +10,10 @@ Without a named control, default_control picks the variety with the
 region's longest run of consecutive tested years, of at least
 DEFAULT_CONTROL_MIN_YEARS.
 
+trend_report is the trend command's one library call: it builds the named
+series, from a CSV (the bundled USDA series by default) or from a
+dataset, and fits it.
+
 TrendSeries and FitResult are immutable typing.NamedTuple records. A
 TrendSeries checks its points when it is constructed, so every series
 in hand has strictly increasing years and positive, finite values.
@@ -21,7 +25,8 @@ import math
 from typing import Iterable, NamedTuple, Optional
 
 from .constants import DEFAULT_CONTROL_MIN_YEARS
-from .core_data import CornrateError, FieldTestRecord, _parse_number, read_table, write_csv
+from .core_data import (CornrateError, Dataset, FieldTestRecord, IngestError, _parse_number,
+                        read_table, write_csv)
 from .special import t_sf
 
 
@@ -171,3 +176,46 @@ def weather_corrected_series(tests: Iterable[FieldTestRecord], region: str,
         control_yield = math.fsum(control_rows[year]) / len(control_rows[year])
         points.append((year, best[year] / control_yield))
     return TrendSeries(tuple(points))
+
+
+def trend_report(series: str, dataset: Optional[Dataset] = None, path=None,
+                 region: Optional[str] = None, control: Optional[str] = None,
+                 year_from: Optional[int] = None,
+                 year_to: Optional[int] = None) -> tuple[dict, TrendSeries]:
+    """The named series, restricted to [year_from, year_to], and its report.
+
+    "usda-file" reads the series CSV at path, or the bundled USDA series;
+    the other series are built from dataset: "patent-yearly-max" from its
+    trial sets, "state-average" from its field tests, and
+    "weather-corrected" from the field tests of region against control
+    (default_control when none is given). The report holds the series
+    name, the control that default_control picked, if it did, and the fit
+    (fit_exponential).
+    """
+    report: dict = {"series": series}
+    if series == "usda-file" and path:
+        points = TrendSeries.read_csv(path)
+    elif series == "usda-file":
+        from importlib import resources
+        ref = resources.files("cornrate.data") / "usda_us_corn_yield.csv"
+        with resources.as_file(ref) as bundled:
+            points = TrendSeries.read_csv(bundled)
+    elif series == "patent-yearly-max":
+        from . import yield_metrics
+        points = yield_metrics.yearly_max_yield(
+            (dataset.patents[ts.patent_number].filed_year, yield_metrics.summarize(ts))
+            for ts in dataset.trial_sets)
+    elif series == "state-average":
+        from . import yield_metrics
+        points = yield_metrics.state_yearly_average(dataset.field_tests)
+    elif series == "weather-corrected":
+        if not region:
+            raise IngestError("--region is required for weather-corrected series")
+        if not control:
+            control = report["control"] = default_control(dataset.field_tests, region)
+        points = weather_corrected_series(dataset.field_tests, region, control)
+    else:
+        raise IngestError(f"unknown series: {series!r}")
+    points = points.restrict(year_from, year_to)
+    report.update(fit_exponential(points).as_dict())
+    return report, points

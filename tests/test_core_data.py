@@ -487,9 +487,9 @@ class TestDatasetStore:
     def test_failed_write_keeps_old_store(self, tmp_path, monkeypatch):
         # The new files are written aside, so a write that fails leaves the
         # old store loadable and no temporary directory behind.
-        import cornrate.core_data as core_data
+        import cornrate.ingest as ingest
         save_dataset(self._dataset(), tmp_path / "ds")
-        real_write_csv = core_data.write_csv
+        real_write_csv = ingest.write_csv
         written = []
 
         def failing_write_csv(path, header, rows):
@@ -498,7 +498,7 @@ class TestDatasetStore:
             written.append(path.name)
             real_write_csv(path, header, rows)
 
-        monkeypatch.setattr(core_data, "write_csv", failing_write_csv)
+        monkeypatch.setattr(ingest, "write_csv", failing_write_csv)
         with pytest.raises(OSError, match="disk full"):
             save_dataset(synthetic_dataset(), tmp_path / "ds")
         assert written == ["patents.csv"]
@@ -543,6 +543,18 @@ class TestDatasetStore:
         manifest = tmp_path / "ds" / "manifest.json"
         manifest.write_text('{"schema_version": 1, "citation_cutoff_year": 2015}')
         assert load_dataset(tmp_path / "ds") == self._dataset()
+
+
+def test_moved_ingest_names_resolve_from_core_data():
+    # The loaders and the store writer live in cornrate.ingest. Code that looks
+    # them up in core_data, as the benchmark's tracer does, finds the same objects.
+    import cornrate.core_data as core_data
+    import cornrate.ingest as ingest
+    for name in ("load_patents", "load_trial_sets", "load_field_tests", "save_dataset",
+                 "infer_missing_year_average", "LoadReport"):
+        assert getattr(core_data, name) is getattr(ingest, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        core_data.no_such_name
 
 
 def test_container_defaults_are_not_shared():

@@ -32,7 +32,7 @@ ARRAY_COMMANDS = {"predict_k2", "regress"}
 _BASE = {"cli", "constants", "core_data"}
 _TREND = {"trend", "special"}
 EXECUTED = {
-    "ingest": _BASE | {"title_parser", "data"},
+    "ingest": _BASE | {"ingest", "title_parser", "data"},
     "trend_usda-file": _BASE | _TREND | {"data"},
     "trend_patent-yearly-max": _BASE | _TREND | {"yield_metrics"},
     "trend_state-average": _BASE | _TREND | {"yield_metrics"},
@@ -104,7 +104,9 @@ def test_numpy_loads_only_for_array_commands(stem, store, outputs, tmp_path):
     # submodule (numpy._core among them) is there only once numpy has run.
     # The records are NamedTuples, so no command loads dataclasses; inspect,
     # which dataclasses imported and which costs each start-up several
-    # milliseconds, is loaded only by numpy.
+    # milliseconds, is loaded only by numpy. Without a timestamp, datetime is
+    # loaded only by ingest, whose store manifest records its creation time,
+    # and by numpy's own import.
     argv = commands(tmp_path / "dataset" if stem == "ingest" else store)[stem]
     src = str(Path(cornrate.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -113,13 +115,15 @@ def test_numpy_loads_only_for_array_commands(stem, store, outputs, tmp_path):
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = cornrate.cli.main({argv!r})\n"
             "print(code, any(m.startswith('numpy.') for m in sys.modules),\n"
-            "      'dataclasses' in sys.modules, 'inspect' in sys.modules)\n")
+            "      'dataclasses' in sys.modules, 'inspect' in sys.modules,\n"
+            "      'datetime' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout
     array = stem in ARRAY_COMMANDS
-    exit_code, numpy_loaded, dataclasses_loaded, inspect_loaded = out.split()
+    exit_code, numpy_loaded, dataclasses_loaded, inspect_loaded, datetime_loaded = out.split()
     assert [exit_code, numpy_loaded, dataclasses_loaded] == ["0", str(array), "False"]
     assert array or inspect_loaded == "False"
+    assert datetime_loaded == str(array or stem == "ingest")
 
 
 def _run_python(code: str) -> str:
