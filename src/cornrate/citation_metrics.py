@@ -30,7 +30,11 @@ class CitationError(CornrateError):
 
 
 def build_internal_edges(patents: Mapping[str, PatentRecord]) -> list[tuple[str, str]]:
-    """(citing, cited) pairs restricted to patents present in the collection."""
+    """(citing, cited) pairs restricted to patents present in the collection.
+
+    No command builds this list any more (cite3_counts reads each patent's
+    cited_patents); perfbench/traced_cli.py still names it as a layer.
+    """
     edges = []
     for p in patents.values():
         for cited in p.cited_patents:
@@ -40,34 +44,37 @@ def build_internal_edges(patents: Mapping[str, PatentRecord]) -> list[tuple[str,
 
 
 def cite3_counts(patents: Iterable[PatentRecord],
-                 citation_edges: Iterable[tuple[str, str]],
+                 citing: Iterable[PatentRecord],
                  pub_years: Mapping[str, int]) -> dict[str, int]:
     """Per-patent count of forward citations within the 3-year window.
 
-    pub_years gives the publication year of each patent counted and of
-    every patent citing one.
+    The citations are the cited_patents of each citing patent, taken in
+    order; those to a patent not counted are ignored. pub_years gives the
+    publication year of each patent counted and of every patent citing one.
     """
     counts = {p.patent_number: 0 for p in patents}
-    for citing, cited in citation_edges:
-        if cited not in counts:
-            continue
-        if citing not in pub_years:
-            raise CitationError(f"no publication year for citing patent {citing}")
-        delta = pub_years[citing] - pub_years[cited]
-        if delta < 0:
-            raise CitationError(
-                f"citation from {citing} predates cited patent {cited}")
-        if delta <= 3:
-            counts[cited] += 1
+    for source in citing:
+        number = source.patent_number
+        for cited in source.cited_patents:
+            if cited not in counts:
+                continue
+            if number not in pub_years:
+                raise CitationError(f"no publication year for citing patent {number}")
+            delta = pub_years[number] - pub_years[cited]
+            if delta < 0:
+                raise CitationError(
+                    f"citation from {number} predates cited patent {cited}")
+            if delta <= 3:
+                counts[cited] += 1
     return counts
 
 
 def per_patent_cite3(patents: Mapping[str, PatentRecord]
                      ) -> tuple[dict[str, int], dict[str, float]]:
-    """Each patent's cite3 count over the collection's internal edges, and its
+    """Each patent's cite3 count over the collection's citations, and its
     mid-rank percentile within its grant-year cohort."""
     granted = {n: p.granted_year for n, p in patents.items()}
-    counts = cite3_counts(patents.values(), build_internal_edges(patents), granted)
+    counts = cite3_counts(patents.values(), patents.values(), granted)
     return counts, midrank_percentiles(counts, granted)
 
 
@@ -81,16 +88,16 @@ def domain_citation_stats(patents: Mapping[str, PatentRecord],
                           domain: Iterable[PatentRecord]) -> dict:
     """K1 and its inputs for a domain slice of a patent collection.
 
-    The citations are the collection's internal edges, so a citing patent
-    may fall outside the slice; each patent is published in its grant
-    year. spc is the number of domain patents and cite3_total the sum of
-    their cite3_counts, whose mean is cite3. An empty domain is a
-    CitationError.
+    The citations are those between the collection's patents, so a citing
+    patent may fall outside the slice, which must lie within the
+    collection; each patent is published in its grant year. spc is the
+    number of domain patents and cite3_total the sum of their
+    cite3_counts, whose mean is cite3. An empty domain is a CitationError.
     """
     domain = list(domain)
     if not domain:
         raise CitationError("no domain patents")
-    total = sum(cite3_counts(domain, build_internal_edges(patents),
+    total = sum(cite3_counts(domain, patents.values(),
                              {n: p.granted_year for n, p in patents.items()}).values())
     cite3 = total / len(domain)
     ave_pub_year = math.fsum(p.granted_year for p in domain) / len(domain)

@@ -32,11 +32,22 @@ analysis table needs. Only predict k2 and regress import numpy; cornrate
 imports datetime only for ingest's store manifest and a report's
 timestamp. main parses and runs the command with the cyclic garbage
 collector paused (core_data._without_gc).
+
+Importing cli registers gc.freeze to run at interpreter exit. The
+interpreter's finalizer then finds every object in the permanent
+generation, so its closing collections walk nothing. They would only tear
+down module functions, classes and dicts that the OS reclaims anyway, and
+took 8-20 ms of each cold command on the bundled fixture. Other atexit
+handlers, the stdio flush and the exit code are unaffected. main itself
+never freezes, since in-process callers run it many times and a freeze
+would pin each run's uncollected cycles.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import sys
 from operator import itemgetter
@@ -61,6 +72,9 @@ yield_metrics = _lazy_module("cornrate.yield_metrics")
 
 # Exit code of each builtin exception a command may raise.
 BUILTIN_EXIT_CODES = {FileNotFoundError: 2, ValueError: 3, ArithmeticError: 4}
+
+# Runs after every handler registered later (atexit is last in, first out).
+atexit.register(gc.freeze)
 
 
 def _out_dir(args) -> Path:

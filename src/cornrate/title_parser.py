@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from importlib import resources
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .core_data import IngestError, PatentKind, PatentRecord, read_table
 
@@ -40,6 +40,21 @@ class PrefixTable:
     def __init__(self, entries: Iterable[PrefixEntry]):
         # Stable sort: equal-length patterns keep their input order.
         self.entries = sorted(entries, key=lambda e: -len(e.pattern))
+        # A title can start with a prefix pattern that holds a space only if the
+        # title's first word (up to its first space) is the pattern's. So a title
+        # tests the prefix entries of its first word and every unkeyed entry, in
+        # table order, and the first entry that applies still wins.
+        keys = [_first_word(entry) for entry in self.entries]
+        tests = [(_TESTS[entry.position], entry) for entry in self.entries]
+        self._unkeyed = [test for test, key in zip(tests, keys) if key is None]
+        self._by_first_word = {word: [test for test, key in zip(tests, keys)
+                                      if key in (word, None)]
+                               for word in set(keys) - {None}}
+
+    def _candidates(self, title: str) -> list[tuple[Callable[[str, str], bool], PrefixEntry]]:
+        """(test, entry) for each entry that may apply to title, in table order;
+        test(title, entry.pattern) tells whether it does."""
+        return self._by_first_word.get(title.partition(" ")[0], self._unkeyed)
 
     @classmethod
     def load(cls, path) -> "PrefixTable":
@@ -66,12 +81,15 @@ def _prefix_entry(pattern: str, position: str) -> PrefixEntry:
     return PrefixEntry(pattern, PatternPosition(position.strip().lower()))
 
 
-def _matches(title: str, entry: PrefixEntry) -> bool:
-    if entry.position is PatternPosition.PREFIX:
-        return title.startswith(entry.pattern)
-    if entry.position is PatternPosition.SUFFIX:
-        return title.endswith(entry.pattern)
-    return entry.pattern in title
+def _first_word(entry: PrefixEntry) -> Optional[str]:
+    """The first word a title must have for entry to apply to it, or None for
+    a suffix, an infix or a prefix without a space."""
+    word, space, _ = entry.pattern.partition(" ")
+    return word if space and entry.position is PatternPosition.PREFIX else None
+
+
+_TESTS = {PatternPosition.PREFIX: str.startswith, PatternPosition.SUFFIX: str.endswith,
+          PatternPosition.INFIX: str.__contains__}
 
 
 def extract_variety_name(title: str, table: Optional[PrefixTable] = None) -> tuple[str, bool]:
@@ -84,8 +102,8 @@ def extract_variety_name(title: str, table: Optional[PrefixTable] = None) -> tup
         raise ValueError("empty title")
     if table is None:
         table = PrefixTable.default()
-    for entry in table.entries:
-        if _matches(title, entry):
+    for test, entry in table._candidates(title):
+        if test(title, entry.pattern):
             return title.replace(entry.pattern, "").strip(), True
     return title.strip(), False
 

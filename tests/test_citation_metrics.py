@@ -28,38 +28,45 @@ def _collection(patents):
 class TestCite3Counts:
     def test_window_boundaries(self):
         # deltas 0, 3 count; delta 4 does not.
-        patents = [_patent("T", 2000), _patent("A", 2000), _patent("B", 2003),
-                   _patent("C", 2004)]
-        edges = [("A", "T"), ("B", "T"), ("C", "T")]
-        counts = cite3_counts(patents, edges, _granted(patents))
+        patents = [_patent("T", 2000), _patent("A", 2000, cited=["T"]),
+                   _patent("B", 2003, cited=["T"]), _patent("C", 2004, cited=["T"])]
+        counts = cite3_counts(patents, patents, _granted(patents))
         assert counts["T"] == 2
 
     def test_external_citing_year_map(self):
         patents = [_patent("T", 2000)]
-        counts = cite3_counts(patents, [("EXT", "T")], {"T": 2000, "EXT": 2002})
+        citing = [_patent("EXT", 2002, cited=["T"])]
+        counts = cite3_counts(patents, citing, {"T": 2000, "EXT": 2002})
         assert counts["T"] == 1
 
     def test_missing_citing_year_raises(self):
         with pytest.raises(CitationError, match="no publication year"):
-            cite3_counts([_patent("T", 2000)], [("EXT", "T")], {"T": 2000})
+            cite3_counts([_patent("T", 2000)], [_patent("EXT", 2002, cited=["T"])],
+                         {"T": 2000})
 
     def test_backwards_citation_raises(self):
-        patents = [_patent("T", 2005), _patent("A", 2000)]
+        patents = [_patent("T", 2005), _patent("A", 2000, cited=["T"])]
         with pytest.raises(CitationError, match="predates"):
-            cite3_counts(patents, [("A", "T")], _granted(patents))
+            cite3_counts(patents, patents, _granted(patents))
 
     def test_edges_to_outsiders_ignored(self):
-        counts = cite3_counts([_patent("T", 2000)], [("T", "NOTHERE")], {"T": 2000})
+        patents = [_patent("T", 2000, cited=["NOTHERE"])]
+        counts = cite3_counts(patents, patents, {"T": 2000})
         assert counts == {"T": 0}
+
+    def test_first_backwards_citation_in_collection_order_raises(self):
+        patents = [_patent("T", 2005), _patent("U", 2006),
+                   _patent("A", 1999, cited=["U", "T"]), _patent("B", 1998, cited=["T"])]
+        with pytest.raises(CitationError, match="^citation from A predates cited patent U$"):
+            cite3_counts(patents, patents, _granted(patents))
 
     @given(st.integers(0, 10))
     def test_count_matches_window_size(self, n_in_window):
         target = _patent("T", 2000)
-        citers = [_patent(f"C{i}", 2000 + (i % 4)) for i in range(n_in_window)]
-        late = [_patent(f"L{i}", 2005) for i in range(3)]
-        edges = [(p.patent_number, "T") for p in citers + late]
+        citers = [_patent(f"C{i}", 2000 + (i % 4), cited=["T"]) for i in range(n_in_window)]
+        late = [_patent(f"L{i}", 2005, cited=["T"]) for i in range(3)]
         patents = [target] + citers + late
-        counts = cite3_counts(patents, edges, _granted(patents))
+        counts = cite3_counts(patents, patents, _granted(patents))
         assert counts["T"] == n_in_window
 
 
@@ -169,8 +176,7 @@ class TestDomainStats:
         assert stats["cite3"] == pytest.approx(0.75)
         assert stats["ave_pub_year"] == pytest.approx(2001.0)
         assert stats["k1"] == pytest.approx(predict_k1(2001.0, 0.75), abs=1e-12)
-        edges = build_internal_edges(_collection(patents))
-        assert cite3_counts(patents, edges, _granted(patents)) == {"A": 2, "B": 1, "C": 0, "D": 0}
+        assert cite3_counts(patents, patents, _granted(patents)) == {"A": 2, "B": 1, "C": 0, "D": 0}
 
     def _without(self, numbers):
         return without_patents(Dataset(patents=_collection(self._domain())), numbers).patents

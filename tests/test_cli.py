@@ -1,9 +1,13 @@
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -612,6 +616,42 @@ class TestDeterminism:
         payload = json.loads(capsys.readouterr().out)
         assert "constants" in payload
         assert "k1" in payload["constants"]
+
+
+class TestExit:
+    # Registered before cornrate.cli is imported, so it runs after cli's handler.
+    PROBE = ("import atexit, gc, sys\n"
+             "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
+             "from cornrate.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+
+    def run(self, argv):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-c", self.PROBE, *argv], env=env,
+                              capture_output=True, timeout=120)
+
+    def test_heap_frozen_at_exit_with_exit_code_and_stdout_kept(self, dataset_dir):
+        golden = Path(__file__).resolve().parent / "golden" / "trend_usda-file.json"
+        done = self.run(["trend", "--series", "usda-file", "--no-timestamp"])
+        assert (done.returncode, done.stdout, done.stderr) == (0, golden.read_bytes(), b"True\n")
+        done = self.run(["predict", "k1", "--dataset", str(dataset_dir),
+                         "--filed-until", "1900", "--no-timestamp"])
+        error, probe = done.stderr.decode().splitlines()
+        assert (done.returncode, done.stdout, probe) == (3, b"", "True")
+        assert json.loads(error)["exit_code"] == 3
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_main_in_process_neither_freezes_nor_moves_the_collector(self, collecting,
+                                                                     capsys):
+        was_enabled = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            assert main(["trend", "--series", "usda-file", "--no-timestamp"]) == 0
+            assert (gc.get_freeze_count(), gc.isenabled()) == (0, collecting)
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
 
 class TestMalformedConfig:

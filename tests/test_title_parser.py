@@ -63,6 +63,37 @@ class TestExtractVarietyName:
             assert twice == once
 
 
+def _linear_scan(title, table):
+    """extract_variety_name as a test of every entry in table order."""
+    for entry in table.entries:
+        test = {PatternPosition.PREFIX: title.startswith, PatternPosition.SUFFIX: title.endswith,
+                PatternPosition.INFIX: title.__contains__}[entry.position]
+        if test(entry.pattern):
+            return title.replace(entry.pattern, "").strip(), True
+    return title.strip(), False
+
+
+# Few letters and many spaces, so that patterns share first words, hold no
+# space or start with one, and often apply.
+_TEXT = st.text(alphabet="ab ", min_size=1, max_size=6)
+
+
+@given(st.lists(st.builds(PrefixEntry, _TEXT, st.sampled_from(list(PatternPosition))),
+                min_size=1, max_size=8),
+       st.lists(_TEXT, min_size=1, max_size=10))
+def test_first_applicable_entry_wins_as_in_a_linear_scan(entries, titles):
+    table = PrefixTable(entries)
+    for title in titles:
+        assert extract_variety_name(title, table) == _linear_scan(title, table)
+
+
+def test_bundled_table_agrees_with_a_linear_scan(table):
+    for entry in table.entries:
+        for title in (entry.pattern + "X1", "X1 " + entry.pattern, entry.pattern,
+                      entry.pattern.lower() + "X1", entry.pattern.upper() + "X1"):
+            assert extract_variety_name(title, table) == _linear_scan(title, table)
+
+
 class TestClassify:
     @pytest.mark.parametrize("title,kind", [
         ("Inbred corn line NP2073", PatentKind.INBRED),
