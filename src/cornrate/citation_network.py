@@ -101,7 +101,10 @@ array operation, so CLI commands that never build a network do not pay
 for it. The binding stays at module level rather than in each function,
 so this module is fully defined once cornrate.cli is imported, and code
 that wraps its functions from outside (a profiler, the benchmark's
-tracer) finds them all.
+tracer) finds them all. Only predict k2 runs this module, but a plain
+`import numpy` raised its peak RSS on a 5x10^4-node network from 48.4 to
+48.9 MB (Python 3.11, numpy 2.4): numpy then loads before ranking, trend
+and special run, rather than after.
 """
 
 from __future__ import annotations

@@ -70,8 +70,9 @@ title_parser = _lazy_module("cornrate.title_parser")
 trend = _lazy_module("cornrate.trend")
 yield_metrics = _lazy_module("cornrate.yield_metrics")
 
-# Exit code of each builtin exception a command may raise.
-BUILTIN_EXIT_CODES = {FileNotFoundError: 2, ValueError: 3, ArithmeticError: 4}
+# Exit code of each builtin exception a command may raise. An OSError (a missing
+# input file, an --out path that is a file or is not writable) is an input error.
+BUILTIN_EXIT_CODES = {OSError: 2, ValueError: 3, ArithmeticError: 4}
 
 # Runs after every handler registered later (atexit is last in, first out).
 atexit.register(gc.freeze)
@@ -92,11 +93,12 @@ def _emit(payload: dict, command: str, args) -> None:
         payload["created_utc"] = datetime.datetime.now(
             datetime.timezone.utc).isoformat()
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    print(text)
     # ingest has no report directory: its --out is the store (args.store), which
-    # holds only the files save_dataset writes.
+    # holds only the files save_dataset writes. The report file is written first,
+    # so that a command whose --out cannot be written prints no report.
     if getattr(args, "out", None):
         (_out_dir(args) / f"{command}.json").write_text(text + "\n", encoding="utf-8")
+    print(text)
 
 
 def _load_config(args) -> tuple[set[str], float]:

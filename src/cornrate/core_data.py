@@ -2,19 +2,21 @@
 
 Three data families come in as CSV: granted patents, the head-to-head
 trial tables transcribed from patent documents, and state field-test
-rows. cornrate.ingest loads them into the records defined here and
-writes the store (save_dataset); load_dataset reads it back. Every
-command but ingest starts from a store, so only ingest executes that
-module. The public names it took from here (LoadReport, load_patents,
-load_trial_sets, load_field_tests, save_dataset and
+rows. cornrate.ingest loads them into the records defined here. This
+module holds the whole store format: its file names, headers, column
+order, value encoding, manifest and SCHEMA_VERSION, with save_dataset,
+which writes a store, beside load_dataset, which reads it back. Every
+command but ingest starts from a store, so only ingest executes the
+ingest module. The five public names it took from here (LoadReport,
+load_patents, load_trial_sets, load_field_tests and
 infer_missing_year_average) are still found here, through the module
 __getattr__ at the end.
 
 The records are typing.NamedTuple classes: immutable, so a changed
 record is a copy (_replace), and cheap to import and build. Their row
 rules (_check_patent, _check_comparison, _check_field_test) are each
-defined once, for validate() (which the ingest loaders run) and for
-load_dataset.
+defined once, for validate() (which the ingest loaders and save_dataset
+run) and for load_dataset.
 
 Every CSV file is opened by _csv_reader, which decodes and splits it as
 its rows are consumed and names the file and line of a fault (the
@@ -39,6 +41,7 @@ import gc
 import json
 import math
 import operator
+import os
 from collections import Counter
 from contextlib import contextmanager
 from enum import Enum
@@ -111,9 +114,10 @@ def _fresh_defaults(record: type) -> type:
 
 
 # The row rules of the three record types, each defined once: the records'
-# validate(), which the ingest loaders run on each record, and load_dataset
-# call them. A broken rule is a ValueError naming it. math.isfinite rejects
-# NaN and both infinities; an unset optional value (None) passes.
+# validate(), which the ingest loaders and save_dataset run on each record,
+# and load_dataset call them. A broken rule is a ValueError naming it.
+# math.isfinite rejects NaN and both infinities; an unset optional value
+# (None) passes.
 
 def _check_patent(number: str, filed_year: int, granted_year: int,
                   forward_citation_count: int) -> None:
@@ -348,11 +352,101 @@ def _without_gc(load: Callable) -> Callable:
 
 # --- dataset store ---------------------------------------------------------
 
-_PATENT_HEADER = PATENT_COLUMNS + ["variety_name", "kind"]
+# Written out in full, apart from the raw ingest layouts, so that a change to
+# those cannot change the store's.
+_PATENT_HEADER = ["patent_number", "title", "assignee", "filed_year", "granted_year",
+                  "forward_citations", "cited_patents", "variety_name", "kind"]
 _TRIAL_HEADER = ["patent_number", "control_name", "patented_yield", "control_yield",
                  "patented_moisture", "control_moisture"]
 _FIELDTEST_HEADER = ["state", "year", "region", "brand", "hybrid", "yield", "moisture",
                      "maturity", "stand", "significant"]
+
+
+def _float(value: Optional[float]) -> Optional[float]:
+    """A float column's value as a Python float, None kept (csv writes it as "").
+
+    csv writes a float subclass by its repr, and numpy 2's repr of a float64
+    is "np.float64(98.3)".
+    """
+    return None if value is None else float(value)
+
+
+def save_dataset(dataset: Dataset, directory) -> None:
+    """Write the dataset's three CSVs and its manifest into directory.
+
+    All four are written to a temporary directory inside directory, then the
+    old manifest is removed and each file moved over its old one, the manifest
+    last: a failed write leaves the old store, a failed move leaves no manifest.
+
+    A dataset that the store would load back changed, or not at all, is a
+    DatasetError naming the patent (or the field test, by its index), raised
+    before anything is written. Every record must pass its validate(), the
+    row rules load_dataset applies. The store keys each patent by its
+    number, joins cited numbers with ";" and drops empty ones, and reads an
+    empty variety name as none. It loads a trial set only for a patent it
+    holds, and a patent's trial rows as one set, which a set without
+    comparisons does not appear in.
+    """
+    # Imported here, as only ingest writes a store.
+    import datetime
+    import tempfile
+
+    for key, p in dataset.patents.items():
+        if key != p.patent_number:
+            raise DatasetError(f"patent {p.patent_number!r}: held under the key {key!r}, and "
+                               "the store keys each patent by its number")
+        if "" in p.cited_patents or ";" in "".join(p.cited_patents):
+            raise DatasetError(f"patent {p.patent_number!r}: a cited patent number is empty "
+                               f"or holds ';', which the store cannot hold: {p.cited_patents!r}")
+        if p.variety_name == "":
+            raise DatasetError(f"patent {p.patent_number!r}: an empty variety_name, which the "
+                               "store reads back as none")
+    tested: set[str] = set()
+    for ts in dataset.trial_sets:
+        number = ts.patent_number
+        if number not in dataset.patents:
+            raise DatasetError(f"patent {number!r}: a trial set for a patent not in the "
+                               "dataset, which the store cannot load")
+        if not ts.comparisons:
+            raise DatasetError(f"patent {number!r}: a trial set without comparisons, which "
+                               "the store loads back as none")
+        if number in tested:
+            raise DatasetError(f"patent {number!r}: a second trial set, which the store "
+                               "loads back joined with the first")
+        tested.add(number)
+    try:
+        for record in (*dataset.patents.values(), *dataset.trial_sets, *dataset.field_tests):
+            record.validate()
+    except ValueError as exc:
+        # index() finds the first record equal to this one, which broke the rule first.
+        name = (f"field test {dataset.field_tests.index(record)}"
+                if isinstance(record, FieldTestRecord) else f"patent {record.patent_number!r}")
+        raise DatasetError(f"{name}: {exc}") from None
+
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=directory) as temporary:
+        staging = Path(temporary)
+        write_csv(staging / "patents.csv", _PATENT_HEADER, (
+            [p.patent_number, p.title, p.assignee, p.filed_year, p.granted_year,
+             p.forward_citation_count, ";".join(p.cited_patents), p.variety_name,
+             p.kind.value if p.kind else None]
+            for p in dataset.patents.values()))
+        write_csv(staging / "trials.csv", _TRIAL_HEADER, (
+            [ts.patent_number, c.control_name, float(c.patented_yield), float(c.control_yield),
+             _float(c.patented_moisture), _float(c.control_moisture)]
+            for ts in dataset.trial_sets for c in ts.comparisons))
+        write_csv(staging / "fieldtests.csv", _FIELDTEST_HEADER, (
+            [t.state, t.year, t.region, t.brand, t.hybrid, float(t.yield_value),
+             float(t.moisture), t.maturity.value if t.maturity else None, _float(t.stand),
+             "1" if t.significant else "0"]
+            for t in dataset.field_tests))
+        manifest = {"schema_version": SCHEMA_VERSION,
+                    "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat()}
+        (staging / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        (directory / "manifest.json").unlink(missing_ok=True)
+        for name in ("patents.csv", "trials.csv", "fieldtests.csv", "manifest.json"):
+            os.replace(staging / name, directory / name)
 
 
 @contextmanager
@@ -520,7 +614,7 @@ def describe_dataset(dataset: Dataset) -> dict:
 
 # The public names that moved to cornrate.ingest, which this module does not import.
 _INGEST_NAMES = {"LoadReport", "load_patents", "load_trial_sets", "load_field_tests",
-                 "save_dataset", "infer_missing_year_average"}
+                 "infer_missing_year_average"}
 
 
 def __getattr__(name: str):

@@ -1,40 +1,33 @@
-"""CSV ingestion and the dataset store writer: what only the ingest command runs.
+"""CSV ingestion: what only the ingest command runs.
 
 The three loaders read the raw patent, trial-table and field-test CSVs
 through core_data.read_table, each with the cyclic garbage collector
 paused (core_data._without_gc). They never drop rows silently: every
 input data row ends up as a record, as a row-indexed error, or in the
-skip tally of the LoadReport. save_dataset writes a Dataset in the store
-layout that core_data.load_dataset reads.
+skip tally of the LoadReport.
 
 ingest_files is the ingest command's one library call: it loads the
 three files, annotates the patent titles (title_parser), keeps the trial
-sets of ingested patents, saves the store and returns the report.
+sets of ingested patents, saves the store (core_data.save_dataset, which
+owns the store format) and returns the report.
 
 Every other command reads a store and never executes this module, so its
-source and its imports (datetime, tempfile, warnings) stay off their
-start-up path. The public names here that core_data once defined are
-still found there too (core_data.__getattr__).
+source and its imports (warnings) stay off their start-up path. The five
+public names here that core_data once defined are still found there too
+(core_data.__getattr__).
 """
 
 from __future__ import annotations
 
-import datetime
-import json
-import os
-import tempfile
 import warnings
-from enum import Enum
 from functools import partial
-from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 from . import title_parser
-from .core_data import (_FIELDTEST_HEADER, _PATENT_HEADER, _TRIAL_HEADER, ILLINOIS_COLUMNS,
-                        PATENT_COLUMNS, SCHEMA_VERSION, TRIAL_COLUMNS, Dataset, DatasetError,
-                        FieldTestRecord, FieldTestSchema, IngestError, Maturity,
-                        PatentRecord, PatentTrialSet, TrialComparison, _fresh_defaults,
-                        _parse_number, _without_gc, read_table, write_csv)
+from .core_data import (ILLINOIS_COLUMNS, PATENT_COLUMNS, TRIAL_COLUMNS, Dataset,
+                        FieldTestRecord, FieldTestSchema, IngestError, Maturity, PatentRecord,
+                        PatentTrialSet, TrialComparison, _fresh_defaults, _parse_number,
+                        _without_gc, read_table, save_dataset)
 
 
 @_fresh_defaults
@@ -185,81 +178,6 @@ def infer_missing_year_average(summary_mean: float, known_year_means: list[float
     if inferred <= 0:
         warnings.warn(f"inferred nonpositive year mean {inferred:.4g}; check inputs")
     return inferred
-
-
-# --- dataset store ---------------------------------------------------------
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, Enum):
-        return value.value
-    # float() first: repr of a numpy float64 is "np.float64(98.3)" under numpy 2.
-    return repr(float(value)) if isinstance(value, float) else str(value)
-
-
-def save_dataset(dataset: Dataset, directory) -> None:
-    """Write the dataset's three CSVs and its manifest into directory.
-
-    All four are written to a temporary directory inside directory, then the
-    old manifest is removed and each file moved over its old one, the manifest
-    last: a failed write leaves the old store, a failed move leaves no manifest.
-
-    A dataset that the store would load back changed, or not at all, is a
-    DatasetError naming the patent, raised before anything is written. The
-    store keys each patent by its number, joins cited numbers with ";" and
-    drops empty ones, and reads an empty variety name as none. It loads a
-    trial set only for a patent it holds, and a patent's trial rows as one
-    set, which a set without comparisons does not appear in.
-    """
-    for key, p in dataset.patents.items():
-        if key != p.patent_number:
-            raise DatasetError(f"patent {p.patent_number!r}: held under the key {key!r}, and "
-                               "the store keys each patent by its number")
-        if "" in p.cited_patents or ";" in "".join(p.cited_patents):
-            raise DatasetError(f"patent {p.patent_number!r}: a cited patent number is empty "
-                               f"or holds ';', which the store cannot hold: {p.cited_patents!r}")
-        if p.variety_name == "":
-            raise DatasetError(f"patent {p.patent_number!r}: an empty variety_name, which the "
-                               "store reads back as none")
-    tested: set[str] = set()
-    for ts in dataset.trial_sets:
-        number = ts.patent_number
-        if number not in dataset.patents:
-            raise DatasetError(f"patent {number!r}: a trial set for a patent not in the "
-                               "dataset, which the store cannot load")
-        if not ts.comparisons:
-            raise DatasetError(f"patent {number!r}: a trial set without comparisons, which "
-                               "the store loads back as none")
-        if number in tested:
-            raise DatasetError(f"patent {number!r}: a second trial set, which the store "
-                               "loads back joined with the first")
-        tested.add(number)
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(dir=directory) as temporary:
-        staging = Path(temporary)
-        write_csv(staging / "patents.csv", _PATENT_HEADER, (
-            [p.patent_number, p.title, p.assignee, p.filed_year, p.granted_year,
-             p.forward_citation_count, ";".join(p.cited_patents), _fmt(p.variety_name),
-             _fmt(p.kind)]
-            for p in dataset.patents.values()))
-        write_csv(staging / "trials.csv", _TRIAL_HEADER, (
-            [ts.patent_number, c.control_name, _fmt(c.patented_yield), _fmt(c.control_yield),
-             _fmt(c.patented_moisture), _fmt(c.control_moisture)]
-            for ts in dataset.trial_sets for c in ts.comparisons))
-        write_csv(staging / "fieldtests.csv", _FIELDTEST_HEADER, (
-            [t.state, t.year, t.region, t.brand, t.hybrid, _fmt(t.yield_value),
-             _fmt(t.moisture), _fmt(t.maturity), _fmt(t.stand), _fmt(bool(t.significant))]
-            for t in dataset.field_tests))
-        manifest = {"schema_version": SCHEMA_VERSION,
-                    "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat()}
-        (staging / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-        (directory / "manifest.json").unlink(missing_ok=True)
-        for name in ("patents.csv", "trials.csv", "fieldtests.csv", "manifest.json"):
-            os.replace(staging / name, directory / name)
 
 
 # --- the ingest command ----------------------------------------------------

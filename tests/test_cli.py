@@ -451,6 +451,8 @@ def test_excluded_patent_is_as_if_never_ingested(dataset_dir, store_without_5026
     (IngestError("bad input"), 2),
     (DatasetError("bad store"), 2),
     (FileNotFoundError("no such file"), 2),
+    (FileExistsError("a file is in the way"), 2),
+    (PermissionError("not writable"), 2),
     (TrendError("bad series"), 3),
     (NetworkError("bad network"), 3),
     (CitationError("bad citation"), 3),
@@ -467,6 +469,24 @@ def test_exception_class_sets_the_exit_code(dataset_dir, monkeypatch, capsys, er
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err) == {"error": str(error), "exit_code": code}
+
+
+@pytest.mark.parametrize("command", [
+    ["ingest", "--patents", "{raw}/patents.csv", "--trials", "{raw}/trials.csv"],
+    ["report", "--dataset", "{store}"],
+    ["predict", "k1", "--dataset", "{store}"],
+], ids=["ingest", "report", "predict_k1"])
+def test_out_naming_a_file_exit_2(raw_dir, dataset_dir, tmp_path, capsys, command):
+    # An --out that cannot be a directory is an input error, met before any report is printed.
+    blocker = tmp_path / "a-file"
+    blocker.write_text("kept")
+    argv = [arg.format(raw=raw_dir, store=dataset_dir) for arg in command]
+    assert main([*argv, "--out", str(blocker), "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["exit_code"] == 2 and str(blocker) in error["error"]
+    assert blocker.read_text() == "kept"
 
 
 class TestStoreValidation:

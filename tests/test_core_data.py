@@ -420,6 +420,21 @@ class TestDatasetStore:
             "^patent '1': a second trial set"),
         "key-not-number": (lambda d: d.patents.update({"7": d.patents.pop("3")}),
                            "^patent '3': held under the key '7'"),
+        # Records that break a row rule, which load_dataset applies to every row.
+        "empty-number": (lambda d: d.patents.update(
+            {"": d.patents.pop("3")._replace(patent_number="")}),
+            "^patent '': empty patent_number"),
+        "year-order": (lambda d: d.patents.update({"3": d.patents["3"]._replace(filed_year=2005)}),
+                       "^patent '3': year order violated"),
+        "negative-citations": (lambda d: d.patents.update(
+            {"3": d.patents["3"]._replace(forward_citation_count=-1)}),
+            "^patent '3': negative forward citation count"),
+        "nan-yield": (lambda d: d.trial_sets.append(
+            PatentTrialSet("3", [TrialComparison(math.nan, 71.0, "c4")])),
+            "^patent '3': non-finite value"),
+        "moisture-150": (lambda d: d.field_tests.append(
+            FieldTestRecord("IL", 1996, "North", "CARGILL", "4277", 150.0, 150.0)),
+            "^field test 2: moisture out of range"),
     }
 
     @pytest.mark.parametrize("case", UNLOADABLE)
@@ -433,6 +448,35 @@ class TestDatasetStore:
             save_dataset(dataset, tmp_path / "ds")
         assert load_dataset(tmp_path / "ds") == self._dataset()
         assert sorted(f.name for f in (tmp_path / "ds").iterdir()) == STORE_FILES
+
+    def test_resaved_store_has_the_same_bytes(self, tmp_path, capsys):
+        # The bundled fixture's store, loaded and saved again, is the same bytes;
+        # so is a dataset of numpy float64 values saved as one of Python floats.
+        fixture = resources.files("cornrate.data") / "synthetic"
+        assert main(["ingest", *(a for name in ("patents", "trials", "fieldtests")
+                                 for a in (f"--{name}", str(fixture / f"{name}.csv"))),
+                     "--schema", "illinois", "--out", str(tmp_path / "ingested"),
+                     "--no-timestamp"]) == 0
+        capsys.readouterr()
+        save_dataset(load_dataset(tmp_path / "ingested"), tmp_path / "resaved")
+        dataset = synthetic_dataset()
+        assert any(type(t.yield_value) is np.float64 for t in dataset.field_tests)
+
+        def python_floats(record):
+            return record._make(float(v) if isinstance(v, float) else v for v in record)
+
+        save_dataset(dataset, tmp_path / "numpy")
+        save_dataset(Dataset(dataset.patents,
+                             [PatentTrialSet(ts.patent_number, list(map(python_floats,
+                                                                         ts.comparisons)))
+                              for ts in dataset.trial_sets],
+                             list(map(python_floats, dataset.field_tests))),
+                     tmp_path / "python")
+        for name in ("patents.csv", "trials.csv", "fieldtests.csv"):
+            assert ((tmp_path / "resaved" / name).read_bytes()
+                    == (tmp_path / "ingested" / name).read_bytes()), name
+            assert ((tmp_path / "numpy" / name).read_bytes()
+                    == (tmp_path / "python" / name).read_bytes()), name
 
     def test_round_trip_empty(self, tmp_path):
         save_dataset(Dataset(), tmp_path / "ds")
@@ -487,9 +531,9 @@ class TestDatasetStore:
     def test_failed_write_keeps_old_store(self, tmp_path, monkeypatch):
         # The new files are written aside, so a write that fails leaves the
         # old store loadable and no temporary directory behind.
-        import cornrate.ingest as ingest
+        import cornrate.core_data as core_data
         save_dataset(self._dataset(), tmp_path / "ds")
-        real_write_csv = ingest.write_csv
+        real_write_csv = core_data.write_csv
         written = []
 
         def failing_write_csv(path, header, rows):
@@ -498,7 +542,7 @@ class TestDatasetStore:
             written.append(path.name)
             real_write_csv(path, header, rows)
 
-        monkeypatch.setattr(ingest, "write_csv", failing_write_csv)
+        monkeypatch.setattr(core_data, "write_csv", failing_write_csv)
         with pytest.raises(OSError, match="disk full"):
             save_dataset(synthetic_dataset(), tmp_path / "ds")
         assert written == ["patents.csv"]
@@ -546,8 +590,9 @@ class TestDatasetStore:
 
 
 def test_moved_ingest_names_resolve_from_core_data():
-    # The loaders and the store writer live in cornrate.ingest. Code that looks
-    # them up in core_data, as the benchmark's tracer does, finds the same objects.
+    # The loaders live in cornrate.ingest, and save_dataset, defined in core_data,
+    # is imported there. Code that looks them up in core_data, as the benchmark's
+    # tracer does, finds the same objects.
     import cornrate.core_data as core_data
     import cornrate.ingest as ingest
     for name in ("load_patents", "load_trial_sets", "load_field_tests", "save_dataset",
