@@ -29,26 +29,28 @@ later stage (the checks, Kahn's pass, both CSRs) works on those.
 An integer network makes patent numbers only when asked for them
 (application_years, cited_patents, compute_spnp's dict, error messages),
 and a patent number names its node only if it is the str() of the node's
-id, as in a network of strings. CitationNetwork.from_files parses each
-file once. A CSV is read straight into int64 arrays when it qualifies:
-after the header (a byte-order mark dropped, its names matched under the
-rules of core_data.read_table) the bytes hold only ASCII digits, commas
-and LF or CRLF line ends, every row has the header's width, and every
-field has 1 to 18 digits and no leading zero, so it is the str() of its
-value. The file is read as bytes and only its header is decoded. The
-body is read where it lies in those bytes, by np.frombuffer at its
-offset, and copied only to drop CRs or to end its last row with a line
-end. When every row has the first row's length and separator places, as
-in files of fixed-width ids, the body is a 2-D byte grid, a view of
-those bytes: each field's digit places and separator are checked on
-views of the grid, column by column, and each read column is parsed one
-digit place at a time into its own contiguous row of the result
-(_read_fixed_rows); any other body is parsed by one np.fromstring call.
-Every other file (quotes, spaces, signs, blank lines, non-ASCII digits,
-prefixed ids such as US6000038) is read into strings by
-core_data.read_table, which also names a bad row's file and line; both
-readers give the same network or the same error. A repeated node id is
-an IngestError. Validation (self-citations, duplicates, ends that name
+id, as in a network of strings. The constructor refuses a repeated id
+(an IngestError) on the lookup it builds, so arrays meet the rule files
+do. CitationNetwork.from_files reads the raw layouts NODE_COLUMNS and
+EDGE_COLUMNS, defined here, parsing each file once. A CSV is read
+straight into int64 arrays when it qualifies: after the header (a
+byte-order mark dropped, its names matched under the rules of
+core_data.read_table) the bytes hold only ASCII digits, commas and LF or
+CRLF line ends, every row has the header's width, and every field has 1
+to 18 digits and no leading zero, so it is the str() of its value. The
+file is read as bytes and only its header is decoded. The body is read
+where it lies in those bytes, by np.frombuffer at its offset, and copied
+only to drop CRs or to end its last row with a line end. When every row
+has the first row's length and separator places, as in files of
+fixed-width ids, the body is a 2-D byte grid, a view of those bytes:
+each field's digit places and separator are checked on views of the
+grid, column by column, and each read column is parsed one digit place
+at a time into its own contiguous row of the result (_read_fixed_rows);
+any other body is parsed by one np.fromstring call. Every other file
+(quotes, spaces, signs, blank lines, non-ASCII digits, prefixed ids such
+as US6000038) is read into strings by core_data.read_table, which also
+names a bad row's file and line; both readers give the same network or
+the same error. Validation (self-citations, duplicates, ends that name
 no node, year order) is done on the node numbers and reports the first
 bad edge in file order, named by the ids it was given. One
 level-synchronous pass of Kahn's algorithm over a CSR of the out-edges
@@ -117,12 +119,16 @@ from itertools import accumulate, chain, compress, repeat
 from typing import Callable, Iterable, Mapping
 
 from . import _lazy_module, constants
-from .core_data import (EDGE_COLUMNS, NODE_COLUMNS, CornrateError, IngestError, PatentRecord,
-                        _column_positions, read_bytes, read_table)
+from .core_data import (CornrateError, IngestError, PatentRecord, _column_positions, read_bytes,
+                        read_table)
 from .ranking import midrank_percentiles, midranks
 from .trend import TrendSeries, fit_exponential
 
 np = _lazy_module("numpy")
+
+# The raw network layouts: the columns from_files reads.
+NODE_COLUMNS = ["patent_number", "application_year"]
+EDGE_COLUMNS = ["citing_patent", "cited_patent"]
 
 
 class NetworkError(CornrateError):
@@ -135,17 +141,18 @@ class CitationNetwork:
     def __init__(self, application_years: Mapping[str, int] | np.ndarray,
                  edges: Iterable[tuple[str, str]] | np.ndarray):
         """application_years: patent number -> application year, or an (n, 2)
-        array of (id, application year) rows with distinct ids; edges:
-        (citing, cited) pairs of patent numbers, or an (m, 2) array of
-        (citing, cited) ids. An id is a patent-number string (in an object
-        array) or a non-negative integer standing for the patent number
-        str(id); where either side holds strings, integer ids become their
-        str()."""
+        array of (id, application year) rows; edges: (citing, cited) pairs
+        of patent numbers, or an (m, 2) array of (citing, cited) ids. An id
+        is a patent-number string (in an object array) or a non-negative
+        integer standing for the patent number str(id); where either side
+        holds strings, integer ids become their str(). A repeated node id
+        is an IngestError, an array of another shape a ValueError."""
         if not isinstance(application_years, np.ndarray):
             application_years = _object_rows(application_years.items())
         ends = edges if isinstance(edges, np.ndarray) else _object_rows(edges)
-        if ends.ndim != 2 or ends.shape[1] != 2:
-            raise ValueError(f"edge array must have shape (m, 2), not {ends.shape}")
+        for name, rows in (("node", application_years), ("edge", ends)):
+            if rows.ndim != 2 or rows.shape[1] != 2:
+                raise ValueError(f"{name} array must have shape ({name[0]}, 2), not {rows.shape}")
         self._ids = application_years[:, 0]
         if object in (self._ids.dtype, ends.dtype):
             self._ids, ends = _as_strings(self._ids), _as_strings(ends)
@@ -153,6 +160,9 @@ class CitationNetwork:
         n = len(self._years)
         # The int32 node number of every id of an array; -1 for one that names no node.
         self._lookup = _positions(self._ids)
+        at = _first_repeat(self._lookup(self._ids), n)
+        if at < n:
+            raise IngestError(f"duplicate patent_number {self._ids[at]}")
         src, dst = self._lookup(ends[:, 0]), self._lookup(ends[:, 1])
         _check_edges(src, dst, self._years, ends)
 
@@ -219,10 +229,15 @@ class CitationNetwork:
         Each file is parsed once: into an int64 array if it is a file of
         plain integers (_read_int_columns), else into patent-number strings
         by core_data.read_table, which also names a bad row's file and line.
+        An edge file's error comes before a repeated node id's, which names the node file.
         """
-        return cls(_read_nodes(node_csv),
-                   _read_pairs(edge_csv, EDGE_COLUMNS,
-                               lambda citing, cited: (citing.strip(), cited.strip())))
+        nodes = _read_pairs(node_csv, NODE_COLUMNS, _node_row)
+        edges = _read_pairs(edge_csv, EDGE_COLUMNS,
+                            lambda citing, cited: (citing.strip(), cited.strip()))
+        try:
+            return cls(nodes, edges)
+        except IngestError as exc:   # a repeated node id
+            raise IngestError(f"{node_csv}: {exc}") from None
 
 
 def _first_repeat(keys: np.ndarray, none: int) -> int:
@@ -254,15 +269,13 @@ def _read_pairs(path, names: list[str], parse) -> np.ndarray:
     return _object_rows(read_table(path, names, parse)) if rows is None else rows
 
 
-def _read_nodes(path) -> np.ndarray:
-    """The (id, application year) rows of a node CSV, as _read_pairs reads
-    them; a repeated id is an IngestError."""
-    nodes = _read_pairs(path, NODE_COLUMNS, lambda number, year: (number.strip(), int(year)))
-    ids = nodes[:, 0]
-    at = _first_repeat(_positions(ids)(ids), len(nodes))
-    if at < len(nodes):
-        raise IngestError(f"{path}: duplicate patent_number {ids[at]}")
-    return nodes
+def _node_row(number: str, year: str) -> tuple[str, int]:
+    """A node CSV row as read_table parses it; a year outside int64 is a
+    ValueError, which read_table names by file and line."""
+    value = int(year)
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise ValueError(f"application year {value} outside int64")
+    return number.strip(), value
 
 
 # A field of the integer path has at most this many digits, so it fits an int64.

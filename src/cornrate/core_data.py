@@ -2,14 +2,15 @@
 
 Three data families come in as CSV: granted patents, the head-to-head
 trial tables transcribed from patent documents, and state field-test
-rows. cornrate.ingest loads them into the records defined here. This
-module holds the whole store format: its file names, headers, column
-order, value encoding, manifest and SCHEMA_VERSION, with save_dataset,
-which writes a store, beside load_dataset, which reads it back. Every
-command but ingest starts from a store, so only ingest executes the
-ingest module. The five public names it took from here (LoadReport,
-load_patents, load_trial_sets, load_field_tests and
-infer_missing_year_average) are still found here, through the module
+rows. cornrate.ingest loads them into the records defined here; it owns
+their raw column layouts, as cornrate.citation_network owns those of the
+network files, and this module defines none. It holds the whole store
+format: its file names, headers, column order, value encoding, manifest
+and SCHEMA_VERSION, with save_dataset, which writes a store, beside
+load_dataset, which reads it back. Every command but ingest starts from
+a store, so only ingest executes the ingest module. Its three loaders
+(load_patents, load_trial_sets and load_field_tests) are still found
+here, where the benchmark's tracer looks them up, through the module
 __getattr__ at the end.
 
 The records are typing.NamedTuple classes: immutable, so a changed
@@ -225,17 +226,6 @@ def _parse_number(text: str) -> float:
     return value
 
 
-# Raw ingestion layouts: the columns the loaders and CitationNetwork.from_files
-# read, and the synthetic fixture writer emits.
-PATENT_COLUMNS = ["patent_number", "title", "assignee", "filed_year",
-                  "granted_year", "forward_citations", "cited_patents"]
-TRIAL_COLUMNS = ["patent_number", "patented_variety", "control_variety",
-                 "patented_yield", "control_yield"]
-ILLINOIS_COLUMNS = ["Year", "Region", "Brand", "Hybrid", "Yield", "Moisture"]
-NODE_COLUMNS = ["patent_number", "application_year"]
-EDGE_COLUMNS = ["citing_patent", "cited_patent"]
-
-
 def write_csv(path, header: list[str], rows: Iterable) -> None:
     """Write one header row and then the data rows as UTF-8 CSV."""
     with Path(path).open("w", newline="", encoding="utf-8") as f:
@@ -352,8 +342,8 @@ def _without_gc(load: Callable) -> Callable:
 
 # --- dataset store ---------------------------------------------------------
 
-# Written out in full, apart from the raw ingest layouts, so that a change to
-# those cannot change the store's.
+# Written out in full, apart from the raw input layouts in cornrate.ingest,
+# so that a change to those cannot change the store's.
 _PATENT_HEADER = ["patent_number", "title", "assignee", "filed_year", "granted_year",
                   "forward_citations", "cited_patents", "variety_name", "kind"]
 _TRIAL_HEADER = ["patent_number", "control_name", "patented_yield", "control_yield",
@@ -612,13 +602,10 @@ def describe_dataset(dataset: Dataset) -> dict:
                for name in REPORT_TABLES}}
 
 
-# The public names that moved to cornrate.ingest, which this module does not import.
-_INGEST_NAMES = {"LoadReport", "load_patents", "load_trial_sets", "load_field_tests",
-                 "infer_missing_year_average"}
-
-
 def __getattr__(name: str):
-    if name in _INGEST_NAMES:
+    # The ingest loaders, which the benchmark's tracer looks up here; this
+    # module does not import cornrate.ingest.
+    if name in ("load_patents", "load_trial_sets", "load_field_tests"):
         from . import ingest
         return getattr(ingest, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

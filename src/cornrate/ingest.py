@@ -2,9 +2,9 @@
 
 The three loaders read the raw patent, trial-table and field-test CSVs
 through core_data.read_table, each with the cyclic garbage collector
-paused (core_data._without_gc). They never drop rows silently: every
-input data row ends up as a record, as a row-indexed error, or in the
-skip tally of the LoadReport.
+paused (core_data._without_gc), each by its raw layout, defined here.
+They never drop rows silently: every input data row ends up as a
+record, as a row-indexed error, or in the skip tally of the LoadReport.
 
 ingest_files is the ingest command's one library call: it loads the
 three files, annotates the patent titles (title_parser), keeps the trial
@@ -12,8 +12,8 @@ sets of ingested patents, saves the store (core_data.save_dataset, which
 owns the store format) and returns the report.
 
 Every other command reads a store and never executes this module, so its
-source and its imports (warnings) stay off their start-up path. The five
-public names here that core_data once defined are still found there too
+source and its imports (warnings) stay off their start-up path. The
+three loaders, which core_data once defined, are still found there too
 (core_data.__getattr__).
 """
 
@@ -24,10 +24,17 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from . import title_parser
-from .core_data import (ILLINOIS_COLUMNS, PATENT_COLUMNS, TRIAL_COLUMNS, Dataset,
-                        FieldTestRecord, FieldTestSchema, IngestError, Maturity, PatentRecord,
-                        PatentTrialSet, TrialComparison, _fresh_defaults, _parse_number,
-                        _without_gc, read_table, save_dataset)
+from .core_data import (Dataset, FieldTestRecord, FieldTestSchema, IngestError, Maturity,
+                        PatentRecord, PatentTrialSet, TrialComparison, _fresh_defaults,
+                        _parse_number, _without_gc, read_table, save_dataset)
+
+# The raw input layouts: the columns each loader reads.
+PATENT_COLUMNS = ["patent_number", "title", "assignee", "filed_year",
+                  "granted_year", "forward_citations", "cited_patents"]
+TRIAL_COLUMNS = ["patent_number", "patented_variety", "control_variety",
+                 "patented_yield", "control_yield"]
+ILLINOIS_COLUMNS = ["Year", "Region", "Brand", "Hybrid", "Yield", "Moisture"]
+KENTUCKY_COLUMNS = ["Maturity", "Year", "Brand", "Hybrid", "Yield", "Moist", "Stand"]
 
 
 @_fresh_defaults
@@ -86,7 +93,10 @@ def load_patents(path) -> LoadReport:
     return _load(path, PATENT_COLUMNS, patent)
 
 
-def _illinois_row(state, year, region, brand, hybrid, yield_text, moisture) -> FieldTestRecord:
+def _field_row(state, year, region, brand, hybrid, yield_text, moisture, maturity=None,
+               stand="") -> FieldTestRecord:
+    """A field-test row in the Illinois-like layout; the Kentucky-like one adds maturity and
+    stand (blank: none)."""
     yield_value, significant = _parse_yield(yield_text)
     record = FieldTestRecord(
         state=state,
@@ -96,6 +106,8 @@ def _illinois_row(state, year, region, brand, hybrid, yield_text, moisture) -> F
         hybrid=hybrid.strip(),
         yield_value=yield_value,
         moisture=_parse_number(moisture),
+        maturity=None if maturity is None else Maturity(maturity.strip().lower()),
+        stand=_parse_number(stand) if stand.strip() else None,
         significant=significant,
     )
     record.validate()
@@ -104,31 +116,17 @@ def _illinois_row(state, year, region, brand, hybrid, yield_text, moisture) -> F
 
 def _kentucky_row(state, maturity, year, brand, hybrid, yield_text, moisture,
                   stand) -> FieldTestRecord:
-    yield_value, significant = _parse_yield(yield_text)
-    record = FieldTestRecord(
-        state=state,
-        year=int(year),
-        region="STATE_AVG",
-        brand=brand.strip(),
-        hybrid=hybrid.strip(),
-        yield_value=yield_value,
-        moisture=_parse_number(moisture),
-        maturity=Maturity(maturity.strip().lower()),
-        stand=_parse_number(stand) if stand.strip() else None,
-        significant=significant,
-    )
-    record.validate()
-    return record
+    return _field_row(state, year, "STATE_AVG", brand, hybrid, yield_text, moisture, maturity,
+                      stand)
 
 
 @_without_gc
 def load_field_tests(path, schema: FieldTestSchema | str, state: str = "") -> LoadReport:
     """Load one state's field-test CSV in the Illinois- or Kentucky-like layout."""
     if schema == FieldTestSchema.ILLINOIS_LIKE:   # a str enum: equal to its value
-        return _load(path, ILLINOIS_COLUMNS, partial(_illinois_row, state))
+        return _load(path, ILLINOIS_COLUMNS, partial(_field_row, state))
     if schema == FieldTestSchema.KENTUCKY_LIKE:
-        return _load(path, ["Maturity", "Year", "Brand", "Hybrid", "Yield", "Moist", "Stand"],
-                     partial(_kentucky_row, state))
+        return _load(path, KENTUCKY_COLUMNS, partial(_kentucky_row, state))
     raise IngestError(f"unknown schema: {schema!r}")
 
 

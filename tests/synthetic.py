@@ -20,9 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from cornrate.core_data import (EDGE_COLUMNS, ILLINOIS_COLUMNS, NODE_COLUMNS, PATENT_COLUMNS,
-                                TRIAL_COLUMNS, Dataset, FieldTestRecord, PatentRecord,
-                                PatentTrialSet, TrialComparison, write_csv)
+from cornrate.citation_network import EDGE_COLUMNS, NODE_COLUMNS
+from cornrate.core_data import (Dataset, FieldTestRecord, PatentRecord, PatentTrialSet,
+                                TrialComparison, write_csv)
+from cornrate.ingest import ILLINOIS_COLUMNS, PATENT_COLUMNS, TRIAL_COLUMNS
 from cornrate.title_parser import annotate_patents
 
 DEFAULT_SEED = 20160826

@@ -16,7 +16,7 @@ import pytest
 from cornrate.citation_metrics import predict_k1
 from cornrate.citation_network import CitationNetwork, compute_spnp, predict_k2
 from cornrate.cli import main
-from cornrate.core_data import infer_missing_year_average
+from cornrate.ingest import infer_missing_year_average
 from cornrate.regression import (Family, fit_negative_binomial, fit_ols,
                                  fit_poisson, run_model, build_analysis_table)
 from tests.synthetic import synthetic_dataset, write_synthetic_csvs

@@ -13,12 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cornrate import citation_network
-from cornrate.citation_network import (CitationNetwork, NetworkError, compute_spnp,
-                                       compute_z, domain_centrality, evaluate_k2,
-                                       predict_k2)
-from cornrate.core_data import (EDGE_COLUMNS, NODE_COLUMNS, Dataset, IngestError, PatentRecord,
-                                without_patents)
+from cornrate.citation_network import (EDGE_COLUMNS, NODE_COLUMNS, CitationNetwork,
+                                       NetworkError, compute_spnp, compute_z,
+                                       domain_centrality, evaluate_k2, predict_k2)
+from cornrate.core_data import Dataset, IngestError, PatentRecord, without_patents
 from cornrate.ranking import midrank_percentiles, midranks
+from tests.relabel import relabel
 
 
 def chain_network():
@@ -213,6 +213,23 @@ class TestNetworkValidation:
         with pytest.raises(NetworkError, match="cycle"):
             CitationNetwork(years, edges)
 
+    @pytest.mark.parametrize("nodes, edges", [
+        (np.array([[1, 1990], [1, 1991], [2, 1992]], dtype=np.int64),
+         np.array([[2, 1]], dtype=np.int64)),
+        (np.array([["A", 1990], ["A", 1991], ["B", 1992]], dtype=object),
+         np.array([["B", "A"]], dtype=object)),
+    ], ids=["int64", "object"])
+    def test_repeated_id_in_node_array(self, nodes, edges):
+        # Arrays are held to the rule files are, rather than leaving an unnamed node.
+        with pytest.raises(IngestError, match=f"^duplicate patent_number {nodes[0, 0]}$"):
+            CitationNetwork(nodes, edges)
+
+    @pytest.mark.parametrize("nodes", [np.array([[1, 1990, 0], [2, 1991, 0]]),
+                                       np.array([1, 1990])], ids=["3-columns", "1-d"])
+    def test_node_array_shape(self, nodes):
+        with pytest.raises(ValueError, match=r"^node array must have shape \(n, 2\)"):
+            CitationNetwork(nodes, np.zeros((0, 2), dtype=np.int64))
+
     def test_from_files(self, tmp_path):
         nodes = tmp_path / "nodes.csv"
         edges = tmp_path / "edges.csv"
@@ -368,6 +385,37 @@ class TestFromFilesFastPath:
         assert fast == slow == (IngestError,
                                 f"{tmp_path / 'nodes.csv'}: duplicate patent_number 1001")
 
+    @pytest.mark.parametrize("year", ["99999999999999999999", "-99999999999999999999"])
+    def test_year_outside_int64_names_its_line(self, tmp_path, year):
+        # Too long for the integer path; read_table names the row.
+        qualifies, fast, slow = both_paths(tmp_path, NODES.replace("1991\n", year + "\n"), EDGES)
+        assert qualifies == (False, True)
+        assert fast == slow == (IngestError, f"{tmp_path / 'nodes.csv'}, line 3: "
+                                             f"application year {year} outside int64")
+
+    def test_general_integer_parse_of_variable_width_ids(self, tmp_path):
+        # Both benchmark workloads have fixed-width ids, which _read_fixed_rows
+        # reads as a byte grid. Relabelled to 0..2999, the ids vary in width,
+        # so _read_int_columns reads both files by its general parse.
+        load_generator().generate_network(1, tmp_path, n_nodes=3000, slice_every=20)
+        relabel(tmp_path, tmp_path / "var", prefix="",
+                mapping={str(6_000_000 + k): str(k) for k in range(3000)})
+        files = [tmp_path / "var" / "nodes.csv", tmp_path / "var" / "edges.csv"]
+        layout = np.array([ord(","), ord("\n")], dtype=np.uint8)
+        for data in map(Path.read_bytes, files):
+            assert citation_network._read_fixed_rows(data, data.index(b"\n") + 1, layout,
+                                                     [0, 1]) is None
+        qualifies, fast, slow = both_paths(tmp_path / "var", *map(Path.read_bytes, files))
+        assert qualifies == (True, True)
+        assert fast == slow
+        assert len(fast[0]) == 3000
+
+    def test_edge_file_error_before_repeated_node_id(self, tmp_path):
+        # Both files are read before the constructor checks the node ids.
+        _, fast, slow = both_paths(tmp_path, NODES + "1001,1995\n", EDGES + "1003\n")
+        assert fast == slow == (IngestError, f"{tmp_path / 'edges.csv'}, line 6: "
+                                             "expected 2 fields, found 1")
+
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="csv reads NUL from Python 3.11")
     def test_nul_suffixed_id_is_another_node(self, tmp_path):
         nodes_text, edges_text, _ = FROM_FILES_CASES["nul-suffixed-id"]
@@ -478,17 +526,22 @@ class TestFromFilesFastPath:
         assert fast == slow
 
 
+def load_generator():
+    """The benchmark's input generator, perfbench/generate.py, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("perfbench_generate", path)
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    return generate
+
+
 def test_build_and_exact_spnp_memory(tmp_path):
     # The traced peak of from_files and exact SPNP, as a multiple of the edge
     # file's size, on the benchmark's generator at about 10^5 edges: 4.0 with
     # the body read in place, int32 node numbers and the product formed in
     # place, 5.5 before. numpy reports its buffers to tracemalloc, so the
     # multiple does not depend on the machine.
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"
-    spec = importlib.util.spec_from_file_location("perfbench_generate", path)
-    generate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(generate)
-    generate.generate_network(1, tmp_path, n_nodes=22_000)
+    load_generator().generate_network(1, tmp_path, n_nodes=22_000)
     size = (tmp_path / "edges.csv").stat().st_size
     tracemalloc.start()
     try:

@@ -261,9 +261,11 @@ class TestPredict:
         ("nodes", "9999999", "expected 2 fields, found 1"),
         ("nodes", "9999999,2001,x", "expected 2 fields, found 3"),
         ("nodes", "9999999,20x1", "invalid literal for int()"),
+        ("nodes", "9999999,99999999999999999999", "outside int64"),
         ("edges", "9999999", "expected 2 fields, found 1"),
         ("edges", "9999999,9999998,x", "expected 2 fields, found 3"),
-    ], ids=["nodes-short", "nodes-long", "nodes-bad-year", "edges-short", "edges-long"])
+    ], ids=["nodes-short", "nodes-long", "nodes-bad-year", "nodes-year-past-int64",
+            "edges-short", "edges-long"])
     def test_k2_bad_network_row_exit_2(self, dataset_dir, raw_dir, tmp_path, capsys,
                                        name, row, problem):
         files = {n: raw_dir / f"{n}.csv" for n in ("nodes", "edges")}

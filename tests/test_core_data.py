@@ -16,11 +16,11 @@ from hypothesis import given, settings, strategies as st
 
 from cornrate.cli import main
 from cornrate.core_data import (CornrateError, Dataset, FieldTestSchema, IngestError,
-                                DatasetError, LoadReport, Maturity, PatentKind, PatentRecord,
+                                DatasetError, Maturity, PatentKind, PatentRecord,
                                 PatentTrialSet, TrialComparison, FieldTestRecord,
-                                infer_missing_year_average, load_dataset,
-                                load_field_tests, load_patents, load_trial_sets,
+                                load_dataset, load_field_tests, load_patents, load_trial_sets,
                                 read_table, save_dataset, without_patents)
+from cornrate.ingest import LoadReport, infer_missing_year_average
 from tests.synthetic import synthetic_dataset
 
 STORE_FILES = ["fieldtests.csv", "manifest.json", "patents.csv", "trials.csv"]
@@ -592,11 +592,10 @@ class TestDatasetStore:
 def test_moved_ingest_names_resolve_from_core_data():
     # The loaders live in cornrate.ingest, and save_dataset, defined in core_data,
     # is imported there. Code that looks them up in core_data, as the benchmark's
-    # tracer does, finds the same objects.
+    # tracer does, finds the same objects; no other ingest name is forwarded.
     import cornrate.core_data as core_data
     import cornrate.ingest as ingest
-    for name in ("load_patents", "load_trial_sets", "load_field_tests", "save_dataset",
-                 "infer_missing_year_average", "LoadReport"):
+    for name in ("load_patents", "load_trial_sets", "load_field_tests", "save_dataset"):
         assert getattr(core_data, name) is getattr(ingest, name)
     with pytest.raises(AttributeError, match="no_such_name"):
         core_data.no_such_name
