@@ -12,10 +12,11 @@ i. Both follow Batagelj's linear-time path-count recursion
 (arXiv cs/0309023): P_down(i) = sum over cited c of (1 + P_down(c)),
 and P_up likewise over the citing patents.
 
-Layout. A network holds one id per node, in node-listing order: int64
-ids when both its inputs are integer arrays (as from two files of plain
-integers), else patent-number strings, kept as Python str in an object
-array (a fixed-width numpy string drops a trailing NUL). Nodes are
+Layout. A network holds one id per node, in node-listing order, all of
+one kind: int64 ids when both its inputs are integer arrays (as from two
+files of plain integers), else patent-number strings, kept as Python str
+in an object array (a fixed-width numpy string drops a trailing NUL).
+Nodes are
 numbered (node numbers, int32) by position in that listing, and every
 edge becomes a (citing, cited) pair of node numbers. The constructor
 takes the nodes as a patent number -> year mapping or as an (n, 2) array
@@ -32,8 +33,8 @@ and a patent number names its node only if it is the str() of the node's
 id, as in a network of strings. The constructor refuses a repeated id
 (an IngestError) on the lookup it builds, so arrays meet the rule files
 do. CitationNetwork.from_files reads the raw layouts NODE_COLUMNS and
-EDGE_COLUMNS, defined here, parsing each file once. A CSV is read
-straight into int64 arrays when it qualifies: after the header (a
+EDGE_COLUMNS, defined here, into int64 arrays when both files qualify,
+the node file tried first. A CSV qualifies when, after the header (a
 byte-order mark dropped, its names matched under the rules of
 core_data.read_table) the bytes hold only ASCII digits, commas and LF or
 CRLF line ends, every row has the header's width, and every field has 1
@@ -46,11 +47,12 @@ fixed-width ids, the body is a 2-D byte grid, a view of those bytes:
 each field's digit places and separator are checked on views of the
 grid, column by column, and each read column is parsed one digit place
 at a time into its own contiguous row of the result (_read_fixed_rows);
-any other body is parsed by one np.fromstring call. Every other file
-(quotes, spaces, signs, blank lines, non-ASCII digits, prefixed ids such
-as US6000038) is read into strings by core_data.read_table, which also
-names a bad row's file and line; both readers give the same network or
-the same error. Validation (self-citations, duplicates, ends that name
+any other body is parsed by one np.fromstring call. If either file does
+not qualify (quotes, spaces, signs, blank lines, non-ASCII digits,
+prefixed ids such as US6000038), both are read into strings by
+core_data.read_table, which also names a bad row's file and line; both
+readers give the same network or the same error. Validation
+(self-citations, duplicates, ends that name
 no node, year order) is done on the node numbers and reports the first
 bad edge in file order, named by the ids it was given. One
 level-synchronous pass of Kahn's algorithm over a CSR of the out-edges
@@ -103,10 +105,8 @@ array operation, so CLI commands that never build a network do not pay
 for it. The binding stays at module level rather than in each function,
 so this module is fully defined once cornrate.cli is imported, and code
 that wraps its functions from outside (a profiler, the benchmark's
-tracer) finds them all. Only predict k2 runs this module, but a plain
-`import numpy` raised its peak RSS on a 5x10^4-node network from 48.4 to
-48.9 MB (Python 3.11, numpy 2.4): numpy then loads before ranking, trend
-and special run, rather than after.
+tracer) finds them all. A plain `import numpy` would raise predict k2's
+peak RSS: numpy would then load before ranking, trend and special run.
 """
 
 from __future__ import annotations
@@ -114,6 +114,7 @@ from __future__ import annotations
 import codecs
 import csv
 import math
+import operator
 from functools import cached_property, partial
 from itertools import accumulate, chain, compress, repeat
 from typing import Callable, Iterable, Mapping
@@ -142,22 +143,26 @@ class CitationNetwork:
                  edges: Iterable[tuple[str, str]] | np.ndarray):
         """application_years: patent number -> application year, or an (n, 2)
         array of (id, application year) rows; edges: (citing, cited) pairs
-        of patent numbers, or an (m, 2) array of (citing, cited) ids. An id
-        is a patent-number string (in an object array) or a non-negative
-        integer standing for the patent number str(id); where either side
-        holds strings, integer ids become their str(). A repeated node id
-        is an IngestError, an array of another shape a ValueError."""
+        of patent numbers, or an (m, 2) array of (citing, cited) ids. Ids are
+        all patent-number strings (in object arrays), or non-negative integers
+        in two integer arrays, standing for the patent numbers str(id). Another
+        shape or dtype, or a mix of kinds, is a ValueError; a repeated node id,
+        or a year that is no int64 integer (by operator.index), an IngestError."""
         if not isinstance(application_years, np.ndarray):
             application_years = _object_rows(application_years.items())
         ends = edges if isinstance(edges, np.ndarray) else _object_rows(edges)
         for name, rows in (("node", application_years), ("edge", ends)):
             if rows.ndim != 2 or rows.shape[1] != 2:
                 raise ValueError(f"{name} array must have shape ({name[0]}, 2), not {rows.shape}")
-        self._ids = application_years[:, 0]
-        if object in (self._ids.dtype, ends.dtype):
-            self._ids, ends = _as_strings(self._ids), _as_strings(ends)
-        self._years = application_years[:, 1].astype(np.int64)
-        n = len(self._years)
+        kinds = {application_years.dtype.kind, ends.dtype.kind}
+        if kinds != {"O"} and not kinds <= {"i", "u"}:   # one id kind per network
+            raise ValueError("node and edge arrays must both hold integers or both objects, "
+                             f"not {application_years.dtype} and {ends.dtype}")
+        self._ids, years = application_years[:, 0], application_years[:, 1]
+        n = len(self._ids)
+        if years.dtype == object:   # a Python pass, so only networks of strings pay for it
+            years = np.fromiter(map(_year, self._ids.tolist(), years.tolist()), np.int64, n)
+        self._years = years.astype(np.int64)
         # The int32 node number of every id of an array; -1 for one that names no node.
         self._lookup = _positions(self._ids)
         at = _first_repeat(self._lookup(self._ids), n)
@@ -226,14 +231,18 @@ class CitationNetwork:
         """The network in a node CSV (patent_number, application_year) and an
         edge CSV (citing_patent, cited_patent).
 
-        Each file is parsed once: into an int64 array if it is a file of
-        plain integers (_read_int_columns), else into patent-number strings
-        by core_data.read_table, which also names a bad row's file and line.
-        An edge file's error comes before a repeated node id's, which names the node file.
+        Both files are read into int64 arrays when both are files of plain
+        integers (_read_int_columns, tried on the node file first), else into
+        patent-number strings by core_data.read_table, which also names a bad
+        row's file and line. Node-file faults come first; an edge file's error
+        comes before a repeated node id's, which names the node file.
         """
-        nodes = _read_pairs(node_csv, NODE_COLUMNS, _node_row)
-        edges = _read_pairs(edge_csv, EDGE_COLUMNS,
-                            lambda citing, cited: (citing.strip(), cited.strip()))
+        nodes = _read_int_columns(node_csv, NODE_COLUMNS)
+        edges = None if nodes is None else _read_int_columns(edge_csv, EDGE_COLUMNS)
+        if edges is None:
+            nodes = _object_rows(read_table(node_csv, NODE_COLUMNS, _node_row))
+            edges = _object_rows(read_table(edge_csv, EDGE_COLUMNS,
+                                            lambda citing, cited: (citing.strip(), cited.strip())))
         try:
             return cls(nodes, edges)
         except IngestError as exc:   # a repeated node id
@@ -254,19 +263,13 @@ def _object_rows(pairs: Iterable[tuple]) -> np.ndarray:
     return np.fromiter(chain.from_iterable(pairs), dtype=object).reshape(-1, 2)
 
 
-def _as_strings(ids: np.ndarray) -> np.ndarray:
-    """ids as patent-number strings in an object array; an integer id becomes its str()."""
-    if ids.dtype == object:
-        return ids
-    return np.array(list(map(str, ids.ravel().tolist())), dtype=object).reshape(ids.shape)
-
-
-def _read_pairs(path, names: list[str], parse) -> np.ndarray:
-    """The two named columns of a CSV file, one row per data row: an int64
-    array if _read_int_columns reads the file, else an object array of the
-    pairs parse makes of each row, read by core_data.read_table."""
-    rows = _read_int_columns(path, names)
-    return _object_rows(read_table(path, names, parse)) if rows is None else rows
+def _year(number, year) -> int:
+    """A node's application year as an int; an IngestError naming the patent
+    if operator.index refuses it or it lies outside int64."""
+    value = operator.index(year) if hasattr(year, "__index__") else None
+    if value is None or not -2 ** 63 <= value < 2 ** 63:
+        raise IngestError(f"application year {year!r} of patent_number {number} is not an int64")
+    return value
 
 
 def _node_row(number: str, year: str) -> tuple[str, int]:

@@ -16,6 +16,7 @@ import math
 from typing import Hashable, Mapping, TypeVar
 
 from . import _lazy_module
+from .core_data import CornrateError
 
 np = _lazy_module("numpy")
 
@@ -43,6 +44,7 @@ def midranks(values: np.ndarray, cohort: np.ndarray) -> np.ndarray:
     correctly; an int that overflows float64 sorts as inf of its sign
     (_float_key). Each run of equal floats of magnitude EXACT_FLOAT_LIMIT
     or more (inf included) in one cohort is then sorted by the exact values.
+    A NaN has no rank: it is a CornrateError.
     """
     if not values.size:
         return np.zeros(0)
@@ -50,6 +52,8 @@ def midranks(values: np.ndarray, cohort: np.ndarray) -> np.ndarray:
         key = values.astype(np.float64)
     except OverflowError:
         key = np.array([_float_key(v) for v in values.tolist()])
+    if np.isnan(key).any():
+        raise CornrateError("cannot rank a NaN value")
     # By value, then stably by cohort; the order within a tie does not change a percentile.
     order = np.argsort(key)
     order = order[np.argsort(cohort[order], kind="stable")]

@@ -32,10 +32,9 @@ against SciPy are listed there.
 numpy is bound lazily (cornrate._lazy_module): it is imported by the first
 array operation. The binding stays at module level rather than in each
 function, so that code that wraps this module's functions from outside (a
-profiler, the benchmark's tracer) finds them all. Only regress runs this
-module, but a plain `import numpy` raised its peak RSS on the bundled
-fixture from 31.2 to 31.7 MB (Python 3.11, numpy 2.4): numpy then loads
-before the analysis table's modules run, rather than after.
+profiler, the benchmark's tracer) finds them all. A plain `import numpy`
+would raise regress's peak RSS, loading numpy before the analysis
+table's modules run rather than after.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ POISSON_EQUIVALENT_THETA = 1e6
 
 
 class RegressionError(CornrateError):
-    """Bad inputs: rank deficiency, too few rows, invalid response."""
+    """Bad inputs: rank deficiency, too few rows, non-finite values, invalid response."""
 
     exit_code = 4
 
@@ -126,6 +125,8 @@ def _as_design(y, X, terms: Optional[Sequence[str]]) -> tuple[np.ndarray, np.nda
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
         raise RegressionError("y and X shapes do not match")
+    if not (np.isfinite(y).all() and np.isfinite(X).all()):
+        raise RegressionError("y and X must be finite")
     n, p = X.shape
     if n <= p:
         raise RegressionError(f"need n > p, got n={n}, p={p}")

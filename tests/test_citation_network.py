@@ -16,7 +16,7 @@ from cornrate import citation_network
 from cornrate.citation_network import (EDGE_COLUMNS, NODE_COLUMNS, CitationNetwork,
                                        NetworkError, compute_spnp, compute_z,
                                        domain_centrality, evaluate_k2, predict_k2)
-from cornrate.core_data import Dataset, IngestError, PatentRecord, without_patents
+from cornrate.core_data import CornrateError, Dataset, IngestError, PatentRecord, without_patents
 from cornrate.ranking import midrank_percentiles, midranks
 from tests.relabel import relabel
 
@@ -230,6 +230,31 @@ class TestNetworkValidation:
         with pytest.raises(ValueError, match=r"^node array must have shape \(n, 2\)"):
             CitationNetwork(nodes, np.zeros((0, 2), dtype=np.int64))
 
+    @pytest.mark.parametrize("year", [10 ** 20, -(2 ** 63) - 1, 1990.7, math.nan, np.float64(1990),
+                                      "1990"], ids=["past-int64", "below-int64", "fraction",
+                                                    "nan", "float64", "string"])
+    def test_year_that_is_no_int64_names_its_patent(self, year):
+        # A year operator.index refuses, or one outside int64, is not made an int64.
+        with pytest.raises(IngestError, match=r"^application year .* of patent_number B is not"):
+            CitationNetwork({"A": 1990, "B": year}, [])
+        with pytest.raises(IngestError, match=r"^application year .* of patent_number B is not"):
+            CitationNetwork(np.array([["A", 1990], ["B", year]], dtype=object),
+                            np.zeros((0, 2), dtype=object))
+
+    @pytest.mark.parametrize("nodes, edges", [
+        (np.array([[1.0, 1990.0], [2.0, 1991.0]]), np.zeros((0, 2))),
+        (np.array([[1, 1990], [2, 1991]]), np.array([[2.0, 1.0]])),
+        (np.array([[1, 1990], [2, 1991]]), [("2", "1")]),
+        (np.array([[1, 1990], [2, 1991]]), []),
+        ({"1": 1990, "2": 1991}, np.array([[2, 1]])),
+    ], ids=["float-nodes", "float-edges", "int-nodes-string-edges", "int-nodes-no-edges",
+            "string-nodes-int-edges"])
+    def test_one_id_kind_per_network(self, nodes, edges):
+        # Integer ids come only in integer arrays on both sides; anything
+        # else is refused beside the shape check, not turned into strings.
+        with pytest.raises(ValueError, match="^node and edge arrays must both hold integers"):
+            CitationNetwork(nodes, edges)
+
     def test_from_files(self, tmp_path):
         nodes = tmp_path / "nodes.csv"
         edges = tmp_path / "edges.csv"
@@ -431,6 +456,20 @@ class TestFromFilesFastPath:
         with mock.patch.object(citation_network, "read_table", side_effect=AssertionError):
             with pytest.raises(NetworkError, match="^edge endpoint 1009 not in node set$"):
                 CitationNetwork.from_files(tmp_path / "nodes.csv", tmp_path / "edges.csv")
+
+    def test_integer_nodes_beside_string_edges_read_as_strings(self, tmp_path):
+        # The id kind is the network's: a node file the integer path reads is
+        # read again as strings when the edge file is not plain integers.
+        nodes, edges = tmp_path / "nodes.csv", tmp_path / "edges.csv"
+        nodes.write_text(NODES)
+        edges.write_text("".join(f'"{a}","{b}"\n' for a, b in
+                                 (line.split(",") for line in EDGES.splitlines())))
+        with mock.patch.object(citation_network, "read_table",
+                               wraps=citation_network.read_table) as spy:
+            net = CitationNetwork.from_files(nodes, edges)
+        assert [call.args[0] for call in spy.call_args_list] == [nodes, edges]
+        assert net._ids.dtype == object
+        assert net.cited_patents("1002") == ["1001", "1000"]
 
     def test_fixed_rows_read_only_bodies_of_one_row_layout(self):
         layout = np.array([ord(","), ord("\n")], dtype=np.uint8)
@@ -702,6 +741,10 @@ def bits(percentiles):
 class TestArrayMidranks:
     """ranking.midranks against the loop oracle."""
 
+    def test_empty_array(self):
+        percentile = midranks(np.array([], dtype=object), np.array([], dtype=np.int64))
+        assert percentile.shape == (0,) and percentile.dtype == np.float64
+
     def test_equal_floats_ordered_by_exact_ints(self):
         # 2**60 and 2**60 + 1 are one float64; only the exact order separates them.
         big = 2 ** 60
@@ -798,6 +841,13 @@ class TestMidrankPercentilesAdapter:
 
     def test_empty_mapping(self):
         assert midrank_percentiles({}, {}) == {}
+
+    def test_nan_has_no_rank(self):
+        # A NaN used to rank above every value of its cohort.
+        with pytest.raises(CornrateError, match="^cannot rank a NaN value$"):
+            midranks(np.array([1.0, math.nan, 0.5]), np.zeros(3, dtype=np.int64))
+        with pytest.raises(CornrateError, match="^cannot rank a NaN value$"):
+            midrank_percentiles({"a": math.nan, "b": 1.0}, {"a": 1990, "b": 1990})
 
     def test_int_past_float_range_among_floats(self):
         # Small ints and floats keep their order beside an int that overflows float64.

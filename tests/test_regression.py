@@ -324,7 +324,10 @@ class TestCountFamilies:
     def test_all_zero_boundary(self, family, y, X):
         fit = self.FITTERS[family](y, X)
         assert fit.family is family
-        assert fit.coefficients[fit.terms[0]] == -math.inf
+        assert fit.coefficients == {t: -math.inf if t == fit.terms[0] else 0.0 for t in fit.terms}
+        assert fit.std_errors == dict.fromkeys(fit.terms, math.inf)
+        assert fit.p_values == dict.fromkeys(fit.terms, 1.0)
+        assert fit.log_likelihood == 0.0
         assert not fit.converged
         assert any("all-zero" in w for w in fit.warnings)
         assert fit.aic == 2.0 * len(fit.terms)
@@ -344,6 +347,23 @@ class TestCountFamilies:
         fit = self.FITTERS[family](y, [[1.0]] * len(y), ["intercept"])
         assert not fit.converged
         assert fit.warnings == [warning]
+
+
+@pytest.mark.parametrize("fitter", [fit_ols, fit_poisson, fit_negative_binomial],
+                         ids=["ols", "poisson", "negbin"])
+@pytest.mark.parametrize("where, value", [("y", math.nan), ("y", math.inf), ("X", math.nan),
+                                          ("X", -math.inf)],
+                         ids=["nan-y", "inf-y", "nan-X", "minus-inf-X"])
+def test_non_finite_values_refused(fitter, where, value):
+    # Refused up front, where a NaN or inf used to end in NaN coefficients,
+    # numpy RuntimeWarnings or a p-value that did not converge.
+    y, X = [1.0, 0.0, 2.0, 3.0, 1.0], design([[0.1], [0.2], [0.3], [0.4], [0.5]])
+    if where == "y":
+        y[2] = value
+    else:
+        X[2][1] = value
+    with pytest.raises(RegressionError, match="^y and X must be finite$"):
+        fitter(y, X)
 
 
 class TestResultSerialization:
