@@ -12,27 +12,33 @@ i. Both follow Batagelj's linear-time path-count recursion
 (arXiv cs/0309023): P_down(i) = sum over cited c of (1 + P_down(c)),
 and P_up likewise over the citing patents.
 
-Layout. A network holds one id per node, in node-listing order, all of
-one kind: int64 ids when both its inputs are integer arrays (as from two
-files of plain integers), else patent-number strings, kept as Python str
-in an object array (a fixed-width numpy string drops a trailing NUL).
-Nodes are
-numbered (node numbers, int32) by position in that listing, and every
-edge becomes a (citing, cited) pair of node numbers. The constructor
-takes the nodes as a patent number -> year mapping or as an (n, 2) array
-of (id, year) rows, and the edges as patent-number pairs or as an (m, 2)
+Layout. A network holds one int64 id per node, in node-listing order.
+Two integer arrays (as from two files of plain integers) give the ids
+themselves: an id lies in [0, 10**18) and stands for the patent number
+str(id), so a patent number names its node only if it is the str() of
+the node's id. Patent-number strings (a mapping, pairs or object arrays)
+are numbered 0, 1, ... by one dict as they are read (_numbered), first
+the node ids in listing order, then the edge ends, each as its row is
+read, so no edge-end string outlives its row; an end that names no node
+takes a number past the nodes'. Those numbers are the ids, and the
+network keeps the list of strings only to name nodes back; it makes a
+dict again for each lookup of patent numbers (_name_ids), so none is
+held at the SPNP peak. Nodes are numbered (node numbers, int32) by
+position in that listing, and every edge becomes a (citing, cited) pair
+of node numbers. The constructor takes the nodes as a patent number ->
+year mapping, as (patent number, year) pairs or as an (n, 2) array of
+(id, year) rows, and the edges as patent-number pairs or as an (m, 2)
 array of ids. One lookup, _positions, gives the node number of an id, -1
-for an id that names no node: a dict for strings; for integers a direct
-int32 table when the ids span at most 4 values per node, else a binary
+for an id that names no node: a direct int32 table when the ids span at
+most 4 values per node (numbered strings always do), else a binary
 search. The constructor looks up the citing and the cited column one at
 a time, so the edges become two int32 arrays of node numbers, and every
-later stage (the checks, Kahn's pass, both CSRs) works on those.
-An integer network makes patent numbers only when asked for them
-(application_years, cited_patents, compute_spnp's dict, error messages),
-and a patent number names its node only if it is the str() of the node's
-id, as in a network of strings. The constructor refuses a repeated id
-(an IngestError) on the lookup it builds, so arrays meet the rule files
-do. CitationNetwork.from_files reads the raw layouts NODE_COLUMNS and
+later stage (the checks, Kahn's pass, both CSRs) works on those. A
+network makes patent numbers only when asked for them
+(application_years, cited_patents, compute_spnp's dict, error messages).
+The constructor refuses a repeated id (an IngestError) on the lookup it
+builds, once every edge is read, so arrays meet the rule files do.
+CitationNetwork.from_files reads the raw layouts NODE_COLUMNS and
 EDGE_COLUMNS, defined here, into int64 arrays when both files qualify,
 the node file tried first. A CSV qualifies when, after the header (a
 byte-order mark dropped, its names matched under the rules of
@@ -49,12 +55,12 @@ grid, column by column, and each read column is parsed one digit place
 at a time into its own contiguous row of the result (_read_fixed_rows);
 any other body is parsed by one np.fromstring call. If either file does
 not qualify (quotes, spaces, signs, blank lines, non-ASCII digits,
-prefixed ids such as US6000038), both are read into strings by
-core_data.read_table, which also names a bad row's file and line; both
-readers give the same network or the same error. Validation
-(self-citations, duplicates, ends that name
-no node, year order) is done on the node numbers and reports the first
-bad edge in file order, named by the ids it was given. One
+prefixed ids such as US6000038), the rows of both, read by
+core_data.read_table, which also names a bad row's file and line, go to
+the constructor as patent-number strings; both readers give the same
+network or the same error. Validation (self-citations, duplicates, ends
+that name no node, year order) is done on the node numbers and reports
+the first bad edge in file order, named by the ids it was given. One
 level-synchronous pass of Kahn's algorithm over a CSR of the out-edges
 then gives every node a level: level 0 holds the uncited patents, and a
 node's level is one more than the deepest patent citing it. Each level's
@@ -115,8 +121,10 @@ import codecs
 import csv
 import math
 import operator
+from array import array
+from collections import defaultdict
 from functools import cached_property, partial
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from typing import Callable, Iterable, Mapping
 
 from . import _lazy_module, constants
@@ -136,40 +144,54 @@ class NetworkError(CornrateError):
     """Malformed network: cycle, self-edge, duplicate or year violation."""
 
 
+class _RepeatedId(IngestError):
+    """A node id listed twice; from_files names the node file in it, and in
+    no error of the rows it reads."""
+
+
 class CitationNetwork:
     """Directed acyclic citation graph; edges point citing -> cited."""
 
-    def __init__(self, application_years: Mapping[str, int] | np.ndarray,
+    def __init__(self, application_years: Mapping[str, int] | Iterable[tuple] | np.ndarray,
                  edges: Iterable[tuple[str, str]] | np.ndarray):
-        """application_years: patent number -> application year, or an (n, 2)
-        array of (id, application year) rows; edges: (citing, cited) pairs
-        of patent numbers, or an (m, 2) array of (citing, cited) ids. Ids are
-        all patent-number strings (in object arrays), or non-negative integers
-        in two integer arrays, standing for the patent numbers str(id). Another
-        shape or dtype, or a mix of kinds, is a ValueError; a repeated node id,
-        or a year that is no int64 integer (by operator.index), an IngestError."""
-        if not isinstance(application_years, np.ndarray):
-            application_years = _object_rows(application_years.items())
-        ends = edges if isinstance(edges, np.ndarray) else _object_rows(edges)
-        for name, rows in (("node", application_years), ("edge", ends)):
-            if rows.ndim != 2 or rows.shape[1] != 2:
+        """application_years: patent number -> application year, (patent
+        number, year) pairs, or an (n, 2) array of (id, application year)
+        rows; edges: (citing, cited) pairs of patent numbers, or an (m, 2)
+        array of (citing, cited) ids. Either both are integer arrays, of ids
+        in [0, 10**MAX_INT_DIGITS) that stand for the patent numbers str(id),
+        or neither is: then every node id is a str patent number, and
+        _numbered numbers the node ids, then the edge ends, into integer
+        arrays as they are read. So the network holds int64 ids either way.
+        Another shape or dtype, a mix of kinds, a string-side node id that is
+        no str or an integer id outside that range is a ValueError; a
+        repeated node id, or a year that is a bool or no int64 integer (by
+        operator.index), an IngestError."""
+        for name, rows in (("node", application_years), ("edge", edges)):
+            if isinstance(rows, np.ndarray) and (rows.ndim != 2 or rows.shape[1] != 2):
                 raise ValueError(f"{name} array must have shape ({name[0]}, 2), not {rows.shape}")
-        kinds = {application_years.dtype.kind, ends.dtype.kind}
-        if kinds != {"O"} and not kinds <= {"i", "u"}:   # one id kind per network
+        dtypes = [getattr(rows, "dtype", np.dtype(object)) for rows in (application_years, edges)]
+        kinds = {dtype.kind for dtype in dtypes}
+        if kinds == {"O"}:   # patent-number strings, numbered into integer arrays
+            names, application_years, edges = _numbered(application_years, edges)
+            self._patent_number, self._ids_of = names.__getitem__, partial(_name_ids, names)
+        elif kinds <= {"i", "u"}:   # one id kind per network
+            self._patent_number, self._ids_of = str, _int_ids
+        else:
             raise ValueError("node and edge arrays must both hold integers or both objects, "
-                             f"not {application_years.dtype} and {ends.dtype}")
-        self._ids, years = application_years[:, 0], application_years[:, 1]
-        n = len(self._ids)
-        if years.dtype == object:   # a Python pass, so only networks of strings pay for it
-            years = np.fromiter(map(_year, self._ids.tolist(), years.tolist()), np.int64, n)
-        self._years = years.astype(np.int64)
+                             f"not {dtypes[0]} and {dtypes[1]}")
+        ids, n = application_years[:, 0], len(application_years)
+        outside = np.flatnonzero((ids < 0) | (ids >= 10 ** MAX_INT_DIGITS))
+        if outside.size:
+            raise ValueError(f"integer id {ids[outside[0]]} outside [0, 10**{MAX_INT_DIGITS})")
+        self._ids = ids.astype(np.int64, copy=False)
+        self._years = application_years[:, 1].astype(np.int64)
         # The int32 node number of every id of an array; -1 for one that names no node.
         self._lookup = _positions(self._ids)
         at = _first_repeat(self._lookup(self._ids), n)
         if at < n:
-            raise IngestError(f"duplicate patent_number {self._ids[at]}")
-        src, dst = self._lookup(ends[:, 0]), self._lookup(ends[:, 1])
-        _check_edges(src, dst, self._years, ends)
+            raise _RepeatedId(f"duplicate patent_number {self._patent_number(self._ids[at])}")
+        src, dst = self._lookup(edges[:, 0]), self._lookup(edges[:, 1])
+        _check_edges(src, dst, self._years, edges, self._patent_number)
 
         order, self._starts, ptr, cited = _kahn_levels(src, dst, n)
         # order[r]: the node of rank r (its position in level order); rank inverts it.
@@ -198,17 +220,11 @@ class CitationNetwork:
     @cached_property
     def _names(self) -> list[str]:
         """The patent number of every node, in node order."""
-        return list(map(str, self._ids.tolist()))
+        return list(map(self._patent_number, self._ids.tolist()))
 
     def _nodes(self, numbers: list[str]) -> np.ndarray:
         """The node number of each patent number; -1 for one that names no node."""
-        if self._ids.dtype == object:
-            keys = np.array(numbers, dtype=object)
-        else:
-            # An integer id is named by its str() only; no id is -1.
-            keys = np.fromiter((int(s) if _is_int_name(s) else -1 for s in numbers),
-                               dtype=np.int64, count=len(numbers))
-        return self._lookup(keys)
+        return self._lookup(self._ids_of(numbers))
 
     def _application_years_of(self, numbers: list[str]) -> dict[str, int]:
         """The application year of each of the patent numbers that names a node."""
@@ -224,7 +240,8 @@ class CitationNetwork:
     def cited_patents(self, patent: str) -> list[str]:
         """Patents cited by patent, in edge-file order; [] for an unknown patent."""
         node = int(self._nodes([patent])[0])
-        return [] if node < 0 else list(map(str, self._ids[self._cited(node)].tolist()))
+        return [] if node < 0 else list(map(self._patent_number,
+                                            self._ids[self._cited(node)].tolist()))
 
     @classmethod
     def from_files(cls, node_csv, edge_csv) -> "CitationNetwork":
@@ -232,20 +249,21 @@ class CitationNetwork:
         edge CSV (citing_patent, cited_patent).
 
         Both files are read into int64 arrays when both are files of plain
-        integers (_read_int_columns, tried on the node file first), else into
-        patent-number strings by core_data.read_table, which also names a bad
-        row's file and line. Node-file faults come first; an edge file's error
+        integers (_read_int_columns, tried on the node file first); else
+        core_data.read_table reads the rows of both, naming a bad row's file
+        and line, and the constructor numbers their patent-number strings as
+        the rows are read. Node-file faults come first; an edge file's error
         comes before a repeated node id's, which names the node file.
         """
         nodes = _read_int_columns(node_csv, NODE_COLUMNS)
         edges = None if nodes is None else _read_int_columns(edge_csv, EDGE_COLUMNS)
-        if edges is None:
-            nodes = _object_rows(read_table(node_csv, NODE_COLUMNS, _node_row))
-            edges = _object_rows(read_table(edge_csv, EDGE_COLUMNS,
-                                            lambda citing, cited: (citing.strip(), cited.strip())))
+        if edges is None:   # rows the constructor numbers as they are read
+            nodes = read_table(node_csv, NODE_COLUMNS, _node_row)
+            edges = read_table(edge_csv, EDGE_COLUMNS,
+                               lambda citing, cited: (citing.strip(), cited.strip()))
         try:
             return cls(nodes, edges)
-        except IngestError as exc:   # a repeated node id
+        except _RepeatedId as exc:
             raise IngestError(f"{node_csv}: {exc}") from None
 
 
@@ -258,16 +276,31 @@ def _first_repeat(keys: np.ndarray, none: int) -> int:
     return int(by_key[1:][keys[by_key[1:]] == keys[by_key[:-1]]].min())
 
 
-def _object_rows(pairs: Iterable[tuple]) -> np.ndarray:
-    """The pairs as the rows of an (m, 2) object array."""
-    return np.fromiter(chain.from_iterable(pairs), dtype=object).reshape(-1, 2)
+def _numbered(nodes: Mapping[str, int] | Iterable[tuple], edges: Iterable[tuple]) -> tuple:
+    """Number patent-number strings 0, 1, ... as the nodes (a mapping or
+    (patent number, year) pairs) and then the (citing, cited) pairs are
+    read, by one dict: each new string takes the next number, a repeated
+    one its first. Returns the strings in number order, the (n, 2) int64
+    array of (number, year) rows and the (m, 2) int32 array of (citing,
+    cited) numbers; an edge end that names no node takes a number past the
+    nodes'. A node id that is no str is a ValueError, and _year checks
+    every year."""
+    index = defaultdict(count().__next__)   # a missing string is added with the next number
+    rows = array("q")
+    for name, year in nodes.items() if isinstance(nodes, Mapping) else nodes:
+        if not isinstance(name, str):
+            raise ValueError(f"patent number {name!r} is not a str")
+        rows.extend((index[name], _year(name, year)))
+    ends = np.fromiter(map(index.__getitem__, chain.from_iterable(edges)), dtype=np.int32)
+    return list(index), np.frombuffer(rows, dtype=np.int64).reshape(-1, 2), ends.reshape(-1, 2)
 
 
 def _year(number, year) -> int:
     """A node's application year as an int; an IngestError naming the patent
-    if operator.index refuses it or it lies outside int64."""
+    if it is a bool (which operator.index takes as 0 or 1), if operator.index
+    refuses it or if it lies outside int64."""
     value = operator.index(year) if hasattr(year, "__index__") else None
-    if value is None or not -2 ** 63 <= value < 2 ** 63:
+    if value is None or isinstance(year, bool) or not -2 ** 63 <= value < 2 ** 63:
         raise IngestError(f"application year {year!r} of patent_number {number} is not an int64")
     return value
 
@@ -285,10 +318,22 @@ def _node_row(number: str, year: str) -> tuple[str, int]:
 MAX_INT_DIGITS = 18
 
 
-def _is_int_name(number: str) -> bool:
-    """Whether number is the str() of an id the integer path can read."""
-    return (0 < len(number) <= MAX_INT_DIGITS and number.isascii() and number.isdigit()
-            and (number[0] != "0" or len(number) == 1))
+def _int_ids(numbers: list[str]) -> np.ndarray:
+    """The id each patent number names in an integer network: int(s) when s is
+    the str() of an id the integer path can read (1 to MAX_INT_DIGITS ASCII
+    digits, no leading zero), else -1, which is no id."""
+    return np.fromiter((int(s) if 0 < len(s) <= MAX_INT_DIGITS and s.isascii() and s.isdigit()
+                        and (s[0] != "0" or len(s) == 1) else -1 for s in numbers),
+                       dtype=np.int64, count=len(numbers))
+
+
+def _name_ids(names: list[str], numbers: list[str]) -> np.ndarray:
+    """The id each patent number names in a network of numbered strings (its
+    position in names), or -1, by a dict of the asked-for names made for the
+    call, so that a network holds none."""
+    wanted = set(numbers)
+    index = {name: k for k, name in enumerate(names) if name in wanted}
+    return np.fromiter(map(index.get, numbers, repeat(-1)), dtype=np.int64, count=len(numbers))
 
 
 def _read_int_columns(path, names: list[str]) -> np.ndarray | None:
@@ -390,14 +435,10 @@ def _positions(ids: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     Ids are distinct but for the check that finds a repeated one, which
     relies on every copy of an id getting the same one of its positions.
 
-    Positions are int32. Patent-number strings are looked up in a dict.
-    Integer ids spanning at most 4 * len(ids) values are looked up in a
-    direct int32 table, others by binary search in the sorted ids.
+    Positions are int32. Ids spanning at most 4 * len(ids) values are
+    looked up in a direct int32 table, others by binary search in the
+    sorted ids.
     """
-    if ids.dtype == object:
-        index = dict(zip(ids.tolist(), range(ids.size)))
-        return lambda ends: np.fromiter(map(index.get, ends.ravel().tolist(), repeat(-1)),
-                                        dtype=np.int32, count=ends.size).reshape(ends.shape)
     if not ids.size:
         return lambda ends: np.full(ends.shape, -1, dtype=np.int32)
     lo, span = int(ids.min()), int(ids.max()) - int(ids.min()) + 1
@@ -420,13 +461,14 @@ def _positions(ids: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return search
 
 
-def _check_edges(src: np.ndarray, dst: np.ndarray, years: np.ndarray,
-                 ends: np.ndarray) -> None:
+def _check_edges(src: np.ndarray, dst: np.ndarray, years: np.ndarray, ends: np.ndarray,
+                 patent_number: Callable[[int], str]) -> None:
     """Raise the NetworkError of the first bad edge in edge order.
 
     src and dst hold the int32 node numbers of the edges' ends, -1 for an
-    end that names no node, and the (m, 2) ids ends name the bad edge's
-    patents in the message. Each edge is checked for, in this order:
+    end that names no node, and the bad edge's patents are named in the
+    message by patent_number of its ids in the (m, 2) array ends. Each edge
+    is checked for, in this order:
     self-citation, a repeat of an earlier edge, an end that names no node
     and a cited patent applied after the citing one.
     """
@@ -444,7 +486,7 @@ def _check_edges(src: np.ndarray, dst: np.ndarray, years: np.ndarray,
                    (unknown, 2), (first(years[d] > years[s]), 3))
     if at == none:
         return
-    citing, cited = map(str, ends[at].tolist())
+    citing, cited = map(patent_number, ends[at].tolist())
     if kind == 0 or citing == cited:   # an unknown id citing itself is a self-citation too
         raise NetworkError(f"self-citation on {citing}")
     if kind == 1:

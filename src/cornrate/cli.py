@@ -36,11 +36,10 @@ collector paused (core_data._without_gc).
 Importing cli registers gc.freeze to run at interpreter exit. The
 interpreter's finalizer then finds every object in the permanent
 generation, so its closing collections walk nothing. They would only tear
-down module functions, classes and dicts that the OS reclaims anyway, and
-took 8-20 ms of each cold command on the bundled fixture. Other atexit
-handlers, the stdio flush and the exit code are unaffected. main itself
-never freezes, since in-process callers run it many times and a freeze
-would pin each run's uncollected cycles.
+down module functions, classes and dicts that the OS reclaims anyway.
+Other atexit handlers, the stdio flush and the exit code are unaffected.
+main itself never freezes, since in-process callers run it many times
+and a freeze would pin each run's uncollected cycles.
 """
 
 from __future__ import annotations
