@@ -42,22 +42,21 @@ CitationNetwork.from_files reads the raw layouts NODE_COLUMNS and
 EDGE_COLUMNS, defined here, into int64 arrays when both files qualify,
 the node file tried first. A CSV qualifies when, after the header (a
 byte-order mark dropped, its names matched under the rules of
-core_data.read_table) the bytes hold only ASCII digits, commas and LF or
-CRLF line ends, every row has the header's width, and every field has 1
-to 18 digits and no leading zero, so it is the str() of its value. The
-file is read as bytes and only its header is decoded. The body is read
-where it lies in those bytes, by np.frombuffer at its offset, and copied
-only to drop CRs or to end its last row with a line end. When every row
-has the first row's length and separator places, as in files of
-fixed-width ids, the body is a 2-D byte grid, a view of those bytes:
-each field's digit places and separator are checked on views of the
-grid, column by column, and each read column is parsed one digit place
-at a time into its own contiguous row of the result (_read_fixed_rows);
-any other body is parsed by one np.fromstring call. If either file does
-not qualify (quotes, spaces, signs, blank lines, non-ASCII digits,
-prefixed ids such as US6000038), the rows of both, read by
-core_data.read_table, which also names a bad row's file and line, go to
-the constructor as patent-number strings; both readers give the same
+core_data.read_table), its rows all have the first row's length and
+separator places, as in files of fixed-width ids: the header's width of
+fields of 1 to 18 ASCII digits without a leading zero, so each is the
+str() of its value, separated by commas and ended by the first row's
+line end, LF or CRLF. The file is read as bytes and only its header is
+decoded. The body is a 2-D byte grid, a view of those bytes at its
+offset, copied only to end its last row with a line end: each field's
+digit places and separator are checked on views of the grid, column by
+column, and each read column is parsed one digit place at a time into
+its own contiguous row of the result (_read_int_columns). If either file
+does not qualify (ids of varying width, quotes, spaces, signs, blank
+lines, mixed line ends, non-ASCII digits, prefixed ids such as
+US6000038), the rows of both, read by core_data.read_table, which also
+names a bad row's file and line (an empty patent number among them), go
+to the constructor as patent-number strings; both readers give the same
 network or the same error. Validation (self-citations, duplicates, ends
 that name no node, year order) is done on the node numbers and reports
 the first bad edge in file order, named by the ids it was given. One
@@ -248,19 +247,19 @@ class CitationNetwork:
         """The network in a node CSV (patent_number, application_year) and an
         edge CSV (citing_patent, cited_patent).
 
-        Both files are read into int64 arrays when both are files of plain
-        integers (_read_int_columns, tried on the node file first); else
-        core_data.read_table reads the rows of both, naming a bad row's file
-        and line, and the constructor numbers their patent-number strings as
-        the rows are read. Node-file faults come first; an edge file's error
-        comes before a repeated node id's, which names the node file.
+        Both files are read into int64 arrays when both are plain-integer
+        files of one row layout (_read_int_columns, tried on the node file
+        first); else core_data.read_table reads the rows of both, naming a
+        bad row's file and line, and the constructor numbers their
+        patent-number strings as the rows are read. Node-file faults come
+        first; an edge file's error comes before a repeated node id's, which
+        names the node file.
         """
         nodes = _read_int_columns(node_csv, NODE_COLUMNS)
         edges = None if nodes is None else _read_int_columns(edge_csv, EDGE_COLUMNS)
         if edges is None:   # rows the constructor numbers as they are read
             nodes = read_table(node_csv, NODE_COLUMNS, _node_row)
-            edges = read_table(edge_csv, EDGE_COLUMNS,
-                               lambda citing, cited: (citing.strip(), cited.strip()))
+            edges = read_table(edge_csv, EDGE_COLUMNS, _edge_row)
         try:
             return cls(nodes, edges)
         except _RepeatedId as exc:
@@ -283,13 +282,15 @@ def _numbered(nodes: Mapping[str, int] | Iterable[tuple], edges: Iterable[tuple]
     one its first. Returns the strings in number order, the (n, 2) int64
     array of (number, year) rows and the (m, 2) int32 array of (citing,
     cited) numbers; an edge end that names no node takes a number past the
-    nodes'. A node id that is no str is a ValueError, and _year checks
-    every year."""
+    nodes'. A node id that is no str, or is empty, is a ValueError, and
+    _year checks every year."""
     index = defaultdict(count().__next__)   # a missing string is added with the next number
     rows = array("q")
     for name, year in nodes.items() if isinstance(nodes, Mapping) else nodes:
         if not isinstance(name, str):
             raise ValueError(f"patent number {name!r} is not a str")
+        if not name:
+            raise ValueError("empty patent_number")
         rows.extend((index[name], _year(name, year)))
     ends = np.fromiter(map(index.__getitem__, chain.from_iterable(edges)), dtype=np.int32)
     return list(index), np.frombuffer(rows, dtype=np.int64).reshape(-1, 2), ends.reshape(-1, 2)
@@ -306,12 +307,26 @@ def _year(number, year) -> int:
 
 
 def _node_row(number: str, year: str) -> tuple[str, int]:
-    """A node CSV row as read_table parses it; a year outside int64 is a
-    ValueError, which read_table names by file and line."""
+    """A node CSV row as read_table parses it; an empty patent number or a
+    year outside int64 is a ValueError, which read_table names by file and
+    line."""
     value = int(year)
     if not -2 ** 63 <= value < 2 ** 63:
         raise ValueError(f"application year {value} outside int64")
-    return number.strip(), value
+    return _nonempty(number), value
+
+
+def _edge_row(citing: str, cited: str) -> tuple[str, str]:
+    """An edge CSV row as read_table parses it, as _node_row does."""
+    return _nonempty(citing), _nonempty(cited)
+
+
+def _nonempty(field: str) -> str:
+    """A patent-number field, stripped; an empty one is a ValueError."""
+    number = field.strip()
+    if not number:
+        raise ValueError("empty patent_number")
+    return number
 
 
 # A field of the integer path has at most this many digits, so it fits an int64.
@@ -341,18 +356,21 @@ def _read_int_columns(path, names: list[str]) -> np.ndarray | None:
 
     Returns one row per data row and one column per name, or None when
     the body does not qualify: it may hold only ASCII digits, commas and
-    line ends (LF, or CRLF), and every row must have the header's width
-    of fields of 1 to MAX_INT_DIGITS digits without a leading zero, so
-    each field is the str() of its value. The file's bytes come from
-    read_bytes, and only its header, past a byte-order mark, is decoded,
-    split as read_table splits it; a missing file or a missing column in
-    a qualifying file is an IngestError. The body is read where it lies
-    in those bytes, which are copied only to drop CRs or to end the last
-    row with a line end. A body of one row layout is read by
-    _read_fixed_rows. A header with a quote, a bare carriage return or a
-    byte that is not UTF-8 also gives None, and the caller then reads the
-    file with read_table, which gives a file that does not decode its
-    error.
+    line ends, and its rows must all have the first row's length and
+    separator places (one row layout, as in files of fixed-width ids):
+    the header's width of fields of 1 to MAX_INT_DIGITS digits without a
+    leading zero, so each field is the str() of its value, then the first
+    row's line end, LF or CRLF. The file's bytes come from read_bytes,
+    and only its header, past a byte-order mark, is decoded, split as
+    read_table splits it; a missing file or a missing column in a
+    qualifying file is an IngestError. The body is a 2-D byte grid, a
+    view of those bytes, copied only to end its last row with the first
+    row's line end; each separator and field is checked on views of the
+    grid, column by column, and each read column is parsed one digit
+    place at a time into its own contiguous row of the result. A header
+    with a quote, a bare carriage return or a byte that is not UTF-8
+    also gives None, and the caller then reads the file with read_table,
+    which gives a file that does not decode its error.
     """
     data = read_bytes(path)
     skip = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
@@ -365,55 +383,32 @@ def _read_int_columns(path, names: list[str]) -> np.ndarray | None:
         header = next(csv.reader([head.decode()]), [])
     except (csv.Error, UnicodeDecodeError):
         return None
-    if data.find(b"\r", start) >= 0:
-        data = data.replace(b"\r\n", b"\n")
-        start = data.find(b"\n") + 1   # a CR in the header can only have ended it
-    if start < len(data) and not data.endswith(b"\n"):
-        data += b"\n"
-    text = np.frombuffer(data, dtype=np.uint8, offset=start)
-    if text.max(initial=0) > ord("9"):
+    if np.frombuffer(data, dtype=np.uint8, offset=start).max(initial=0) > ord("9"):
         return None
     columns = _column_positions(header, names, path)
-    width = len(header)
-    row_layout = np.array([ord(",")] * (width - 1) + [ord("\n")], dtype=np.uint8)
-    fixed = _read_fixed_rows(data, start, row_layout, columns)
-    if fixed is not None:
-        return fixed
-    # The comma or line end after each field; any other byte below "0" breaks the row layout.
-    ends = np.flatnonzero(text < ord("0"))
-    if ends.size % width or (text[ends].reshape(-1, width) != row_layout).any():
-        return None
-    length = np.diff(ends, prepend=-1) - 1
-    if ends.size and (length.min() < 1 or length.max() > MAX_INT_DIGITS
-                      or ((text[ends - length] == ord("0")) & (length > 1)).any()):
-        return None
-    values = np.fromstring(data[start:].replace(b"\n", b","), dtype=np.int64, sep=",")
-    return values.reshape(-1, width)[:, columns]
-
-
-def _read_fixed_rows(data: bytes, start: int, row_layout: np.ndarray,
-                     columns: list[int]) -> np.ndarray | None:
-    """The given columns of the body that begins at data[start], which
-    qualifies for _read_int_columns, when its rows all have the first row's
-    length and separator places, read where it lies, one digit place at a
-    time; None for any other body, which the general parse then judges.
-    """
-    first_end = data.find(b"\n", start)
-    size = first_end + 1 - start
-    if first_end < 0 or (len(data) - start) % size:
+    if start == len(data):   # a header-only file
+        return np.zeros((0, len(columns)), dtype=np.int64)
+    first = data.find(b"\n", start) + 1 or len(data) + 1   # past the first row's line end
+    row_end = b"\r\n" if data[first - 2:first] == b"\r\n" else b"\n"
+    if not data.endswith(b"\n"):
+        data += row_end
+    size = first - start
+    if (len(data) - start) % size:
         return None
     grid = np.frombuffer(data, dtype=np.uint8, offset=start).reshape(-1, size)
+    # Each separator follows the field before it; a CRLF row's LF follows an empty one.
+    layout = b"," * (len(header) - 1) + row_end
     ends = np.flatnonzero(grid[0] < ord("0"))
-    if ends.size != row_layout.size:
+    if grid[0, ends].tobytes() != layout:
         return None
     starts = np.append(0, ends[:-1] + 1)
-    length = ends - starts
+    length = (ends - starts)[:len(header)]
     if length.min() < 1 or length.max() > MAX_INT_DIGITS:
         return None
     # Column by column, on views of the grid: every row has the separator, a
     # digit (no byte is above "9") at each place of the field, and no leading zero.
-    for lo, hi, separator in zip(starts.tolist(), ends.tolist(), row_layout.tolist()):
-        if ((grid[:, hi] != separator).any() or grid[:, lo:hi].min() < ord("0")
+    for lo, hi, separator in zip(starts.tolist(), ends.tolist(), layout):
+        if ((grid[:, hi] != separator).any() or grid[:, lo:hi].min(initial=ord("0")) < ord("0")
                 or (hi - lo > 1 and grid[:, lo].min() == ord("0"))):
             return None
     # One contiguous row per column, returned transposed: Horner's rule on the

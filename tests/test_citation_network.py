@@ -269,6 +269,15 @@ class TestNetworkValidation:
         with pytest.raises(ValueError, match=f"^patent number {bad} is not a str$"):
             CitationNetwork(nodes, [])
 
+    @pytest.mark.parametrize("nodes", [
+        {"A": 1990, "": 1991},
+        [("A", 1990), ("", 1991)],
+        np.array([["A", 1990], ["", 1991]], dtype=object),
+    ], ids=["mapping", "pairs", "object-array"])
+    def test_empty_patent_number(self, nodes):
+        with pytest.raises(ValueError, match="^empty patent_number$"):
+            CitationNetwork(nodes, [("A", "")])
+
     @pytest.mark.parametrize("nodes, edges", [
         (np.array([[1.0, 1990.0], [2.0, 1991.0]]), np.zeros((0, 2))),
         (np.array([[1, 1990], [2, 1991]]), np.array([[2.0, 1.0]])),
@@ -335,10 +344,13 @@ NODES = "patent_number,application_year\n1000,1990\n1001,1991\n1002,1992\n1003,1
 EDGES = "citing_patent,cited_patent\n1001,1000\n1002,1001\n1002,1000\n1003,1000\n"
 ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66a))))
 SPARSE = {"1000": "4000000000", "1001": "70", "1002": "123456789012345678", "1003": "0"}
+# Sparse ids of one width, which the integer path reads and _positions looks up by binary search.
+FIXED_SPARSE = {"1000": "4000000000", "1001": "7000000070", "1002": "8234567890",
+                "1003": "5000000000"}
 
 
-def sparse(text):
-    for dense, far in SPARSE.items():
+def sparse(text, ids=SPARSE):
+    for dense, far in ids.items():
         text = text.replace(dense, far)
     return text
 
@@ -350,13 +362,18 @@ FROM_FILES_CASES = {
     "crlf": (NODES.replace("\n", "\r\n"), EDGES.replace("\n", "\r\n"), (True, True)),
     "no-final-newline": (NODES.rstrip("\n"), EDGES.rstrip("\n"), (True, True)),
     "bare-cr": (NODES.replace("\n", "\r"), EDGES, (False, True)),
-    "mixed-line-ends": (NODES, EDGES.replace("1001\n", "1001\r\n"), (True, True)),
+    "mixed-line-ends": (NODES, EDGES.replace("1001\n", "1001\r\n"), (True, False)),
+    # Each file's rows end as its first row does, whatever ends its header.
+    "header-line-end-apart-from-rows": (NODES.replace("\n", "\r\n").replace("\r\n", "\n", 1),
+                                        EDGES.replace("\n", "\r\n", 1), (True, True)),
     "bare-cr-in-edges": (NODES, EDGES.replace("1001\n", "1001\r"), (True, False)),
     "bom-crlf-no-final-newline": ("\ufeff" + NODES.replace("\n", "\r\n").rstrip(),
                                   "\ufeff" + EDGES.replace("\n", "\r\n").rstrip(),
                                   (True, True)),
     # Rows of one layout: the same rules hold when every row has the same width.
     "fixed-width-leading-zero": (NODES, EDGES.replace(",1000", ",0100"), (True, False)),
+    "fixed-width-18-digits": (NODES.replace("\n100", "\n" + "9" * 14 + "100"),
+                              EDGES.replace("100", "9" * 14 + "100"), (True, True)),
     "fixed-width-19-digits": (NODES.replace("\n100", "\n" + "9" * 15 + "100"),
                               EDGES.replace("100", "9" * 15 + "100"), (False, False)),
     "dot-separator": (NODES.replace("1001,", "1001."), EDGES, (False, True)),
@@ -381,7 +398,7 @@ FROM_FILES_CASES = {
                          (False, False)),
     "negative-year": (NODES.replace("1990", "-1990"), EDGES, (False, True)),
     "18-digits": (NODES.replace("1001", "1" * 18), EDGES.replace("1001", "1" * 18),
-                  (True, True)),
+                  (False, False)),
     "19-digits": (NODES.replace("1001", "1" * 19), EDGES.replace("1001", "1" * 19),
                   (False, False)),
     "25-digits": (NODES.replace("1001", "9" * 25), EDGES.replace("1001", "9" * 25),
@@ -402,7 +419,8 @@ FROM_FILES_CASES = {
     "empty-field": (NODES, EDGES + "1003,\n", (True, False)),
     "duplicate-node": (NODES + "1001,1980\n", EDGES, (True, True)),
     "unknown-endpoint": (NODES, EDGES + "1003,1009\n", (True, True)),
-    "unknown-citing": (NODES, EDGES + "999,1000\n", (True, True)),
+    "unknown-citing": (NODES, EDGES + "999,1000\n", (True, False)),
+    "fixed-width-unknown-citing": (NODES, EDGES + "9999,1000\n", (True, True)),
     "self-edge": (NODES, EDGES + "1002,1002\n", (True, True)),
     "duplicate-edge": (NODES, EDGES + "1002,1001\n", (True, True)),
     "year-violation": (NODES, EDGES + "1000,1003\n", (True, True)),
@@ -410,8 +428,13 @@ FROM_FILES_CASES = {
     "header-only-edges": (NODES, "citing_patent,cited_patent\n", (True, True)),
     "header-only-nodes": ("patent_number,application_year", EDGES, (True, True)),
     "empty-edges": (NODES, "", None),
-    "sparse-ids": (sparse(NODES), sparse(EDGES), (True, True)),
-    "sparse-unknown-endpoint": (sparse(NODES), sparse(EDGES) + "70,5\n", (True, True)),
+    "sparse-ids": (sparse(NODES), sparse(EDGES), (False, False)),
+    "sparse-unknown-endpoint": (sparse(NODES), sparse(EDGES) + "70,5\n", (False, False)),
+    "fixed-width-sparse-ids": (sparse(NODES, FIXED_SPARSE), sparse(EDGES, FIXED_SPARSE),
+                               (True, True)),
+    "fixed-width-sparse-unknown-endpoint": (
+        sparse(NODES, FIXED_SPARSE), sparse(EDGES, FIXED_SPARSE) + "7000000070,5000000005\n",
+        (True, True)),
     # Python 3.11's csv reads a NUL, and "1000\x00" is then a node of its own;
     # on 3.10 both paths raise the csv error.
     "nul-suffixed-id": (NODES + "1000\x00,1989\n", EDGES + "1000,1000\x00\n", (False, False)),
@@ -446,22 +469,32 @@ class TestFromFilesFastPath:
         assert fast == slow == (IngestError, f"{tmp_path / 'nodes.csv'}, line 3: "
                                              f"application year {year} outside int64")
 
-    def test_general_integer_parse_of_variable_width_ids(self, tmp_path):
-        # Both benchmark workloads have fixed-width ids, which _read_fixed_rows
+    def test_variable_width_ids_read_as_strings(self, tmp_path):
+        # Both benchmark workloads have fixed-width ids, which _read_int_columns
         # reads as a byte grid. Relabelled to 0..2999, the ids vary in width,
-        # so _read_int_columns reads both files by its general parse.
+        # so from_files reads both files as patent-number strings, to the same network.
         load_generator().generate_network(1, tmp_path, n_nodes=3000, slice_every=20)
         relabel(tmp_path, tmp_path / "var", prefix="",
                 mapping={str(6_000_000 + k): str(k) for k in range(3000)})
         files = [tmp_path / "var" / "nodes.csv", tmp_path / "var" / "edges.csv"]
-        layout = np.array([ord(","), ord("\n")], dtype=np.uint8)
-        for data in map(Path.read_bytes, files):
-            assert citation_network._read_fixed_rows(data, data.index(b"\n") + 1, layout,
-                                                     [0, 1]) is None
         qualifies, fast, slow = both_paths(tmp_path / "var", *map(Path.read_bytes, files))
-        assert qualifies == (True, True)
+        assert qualifies == (False, False)
         assert fast == slow
         assert len(fast[0]) == 3000
+
+    @pytest.mark.parametrize("nodes_text, edges_text, name, line", [
+        (NODES.replace("\n1001,", "\n,"), EDGES, "nodes.csv", 3),
+        (NODES.replace("\n1001,", "\n ,"), EDGES, "nodes.csv", 3),
+        (NODES, EDGES + "1002,\n", "edges.csv", 6),
+        (NODES, EDGES + " ,1000\n", "edges.csv", 6),
+    ], ids=["node", "blank-node", "cited", "blank-citing"])
+    def test_empty_patent_number_names_its_line(self, tmp_path, nodes_text, edges_text, name,
+                                                line):
+        # Not a node named "" (nor an edge citing it), which would shift its
+        # cohort's percentiles; the dataset store refuses an empty id too.
+        _, fast, slow = both_paths(tmp_path, nodes_text, edges_text)
+        assert fast == slow == (IngestError,
+                                f"{tmp_path / name}, line {line}: empty patent_number")
 
     def test_edge_file_error_before_repeated_node_id(self, tmp_path):
         # Both files are read before the constructor checks the node ids.
@@ -499,14 +532,42 @@ class TestFromFilesFastPath:
         assert net._ids.tolist() == [0, 1, 2, 3]   # numbered strings: ids are node numbers
         assert net.cited_patents("1002") == ["1001", "1000"]
 
-    def test_fixed_rows_read_only_bodies_of_one_row_layout(self):
-        layout = np.array([ord(","), ord("\n")], dtype=np.uint8)
-        read = citation_network._read_fixed_rows
-        assert read(b"10,1990\n11,1991\n", 0, layout, [1, 0]).tolist() == [[1990, 10], [1991, 11]]
-        assert read(b"10,1990\n9,1991\n", 0, layout, [0, 1]) is None
-        assert read(b"10,1990\n1,11991\n", 0, layout, [0, 1]) is None
-        # The body is read where it begins, after the header, without a copy.
-        assert read(b"a,b\n10,1990\n11,1991\n", 4, layout, [1]).tolist() == [[1990], [1991]]
+    def test_fixed_rows_read_only_bodies_of_one_row_layout(self, tmp_path):
+        def read(body, names):
+            path = tmp_path / "rows.csv"
+            path.write_bytes(body if body.startswith(b"a,b") else b"a,b\n" + body)
+            values = citation_network._read_int_columns(path, names)
+            return None if values is None else values.tolist()
+
+        assert read(b"10,1990\n11,1991\n", ["b", "a"]) == [[1990, 10], [1991, 11]]
+        assert read(b"10,1990\n9,1991\n", ["a", "b"]) is None
+        assert read(b"10,1990\n1,11991\n", ["a", "b"]) is None
+        assert read(b"a,b\n10,1990\n11,1991\n", ["b"]) == [[1990], [1991]]
+        # A CRLF row ends in two bytes, and every row ends as the first does.
+        assert read(b"a,b\r\n10,1990\r\n11,1991", ["b"]) == [[1990], [1991]]
+        assert read(b"10,1990\r\n11,1991\n", ["a", "b"]) is None
+        assert read(b"10,1990\n11,1991\r", ["a", "b"]) is None
+        assert read(b"10,1990\r\n11,199\r\n\n", ["a", "b"]) is None
+        assert read(b"10,1990\r\n", ["a", "b"]) == [[10, 1990]]
+        assert read(b"a,b", ["a", "b"]) == read(b"a,b\r\n", ["a", "b"]) == []
+
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_body_read_in_place(self, tmp_path, line_end):
+        # One column of an edge file at about 10^5 edges: the bytes read once,
+        # the int64 column (8 bytes a row of 16 or 17) and numpy's 64 KB cast
+        # buffer give 1.54 (LF) and 1.51 (CRLF) times the file's size; a copy
+        # of the body would take it to about 2.
+        load_generator().generate_network(1, tmp_path, n_nodes=22_000)
+        path = tmp_path / "edges-copy.csv"
+        path.write_bytes((tmp_path / "edges.csv").read_bytes().replace(b"\n", line_end.encode()))
+        tracemalloc.start()
+        try:
+            values = citation_network._read_int_columns(path, ["cited_patent"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (len(path.read_bytes().splitlines()) - 1, 1)
+        assert peak <= 1.6 * path.stat().st_size
 
     def test_undecodable_byte_names_its_line(self, tmp_path):
         # The integer path leaves the file to read_table, whose error names the line.
